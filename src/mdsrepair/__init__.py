@@ -15,7 +15,6 @@ from .gf import (
     FieldSpec,
     SubfieldSpec,
     find_left_operator,
-    is_in_subfield,
     rank_over_subfield,
     subfield_coords,
 )
@@ -29,7 +28,6 @@ from .repair import (
     gamma_ranks,
     gamma_ranks_matrix,
     lift_scheme,
-    make_sub,
     realize_matrices,
     recover_node,
     scheme_from_json,
@@ -39,9 +37,9 @@ from .search import SearchConfig, SearchResult, exhaustive_search, random_search
 __all__ = [
     "__version__",
     "FieldSpec", "FieldElement", "SubfieldSpec",
-    "find_left_operator", "is_in_subfield", "rank_over_subfield", "subfield_coords",
+    "find_left_operator", "rank_over_subfield", "subfield_coords",
     "CodeSpec", "Codeword", "rs_systematic", "normalize_parity", "verify_mds", "encode",
-    "SubpacketizationSpec", "make_sub", "baselines",
+    "SubpacketizationSpec", "baselines",
     "RepairScheme", "RepairReport", "MatrixScheme", "RecoveryResult",
     "gamma_ranks", "lift_scheme", "realize_matrices", "gamma_ranks_matrix",
     "recover_node", "scheme_from_json",

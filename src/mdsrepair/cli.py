@@ -30,7 +30,7 @@ from .errors import (
     MissingScheme,
     NoFeasibleFound,
 )
-from .repair import RepairReport, RepairScheme, gamma_ranks, make_sub
+from .repair import RepairReport, RepairScheme, SubpacketizationSpec, gamma_ranks
 from .search import SearchConfig, exhaustive_search, random_search
 
 EXIT_OK = 0
@@ -162,7 +162,7 @@ def cmd_clique(args) -> int:
 
 def cmd_search(args) -> int:
     code = load_code(args.code)
-    sub = make_sub(code, args.subfield_degree)
+    sub = SubpacketizationSpec(code, args.subfield_degree)
     cfg = SearchConfig(sub, args.node, mode=args.mode, samples=args.samples,
                        seed=args.seed, normalize_first=not args.no_normalize)
     if args.mode == "exhaustive":
@@ -243,7 +243,7 @@ def cmd_report(args) -> int:
 def cmd_list_codes(args) -> int:
     for name in BUNDLED_CODES:
         code = bundled_code(name)
-        sub = make_sub(code, 1)
+        sub = SubpacketizationSpec(code, 1)
         print(f"{name}: ({code.n},{code.k}) over {code.field!r}, "
               f"beta={sub.beta} alpha={sub.alpha} M={sub.file_size} bits, "
               f"bundled schemes for nodes "

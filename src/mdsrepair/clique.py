@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codes import CodeSpec
-from .errors import NotNormalized, NotTwoParity, OddExtensionDegree
+from .errors import CliqueBoundMissed, NotNormalized, NotTwoParity, OddExtensionDegree
 from .gf import FieldElement, SubfieldSpec
-from .repair import RepairScheme, SubpacketizationSpec, gamma_ranks, make_sub
+from .repair import RepairScheme, SubpacketizationSpec, gamma_ranks
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def generate_clique(code: CodeSpec) -> CliquePartition:
     if any(row[0] != code.field.one() for row in code.parity):
         raise NotNormalized(
             "first parity column must be all ones (apply normalize_parity)")
-    sub = make_sub(code, code.field.m // 2)
+    sub = SubpacketizationSpec(code, code.field.m // 2)
     subfield = sub.subfield
     cliques: list[list[int]] = []
     for i in range(1, code.k + 1):
@@ -128,7 +128,7 @@ def find_repair(part: CliquePartition, i: int) -> CliqueRepair:
     report = gamma_ranks(scheme)
     bound = clique_bound(part, i)
     if not report.feasible or (not degenerate and report.total_bw != bound):
-        raise AssertionError(
+        raise CliqueBoundMissed(
             f"clique repair promise violated for node {i}: "
             f"feasible={report.feasible}, total={report.total_bw}, bound={bound}")
     return CliqueRepair(scheme, mu, bound, degenerate,

@@ -18,6 +18,7 @@ from .errors import (
     LengthMismatch,
     ParseError,
     TooManySubsets,
+    as_int,
 )
 from .gf import FieldElement, FieldSpec
 
@@ -78,7 +79,8 @@ class CodeSpec:
             field = FieldSpec.from_json(obj["field"])
             parity = tuple(
                 tuple(field.element(e) for e in row) for row in obj["parity"])
-            return cls(obj["n"], obj["k"], field, parity, obj.get("name"))
+            return cls(as_int(obj["n"], "n"), as_int(obj["k"], "k"), field,
+                       parity, obj.get("name"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad code JSON: {exc}") from exc
 

@@ -1,8 +1,11 @@
 """Exception types raised across the package.
 
 Everything derives from MdsRepairError so callers (and the CLI) can
-distinguish domain errors from genuine bugs.
+distinguish domain errors from genuine bugs.  ``as_int`` is the one check
+that JSON integers are integers.
 """
+
+import operator
 
 
 class MdsRepairError(Exception):
@@ -84,6 +87,10 @@ class NotNormalized(MdsRepairError):
     """Clique repair expects the first parity column to be all ones."""
 
 
+class CliqueBoundMissed(MdsRepairError):
+    """A clique repair scheme is infeasible or misses its bandwidth bound."""
+
+
 # -- search -----------------------------------------------------------------
 
 class SearchSpaceTooLarge(MdsRepairError):
@@ -103,3 +110,14 @@ class ParseError(MdsRepairError):
 
 class MissingScheme(MdsRepairError):
     """A report was requested but no scheme files were found."""
+
+
+def as_int(value, what: str) -> int:
+    """value as an int; ParseError for bools, floats, strings and anything
+    else that is not an integer (no silent coercion)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParseError(f"{what} must be an integer, got {value!r}")

@@ -11,7 +11,10 @@ every element has a coordinate vector over GF(p) (``vector``), every
 element acts on those vectors through an m x m matrix over GF(p)
 (``operator``, a power of the companion matrix of P), and sets of elements
 have a well-defined rank over any intermediate subfield GF(p^s)
-(``rank_over_subfield``).
+(``rank_over_subfield``).  Coordinates, vectors and operators all read one
+q x m table, ``FieldSpec.coords_table``, built once per field.  Every
+element-level rank goes through one kernel, ``SubfieldSpec.rank_exps``: a
+bitmask rank for p = 2, rows of ``coords_table`` ranked mod p otherwise.
 """
 
 from __future__ import annotations
@@ -22,9 +25,11 @@ from . import linalg
 from .errors import (
     DivisionByZero,
     IncompatibleSubfield,
+    InvalidMatrix,
     NotIrreducible,
     NotPrimitive,
     ZeroVector,
+    as_int,
 )
 
 MAX_FIELD_SIZE = 1 << 16
@@ -81,19 +86,7 @@ def _poly_sub(a, b, p):
 def _poly_gcd(a, b, p):
     a, b = _trim(list(a)), _trim(list(b))
     while b != [0]:
-        db = len(b) - 1
-        if db == 0:
-            a, b = b, [0]  # nonzero constant divides everything
-            continue
-        # a mod b via synthetic division
-        r = list(a)
-        inv_lead = pow(b[-1], -1, p)
-        for i in range(len(r) - 1, db - 1, -1):
-            c = (r[i] * inv_lead) % p
-            if c:
-                for j in range(db + 1):
-                    r[i - db + j] = (r[i - db + j] - c * b[j]) % p
-        a, b = b, _trim(r[:db] if len(r) > db else r)
+        a, b = b, _poly_mod(a, b, p)
     return a
 
 
@@ -197,6 +190,10 @@ class FieldSpec:
             log_table[idx] = e
         self.exp_table = exp_table
         self.log_table = log_table
+        # row idx holds the GF(p) coordinates of the element packed as idx
+        self.coords_table = (
+            np.arange(self.q, dtype=np.int64)[:, None] // p ** np.arange(m)) % p
+        self.coords_table.setflags(write=False)
 
     # -- element constructors ------------------------------------------
 
@@ -211,10 +208,11 @@ class FieldSpec:
         return FieldElement(self, 1)
 
     def element(self, exp) -> "FieldElement":
-        """Element from its discrete log; None (or the string "0") is zero."""
+        """Element from its integer discrete log; None (or the string "0")
+        is zero.  Anything else that is not an integer raises ParseError."""
         if exp is None or exp == "0":
             return self.zero()
-        return FieldElement(self, int(exp) % (self.q - 1))
+        return FieldElement(self, as_int(exp, "element exponent") % (self.q - 1))
 
     def from_index(self, idx: int) -> "FieldElement":
         """Element from its packed coordinate index (base-p digits)."""
@@ -263,7 +261,8 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FieldSpec":
-        return cls(obj["p"], obj["poly"])
+        return cls(as_int(obj["p"], "p"),
+                   [as_int(c, "poly coefficient") for c in obj["poly"]])
 
 
 class FieldElement:
@@ -285,17 +284,11 @@ class FieldElement:
         return 0 if self.exp is None else self.field.exp_table[self.exp]
 
     def coords(self) -> list:
-        idx = self.index
-        p = self.field.p
-        out = []
-        for _ in range(self.field.m):
-            out.append(idx % p)
-            idx //= p
-        return out
+        return self.field.coords_table[self.index].tolist()
 
     def vector(self) -> np.ndarray:
         """Coordinate column over GF(p): the coefficients of 1, z, ..., z^{m-1}."""
-        return np.array(self.coords(), dtype=np.int64)
+        return self.field.coords_table[self.index].copy()
 
     def operator(self) -> np.ndarray:
         """The m x m multiplication matrix over GF(p): column j is the
@@ -303,33 +296,29 @@ class FieldElement:
         the companion matrix of the defining polynomial (zero maps to the
         zero matrix)."""
         f = self.field
-        mat = np.zeros((f.m, f.m), dtype=np.int64)
         if self.exp is None:
-            return mat
-        for j in range(f.m):
-            mat[:, j] = FieldElement(f, self.exp + j).vector()
-        return mat
+            return np.zeros((f.m, f.m), dtype=np.int64)
+        return f.coords_table[
+            [f.exp_table[(self.exp + j) % (f.q - 1)] for j in range(f.m)]].T
 
     def _check(self, other) -> "FieldElement":
         if not isinstance(other, FieldElement) or other.field != self.field:
             raise ValueError(f"elements of different fields: {self!r}, {other!r}")
         return other
 
-    def __add__(self, other):
+    def _add(self, other, sign: int) -> "FieldElement":
         other = self._check(other)
         f = self.field
         if f.p == 2:
             return f.from_index(self.index ^ other.index)
-        coords = [(a + b) % f.p for a, b in zip(self.coords(), other.coords())]
-        return f.from_coords(coords)
+        return f.from_coords(
+            [(a + sign * b) % f.p for a, b in zip(self.coords(), other.coords())])
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     def __sub__(self, other):
-        other = self._check(other)
-        f = self.field
-        if f.p == 2:
-            return f.from_index(self.index ^ other.index)
-        coords = [(a - b) % f.p for a, b in zip(self.coords(), other.coords())]
-        return f.from_coords(coords)
+        return self._add(other, -1)
 
     def __neg__(self):
         return self.field.zero() - self
@@ -394,6 +383,8 @@ class SubfieldSpec:
         self.order = field.p ** s
         self.exp_step = (field.q - 1) // (self.order - 1)
         self.generator = FieldElement(field, self.exp_step)
+        # discrete logs of the basis generator^0 .. generator^(s-1)
+        self.offsets = [t * self.exp_step for t in range(s)]
 
     def contains(self, x: FieldElement) -> bool:
         """True iff x = 0 or x^(p^s) = x."""
@@ -404,6 +395,22 @@ class SubfieldSpec:
     def basis(self) -> list:
         return [self.generator ** t for t in range(self.s)]
 
+    def rank_exps(self, exps) -> int:
+        """Dimension over GF(p^s) of the span of the nonzero elements z^e,
+        e in exps: the GF(p)-rank of the expanded set {z^e * w^t} for the
+        basis w^0..w^(s-1), divided by s.  This is the one rank kernel."""
+        field = self.field
+        exp_table, q1 = field.exp_table, field.q - 1
+        rows = [exp_table[(e + off) % q1] for e in exps for off in self.offsets]
+        if field.p == 2:
+            r = linalg.bit_rank(rows)
+        else:
+            r = linalg.rank_mod_p(field.coords_table[rows], field.p)
+        if r % self.s:
+            raise InvalidMatrix(
+                f"GF({field.p})-rank {r} is not a multiple of s={self.s}")
+        return r // self.s
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, SubfieldSpec)
                 and self.field == other.field and self.s == other.s)
@@ -413,10 +420,6 @@ class SubfieldSpec:
 
     def __repr__(self) -> str:
         return f"GF({self.field.p}^{self.s}) in {self.field!r}"
-
-
-def is_in_subfield(x: FieldElement, sub: SubfieldSpec) -> bool:
-    return sub.contains(x)
 
 
 # ---------------------------------------------------------------------------
@@ -430,28 +433,13 @@ def rank_over_subfield(elems, sub: SubfieldSpec) -> int:
     subfield basis w^0..w^(s-1), divided by s.  Zero elements contribute
     nothing; an empty list has rank 0.
     """
-    field = sub.field
     exps = []
     for a in elems:
-        if a.field != field:
+        if a.field != sub.field:
             raise ValueError("elements from different fields")
         if a.exp is not None:
             exps.append(a.exp)
-    return _rank_exps(field, exps, sub)
-
-
-def _rank_exps(field: FieldSpec, exps, sub: SubfieldSpec) -> int:
-    """rank_over_subfield on raw discrete logs (all nonzero)."""
-    q1 = field.q - 1
-    expanded = [(e + t * sub.exp_step) % q1 for e in exps for t in range(sub.s)]
-    if field.p == 2:
-        r = linalg.bit_rank(field.exp_table[e] for e in expanded)
-    else:
-        rows = np.array(
-            [FieldElement(field, e).coords() for e in expanded], dtype=np.int64)
-        r = linalg.rank_mod_p(rows, field.p) if len(rows) else 0
-    assert r % sub.s == 0
-    return r // sub.s
+    return sub.rank_exps(exps)
 
 
 def find_left_operator(field: FieldSpec, source: np.ndarray,
@@ -470,12 +458,12 @@ def find_left_operator(field: FieldSpec, source: np.ndarray,
         raise ZeroVector("source and target must be nonzero")
     # row i of L is source^T . operator(z^i); solving x^T L = target^T gives
     # the coordinates of b = sum x_i z^i
-    L = np.zeros((field.m, field.m), dtype=np.int64)
-    for i in range(field.m):
-        L[i] = source @ FieldElement(field, i).operator() % field.p
+    L = np.array([source @ FieldElement(field, i).operator()
+                  for i in range(field.m)]) % field.p
     x = linalg.solve_mod_p(L.T, target, field.p)
     b = field.from_coords(x)
-    assert not b.is_zero
+    if b.is_zero:
+        raise ZeroVector("left operator solved to zero")
     return b
 
 
@@ -486,18 +474,10 @@ def subfield_coords(x: FieldElement, sub: SubfieldSpec) -> list:
     is the usual coordinate vector with entries embedded as field elements.
     """
     field = sub.field
-    alpha = field.m // sub.s
-    # tower basis z^j * w^t as GF(p) columns
-    T = np.zeros((field.m, field.m), dtype=np.int64)
-    cols = [FieldElement(field, j) * (sub.generator ** t)
-            for j in range(alpha) for t in range(sub.s)]
-    for c, el in enumerate(cols):
-        T[:, c] = el.vector()
-    coeffs = linalg.solve_mod_p(T, x.vector(), field.p)
-    out = []
-    for j in range(alpha):
-        c = field.zero()
-        for t in range(sub.s):
-            c = c + field.scalar(int(coeffs[j * sub.s + t])) * (sub.generator ** t)
-        out.append(c)
-    return out
+    # tower basis z^j * w^t as GF(p) columns, t fastest
+    T = field.coords_table[[field.exp_table[(j + off) % (field.q - 1)]
+                            for j in range(field.m // sub.s) for off in sub.offsets]].T
+    coeffs = linalg.solve_mod_p(T, x.vector(), field.p).reshape(-1, sub.s)
+    basis = sub.basis()
+    return [sum((field.scalar(int(c)) * w for c, w in zip(row, basis)), field.zero())
+            for row in coeffs]

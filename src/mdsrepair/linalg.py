@@ -3,7 +3,7 @@
 Two representations are used:
 
 * numpy int64 arrays with entries reduced mod p, for the general routines
-  (echelon form, rank, solving, inversion);
+  (echelon form, rank, solving);
 * python ints as bit-rows for the GF(2) fast path (`bit_rank`), which the
   search hot loops rely on.
 
@@ -91,12 +91,6 @@ def solve_mod_p(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         raise ValueError("singular matrix")
     x = R[:n, n:]
     return x.reshape(b.shape)
-
-
-def inv_mod_p(A: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a square matrix over GF(p)."""
-    n = np.asarray(A).shape[0]
-    return solve_mod_p(A, np.eye(n, dtype=np.int64), p)
 
 
 def matmul_mod_p(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:

@@ -38,6 +38,7 @@ from .errors import (
     InvalidMatrix,
     ParseError,
     ZeroReference,
+    as_int,
 )
 from .gf import FieldElement, SubfieldSpec, subfield_coords
 
@@ -83,10 +84,6 @@ class SubpacketizationSpec:
         """Bits per GF(p^s) sub-symbol (exact int for p = 2)."""
         p = self.code.field.p
         return self.s if p == 2 else self.s * math.log2(p)
-
-
-def make_sub(code: CodeSpec, s: int) -> SubpacketizationSpec:
-    return SubpacketizationSpec(code, s)
 
 
 def baselines(sub: SubpacketizationSpec) -> tuple:
@@ -149,10 +146,10 @@ def scheme_from_json(obj: dict, code: CodeSpec | None = None) -> RepairScheme:
                 raise ParseError(
                     f"scheme references code {obj.get('code')!r}; resolve it first")
             code = CodeSpec.from_json(obj["code"])
-        sub = make_sub(code, int(obj["s"]))
+        sub = SubpacketizationSpec(code, as_int(obj["s"], "s"))
         elements = tuple(
             tuple(code.field.element(e) for e in row) for row in obj["elements"])
-        return RepairScheme(sub, int(obj["failed"]), elements)
+        return RepairScheme(sub, as_int(obj["failed"], "failed"), elements)
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -171,6 +168,21 @@ class RepairReport:
     cutset_bw: int
     symbol_bits: float
 
+    @staticmethod
+    def of(sub: SubpacketizationSpec, failed: int, gammas) -> "RepairReport":
+        """The report for per-node gammas of a scheme repairing ``failed``."""
+        gammas = tuple(gammas)
+        naive, cutset = baselines(sub)
+        return RepairReport(
+            failed=failed,
+            gammas=gammas,
+            feasible=gammas[failed - 1] == sub.alpha,
+            total_bw=sum(gammas),
+            naive_bw=naive,
+            cutset_bw=cutset,
+            symbol_bits=sub.symbol_bits,
+        )
+
     @property
     def interference_bw(self) -> int:
         """Downloads from the surviving systematic nodes only."""
@@ -186,39 +198,25 @@ class SchemeEvaluator:
     """Precomputed tables for evaluating gamma ranks of raw element-exponent
     tuples against one (code, subfield, failed node) context.
 
-    This is the inner loop of the search module: for p = 2 each gamma is a
-    bitmask rank over the field's antilog table, with the failed node
-    checked first so infeasible tuples are discarded after one rank.
+    This is the inner loop of the search module: each gamma is one call of
+    the rank kernel ``SubfieldSpec.rank_exps`` on the element x parity
+    products, with the failed node checked first so infeasible tuples are
+    discarded after one rank.
     """
 
     def __init__(self, sub: SubpacketizationSpec, failed: int):
         self.sub = sub
         self.failed = failed
-        field = sub.code.field
-        self.field = field
-        self.q1 = field.q - 1
         self.alpha = sub.alpha
-        self.s = sub.s
+        self.subfield = sub.subfield
         self.parity_exps = sub.code.parity_exps()
-        self.offsets = [t * sub.subfield.exp_step for t in range(sub.s)]
         # flat slot index -> parity column, parity-major like flat_exps()
         self.slot_parity = [l for l in range(sub.code.r) for _ in range(sub.beta)]
 
     def _gamma(self, flat_exps, u: int) -> int:
         pe = self.parity_exps[u]
-        q1 = self.q1
-        prods = [(e + pe[l] + off) % q1
-                 for e, l in zip(flat_exps, self.slot_parity)
-                 for off in self.offsets]
-        field = self.field
-        if field.p == 2:
-            exp_table = field.exp_table
-            r = linalg.bit_rank(exp_table[e] for e in prods)
-        else:
-            rows = np.array([FieldElement(field, e).coords() for e in prods],
-                            dtype=np.int64)
-            r = linalg.rank_mod_p(rows, field.p)
-        return r // self.s
+        return self.subfield.rank_exps(
+            [e + pe[l] for e, l in zip(flat_exps, self.slot_parity)])
 
     def gammas(self, flat_exps) -> tuple:
         return tuple(self._gamma(flat_exps, u) for u in range(self.sub.code.k))
@@ -233,24 +231,12 @@ class SchemeEvaluator:
                 total += self._gamma(flat_exps, u)
         return True, total
 
-    def report(self, gammas) -> RepairReport:
-        naive, cutset = baselines(self.sub)
-        return RepairReport(
-            failed=self.failed,
-            gammas=tuple(gammas),
-            feasible=gammas[self.failed - 1] == self.alpha,
-            total_bw=sum(gammas),
-            naive_bw=naive,
-            cutset_bw=cutset,
-            symbol_bits=self.sub.symbol_bits,
-        )
-
 
 def gamma_ranks(scheme: RepairScheme) -> RepairReport:
     """Evaluate a scheme: gamma per surviving node, feasibility, and
     bandwidth against the naive and cut-set baselines."""
     ev = SchemeEvaluator(scheme.sub, scheme.failed)
-    return ev.report(ev.gammas(scheme.flat_exps()))
+    return RepairReport.of(scheme.sub, scheme.failed, ev.gammas(scheme.flat_exps()))
 
 
 def lift_scheme(scheme: RepairScheme, a: int) -> RepairScheme:
@@ -265,7 +251,7 @@ def lift_scheme(scheme: RepairScheme, a: int) -> RepairScheme:
     if a == 1:
         return scheme
     g = scheme.sub.subfield.generator
-    new_sub = make_sub(scheme.sub.code, scheme.sub.s // a)
+    new_sub = SubpacketizationSpec(scheme.sub.code, scheme.sub.s // a)
     elements = tuple(
         tuple(e * g ** t for e in row for t in range(a))
         for row in scheme.elements)
@@ -312,6 +298,16 @@ def realize_matrices(scheme: RepairScheme, reference=None) -> MatrixScheme:
     return MatrixScheme(scheme.sub, scheme.failed, reference, tuple(mats))
 
 
+def _interference_blocks(sub: SubpacketizationSpec, mat: MatrixScheme) -> list:
+    """Per systematic node u, the stacked GF(p) equation blocks
+    (R^l)^T . operator(P_u^l) over the parities l: what the downloaded
+    equations see of node u's stored vector."""
+    p = sub.code.field.p
+    return [np.vstack([linalg.matmul_mod_p(R.T, sub.code.parity[u][l].operator(), p)
+                       for l, R in enumerate(mat.matrices)])
+            for u in range(sub.code.k)]
+
+
 def gamma_ranks_matrix(sub: SubpacketizationSpec, failed: int,
                        mat: MatrixScheme) -> RepairReport:
     """Rank the stacked interference blocks (R^l)^T . operator(P_u^l) of an
@@ -330,25 +326,13 @@ def gamma_ranks_matrix(sub: SubpacketizationSpec, failed: int,
         if not all(R[:, c].any() for c in range(cols)):
             raise InvalidMatrix("repair matrix has a zero column")
     gammas = []
-    for u in range(sub.code.k):
-        blocks = [
-            linalg.matmul_mod_p(R.T, sub.code.parity[u][l].operator(), field.p)
-            for l, R in enumerate(mat.matrices)]
-        r = linalg.rank_mod_p(np.vstack(blocks), field.p)
+    for u, block in enumerate(_interference_blocks(sub, mat)):
+        r = linalg.rank_mod_p(block, field.p)
         if r % sub.s:
             raise InvalidMatrix(
                 f"rank {r} of node {u + 1} block is not a multiple of s={sub.s}")
         gammas.append(r // sub.s)
-    naive, cutset = baselines(sub)
-    return RepairReport(
-        failed=failed,
-        gammas=tuple(gammas),
-        feasible=gammas[failed - 1] == sub.alpha,
-        total_bw=sum(gammas),
-        naive_bw=naive,
-        cutset_bw=cutset,
-        symbol_bits=sub.symbol_bits,
-    )
+    return RepairReport.of(sub, failed, gammas)
 
 
 # ---------------------------------------------------------------------------
@@ -387,29 +371,14 @@ def recover_node(codeword: Codeword, scheme: RepairScheme,
         raise InfeasibleScheme(
             f"gamma_{failed} = {report.gammas[failed - 1]} < alpha = {sub.alpha}")
 
-    if reference is None:
-        reference = np.eye(m, dtype=np.int64)[0]
-    reference = np.asarray(reference, dtype=np.int64) % p
-    if not reference.any():
-        raise ZeroReference("reference vector must be nonzero")
-
-    basis = sub.subfield.basis()
-    downloads = {}
-    received = []          # the m GF(p) values sent by the parities
-    blocks = [np.zeros((0, m), dtype=np.int64) for _ in range(k)]
-    rows_per_parity = sub.s * sub.beta
-    for l, elem_row in enumerate(scheme.elements):
-        V = np.array(
-            [reference @ (e * w).operator() % p for e in elem_row for w in basis],
-            dtype=np.int64)
-        y_l = codeword[k + l].vector()
-        received.extend((V @ y_l) % p)
-        for u in range(k):
-            rows = linalg.matmul_mod_p(V, code.parity[u][l].operator(), p)
-            blocks[u] = np.vstack([blocks[u], rows])
-        downloads[k + 1 + l] = sub.beta
-    received = np.array(received, dtype=np.int64)
-    assert received.shape == (rows_per_parity * code.r,) == (m,)
+    mat = realize_matrices(scheme, reference)
+    blocks = _interference_blocks(sub, mat)
+    # each parity sends its realized equations applied to its stored vector
+    received = np.concatenate(
+        [R.T @ codeword[k + l].vector() % p for l, R in enumerate(mat.matrices)])
+    downloads = {k + 1 + l: sub.beta for l in range(code.r)}
+    if received.shape != (m,):
+        raise DimensionMismatch(f"parities sent {received.size} values, need m={m}")
 
     interference = np.zeros(m, dtype=np.int64)
     for u in range(k):

@@ -23,6 +23,7 @@ from .repair import (
     RepairScheme,
     SchemeEvaluator,
     SubpacketizationSpec,
+    gamma_ranks,
 )
 
 EXHAUSTIVE_CAP = 10 ** 8
@@ -100,9 +101,7 @@ def _run(cfg: SearchConfig, candidates, proven: bool) -> SearchResult:
             f"no feasible scheme among {evaluated} candidates "
             f"(naive repair at {cfg.sub.file_size} symbols always remains available)")
     best = _scheme_from_flat(cfg, best_flat)
-    ev_best = SchemeEvaluator(cfg.sub, cfg.failed)
-    report = ev_best.report(ev_best.gammas(list(best_flat)))
-    return SearchResult(best, report, evaluated, proven, cfg)
+    return SearchResult(best, gamma_ranks(best), evaluated, proven, cfg)
 
 
 def exhaustive_search(cfg: SearchConfig) -> SearchResult:

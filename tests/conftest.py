@@ -3,6 +3,7 @@ import random
 import pytest
 
 from mdsrepair.bundled import bundled_code
+from mdsrepair.codes import normalize_parity, rs_systematic
 from mdsrepair.gf import FieldSpec
 
 
@@ -34,6 +35,14 @@ def rs64():
 @pytest.fixture(scope="session")
 def fb1410():
     return bundled_code("fb1410")
+
+
+@pytest.fixture(scope="session")
+def rs64_gf81():
+    # odd characteristic: RS(6,4) over GF(3^4) at z^0..z^5, cliques {1}{2,3}{4}
+    f81 = FieldSpec(3, [2, 0, 0, 1, 1])
+    return normalize_parity(
+        rs_systematic(f81, [f81.element(i) for i in range(6)], 4, "rs64gf81"))
 
 
 @pytest.fixture

@@ -15,10 +15,10 @@ from mdsrepair.codes import encode
 from mdsrepair.gf import FieldSpec
 from mdsrepair.repair import (
     RepairScheme,
+    SubpacketizationSpec,
     gamma_ranks,
     gamma_ranks_matrix,
     lift_scheme,
-    make_sub,
     realize_matrices,
     recover_node,
 )
@@ -41,7 +41,7 @@ def _report(n: int, timer: _Timer, budget: float, message: str) -> None:
 
 
 def _random_scheme(code, s, failed, rng):
-    sub = make_sub(code, s)
+    sub = SubpacketizationSpec(code, s)
     q1 = code.field.q - 1
     elements = tuple(
         tuple(code.field.element(rng.randrange(q1)) for _ in range(sub.beta))
@@ -63,7 +63,7 @@ def test_criterion_1_rs53_golden_schemes():
 
 def test_criterion_2_rs53_exhaustive_optimality():
     with _Timer() as t:
-        sub = make_sub(bundled_code("rs53"), 1)
+        sub = SubpacketizationSpec(bundled_code("rs53"), 1)
         for node in (1, 2, 3):
             result = exhaustive_search(SearchConfig(sub, node))
             assert result.proven_optimal
@@ -80,7 +80,7 @@ def test_criterion_3_rs64_clique():
         assert part.cliques == ((1, 4), (2,), (3,))
         bounds = tuple(clique_bound(part, i) for i in range(1, 5))
         assert bounds == (7, 6, 6, 7)
-        sub = make_sub(code, 2)
+        sub = SubpacketizationSpec(code, 2)
         for i in range(1, 5):
             cr = find_repair(part, i)
             report = gamma_ranks(cr.scheme)
@@ -103,7 +103,7 @@ def test_criterion_4_rs64_lifting_and_gf2_optimality():
         for node in (1, 4):
             report = gamma_ranks(bundled_scheme("rs64", node))
             assert report.feasible and report.total_bits == 12
-        sub = make_sub(code, 1)
+        sub = SubpacketizationSpec(code, 1)
         for node in (1, 4):
             result = exhaustive_search(SearchConfig(sub, node))
             assert result.best_report.total_bits == 12
@@ -241,7 +241,7 @@ def test_criterion_8_algebra_suite():
 
 def test_criterion_9_fb1410_random_search():
     with _Timer() as t:
-        sub = make_sub(bundled_code("fb1410"), 1)
+        sub = SubpacketizationSpec(bundled_code("fb1410"), 1)
         cfg = SearchConfig(sub, 1, mode="random", samples=100_000, seed=0)
         first = random_search(cfg)
         assert first.best_report.feasible

@@ -1,6 +1,8 @@
 import json
 
-from mdsrepair.bundled import bundled_scheme_dir
+import pytest
+
+from mdsrepair.bundled import bundled_code, bundled_scheme_dir
 from mdsrepair.cli import main
 
 
@@ -80,6 +82,35 @@ class TestClique:
         code, _, err = run(capsys, "clique", "--code", "fb1410")
         assert code == 2
         assert "parities" in err
+
+
+class TestStrictIntegers:
+    # non-integer numbers are refused with exit 2 and one error line,
+    # never truncated
+    @pytest.mark.parametrize("field, value", [("k", 4.0), ("n", 6.0)])
+    @pytest.mark.parametrize("command", [["clique"], ["search", "--node", "1"]])
+    def test_code_file(self, capsys, tmp_path, command, field, value):
+        obj = bundled_code("rs64").to_json()
+        obj[field] = value
+        p = tmp_path / "code.json"
+        p.write_text(json.dumps(obj))
+        code, _, err = run(capsys, command[0], "--code", str(p), *command[1:],
+                           "--out", str(tmp_path / "out.json"))
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize("change", [{"elements": [[10.7, 0], [0, 0]]},
+                                        {"s": True}, {"failed": "1"}])
+    def test_scheme_file(self, capsys, tmp_path, change):
+        scheme = {"code": "rs53", "s": 1, "failed": 1,
+                  "elements": [[0, 0], [0, 0]], **change}
+        p = tmp_path / "scheme.json"
+        p.write_text(json.dumps(scheme))
+        code, _, err = run(capsys, "verify", "--code", "rs53", "--scheme", str(p))
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 class TestSearch:

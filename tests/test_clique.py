@@ -4,7 +4,7 @@ from mdsrepair.clique import clique_bound, find_repair, generate_clique
 from mdsrepair.codes import CodeSpec
 from mdsrepair.errors import NotNormalized, NotTwoParity, OddExtensionDegree
 from mdsrepair.gf import FieldSpec
-from mdsrepair.repair import RepairScheme, gamma_ranks, make_sub
+from mdsrepair.repair import RepairScheme, SubpacketizationSpec, gamma_ranks
 
 
 class TestGenerateClique:
@@ -94,7 +94,7 @@ class TestFindRepair:
         # or rank 2
         for code in (rs64, rs53):
             part = generate_clique(code)
-            sub = make_sub(code, code.field.m // 2)
+            sub = SubpacketizationSpec(code, code.field.m // 2)
             one = code.field.one()
             for mu in code.field.nonzero_elements():
                 ranks = {}
@@ -106,12 +106,12 @@ class TestFindRepair:
                 for clique in part.cliques:
                     assert len({ranks[i] for i in clique}) == 1
 
-    def test_exhaustive_never_beats_bound(self, rs64, rs53):
-        # all 15 candidate mu values (first element fixed to 1 by scaling
-        # invariance) on both codes
-        for code in (rs64, rs53):
+    def test_exhaustive_never_beats_bound(self, rs64, rs53, rs64_gf81):
+        # every candidate mu value (first element fixed to 1 by scaling
+        # invariance) on each code
+        for code in (rs64, rs53, rs64_gf81):
             part = generate_clique(code)
-            sub = make_sub(code, code.field.m // 2)
+            sub = SubpacketizationSpec(code, code.field.m // 2)
             one = code.field.one()
             for i in range(1, code.k + 1):
                 bound = clique_bound(part, i)

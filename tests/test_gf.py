@@ -4,6 +4,7 @@ import pytest
 from mdsrepair.errors import (
     DivisionByZero,
     IncompatibleSubfield,
+    InvalidMatrix,
     NotIrreducible,
     NotPrimitive,
     ZeroVector,
@@ -12,7 +13,6 @@ from mdsrepair.gf import (
     FieldElement,
     FieldSpec,
     find_left_operator,
-    is_in_subfield,
     rank_over_subfield,
     subfield_coords,
 )
@@ -192,9 +192,9 @@ class TestSubfield:
     def test_membership(self, f16):
         z = f16.zeta()
         sub = f16.subfield(2)
-        assert is_in_subfield(z ** 5, sub)
-        assert not is_in_subfield(z ** 3, sub)
-        assert is_in_subfield(f16.zero(), sub)
+        assert sub.contains(z ** 5)
+        assert not sub.contains(z ** 3)
+        assert sub.contains(f16.zero())
         # x^(p^s) == x characterization
         for e in f16.elements():
             assert sub.contains(e) == (e ** 4 == e)
@@ -256,6 +256,11 @@ class TestRankOverSubfield:
         z = f9.zeta()
         assert rank_over_subfield([f9.one(), z], sub) == 2
         assert rank_over_subfield([z, z * f9.scalar(2)], sub) == 1
+
+    def test_rank_not_multiple_of_s_rejected(self, f16, monkeypatch):
+        monkeypatch.setattr(linalg, "bit_rank", lambda rows: 3)
+        with pytest.raises(InvalidMatrix):
+            rank_over_subfield([f16.one(), f16.zeta()], f16.subfield(2))
 
 
 class TestSubfieldCoords:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mdsrepair.bundled import bundled_scheme, bundled_schemes
+from mdsrepair.clique import find_repair, generate_clique
 from mdsrepair.codes import CodeSpec, encode
 from mdsrepair.errors import (
     DimensionMismatch,
@@ -15,11 +16,11 @@ from mdsrepair.errors import (
 from mdsrepair.repair import (
     MatrixScheme,
     RepairScheme,
+    SubpacketizationSpec,
     baselines,
     gamma_ranks,
     gamma_ranks_matrix,
     lift_scheme,
-    make_sub,
     realize_matrices,
     recover_node,
     scheme_from_json,
@@ -27,7 +28,7 @@ from mdsrepair.repair import (
 
 
 def random_scheme(code, s, failed, rng):
-    sub = make_sub(code, s)
+    sub = SubpacketizationSpec(code, s)
     q1 = code.field.q - 1
     elements = tuple(
         tuple(code.field.element(rng.randrange(q1)) for _ in range(sub.beta))
@@ -37,25 +38,25 @@ def random_scheme(code, s, failed, rng):
 
 class TestSubpacketization:
     def test_examples(self, rs53, rs64, fb1410):
-        sub = make_sub(rs53, 1)
+        sub = SubpacketizationSpec(rs53, 1)
         assert (sub.beta, sub.alpha, sub.file_size) == (2, 4, 12)
-        sub = make_sub(rs64, 2)
+        sub = SubpacketizationSpec(rs64, 2)
         assert (sub.beta, sub.alpha, sub.file_size) == (1, 2, 8)
-        sub = make_sub(fb1410, 1)
+        sub = SubpacketizationSpec(fb1410, 1)
         assert (sub.beta, sub.alpha, sub.file_size) == (2, 8, 80)
 
     def test_incompatible(self, rs53, fb1410):
         with pytest.raises(IncompatibleSubfield):
-            make_sub(rs53, 4)  # n-k = 2 does not divide m/s = 1
+            SubpacketizationSpec(rs53, 4)  # n-k = 2 does not divide m/s = 1
         with pytest.raises(IncompatibleSubfield):
-            make_sub(rs53, 3)  # 3 does not divide m = 4
+            SubpacketizationSpec(rs53, 3)  # 3 does not divide m = 4
         with pytest.raises(IncompatibleSubfield):
-            make_sub(fb1410, 4)  # n-k = 4 does not divide 8/4 = 2
+            SubpacketizationSpec(fb1410, 4)  # n-k = 4 does not divide 8/4 = 2
 
     def test_baselines(self, rs53, rs64, fb1410):
-        assert baselines(make_sub(rs53, 1)) == (12, 8)
-        assert baselines(make_sub(fb1410, 1)) == (80, 26)
-        assert baselines(make_sub(rs64, 2))[1] == 5
+        assert baselines(SubpacketizationSpec(rs53, 1)) == (12, 8)
+        assert baselines(SubpacketizationSpec(fb1410, 1)) == (80, 26)
+        assert baselines(SubpacketizationSpec(rs64, 2))[1] == 5
 
 
 class TestGammaRanks:
@@ -69,7 +70,7 @@ class TestGammaRanks:
         assert report.interference_bw == 6
 
     def test_all_ones_infeasible(self, rs53, f16):
-        sub = make_sub(rs53, 1)
+        sub = SubpacketizationSpec(rs53, 1)
         one = f16.one()
         report = gamma_ranks(RepairScheme(sub, 1, ((one, one), (one, one))))
         assert report.gammas == (2, 2, 2)
@@ -80,7 +81,7 @@ class TestGammaRanks:
         assert report.total_bw == 65 and report.feasible
 
     def test_validation(self, rs53, f16):
-        sub = make_sub(rs53, 1)
+        sub = SubpacketizationSpec(rs53, 1)
         one = f16.one()
         with pytest.raises(ValueError):
             RepairScheme(sub, 1, ((one, f16.zero()), (one, one)))
@@ -122,7 +123,7 @@ class TestLift:
         assert lift_scheme(scheme, 1) is scheme
 
     def test_64_clique_lift(self, rs64, f16):
-        sub = make_sub(rs64, 2)
+        sub = SubpacketizationSpec(rs64, 2)
         scheme = RepairScheme(sub, 2, ((f16.one(),), (f16.element(3),)))
         assert gamma_ranks(scheme).total_bw == 6
         lifted = lift_scheme(scheme, 2)
@@ -132,8 +133,8 @@ class TestLift:
         # elements are M, M*g with g the GF(4) generator z^5
         assert lifted.elements[1] == (f16.element(3), f16.element(8))
 
-    def test_gamma_scaling_property(self, rs53, rs64, rng):
-        for code in (rs53, rs64):
+    def test_gamma_scaling_property(self, rs53, rs64, rs64_gf81, rng):
+        for code in (rs53, rs64, rs64_gf81):
             for _ in range(50):
                 scheme = random_scheme(code, 2, rng.randrange(1, code.k + 1), rng)
                 base = gamma_ranks(scheme)
@@ -155,8 +156,9 @@ class TestMatrixOracle:
             for j, e in enumerate(row):
                 assert (mat.matrices[l][:, j] == e.operator()[0]).all()
 
-    def test_equivalence_small(self, rs53, rs64, rng):
-        for code, s in ((rs53, 1), (rs64, 1), (rs64, 2)):
+    def test_equivalence_small(self, rs53, rs64, rs64_gf81, rng):
+        for code, s in ((rs53, 1), (rs64, 1), (rs64, 2),
+                        (rs64_gf81, 1), (rs64_gf81, 2)):
             for _ in range(40):
                 failed = rng.randrange(1, code.k + 1)
                 scheme = random_scheme(code, s, failed, rng)
@@ -179,7 +181,7 @@ class TestMatrixOracle:
         # single-parity code: downloading the parity's entire content makes
         # every gamma full
         code = CodeSpec(3, 2, f16, [[f16.one()], [f16.zeta()]])
-        sub = make_sub(code, 1)
+        sub = SubpacketizationSpec(code, 1)
         mat = MatrixScheme(sub, 1, np.eye(4, dtype=np.int64)[0],
                            (np.eye(4, dtype=np.int64),))
         report = gamma_ranks_matrix(sub, 1, mat)
@@ -212,10 +214,16 @@ class TestRecoverNode:
         assert result.element.is_zero
         assert all(s.is_zero for s in result.symbols)
 
-    def test_roundtrip_all_bundled(self, rs53, rs64, fb1410, rng):
-        for code in (rs53, rs64, fb1410):
+    def test_roundtrip_all_bundled(self, rs53, rs64, fb1410, rs64_gf81, rng):
+        cases = [(code, bundled_schemes(code.name)) for code in (rs53, rs64, fb1410)]
+        # odd characteristic: clique schemes at s=2 and their lifts to s=1
+        part = generate_clique(rs64_gf81)
+        clique = {i: find_repair(part, i).scheme for i in range(1, 5)}
+        cases += [(rs64_gf81, clique),
+                  (rs64_gf81, {i: lift_scheme(s, 2) for i, s in clique.items()})]
+        for code, schemes in cases:
             q1 = code.field.q - 1
-            for node, scheme in bundled_schemes(code.name).items():
+            for node, scheme in schemes.items():
                 report = gamma_ranks(scheme)
                 msg = [code.field.element(rng.randrange(q1))
                        for _ in range(code.k)]
@@ -226,7 +234,7 @@ class TestRecoverNode:
                 assert result.total_bits == report.total_bits
 
     def test_download_counts_match_gammas(self, rs64, f16, rng):
-        sub = make_sub(rs64, 2)
+        sub = SubpacketizationSpec(rs64, 2)
         scheme = RepairScheme(sub, 2, ((f16.one(),), (f16.element(3),)))
         report = gamma_ranks(scheme)
         cw = encode(rs64, [f16.element(rng.randrange(15)) for _ in range(4)])
@@ -239,7 +247,7 @@ class TestRecoverNode:
         assert result.downloads[5] == result.downloads[6] == sub.beta
 
     def test_infeasible_rejected(self, rs53, f16):
-        sub = make_sub(rs53, 1)
+        sub = SubpacketizationSpec(rs53, 1)
         one = f16.one()
         scheme = RepairScheme(sub, 1, ((one, one), (one, one)))
         cw = encode(rs53, [f16.one()] * 3)

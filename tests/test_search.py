@@ -3,7 +3,7 @@ import pytest
 from mdsrepair.clique import clique_bound, generate_clique
 from mdsrepair.codes import encode
 from mdsrepair.errors import NoFeasibleFound, SearchSpaceTooLarge
-from mdsrepair.repair import make_sub, recover_node
+from mdsrepair.repair import SubpacketizationSpec, recover_node
 from mdsrepair.search import (
     SearchConfig,
     exhaustive_search,
@@ -13,7 +13,7 @@ from mdsrepair.search import (
 
 class TestExhaustive:
     def test_53_optimum_all_nodes(self, rs53):
-        sub = make_sub(rs53, 1)
+        sub = SubpacketizationSpec(rs53, 1)
         for node in (1, 2, 3):
             result = exhaustive_search(SearchConfig(sub, node))
             assert result.proven_optimal
@@ -22,14 +22,14 @@ class TestExhaustive:
             assert result.best_report.feasible
 
     def test_64_gf2_optimum_nodes_1_and_4(self, rs64):
-        sub = make_sub(rs64, 1)
+        sub = SubpacketizationSpec(rs64, 1)
         for node in (1, 4):
             result = exhaustive_search(SearchConfig(sub, node))
             assert result.best_report.total_bw == 12
 
     def test_64_subfield_matches_clique_bound(self, rs64):
         part = generate_clique(rs64)
-        sub = make_sub(rs64, 2)
+        sub = SubpacketizationSpec(rs64, 2)
         for node in range(1, 5):
             result = exhaustive_search(SearchConfig(sub, node))
             assert result.evaluated == 15
@@ -37,7 +37,7 @@ class TestExhaustive:
 
     def test_normalization_loses_nothing(self, rs53):
         # full 15^4 enumeration agrees with the pinned-first-element minimum
-        sub = make_sub(rs53, 1)
+        sub = SubpacketizationSpec(rs53, 1)
         pinned = exhaustive_search(SearchConfig(sub, 1))
         free = exhaustive_search(SearchConfig(sub, 1, normalize_first=False))
         assert free.evaluated == 15 ** 4
@@ -45,12 +45,12 @@ class TestExhaustive:
 
     def test_space_cap(self, fb1410):
         with pytest.raises(SearchSpaceTooLarge):
-            exhaustive_search(SearchConfig(make_sub(fb1410, 1), 1))
+            exhaustive_search(SearchConfig(SubpacketizationSpec(fb1410, 1), 1))
 
     def test_lexicographic_tie_break(self, rs53):
         # first element pinned to exponent 0; remaining exponents are
         # enumerated in ascending order, so re-running is bit-identical
-        sub = make_sub(rs53, 1)
+        sub = SubpacketizationSpec(rs53, 1)
         a = exhaustive_search(SearchConfig(sub, 2))
         b = exhaustive_search(SearchConfig(sub, 2))
         assert a.best.flat_exps() == b.best.flat_exps()
@@ -58,20 +58,21 @@ class TestExhaustive:
 
     def test_minimum_at_least_cutset(self, rs53, rs64):
         for code, s in ((rs53, 1), (rs53, 2), (rs64, 2)):
-            sub = make_sub(code, s)
+            sub = SubpacketizationSpec(code, s)
             for node in range(1, code.k + 1):
                 result = exhaustive_search(SearchConfig(sub, node))
                 assert result.best_report.total_bw >= result.best_report.cutset_bw
 
     def test_best_scheme_recovers(self, rs53, f16, rng):
-        result = exhaustive_search(SearchConfig(make_sub(rs53, 1), 2))
+        result = exhaustive_search(SearchConfig(SubpacketizationSpec(rs53, 1), 2))
         cw = encode(rs53, [f16.element(rng.randrange(15)) for _ in range(3)])
         assert recover_node(cw, result.best).element == cw[1]
 
 
 class TestRandom:
     def test_single_sample_deterministic(self, rs53):
-        cfg = SearchConfig(make_sub(rs53, 1), 1, mode="random", samples=1, seed=7)
+        cfg = SearchConfig(SubpacketizationSpec(rs53, 1), 1, mode="random",
+                           samples=1, seed=7)
         try:
             a = random_search(cfg)
             b = random_search(cfg)
@@ -82,7 +83,7 @@ class TestRandom:
                 random_search(cfg)
 
     def test_same_seed_same_result(self, fb1410):
-        cfg = SearchConfig(make_sub(fb1410, 1), 3, mode="random",
+        cfg = SearchConfig(SubpacketizationSpec(fb1410, 1), 3, mode="random",
                            samples=500, seed=42)
         a = random_search(cfg)
         b = random_search(cfg)
@@ -91,7 +92,7 @@ class TestRandom:
         assert not a.proven_optimal
 
     def test_different_seed_may_differ(self, fb1410):
-        sub = make_sub(fb1410, 1)
+        sub = SubpacketizationSpec(fb1410, 1)
         a = random_search(SearchConfig(sub, 1, mode="random", samples=200, seed=1))
         b = random_search(SearchConfig(sub, 1, mode="random", samples=200, seed=2))
         # both feasible; elements drawn from different streams
@@ -99,7 +100,7 @@ class TestRandom:
 
     def test_no_feasible_found(self, rs53):
         # hunt a seed whose single sample is infeasible, then pin it
-        sub = make_sub(rs53, 1)
+        sub = SubpacketizationSpec(rs53, 1)
         for seed in range(200):
             cfg = SearchConfig(sub, 1, mode="random", samples=1, seed=seed)
             try:
@@ -111,13 +112,13 @@ class TestRandom:
         pytest.skip("every probed seed drew a feasible sample")
 
     def test_samples_validated(self, rs53):
-        cfg = SearchConfig(make_sub(rs53, 1), 1, mode="random", samples=0)
+        cfg = SearchConfig(SubpacketizationSpec(rs53, 1), 1, mode="random", samples=0)
         with pytest.raises(ValueError):
             random_search(cfg)
 
     def test_best_is_feasible_and_recovers(self, fb1410, f256, rng):
         result = random_search(SearchConfig(
-            make_sub(fb1410, 1), 7, mode="random", samples=300, seed=11))
+            SubpacketizationSpec(fb1410, 1), 7, mode="random", samples=300, seed=11))
         assert result.best_report.feasible
         cw = encode(fb1410, [f256.element(rng.randrange(255))
                              for _ in range(10)])
@@ -129,14 +130,14 @@ class TestRandom:
 class TestConfig:
     def test_mode_validated(self, rs53):
         with pytest.raises(ValueError):
-            SearchConfig(make_sub(rs53, 1), 1, mode="annealing")
+            SearchConfig(SubpacketizationSpec(rs53, 1), 1, mode="annealing")
 
     def test_node_validated(self, rs53):
         with pytest.raises(ValueError):
-            SearchConfig(make_sub(rs53, 1), 9)
+            SearchConfig(SubpacketizationSpec(rs53, 1), 9)
 
     def test_space_size(self, rs53, fb1410):
-        assert SearchConfig(make_sub(rs53, 1), 1).space_size == 15 ** 3
-        assert SearchConfig(make_sub(rs53, 1), 1,
+        assert SearchConfig(SubpacketizationSpec(rs53, 1), 1).space_size == 15 ** 3
+        assert SearchConfig(SubpacketizationSpec(rs53, 1), 1,
                             normalize_first=False).space_size == 15 ** 4
-        assert SearchConfig(make_sub(fb1410, 1), 1).space_size == 255 ** 7
+        assert SearchConfig(SubpacketizationSpec(fb1410, 1), 1).space_size == 255 ** 7
