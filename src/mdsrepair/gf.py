@@ -14,7 +14,10 @@ have a well-defined rank over any intermediate subfield GF(p^s)
 (``rank_over_subfield``).  Coordinates, vectors and operators all read one
 q x m table, ``FieldSpec.coords_table``, built once per field.  Every
 element-level rank goes through one kernel, ``SubfieldSpec.rank_exps``: a
-bitmask rank for p = 2, rows of ``coords_table`` ranked mod p otherwise.
+bitmask basis for p = 2, otherwise a basis kept in the log domain and
+reduced through Zech-logarithm tables (``FieldSpec.zech``), so no element
+is expanded to coordinates.  Coordinate elimination mod p (``linalg``)
+runs only on the explicit-matrix route.
 """
 
 from __future__ import annotations
@@ -141,9 +144,10 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, poly) -> None:
-        poly = [int(c) % p for c in poly]
+        p = as_int(p, "p")
         if not _is_prime(p):
             raise ValueError(f"p={p} is not prime")
+        poly = [as_int(c, "poly coefficient") % p for c in poly]
         if len(poly) < 2:
             raise ValueError("polynomial must have degree >= 1")
         if poly[-1] != 1:
@@ -194,6 +198,30 @@ class FieldSpec:
         self.coords_table = (
             np.arange(self.q, dtype=np.int64)[:, None] // p ** np.arange(m)) % p
         self.coords_table.setflags(write=False)
+        if p != 2:
+            self._build_zech_tables()
+
+    def _build_zech_tables(self) -> None:
+        """Log-domain tables for ``linalg.zech_rank`` (odd p only), indexed
+        by the discrete log x of z^x:
+
+        * ``lead_pos[x]``: position of the highest nonzero coordinate;
+        * ``lead_log[x]``: discrete log of that coordinate, a GF(p) scalar
+          (the scalar c is packed as index c);
+        * ``zech[x]``: log(1 + z^x), None where 1 + z^x = 0.
+        """
+        p, q1 = self.p, self.q - 1
+        exps = np.array(self.exp_table, dtype=np.int64)
+        logs = np.zeros(self.q, dtype=np.int64)
+        logs[exps] = np.arange(q1)
+        coords = self.coords_table[exps]
+        lead_pos = self.m - 1 - np.argmax(coords[:, ::-1] != 0, axis=1)
+        self.lead_pos = lead_pos.tolist()
+        self.lead_log = logs[coords[np.arange(q1), lead_pos]].tolist()
+        # adding 1 bumps the constant coordinate (digit 0 of the packed index)
+        zech = logs[exps - coords[:, 0] + (coords[:, 0] + 1) % p].tolist()
+        zech[q1 // 2] = None  # z^((q-1)/2) = -1
+        self.zech = zech
 
     # -- element constructors ------------------------------------------
 
@@ -261,8 +289,7 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FieldSpec":
-        return cls(as_int(obj["p"], "p"),
-                   [as_int(c, "poly coefficient") for c in obj["poly"]])
+        return cls(obj["p"], obj["poly"])
 
 
 class FieldElement:
@@ -398,14 +425,19 @@ class SubfieldSpec:
     def rank_exps(self, exps) -> int:
         """Dimension over GF(p^s) of the span of the nonzero elements z^e,
         e in exps: the GF(p)-rank of the expanded set {z^e * w^t} for the
-        basis w^0..w^(s-1), divided by s.  This is the one rank kernel."""
+        basis w^0..w^(s-1), divided by s.  This is the one element rank:
+        ``linalg.bit_rank`` on packed coordinates for p = 2,
+        ``linalg.zech_rank`` on the discrete logs otherwise."""
         field = self.field
-        exp_table, q1 = field.exp_table, field.q - 1
-        rows = [exp_table[(e + off) % q1] for e in exps for off in self.offsets]
+        q1 = field.q - 1
         if field.p == 2:
-            r = linalg.bit_rank(rows)
+            exp_table = field.exp_table
+            r = linalg.bit_rank(
+                [exp_table[(e + off) % q1] for e in exps for off in self.offsets])
         else:
-            r = linalg.rank_mod_p(field.coords_table[rows], field.p)
+            r = linalg.zech_rank(
+                [(e + off) % q1 for e in exps for off in self.offsets],
+                field.lead_pos, field.lead_log, field.zech)
         if r % self.s:
             raise InvalidMatrix(
                 f"GF({field.p})-rank {r} is not a multiple of s={self.s}")

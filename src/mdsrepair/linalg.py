@@ -1,14 +1,18 @@
 """Dense linear algebra over prime fields GF(p).
 
-Two representations are used:
+Three representations are used:
 
 * numpy int64 arrays with entries reduced mod p, for the general routines
-  (echelon form, rank, solving);
-* python ints as bit-rows for the GF(2) fast path (`bit_rank`), which the
-  search hot loops rely on.
+  (echelon form, rank, solving) that the explicit-matrix repair route uses;
+  the elimination itself runs on python lists, which beat numpy row
+  operations at these sizes;
+* python ints as bit-rows for the GF(2) element rank (`bit_rank`);
+* discrete logs of GF(p^m) elements for the odd-p element rank
+  (`zech_rank`), reduced through Zech-logarithm tables.
 
-Matrices here are tiny (at most 16x16 for the fields this package
-supports), so clarity beats asymptotics throughout.
+The last two are the kernels behind ``SubfieldSpec.rank_exps``, which the
+search hot loops rely on.  Matrices here are tiny (at most 16x16 for the
+fields this package supports), so clarity beats asymptotics throughout.
 """
 
 from __future__ import annotations
@@ -32,6 +36,35 @@ def bit_rank(rows) -> int:
     return rank
 
 
+def zech_rank(exps, lead_pos, lead_log, zech) -> int:
+    """GF(p) rank, p odd, of the nonzero elements z^x of GF(p^m), x in exps.
+
+    The same basis keyed by leading digit as ``bit_rank``, kept in the log
+    domain: the tables are ``FieldSpec``'s (``lead_pos[x]`` and
+    ``lead_log[x]`` give the position and discrete log of the highest
+    nonzero coordinate of z^x, ``zech[x]`` = log(1 + z^x) or None).  Basis
+    entries are stored with a unit leading digit; reducing x by entry b is
+    z^x - c z^b = z^x (1 + z^(log c + b + log(-1) - x)) with c the leading
+    digit of z^x, which clears that digit, and a zero result means x was
+    dependent.
+    """
+    q1 = len(zech)
+    neg = q1 // 2  # log(-1)
+    basis: dict[int, int] = {}
+    for x in exps:
+        while True:
+            h = lead_pos[x]
+            b = basis.get(h)
+            if b is None:
+                basis[h] = (x - lead_log[x]) % q1
+                break
+            y = zech[(lead_log[x] + b + neg - x) % q1]
+            if y is None:
+                break
+            x = (x + y) % q1
+    return len(basis)
+
+
 def rref_mod_p(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of M over GF(p).
 
@@ -39,29 +72,29 @@ def rref_mod_p(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     len(pivot_cols) rows of R are the canonical basis of the row space
     (each has a 1 in its pivot column and 0 in every other pivot column).
     """
-    R = np.asarray(M, dtype=np.int64) % p
-    rows, cols = R.shape
+    A = np.asarray(M, dtype=np.int64) % p
+    rows, cols = A.shape
+    R = A.tolist()
     pivot_cols: list[int] = []
     r = 0
     for c in range(cols):
-        pivot = -1
         for i in range(r, rows):
-            if R[i, c]:
-                pivot = i
+            if R[i][c]:
                 break
-        if pivot < 0:
+        else:
             continue
-        if pivot != r:
-            R[[r, pivot]] = R[[pivot, r]]
-        R[r] = (R[r] * pow(int(R[r, c]), -1, p)) % p
+        R[r], R[i] = R[i], R[r]
+        inv = pow(R[r][c], -1, p)
+        pivot = R[r] = [v * inv % p for v in R[r]]
         for i in range(rows):
-            if i != r and R[i, c]:
-                R[i] = (R[i] - R[i, c] * R[r]) % p
+            f = R[i][c]
+            if f and i != r:
+                R[i] = [(v - f * w) % p for v, w in zip(R[i], pivot)]
         pivot_cols.append(c)
         r += 1
         if r == rows:
             break
-    return R, pivot_cols
+    return np.array(R, dtype=np.int64).reshape(rows, cols), pivot_cols
 
 
 def rank_mod_p(M: np.ndarray, p: int) -> int:

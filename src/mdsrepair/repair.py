@@ -56,6 +56,7 @@ class SubpacketizationSpec:
     s: int
 
     def __post_init__(self):
+        object.__setattr__(self, "s", as_int(self.s, "s"))
         m = self.code.field.m
         if self.s < 1 or m % self.s != 0:
             raise IncompatibleSubfield(f"s={self.s} does not divide m={m}")
@@ -146,7 +147,7 @@ def scheme_from_json(obj: dict, code: CodeSpec | None = None) -> RepairScheme:
                 raise ParseError(
                     f"scheme references code {obj.get('code')!r}; resolve it first")
             code = CodeSpec.from_json(obj["code"])
-        sub = SubpacketizationSpec(code, as_int(obj["s"], "s"))
+        sub = SubpacketizationSpec(code, obj["s"])
         elements = tuple(
             tuple(code.field.element(e) for e in row) for row in obj["elements"])
         return RepairScheme(sub, as_int(obj["failed"], "failed"), elements)
@@ -358,7 +359,8 @@ def recover_node(codeword: Codeword, scheme: RepairScheme,
     vector; each surviving systematic node sends the echelon basis of its
     interference block applied to its own vector; interference is
     subtracted and the full-rank useful block is solved for the lost
-    coordinates.
+    coordinates.  Like ``gamma_ranks_matrix``, this works on the realized
+    matrices alone and never calls the element rank kernel.
     """
     sub, failed = scheme.sub, scheme.failed
     code = sub.code
@@ -366,13 +368,12 @@ def recover_node(codeword: Codeword, scheme: RepairScheme,
     p, m, k = field.p, field.m, code.k
     if codeword.code != code:
         raise ValueError("codeword and scheme use different codes")
-    report = gamma_ranks(scheme)
-    if not report.feasible:
-        raise InfeasibleScheme(
-            f"gamma_{failed} = {report.gammas[failed - 1]} < alpha = {sub.alpha}")
-
     mat = realize_matrices(scheme, reference)
     blocks = _interference_blocks(sub, mat)
+    useful = linalg.rank_mod_p(blocks[failed - 1], p)
+    if useful != m:
+        raise InfeasibleScheme(
+            f"gamma_{failed} = {useful // sub.s} < alpha = {sub.alpha}")
     # each parity sends its realized equations applied to its stored vector
     received = np.concatenate(
         [R.T @ codeword[k + l].vector() % p for l, R in enumerate(mat.matrices)])

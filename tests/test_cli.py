@@ -100,6 +100,16 @@ class TestStrictIntegers:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    def test_zero_characteristic(self, capsys, tmp_path):
+        obj = bundled_code("rs64").to_json()
+        obj["field"]["p"] = 0
+        p = tmp_path / "code.json"
+        p.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "clique", "--code", str(p))
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
     @pytest.mark.parametrize("change", [{"elements": [[10.7, 0], [0, 0]]},
                                         {"s": True}, {"failed": "1"}])
     def test_scheme_file(self, capsys, tmp_path, change):

@@ -7,6 +7,7 @@ from mdsrepair.errors import (
     InvalidMatrix,
     NotIrreducible,
     NotPrimitive,
+    ParseError,
     ZeroVector,
 )
 from mdsrepair.gf import (
@@ -17,6 +18,9 @@ from mdsrepair.gf import (
     subfield_coords,
 )
 from mdsrepair import linalg
+
+# odd-characteristic fields for the log-domain rank kernel
+ODD_FIELDS = [(3, [2, 1, 1]), (3, [2, 0, 0, 1, 1]), (5, [2, 1, 1]), (7, [3, 1, 1])]
 
 
 class TestConstruction:
@@ -62,6 +66,17 @@ class TestConstruction:
 
     def test_json_roundtrip(self, f16):
         assert FieldSpec.from_json(f16.to_json()) == f16
+
+    @pytest.mark.parametrize("p, poly", [(2, [1.7, 1, 1]), (2, [1, True, 1]),
+                                         (3.0, [2, 1, 1]), (True, [1, 1])])
+    def test_non_integers_rejected(self, p, poly):
+        with pytest.raises(ParseError):
+            FieldSpec(p, poly)
+
+    def test_numpy_integers_accepted(self):
+        f9 = FieldSpec(np.int64(3), np.array([2, 1, 1]))
+        assert f9 == FieldSpec(3, [2, 1, 1])
+        assert type(f9.p) is int and all(type(c) is int for c in f9.poly)
 
 
 class TestArithmetic:
@@ -261,6 +276,42 @@ class TestRankOverSubfield:
         monkeypatch.setattr(linalg, "bit_rank", lambda rows: 3)
         with pytest.raises(InvalidMatrix):
             rank_over_subfield([f16.one(), f16.zeta()], f16.subfield(2))
+
+    def test_rank_not_multiple_of_s_rejected_odd_p(self, monkeypatch):
+        f81 = FieldSpec(3, [2, 0, 0, 1, 1])
+        monkeypatch.setattr(linalg, "zech_rank", lambda *tables: 3)
+        with pytest.raises(InvalidMatrix):
+            rank_over_subfield([f81.one(), f81.zeta()], f81.subfield(2))
+
+    @pytest.mark.parametrize("p, poly", ODD_FIELDS)
+    def test_zech_tables(self, p, poly):
+        field = FieldSpec(p, poly)
+        for x in range(field.q - 1):
+            coords = field.element(x).coords()
+            h = field.lead_pos[x]
+            assert coords[h] and not any(coords[h + 1:])
+            assert field.element(field.lead_log[x]) == field.scalar(coords[h])
+            assert (field.one() + field.element(x)).exp == field.zech[x]
+
+    @pytest.mark.parametrize("p, poly", ODD_FIELDS)
+    def test_zech_kernel_matches_coordinate_rank(self, p, poly, rng):
+        # the log-domain kernel against elimination of coords_table rows
+        field = FieldSpec(p, poly)
+        m, q1 = field.m, field.q - 1
+        for s in (d for d in range(1, m + 1) if m % d == 0):
+            sub = field.subfield(s)
+            drawn = [[rng.randrange(q1) for _ in range(rng.randrange(1, m + 3))]
+                     for _ in range(200)]
+            # empty, repeated exponents, and the tower basis z^j w^t (full rank)
+            cases = [[], [7, 7], *(e + e for e in drawn[:20]), list(range(m // s)),
+                     *drawn]
+            for exps in cases:
+                xs = [(e + off) % q1 for e in exps for off in sub.offsets]
+                rows = field.coords_table[[field.exp_table[x] for x in xs]]
+                rank = linalg.zech_rank(xs, field.lead_pos, field.lead_log, field.zech)
+                assert rank == linalg.rank_mod_p(rows.reshape(-1, m), p)
+                assert sub.rank_exps(exps) * s == rank
+            assert sub.rank_exps(list(range(m // s))) == m // s
 
 
 class TestSubfieldCoords:

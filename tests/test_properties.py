@@ -1,0 +1,84 @@
+"""Property tests across the two repair routes, over p in {2, 3, 5}.
+
+The element route (``gamma_ranks``, ranked by ``SubfieldSpec.rank_exps``)
+and the explicit-matrix route (``realize_matrices`` +
+``gamma_ranks_matrix`` and ``recover_node``, eliminated by
+``linalg.rref_mod_p``) share no rank code, so each checks the other.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mdsrepair.codes import encode, rs_systematic
+from mdsrepair.gf import FieldSpec
+from mdsrepair.repair import (
+    RepairScheme,
+    SubpacketizationSpec,
+    gamma_ranks,
+    gamma_ranks_matrix,
+    lift_scheme,
+    realize_matrices,
+    recover_node,
+)
+
+# deterministic and bounded, so the suite stays reproducible and fast
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+GF16, GF81, GF25 = (FieldSpec(2, [1, 1, 0, 0, 1]), FieldSpec(3, [2, 0, 0, 1, 1]),
+                    FieldSpec(5, [2, 1, 1]))
+RS53, RS64, RS42 = (rs_systematic(f, [f.element(i) for i in range(n)], k)
+                    for f, n, k in ((GF16, 5, 3), (GF81, 6, 4), (GF25, 4, 2)))
+# every (code, s) with s | m and n-k | m/s
+SUBS = [SubpacketizationSpec(code, s)
+        for code, s in ((RS53, 1), (RS53, 2), (RS64, 1), (RS64, 2), (RS42, 1))]
+
+
+@st.composite
+def schemes(draw, min_s=1):
+    sub = draw(st.sampled_from([sub for sub in SUBS if sub.s >= min_s]))
+    code = sub.code
+    exps = st.integers(0, code.field.q - 2)
+    elements = tuple(tuple(code.field.element(draw(exps)) for _ in range(sub.beta))
+                     for _ in range(code.r))
+    return RepairScheme(sub, draw(st.integers(1, code.k)), elements)
+
+
+@PROPERTY
+@given(schemes(), st.data())
+def test_routes_agree(scheme, data):
+    sub, failed = scheme.sub, scheme.failed
+    field = sub.code.field
+    reference = field.coords_table[data.draw(st.integers(1, field.q - 1))]
+    report = gamma_ranks(scheme)
+    assert gamma_ranks_matrix(sub, failed, realize_matrices(scheme, reference)) == report
+    if not report.feasible:
+        return
+    message = [field.element(data.draw(st.integers(0, field.q - 2)))
+               for _ in range(sub.code.k)]
+    codeword = encode(sub.code, message)
+    result = recover_node(codeword, scheme, reference)
+    assert result.element == codeword[failed - 1]
+    downloads = {u + 1: g for u, g in enumerate(report.gammas) if u != failed - 1}
+    downloads.update({sub.code.k + 1 + l: sub.beta for l in range(sub.code.r)})
+    assert result.downloads == downloads
+    assert result.total_symbols == report.total_bw
+
+
+@PROPERTY
+@given(schemes(), st.integers(0, 1 << 16))
+def test_scaling_invariance(scheme, c):
+    c = scheme.sub.code.field.element(c)
+    scaled = RepairScheme(scheme.sub, scheme.failed,
+                          tuple(tuple(c * e for e in row) for row in scheme.elements))
+    assert gamma_ranks(scaled) == gamma_ranks(scheme)
+
+
+@PROPERTY
+@given(schemes(min_s=2))
+def test_lift_keeps_bits(scheme):
+    base = gamma_ranks(scheme)
+    lifted = gamma_ranks(lift_scheme(scheme, scheme.sub.s))
+    assert lifted.gammas == tuple(scheme.sub.s * g for g in base.gammas)
+    assert lifted.feasible == base.feasible
+    assert lifted.total_bits == base.total_bits

@@ -13,6 +13,7 @@ from mdsrepair.errors import (
     ParseError,
     ZeroReference,
 )
+from mdsrepair.gf import SubfieldSpec
 from mdsrepair.repair import (
     MatrixScheme,
     RepairScheme,
@@ -52,6 +53,15 @@ class TestSubpacketization:
             SubpacketizationSpec(rs53, 3)  # 3 does not divide m = 4
         with pytest.raises(IncompatibleSubfield):
             SubpacketizationSpec(fb1410, 4)  # n-k = 4 does not divide 8/4 = 2
+
+    @pytest.mark.parametrize("s", [True, 1.0, "1", None])
+    def test_non_integer_s_rejected(self, rs53, s):
+        with pytest.raises(ParseError):
+            SubpacketizationSpec(rs53, s)
+
+    def test_numpy_integer_s_accepted(self, rs53):
+        sub = SubpacketizationSpec(rs53, np.int64(1))
+        assert sub == SubpacketizationSpec(rs53, 1) and type(sub.s) is int
 
     def test_baselines(self, rs53, rs64, fb1410):
         assert baselines(SubpacketizationSpec(rs53, 1)) == (12, 8)
@@ -253,6 +263,27 @@ class TestRecoverNode:
         cw = encode(rs53, [f16.one()] * 3)
         with pytest.raises(InfeasibleScheme):
             recover_node(cw, scheme)
+
+    def test_matrix_route_never_ranks_elements(self, rs64_gf81, monkeypatch, rng):
+        # gamma_ranks_matrix and recover_node stay an independent oracle of
+        # the element rank kernel, for p = 2 and odd p alike
+        part = generate_clique(rs64_gf81)
+        schemes = [bundled_scheme("rs53", 1), find_repair(part, 1).scheme,
+                   lift_scheme(find_repair(part, 2).scheme, 2)]
+        reports = [gamma_ranks(scheme) for scheme in schemes]
+
+        def refuse(self, exps):
+            raise AssertionError("element rank kernel called")
+        monkeypatch.setattr(SubfieldSpec, "rank_exps", refuse)
+        for scheme, report in zip(schemes, reports):
+            code, failed = scheme.sub.code, scheme.failed
+            mat = realize_matrices(scheme)
+            assert gamma_ranks_matrix(scheme.sub, failed, mat) == report
+            cw = encode(code, [code.field.element(rng.randrange(code.field.q - 1))
+                               for _ in range(code.k)])
+            result = recover_node(cw, scheme)
+            assert result.element == cw[failed - 1]
+            assert result.total_symbols == report.total_bw
 
     def test_reference_immaterial(self, rs53, f16, rng):
         scheme = bundled_scheme("rs53", 3)
