@@ -103,4 +103,11 @@ def load_scheme(path: str, code: CodeSpec | None = None) -> RepairScheme:
         if obj["code"] != code.name:
             raise ParseError(
                 f"{path}: scheme is for code {obj['code']!r}, not {code.name!r}")
+    if code is not None and isinstance(obj.get("code"), dict):
+        # an inline code is the same code if it agrees on all but its name
+        inline = CodeSpec.from_json(obj["code"])
+        if ((inline.n, inline.k, inline.field, inline.parity)
+                != (code.n, code.k, code.field, code.parity)):
+            raise ParseError(
+                f"{path}: scheme carries an inline {inline!r}, not {code!r}")
     return scheme_from_json(obj, code)

@@ -30,7 +30,8 @@ from .errors import (
     MissingScheme,
     NoFeasibleFound,
 )
-from .repair import RepairReport, RepairScheme, SubpacketizationSpec, gamma_ranks
+from .repair import (RepairReport, RepairScheme, SubpacketizationSpec, baselines,
+                     gamma_ranks)
 from .search import SearchConfig, exhaustive_search, random_search
 
 EXIT_OK = 0
@@ -60,6 +61,7 @@ def _elements_str(scheme: RepairScheme) -> str:
 
 
 def _report_json(scheme: RepairScheme, report: RepairReport) -> dict:
+    naive, cutset = baselines(report.sub)
     return {
         "code": scheme.sub.code.name,
         "failed": scheme.failed,
@@ -68,21 +70,21 @@ def _report_json(scheme: RepairScheme, report: RepairReport) -> dict:
         "feasible": report.feasible,
         "total_bw": report.total_bw,
         "interference_bw": report.interference_bw,
-        "naive_bw": report.naive_bw,
-        "cutset_bw": report.cutset_bw,
-        "symbol_bits": report.symbol_bits,
+        "naive_bw": naive,
+        "cutset_bw": cutset,
+        "symbol_bits": report.sub.symbol_bits,
         "total_bits": report.total_bits,
     }
 
 
 def _print_report(scheme: RepairScheme, report: RepairReport) -> None:
     sub = scheme.sub
+    naive, cutset = baselines(sub)
     print(f"node {scheme.failed}: elements [{_elements_str(scheme)}]")
     gam = " ".join(f"g{u + 1}={g}" for u, g in enumerate(report.gammas))
     print(f"  gamma: {gam}")
     unit = f"GF({sub.code.field.p}^{sub.s})"
-    print(f"  total {report.total_bw} / naive {report.naive_bw} / "
-          f"cutset {report.cutset_bw} {unit} symbols "
+    print(f"  total {report.total_bw} / naive {naive} / cutset {cutset} {unit} symbols "
           f"({report.total_bits} bits), "
           f"{'FEASIBLE' if report.feasible else 'INFEASIBLE'}")
 
@@ -125,11 +127,6 @@ def cmd_verify(args) -> int:
 
 def cmd_clique(args) -> int:
     code = load_code(args.code)
-    s = args.subfield_degree or code.field.m // 2
-    if s != code.field.m // 2 or code.field.m % 2:
-        raise MdsRepairError(
-            f"clique repair runs over the half-degree subfield; "
-            f"need s = m/2 = {code.field.m / 2:g}, got {s}")
     part = generate_clique(code)
     print(f"code {code.name or ''} ({code.n},{code.k}) over {code.field!r}, "
           f"vectorized over GF({code.field.p}^{part.sub.s})")
@@ -139,9 +136,8 @@ def cmd_clique(args) -> int:
     degenerate = len(part.cliques) == 1
     for i in range(1, code.k + 1):
         cr = find_repair(part, i)
-        c = max((len(cl) for cl in part.cliques if i not in cl), default=0)
-        rows.append({"node": i, "C_i": c, "bound": cr.bound,
-                     "bound_bits": cr.bound * part.sub.symbol_bits,
+        rows.append({"node": i, "C_i": len(cr.chosen_clique or ()), "bound": cr.bound,
+                     "bound_bits": part.sub.bits(cr.bound),
                      "mu": str(cr.mu), "degenerate": cr.degenerate})
     print(f"{'node':>4} {'C_i':>4} {'bound':>6} {'bits':>5}  mu")
     for r in rows:
@@ -151,7 +147,7 @@ def cmd_clique(args) -> int:
         print("single clique: no gain over naive repair")
     if args.json or args.out:
         payload = {
-            "manifest": _manifest("clique", {"code": args.code, "s": s},
+            "manifest": _manifest("clique", {"code": args.code, "s": part.sub.s},
                                   {"out": args.out}),
             "cliques": [list(c) for c in part.cliques],
             "nodes": rows,
@@ -213,11 +209,12 @@ def cmd_report(args) -> int:
         elements = " ".join(str(e) for row in scheme.elements for e in row)
         rows.append((scheme.failed, elements, report))
     rows.sort(key=lambda row: row[0])
-    naive_bits = rows[0][2].naive_bw * rows[0][2].symbol_bits
+    sub = rows[0][2].sub
+    naive_bits, cutset_bits = (sub.bits(bw) for bw in baselines(sub))
     mean = sum(r.total_bits for _, _, r in rows) / len(rows)
     saved = 100.0 * (naive_bits - mean) / naive_bits
     footer = (f"mean {mean:g} bits, {saved:g}% saved vs naive {naive_bits:g}"
-              f" (cut-set {rows[0][2].cutset_bw * rows[0][2].symbol_bits:g})")
+              f" (cut-set {cutset_bits:g})")
     if args.format == "csv":
         lines = ["node,elements,bandwidth_bits"]
         lines += [f"{n},{e},{r.total_bits}" for n, e, r in rows]
@@ -245,7 +242,7 @@ def cmd_list_codes(args) -> int:
         code = bundled_code(name)
         sub = SubpacketizationSpec(code, 1)
         print(f"{name}: ({code.n},{code.k}) over {code.field!r}, "
-              f"beta={sub.beta} alpha={sub.alpha} M={sub.file_size} bits, "
+              f"beta={sub.beta} alpha={sub.alpha} M={sub.bits(sub.file_size)} bits, "
               f"bundled schemes for nodes "
               f"{sorted(GOLDEN_TOTAL_BITS[name])}")
     return EXIT_OK
@@ -296,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("clique", help="clique partition and optimal "
                                        "2-parity repair")
     p.add_argument("--code", required=True)
-    p.add_argument("-s", "--subfield-degree", type=int, default=None,
-                   help="vectorization degree (must be m/2; default m/2)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_clique)

@@ -38,12 +38,6 @@ class CliquePartition:
     def subfield(self) -> SubfieldSpec:
         return self.sub.subfield
 
-    def clique_of(self, i: int) -> tuple:
-        for c in self.cliques:
-            if i in c:
-                return c
-        raise ValueError(f"node {i} not in [1,{self.code.k}]")
-
 
 @dataclass(frozen=True)
 class CliqueRepair:

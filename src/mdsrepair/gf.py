@@ -162,12 +162,6 @@ class FieldSpec:
             raise NotIrreducible(f"x divides {self._poly_str()}")
         if not _is_irreducible(list(poly), p):
             raise NotIrreducible(f"{self._poly_str()} is reducible over GF({p})")
-        # order of x mod P must be p^m - 1: check x^((q-1)/r) != 1 for every
-        # prime divisor r (this is the companion-matrix order condition)
-        for r in _prime_factors(self.q - 1):
-            if _trim(_poly_powmod([0, 1], (self.q - 1) // r, list(poly), p)) == [1]:
-                raise NotPrimitive(
-                    f"{self._poly_str()} is irreducible but not primitive over GF({p})")
         self._build_tables()
 
     def _poly_str(self) -> str:
@@ -187,8 +181,10 @@ class FieldSpec:
             carry = cur[m - 1]
             cur = [((cur[i - 1] if i else 0) - carry * self.poly[i]) % p
                    for i in range(m)]
-        if len(set(exp_table)) != self.q - 1:  # pragma: no cover
-            raise NotPrimitive("table construction did not exhaust the group")
+        # x is primitive iff its q-1 powers are distinct
+        if len(set(exp_table)) != self.q - 1:
+            raise NotPrimitive(
+                f"{self._poly_str()} is irreducible but not primitive over GF({p})")
         log_table: list = [None] * self.q
         for e, idx in enumerate(exp_table):
             log_table[idx] = e

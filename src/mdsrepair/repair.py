@@ -12,6 +12,12 @@ where P_u is node u's coefficient at the element's parity.  The scheme is
 feasible iff gamma_i is full (= alpha), and its bandwidth is the sum of
 all gamma_u (the failed node's own gamma counts the parity downloads).
 
+Bandwidth is counted in GF(p^s) sub-symbols.  ``SubpacketizationSpec.bits``
+is the one conversion to bits: the exact GF(p) digit count symbols * s,
+times log2 p for odd p.  A ``RepairReport`` stores only its gammas and
+derives feasibility, totals and bits from them, so re-expressing a scheme
+over a smaller subfield (``lift_scheme``) keeps its bit count exactly.
+
 Two independent evaluation routes are provided: ``gamma_ranks`` works
 directly on the field elements, while ``realize_matrices`` +
 ``gamma_ranks_matrix`` builds the explicit repair vectors from a reference
@@ -80,11 +86,18 @@ class SubpacketizationSpec:
     def subfield(self) -> SubfieldSpec:
         return self.code.field.subfield(self.s)
 
+    def bits(self, symbols: int):
+        """Bits in ``symbols`` GF(p^s) sub-symbols: the GF(p) digit count
+        symbols * s (an int for p = 2), times log2 p for odd p.  The count is
+        formed first, so equal counts give equal floats at every s."""
+        digits = symbols * self.s
+        p = self.code.field.p
+        return digits if p == 2 else digits * math.log2(p)
+
     @property
     def symbol_bits(self):
-        """Bits per GF(p^s) sub-symbol (exact int for p = 2)."""
-        p = self.code.field.p
-        return self.s if p == 2 else self.s * math.log2(p)
+        """Bits per GF(p^s) sub-symbol."""
+        return self.bits(1)
 
 
 def baselines(sub: SubpacketizationSpec) -> tuple:
@@ -159,30 +172,21 @@ def scheme_from_json(obj: dict, code: CodeSpec | None = None) -> RepairScheme:
 
 @dataclass(frozen=True)
 class RepairReport:
-    """Per-node download counts for one repair scheme, in GF(p^s) symbols."""
+    """Per-node download counts (gammas) of one repair scheme, in GF(p^s)
+    symbols; everything else is derived from them."""
 
+    sub: SubpacketizationSpec
     failed: int
     gammas: tuple
-    feasible: bool
-    total_bw: int
-    naive_bw: int
-    cutset_bw: int
-    symbol_bits: float
 
-    @staticmethod
-    def of(sub: SubpacketizationSpec, failed: int, gammas) -> "RepairReport":
-        """The report for per-node gammas of a scheme repairing ``failed``."""
-        gammas = tuple(gammas)
-        naive, cutset = baselines(sub)
-        return RepairReport(
-            failed=failed,
-            gammas=gammas,
-            feasible=gammas[failed - 1] == sub.alpha,
-            total_bw=sum(gammas),
-            naive_bw=naive,
-            cutset_bw=cutset,
-            symbol_bits=sub.symbol_bits,
-        )
+    @property
+    def feasible(self) -> bool:
+        """The failed node's own block is full rank."""
+        return self.gammas[self.failed - 1] == self.sub.alpha
+
+    @property
+    def total_bw(self) -> int:
+        return sum(self.gammas)
 
     @property
     def interference_bw(self) -> int:
@@ -191,8 +195,7 @@ class RepairReport:
 
     @property
     def total_bits(self):
-        b = self.total_bw * self.symbol_bits
-        return int(b) if isinstance(self.symbol_bits, int) else b
+        return self.sub.bits(self.total_bw)
 
 
 class SchemeEvaluator:
@@ -234,10 +237,10 @@ class SchemeEvaluator:
 
 
 def gamma_ranks(scheme: RepairScheme) -> RepairReport:
-    """Evaluate a scheme: gamma per surviving node, feasibility, and
-    bandwidth against the naive and cut-set baselines."""
+    """Evaluate a scheme on its field elements: the gamma of every
+    systematic node, from which feasibility and bandwidth follow."""
     ev = SchemeEvaluator(scheme.sub, scheme.failed)
-    return RepairReport.of(scheme.sub, scheme.failed, ev.gammas(scheme.flat_exps()))
+    return RepairReport(scheme.sub, scheme.failed, ev.gammas(scheme.flat_exps()))
 
 
 def lift_scheme(scheme: RepairScheme, a: int) -> RepairScheme:
@@ -333,7 +336,7 @@ def gamma_ranks_matrix(sub: SubpacketizationSpec, failed: int,
             raise InvalidMatrix(
                 f"rank {r} of node {u + 1} block is not a multiple of s={sub.s}")
         gammas.append(r // sub.s)
-    return RepairReport.of(sub, failed, gammas)
+    return RepairReport(sub, failed, tuple(gammas))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +351,7 @@ class RecoveryResult:
     symbols: tuple                   # its alpha GF(p^s) sub-symbols
     downloads: dict                  # node (1-based) -> sub-symbols fetched
     total_symbols: int
-    total_bits: float
+    total_bits: float                # sub.bits(total_symbols)
 
 
 def recover_node(codeword: Codeword, scheme: RepairScheme,
@@ -396,11 +399,10 @@ def recover_node(codeword: Codeword, scheme: RepairScheme,
     coords = linalg.solve_mod_p(blocks[failed - 1], signal, p)
     element = field.from_coords(coords)
     total = sum(downloads.values())
-    bits = total * sub.symbol_bits
     return RecoveryResult(
         element=element,
         symbols=tuple(subfield_coords(element, sub.subfield)),
         downloads=downloads,
         total_symbols=total,
-        total_bits=int(bits) if isinstance(sub.symbol_bits, int) else bits,
+        total_bits=sub.bits(total),
     )

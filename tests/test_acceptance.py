@@ -16,6 +16,7 @@ from mdsrepair.gf import FieldSpec
 from mdsrepair.repair import (
     RepairScheme,
     SubpacketizationSpec,
+    baselines,
     gamma_ranks,
     gamma_ranks_matrix,
     lift_scheme,
@@ -119,7 +120,7 @@ def test_criterion_5_fb1410_golden_schemes():
         for node in range(1, 11):
             report = gamma_ranks(bundled_scheme("fb1410", node))
             assert report.feasible
-            assert report.naive_bw == 80 and report.cutset_bw == 26
+            assert baselines(report.sub) == (80, 26)
             totals.append(report.total_bits)
         assert tuple(totals) == expected
         mean = sum(totals) / len(totals)

@@ -50,6 +50,26 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--code", "rs53", "--scheme", str(p))
         assert code == 2
 
+    def test_inline_code_mismatch_exit_2(self, capsys, tmp_path):
+        # an rs64 scheme carrying its code inline is not an rs53 scheme
+        scheme = json.loads(open(bundled_scheme_dir("rs64") + "/node1.json").read())
+        scheme["code"] = bundled_code("rs64").to_json()
+        p = tmp_path / "inline.json"
+        p.write_text(json.dumps(scheme))
+        code, _, err = run(capsys, "verify", "--code", "rs53", "--scheme", str(p))
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_inline_code_match_ignores_name(self, capsys, tmp_path):
+        scheme = json.loads(open(bundled_scheme_dir("rs53") + "/node1.json").read())
+        scheme["code"] = {**bundled_code("rs53").to_json(), "name": "mine"}
+        p = tmp_path / "inline.json"
+        p.write_text(json.dumps(scheme))
+        code, out, _ = run(capsys, "verify", "--code", "rs53", "--scheme", str(p))
+        assert code == 0
+        assert "total 10 / naive 12 / cutset 8" in out
+
     def test_json_payload(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
         path = bundled_scheme_dir("rs53") + "/node2.json"

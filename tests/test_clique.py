@@ -4,7 +4,7 @@ from mdsrepair.clique import clique_bound, find_repair, generate_clique
 from mdsrepair.codes import CodeSpec
 from mdsrepair.errors import NotNormalized, NotTwoParity, OddExtensionDegree
 from mdsrepair.gf import FieldSpec
-from mdsrepair.repair import RepairScheme, SubpacketizationSpec, gamma_ranks
+from mdsrepair.repair import RepairScheme, SubpacketizationSpec, baselines, gamma_ranks
 
 
 class TestGenerateClique:
@@ -87,7 +87,7 @@ class TestFindRepair:
             assert cr.degenerate and cr.chosen_clique is None
             report = gamma_ranks(cr.scheme)
             assert report.feasible
-            assert report.total_bw == 6 == report.naive_bw
+            assert report.total_bw == 6 == baselines(report.sub)[0]
 
     def test_same_clique_ranks_move_together(self, rs64, rs53):
         # under any mu, two nodes of one clique are simultaneously rank 1

@@ -27,11 +27,14 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 GF16, GF81, GF25 = (FieldSpec(2, [1, 1, 0, 0, 1]), FieldSpec(3, [2, 0, 0, 1, 1]),
                     FieldSpec(5, [2, 1, 1]))
-RS53, RS64, RS42 = (rs_systematic(f, [f.element(i) for i in range(n)], k)
-                    for f, n, k in ((GF16, 5, 3), (GF81, 6, 4), (GF25, 4, 2)))
+GF5_6 = FieldSpec(5, [2, 0, 0, 0, 0, 1, 1])  # x^6 + x^5 + 2
+RS53, RS64, RS42, RS64_5 = (
+    rs_systematic(f, [f.element(i) for i in range(n)], k)
+    for f, n, k in ((GF16, 5, 3), (GF81, 6, 4), (GF25, 4, 2), (GF5_6, 6, 4)))
 # every (code, s) with s | m and n-k | m/s
 SUBS = [SubpacketizationSpec(code, s)
-        for code, s in ((RS53, 1), (RS53, 2), (RS64, 1), (RS64, 2), (RS42, 1))]
+        for code, s in ((RS53, 1), (RS53, 2), (RS64, 1), (RS64, 2), (RS42, 1),
+                        (RS64_5, 1), (RS64_5, 3))]
 
 
 @st.composite

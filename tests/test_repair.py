@@ -75,8 +75,8 @@ class TestGammaRanks:
         assert report.gammas == (4, 3, 3)
         assert report.feasible
         assert report.total_bw == 10
-        assert report.naive_bw == 12 and report.cutset_bw == 8
-        assert report.symbol_bits == 1 and report.total_bits == 10
+        assert baselines(report.sub) == (12, 8)
+        assert report.sub.symbol_bits == 1 and report.total_bits == 10
         assert report.interference_bw == 6
 
     def test_all_ones_infeasible(self, rs53, f16):
@@ -123,7 +123,8 @@ class TestGammaRanks:
                 seen += 1
                 sub = scheme.sub
                 assert all(sub.beta <= g <= sub.alpha for g in report.gammas)
-                assert report.cutset_bw <= report.total_bw <= report.naive_bw
+                naive, cutset = baselines(report.sub)
+                assert cutset <= report.total_bw <= naive
         assert seen > 50
 
 
