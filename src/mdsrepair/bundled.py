@@ -84,7 +84,12 @@ def load_code(name_or_path: str) -> CodeSpec:
 
 def load_scheme(path: str, code: CodeSpec | None = None) -> RepairScheme:
     """Load a scheme file; the code may be given explicitly, named by the
-    file (bundled names only), or inlined in the file."""
+    file (bundled names only), or inlined in the file.
+
+    A scheme's inline code or bundled code name must agree with the given
+    code on (n, k, field, parity); names are compared only for a name that
+    is not bundled.  A scheme without a "code" entry takes the given code.
+    """
     try:
         with open(path) as f:
             obj = json.load(f)
@@ -94,20 +99,23 @@ def load_scheme(path: str, code: CodeSpec | None = None) -> RepairScheme:
         raise ParseError(f"{path}: invalid JSON: {exc}")
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected a JSON object")
-    if code is None and isinstance(obj.get("code"), str):
-        if obj["code"] not in BUNDLED_CODES:
+    entry = obj.get("code")
+    if isinstance(entry, dict):
+        own = CodeSpec.from_json(entry)
+    elif entry in BUNDLED_CODES:
+        own = bundled_code(entry)
+    elif isinstance(entry, str):
+        if code is None:
+            raise ParseError(f"{path}: unknown code name {entry!r}; pass --code")
+        if entry != code.name:
             raise ParseError(
-                f"{path}: unknown code name {obj['code']!r}; pass --code")
-        code = bundled_code(obj["code"])
-    if code is not None and isinstance(obj.get("code"), str) and code.name:
-        if obj["code"] != code.name:
-            raise ParseError(
-                f"{path}: scheme is for code {obj['code']!r}, not {code.name!r}")
-    if code is not None and isinstance(obj.get("code"), dict):
-        # an inline code is the same code if it agrees on all but its name
-        inline = CodeSpec.from_json(obj["code"])
-        if ((inline.n, inline.k, inline.field, inline.parity)
-                != (code.n, code.k, code.field, code.parity)):
-            raise ParseError(
-                f"{path}: scheme carries an inline {inline!r}, not {code!r}")
+                f"{path}: scheme is for code {entry!r}, not {code.name!r}")
+        own = code
+    else:
+        own = code
+    if code is None:
+        code = own
+    elif ((own.n, own.k, own.field, own.parity)
+          != (code.n, code.k, code.field, code.parity)):
+        raise ParseError(f"{path}: scheme is for {own!r}, not {code!r}")
     return scheme_from_json(obj, code)

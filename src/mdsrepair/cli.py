@@ -1,7 +1,8 @@
 """Command-line frontend.
 
 Subcommands: verify, clique, search, report, list-codes, selftest.
-Exit codes: 0 ok, 1 infeasible scheme or failed check, 2 bad input.
+Exit codes: 0 ok, 1 infeasible scheme or failed check, 2 bad input
+(including a file that cannot be read or written).
 """
 
 from __future__ import annotations
@@ -195,7 +196,12 @@ def cmd_search(args) -> int:
 
 def cmd_report(args) -> int:
     code = load_code(args.code)
-    directory = args.scheme_dir or bundled_scheme_dir(code.name)
+    if args.scheme_dir:
+        directory = args.scheme_dir
+    elif code.name in BUNDLED_CODES:
+        directory = bundled_scheme_dir(code.name)
+    else:
+        raise MissingScheme(f"no bundled schemes for {code!r}; pass --scheme-dir")
     try:
         paths = _scheme_paths(directory)
     except MissingScheme:
@@ -206,6 +212,9 @@ def cmd_report(args) -> int:
     for path in paths:
         scheme = load_scheme(str(path), code)
         report = gamma_ranks(scheme)
+        if not report.feasible:
+            raise InfeasibleScheme(
+                f"{path}: the scheme for node {scheme.failed} is infeasible")
         elements = " ".join(str(e) for row in scheme.elements for e in row)
         rows.append((scheme.failed, elements, report))
     rows.sort(key=lambda row: row[0])
@@ -336,7 +345,7 @@ def main(argv=None) -> int:
     except (InfeasibleScheme, NoFeasibleFound) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (MdsRepairError, ValueError) as exc:
+    except (MdsRepairError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

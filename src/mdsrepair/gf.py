@@ -2,9 +2,12 @@
 
 A field is defined by a primitive polynomial
 ``P(x) = a_0 + a_1 x + ... + a_{m-1} x^{m-1} + x^m`` over GF(p) and a fixed
-primitive root ``z = x mod P(x)``.  Nonzero elements are stored as discrete
-logs (powers of z), so multiplication and inversion are exponent arithmetic
-and addition goes through precomputed log/antilog tables.
+primitive root ``z = x mod P(x)``.  A polynomial is validated by the walk
+over the powers of x that fills the log tables: q-1 distinct powers make P
+primitive and so irreducible; trial division runs only to tell a reducible
+P from an irreducible, non-primitive one.  Nonzero elements are stored as
+discrete logs (powers of z), so multiplication and inversion are exponent
+arithmetic and addition goes through precomputed log/antilog tables.
 
 Beyond plain arithmetic this module provides the vectorization machinery:
 every element has a coordinate vector over GF(p) (``vector``), every
@@ -21,6 +24,8 @@ runs only on the explicit-matrix route.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -42,89 +47,29 @@ MAX_FIELD_SIZE = 1 << 16
 # polynomial helpers over GF(p), little-endian coefficient lists
 # ---------------------------------------------------------------------------
 
-def _trim(a):
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a or [0]
-
-
-def _poly_mulmod(a, b, mod, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_mod(out, mod, p)
-
-
 def _poly_mod(a, mod, p):
+    """Remainder of a modulo the monic mod, as deg(mod) coefficients."""
     a = list(a)
     dm = len(mod) - 1
-    inv_lead = pow(mod[-1], -1, p)
     for i in range(len(a) - 1, dm - 1, -1):
-        c = (a[i] * inv_lead) % p
+        c = a[i]
         if c:
             for j in range(dm + 1):
                 a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % p
-    return _trim(a[:dm] if len(a) > dm else a)
-
-
-def _poly_powmod(base, e, mod, p):
-    result = [1]
-    base = _poly_mod(base, mod, p)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                  for i in range(n)])
-
-
-def _poly_gcd(a, b, p):
-    a, b = _trim(list(a)), _trim(list(b))
-    while b != [0]:
-        a, b = b, _poly_mod(a, b, p)
-    return a
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return a[:dm]
 
 
 def _is_prime(n):
     return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
-def _is_irreducible(poly, p):
-    """Rabin test: x^(p^m) == x mod P, and x^(p^(m/q)) - x coprime to P
-    for every prime divisor q of m."""
-    m = len(poly) - 1
-    x = [0, 1]
-    xq = _poly_powmod(x, p ** m, poly, p)
-    if xq != _poly_mod(x, poly, p):
-        return False
-    for q in _prime_factors(m):
-        h = _poly_powmod(x, p ** (m // q), poly, p)
-        g = _poly_gcd(poly, _poly_sub(h, x, p), p)
-        if len(g) > 1:
-            return False
-    return True
+def _has_factor(poly, p):
+    """True if a monic polynomial of degree 1..m/2 divides poly."""
+    for d in range(1, (len(poly) - 1) // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            if not any(_poly_mod(poly, list(low) + [1], p)):
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +83,14 @@ class FieldSpec:
         p: prime characteristic.
         poly: m+1 coefficients a_0..a_m over GF(p), monic (a_m = 1).
 
+    The walk over the powers of x that builds the log tables is the only
+    check a valid polynomial pays: P is primitive, hence irreducible,
+    exactly when x (with P(0) != 0) has q-1 distinct powers.  Only after
+    that walk fails does trial division by the monic polynomials of degree
+    1..m/2 decide which error to raise.
+
     Raises:
-        NotIrreducible: the polynomial factors over GF(p).
+        NotIrreducible: the polynomial factors over GF(p) (x | P included).
         NotPrimitive: irreducible, but x has multiplicative order < p^m - 1.
     """
 
@@ -160,8 +111,6 @@ class FieldSpec:
             raise ValueError(f"field size {self.q} exceeds {MAX_FIELD_SIZE}")
         if poly[0] == 0:
             raise NotIrreducible(f"x divides {self._poly_str()}")
-        if not _is_irreducible(list(poly), p):
-            raise NotIrreducible(f"{self._poly_str()} is reducible over GF({p})")
         self._build_tables()
 
     def _poly_str(self) -> str:
@@ -181,8 +130,12 @@ class FieldSpec:
             carry = cur[m - 1]
             cur = [((cur[i - 1] if i else 0) - carry * self.poly[i]) % p
                    for i in range(m)]
-        # x is primitive iff its q-1 powers are distinct
+        # x is primitive iff its q-1 powers are distinct, and this alone
+        # proves P irreducible: a reducible P with P(0) != 0 leaves fewer
+        # than q-1 units.  Trial division only names the failure.
         if len(set(exp_table)) != self.q - 1:
+            if _has_factor(self.poly, p):
+                raise NotIrreducible(f"{self._poly_str()} is reducible over GF({p})")
             raise NotPrimitive(
                 f"{self._poly_str()} is irreducible but not primitive over GF({p})")
         log_table: list = [None] * self.q

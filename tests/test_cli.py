@@ -12,6 +12,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def one_error_line(err):
+    lines = err.strip().splitlines()
+    return len(lines) == 1 and lines[0].startswith("error:")
+
+
+def code_file(tmp_path, name, file_name="code.json"):
+    """The rs53 code written to a file under another name (None: nameless)."""
+    p = tmp_path / file_name
+    p.write_text(json.dumps({**bundled_code("rs53").to_json(), "name": name}))
+    return str(p)
+
+
 class TestVerify:
     def test_bundled_scheme(self, capsys):
         path = bundled_scheme_dir("rs53") + "/node1.json"
@@ -67,6 +79,20 @@ class TestVerify:
         p = tmp_path / "inline.json"
         p.write_text(json.dumps(scheme))
         code, out, _ = run(capsys, "verify", "--code", "rs53", "--scheme", str(p))
+        assert code == 0
+        assert "total 10 / naive 12 / cutset 8" in out
+
+    def test_nameless_code_checks_scheme_code(self, capsys, tmp_path):
+        # an rs64 scheme is not scored as an rs53 one, named or not
+        code, _, err = run(capsys, "verify", "--code", code_file(tmp_path, None),
+                           "--scheme", bundled_scheme_dir("rs64") + "/node1.json")
+        assert code == 2
+        assert one_error_line(err)
+
+    def test_bundled_name_matches_by_structure(self, capsys, tmp_path):
+        # a scheme naming "rs53" fits any code file that is rs53 in all but name
+        code, out, _ = run(capsys, "verify", "--code", code_file(tmp_path, "mine"),
+                           "--scheme", bundled_scheme_dir("rs53") + "/node1.json")
         assert code == 0
         assert "total 10 / naive 12 / cutset 8" in out
 
@@ -197,6 +223,41 @@ class TestReport:
                            "--scheme-dir", str(tmp_path))
         assert code == 2
         assert "no node*.json" in err
+
+
+    def test_infeasible_scheme_exit_1(self, capsys, tmp_path):
+        scheme_dir = tmp_path / "schemes"
+        scheme_dir.mkdir()
+        (scheme_dir / "node1.json").write_text(json.dumps(
+            {"code": "rs53", "s": 1, "failed": 1, "elements": [[0, 0], [0, 0]]}))
+        (scheme_dir / "node2.json").write_text(
+            open(bundled_scheme_dir("rs53") + "/node2.json").read())
+        code, out, err = run(capsys, "report", "--code", "rs53",
+                             "--scheme-dir", str(scheme_dir))
+        assert code == 1
+        assert one_error_line(err)
+        assert "node1.json" in err and "node 1" in err
+        assert "saved" not in out
+
+
+class TestUnreadableInput:
+    # files that cannot be read or written, and a nameless code with no
+    # scheme directory, exit 2 with one error line
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--code", "{dir}", "--scheme", "x"],
+        ["verify", "--code", "rs53", "--scheme",
+         bundled_scheme_dir("rs53") + "/node1.json", "--out", "{dir}"],
+        ["clique", "--code", "rs64", "--out", "{dir}"],
+        ["search", "--code", "rs53", "--node", "1", "--out", "{dir}"],
+        ["report", "--code", "rs53", "--out", "{dir}"],
+        ["report", "--code", "{nameless}"],
+    ], ids=["verify-code", "verify-out", "clique-out", "search-out", "report-out",
+            "report-nameless"])
+    def test_exit_2(self, capsys, tmp_path, argv):
+        paths = {"dir": str(tmp_path), "nameless": code_file(tmp_path, None)}
+        code, _, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert code == 2
+        assert one_error_line(err)
 
 
 class TestMisc:

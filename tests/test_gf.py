@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,60 @@ class TestConstruction:
         f9 = FieldSpec(np.int64(3), np.array([2, 1, 1]))
         assert f9 == FieldSpec(3, [2, 1, 1])
         assert type(f9.p) is int and all(type(c) is int for c in f9.poly)
+
+
+def _monic(p, m):
+    """Every monic polynomial of degree m over GF(p), little-endian."""
+    return [tuple(low) + (1,) for low in itertools.product(range(p), repeat=m)]
+
+
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return tuple(out)
+
+
+def _x_order(poly, p):
+    """Multiplicative order of x mod the monic poly (P(0) != 0), found by
+    multiplying by x until the constant 1 comes back."""
+    m = len(poly) - 1
+    one = (1,) + (0,) * (m - 1)
+    cur, order = one, 0
+    while True:
+        top = cur[-1]
+        cur = tuple(((cur[i - 1] if i else 0) - top * poly[i]) % p
+                    for i in range(m))
+        order += 1
+        if cur == one:
+            return order
+
+
+class TestClassification:
+    # every small monic polynomial against a brute-force oracle: reducible
+    # iff some product of two monic polynomials of positive degree equals
+    # it; primitive iff irreducible and x has order q-1.  FieldSpec refuses
+    # every P with x | P as reducible, P = x included (there x is 0).
+    @pytest.mark.parametrize("p, max_m", [(2, 6), (3, 4), (5, 2), (7, 2)])
+    def test_every_small_polynomial(self, p, max_m):
+        for m in range(1, max_m + 1):
+            products = {_poly_mul(a, b, p)
+                        for d in range(1, m)
+                        for a in _monic(p, d) for b in _monic(p, m - d)}
+            for poly in _monic(p, m):
+                if poly in products or poly[0] == 0:
+                    expected = NotIrreducible
+                elif _x_order(poly, p) != p ** m - 1:
+                    expected = NotPrimitive
+                else:
+                    expected = None
+                try:
+                    FieldSpec(p, list(poly))
+                    got = None
+                except (NotIrreducible, NotPrimitive) as exc:
+                    got = type(exc)
+                assert got is expected, (p, poly)
 
 
 class TestArithmetic:
