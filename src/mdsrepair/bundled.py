@@ -1,4 +1,5 @@
-"""Bundled codes and repair schemes shipped as package data.
+"""Bundled codes and repair schemes, and the one reader of code and scheme
+files.
 
 Three codes are included:
 
@@ -10,16 +11,21 @@ Three codes are included:
 * ``fb1410`` -- the (14,10) Reed-Solomon code over GF(2^8) deployed in
   HDFS-RAID, with the published random-search schemes for all ten nodes
   (mean 64.2 bits against the naive 80).
+
+Every JSON input, bundled or given on the command line, is read here:
+``load_code`` resolves a code, ``load_scheme`` resolves a scheme's code and
+checks it against the given one, and ``load_schemes`` reads a scheme
+directory, one ``node*.json`` file per failed node.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
-from importlib import resources
+from pathlib import Path
 
 from .codes import CodeSpec
-from .errors import ParseError
+from .errors import MissingScheme, ParseError
 from .repair import RepairScheme, scheme_from_json
 
 BUNDLED_CODES = ("rs53", "rs64", "fb1410")
@@ -33,32 +39,43 @@ GOLDEN_TOTAL_BITS = {
 }
 
 
-def _data():
-    return resources.files("mdsrepair") / "data"
+def _data() -> Path:
+    return Path(__file__).parent / "data"
+
+
+def _read_json(path, missing: str | None = None) -> dict:
+    """The JSON object in a file; ParseError (``missing`` if given) for a
+    missing file, invalid JSON or a value that is not an object."""
+    try:
+        with open(path) as f:
+            obj = json.load(f)
+    except FileNotFoundError:
+        raise ParseError(missing or f"file not found: {path}")
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}")
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return obj
 
 
 @lru_cache(maxsize=None)
 def bundled_code(name: str) -> CodeSpec:
     if name not in BUNDLED_CODES:
         raise KeyError(f"unknown bundled code {name!r}; have {BUNDLED_CODES}")
-    with (_data() / "codes" / f"{name}.json").open() as f:
-        return CodeSpec.from_json(json.load(f))
+    return CodeSpec.from_json(_read_json(_data() / "codes" / f"{name}.json"))
 
 
 def bundled_scheme(code_name: str, node: int) -> RepairScheme:
-    path = _data() / "schemes" / code_name / f"node{node}.json"
-    try:
-        with path.open() as f:
-            obj = json.load(f)
-    except FileNotFoundError:
+    schemes = bundled_schemes(code_name)
+    if node not in schemes:
         raise KeyError(f"no bundled scheme for {code_name} node {node}")
-    return scheme_from_json(obj, bundled_code(code_name))
+    return schemes[node]
 
 
 def bundled_schemes(code_name: str) -> dict:
     """All bundled schemes for a code, keyed by failed node."""
-    return {node: bundled_scheme(code_name, node)
-            for node in sorted(GOLDEN_TOTAL_BITS[code_name])}
+    return {scheme.failed: scheme for _, scheme in
+            load_schemes(bundled_scheme_dir(code_name), bundled_code(code_name))}
 
 
 def bundled_scheme_dir(code_name: str) -> str:
@@ -70,16 +87,9 @@ def load_code(name_or_path: str) -> CodeSpec:
     """Resolve a --code argument: a bundled name or a JSON file path."""
     if name_or_path in BUNDLED_CODES:
         return bundled_code(name_or_path)
-    try:
-        with open(name_or_path) as f:
-            obj = json.load(f)
-    except FileNotFoundError:
-        raise ParseError(
-            f"{name_or_path!r} is neither a bundled code {BUNDLED_CODES} "
-            f"nor a readable file")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{name_or_path}: invalid JSON: {exc}")
-    return CodeSpec.from_json(obj)
+    return CodeSpec.from_json(_read_json(
+        name_or_path, f"{name_or_path!r} is neither a bundled code "
+                      f"{BUNDLED_CODES} nor a readable file"))
 
 
 def load_scheme(path: str, code: CodeSpec | None = None) -> RepairScheme:
@@ -90,27 +100,17 @@ def load_scheme(path: str, code: CodeSpec | None = None) -> RepairScheme:
     code on (n, k, field, parity); names are compared only for a name that
     is not bundled.  A scheme without a "code" entry takes the given code.
     """
-    try:
-        with open(path) as f:
-            obj = json.load(f)
-    except FileNotFoundError:
-        raise ParseError(f"scheme file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}")
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}: expected a JSON object")
+    obj = _read_json(path, f"scheme file not found: {path}")
     entry = obj.get("code")
     if isinstance(entry, dict):
         own = CodeSpec.from_json(entry)
     elif entry in BUNDLED_CODES:
         own = bundled_code(entry)
-    elif isinstance(entry, str):
-        if code is None:
-            raise ParseError(f"{path}: unknown code name {entry!r}; pass --code")
-        if entry != code.name:
-            raise ParseError(
-                f"{path}: scheme is for code {entry!r}, not {code.name!r}")
-        own = code
+    elif code is None:
+        raise ParseError(f"{path}: unknown code name {entry!r}; pass --code")
+    elif entry is not None and entry != code.name:
+        raise ParseError(
+            f"{path}: scheme is for code {entry!r}, not {code.name!r}")
     else:
         own = code
     if code is None:
@@ -119,3 +119,20 @@ def load_scheme(path: str, code: CodeSpec | None = None) -> RepairScheme:
           != (code.n, code.k, code.field, code.parity)):
         raise ParseError(f"{path}: scheme is for {own!r}, not {code!r}")
     return scheme_from_json(obj, code)
+
+
+def load_schemes(directory: str, code: CodeSpec) -> list:
+    """The (path, scheme) pairs of a directory's node*.json files, in
+    ascending failed-node order; ParseError for a second scheme of a node."""
+    found = {}
+    for path in sorted(Path(directory).glob("node*.json")):
+        scheme = load_scheme(str(path), code)
+        if scheme.failed in found:
+            raise ParseError(f"{found[scheme.failed][0]} and {path} are both "
+                             f"schemes for node {scheme.failed}")
+        found[scheme.failed] = (path, scheme)
+    if not found:
+        raise MissingScheme(
+            f"no node*.json scheme files in {directory}; expected schemes for "
+            f"nodes {', '.join(str(i) for i in range(1, code.k + 1))}")
+    return [found[node] for node in sorted(found)]

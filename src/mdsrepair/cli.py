@@ -22,6 +22,7 @@ from .bundled import (
     bundled_schemes,
     load_code,
     load_scheme,
+    load_schemes,
 )
 from .clique import clique_bound, find_repair, generate_clique
 from .codes import verify_mds
@@ -90,18 +91,10 @@ def _print_report(scheme: RepairScheme, report: RepairReport) -> None:
           f"{'FEASIBLE' if report.feasible else 'INFEASIBLE'}")
 
 
-def _scheme_paths(directory: str) -> list:
-    paths = sorted(Path(directory).glob("node*.json"),
-                   key=lambda p: (len(p.stem), p.stem))
-    if not paths:
-        raise MissingScheme(f"no node*.json scheme files in {directory}")
-    return paths
-
-
 def cmd_verify(args) -> int:
     code = load_code(args.code)
     if os.path.isdir(args.scheme):
-        schemes = [load_scheme(str(p), code) for p in _scheme_paths(args.scheme)]
+        schemes = [scheme for _, scheme in load_schemes(args.scheme, code)]
     else:
         schemes = [load_scheme(args.scheme, code)]
     print(f"code {code.name or ''} ({code.n},{code.k}) over {code.field!r}")
@@ -161,7 +154,7 @@ def cmd_search(args) -> int:
     code = load_code(args.code)
     sub = SubpacketizationSpec(code, args.subfield_degree)
     cfg = SearchConfig(sub, args.node, mode=args.mode, samples=args.samples,
-                       seed=args.seed, normalize_first=not args.no_normalize)
+                       seed=args.seed)
     if args.mode == "exhaustive":
         result = exhaustive_search(cfg)
     else:
@@ -181,8 +174,7 @@ def cmd_search(args) -> int:
             "manifest": _manifest(
                 "search",
                 {"code": args.code, "node": args.node, "s": args.subfield_degree,
-                 "mode": args.mode, "samples": args.samples, "seed": args.seed,
-                 "normalize_first": not args.no_normalize},
+                 "mode": args.mode, "samples": args.samples, "seed": args.seed},
                 {"scheme": out}),
             "evaluated": result.evaluated,
             "proven_optimal": result.proven_optimal,
@@ -202,22 +194,14 @@ def cmd_report(args) -> int:
         directory = bundled_scheme_dir(code.name)
     else:
         raise MissingScheme(f"no bundled schemes for {code!r}; pass --scheme-dir")
-    try:
-        paths = _scheme_paths(directory)
-    except MissingScheme:
-        raise MissingScheme(
-            f"no node*.json scheme files in {directory}; expected schemes for "
-            f"nodes {', '.join(str(i) for i in range(1, code.k + 1))}")
     rows = []
-    for path in paths:
-        scheme = load_scheme(str(path), code)
+    for path, scheme in load_schemes(directory, code):
         report = gamma_ranks(scheme)
         if not report.feasible:
             raise InfeasibleScheme(
                 f"{path}: the scheme for node {scheme.failed} is infeasible")
         elements = " ".join(str(e) for row in scheme.elements for e in row)
         rows.append((scheme.failed, elements, report))
-    rows.sort(key=lambda row: row[0])
     sub = rows[0][2].sub
     naive_bits, cutset_bits = (sub.bits(bw) for bw in baselines(sub))
     mean = sum(r.total_bits for _, _, r in rows) / len(rows)
@@ -268,11 +252,12 @@ def cmd_selftest(args) -> int:
     for name in BUNDLED_CODES:
         code = bundled_code(name)
         check(f"{name} is MDS", verify_mds(code))
-        for node, scheme in bundled_schemes(name).items():
-            report = gamma_ranks(scheme)
-            expect = GOLDEN_TOTAL_BITS[name][node]
+        schemes = bundled_schemes(name)
+        for node, expect in sorted(GOLDEN_TOTAL_BITS[name].items()):
+            report = gamma_ranks(schemes[node]) if node in schemes else None
             check(f"{name} node {node}: feasible at {expect} bits",
-                  report.feasible and report.total_bits == expect)
+                  report is not None and report.feasible
+                  and report.total_bits == expect)
     part = generate_clique(bundled_code("rs64"))
     check("rs64 cliques {1,4} {2} {3}", part.cliques == ((1, 4), (2,), (3,)))
     check("rs64 bounds (7,6,6,7)",
@@ -315,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000,
                    help="random mode: candidates to draw")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-normalize", action="store_true",
-                   help="do not pin the first element to 1")
     p.add_argument("--out", help="path for the best-scheme JSON")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)

@@ -96,6 +96,8 @@ class FieldSpec:
 
     def __init__(self, p: int, poly) -> None:
         p = as_int(p, "p")
+        if p > MAX_FIELD_SIZE:  # q = p^m >= p; refused before trial division
+            raise ValueError(f"field size {p}^m exceeds {MAX_FIELD_SIZE}")
         if not _is_prime(p):
             raise ValueError(f"p={p} is not prime")
         poly = [as_int(c, "poly coefficient") % p for c in poly]

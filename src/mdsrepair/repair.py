@@ -148,24 +148,17 @@ class RepairScheme:
         }
 
 
-def scheme_from_json(obj: dict, code: CodeSpec | None = None) -> RepairScheme:
-    """Build a scheme from its JSON form.
+def scheme_from_json(obj: dict, code: CodeSpec) -> RepairScheme:
+    """Build a scheme of ``code`` from its JSON form.
 
-    The "code" entry may be a bundled-code name (then pass the resolved
-    CodeSpec as ``code``) or an inline code object.
+    The "code" entry is not read: ``bundled.load_scheme`` resolves it and
+    checks it against the code it passes here.
     """
     try:
-        if code is None:
-            if not isinstance(obj.get("code"), dict):
-                raise ParseError(
-                    f"scheme references code {obj.get('code')!r}; resolve it first")
-            code = CodeSpec.from_json(obj["code"])
         sub = SubpacketizationSpec(code, obj["s"])
         elements = tuple(
             tuple(code.field.element(e) for e in row) for row in obj["elements"])
         return RepairScheme(sub, as_int(obj["failed"], "failed"), elements)
-    except ParseError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad scheme JSON: {exc}") from exc
 

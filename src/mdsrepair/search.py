@@ -2,8 +2,8 @@
 
 Candidates are tuples of (n-k)*beta nonzero elements, one per downloaded
 equation, in parity-major order.  Scaling every element by one nonzero
-constant leaves all gamma ranks unchanged, so by default the first element
-is pinned to 1 and only the remaining slots are enumerated or sampled.
+constant leaves all gamma ranks unchanged, so the first element is pinned
+to 1 and only the remaining slots are enumerated or sampled.
 Infeasible tuples (useful block not full rank) are skipped, not scored.
 
 Random draws use the stdlib Mersenne Twister (``random.Random(seed)``),
@@ -36,7 +36,6 @@ class SearchConfig:
     mode: str = "exhaustive"            # "exhaustive" | "random"
     samples: int = 100_000              # random mode only
     seed: int = 0
-    normalize_first: bool = True        # pin the first element to 1
 
     def __post_init__(self):
         if self.mode not in ("exhaustive", "random"):
@@ -52,7 +51,8 @@ class SearchConfig:
 
     @property
     def free_slots(self) -> int:
-        return self.slots - 1 if self.normalize_first else self.slots
+        """Slots after the first, which is pinned to 1."""
+        return self.slots - 1
 
     @property
     def space_size(self) -> int:
@@ -65,7 +65,6 @@ class SearchResult:
     best_report: RepairReport
     evaluated: int
     proven_optimal: bool
-    config: SearchConfig
 
 
 def _scheme_from_flat(cfg: SearchConfig, flat_exps) -> RepairScheme:
@@ -101,7 +100,7 @@ def _run(cfg: SearchConfig, candidates, proven: bool) -> SearchResult:
             f"no feasible scheme among {evaluated} candidates "
             f"(naive repair at {cfg.sub.file_size} symbols always remains available)")
     best = _scheme_from_flat(cfg, best_flat)
-    return SearchResult(best, gamma_ranks(best), evaluated, proven, cfg)
+    return SearchResult(best, gamma_ranks(best), evaluated, proven)
 
 
 def exhaustive_search(cfg: SearchConfig) -> SearchResult:
@@ -111,8 +110,7 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
         raise SearchSpaceTooLarge(
             f"{cfg.space_size} candidates exceed the cap {EXHAUSTIVE_CAP}")
     q1 = cfg.sub.code.field.q - 1
-    prefix = (0,) if cfg.normalize_first else ()
-    candidates = (prefix + tail
+    candidates = ((0,) + tail
                   for tail in itertools.product(range(q1), repeat=cfg.free_slots))
     return _run(cfg, candidates, proven=True)
 
@@ -124,11 +122,10 @@ def random_search(cfg: SearchConfig) -> SearchResult:
         raise ValueError("samples must be >= 1")
     rng = random.Random(cfg.seed)
     q1 = cfg.sub.code.field.q - 1
-    prefix = (0,) if cfg.normalize_first else ()
     free = cfg.free_slots
 
     def draws():
         for _ in range(cfg.samples):
-            yield prefix + tuple(rng.randrange(q1) for _ in range(free))
+            yield (0,) + tuple(rng.randrange(q1) for _ in range(free))
 
     return _run(cfg, draws(), proven=False)

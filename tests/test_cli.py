@@ -1,9 +1,12 @@
 import json
+import shutil
 
 import pytest
 
-from mdsrepair.bundled import bundled_code, bundled_scheme_dir
+from mdsrepair import bundled
+from mdsrepair.bundled import bundled_code, bundled_scheme_dir, load_scheme
 from mdsrepair.cli import main
+from mdsrepair.repair import gamma_ranks
 
 
 def run(capsys, *argv):
@@ -24,6 +27,22 @@ def code_file(tmp_path, name, file_name="code.json"):
     return str(p)
 
 
+def duplicate_dir(tmp_path):
+    """A scheme directory holding the rs53 node 1 scheme twice."""
+    d = tmp_path / "dup"
+    d.mkdir()
+    text = open(bundled_scheme_dir("rs53") + "/node1.json").read()
+    for name in ("node1.json", "node2.json"):
+        (d / name).write_text(text)
+    return str(d)
+
+
+def refuses_duplicate(code, out, err):
+    return (code == 2 and out == "" and one_error_line(err)
+            and "node1.json and" in err and "node2.json" in err
+            and "node 1" in err)
+
+
 class TestVerify:
     def test_bundled_scheme(self, capsys):
         path = bundled_scheme_dir("rs53") + "/node1.json"
@@ -38,6 +57,10 @@ class TestVerify:
                            "--scheme", bundled_scheme_dir("fb1410"))
         assert code == 0
         assert "mean over 10 schemes: 64.2 bits" in out
+
+    def test_duplicate_node_exit_2(self, capsys, tmp_path):
+        assert refuses_duplicate(*run(capsys, "verify", "--code", "rs53",
+                                      "--scheme", duplicate_dir(tmp_path)))
 
     def test_infeasible_exit_1(self, capsys, tmp_path):
         scheme = {"code": "rs53", "s": 1, "failed": 1,
@@ -156,8 +179,19 @@ class TestStrictIntegers:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    def test_huge_characteristic(self, capsys, tmp_path):
+        # p = 2^61 - 1 is refused by field size, not trial-divided
+        obj = bundled_code("rs64").to_json()
+        obj["field"] = {"p": 2 ** 61 - 1, "poly": [1, 1]}
+        p = tmp_path / "code.json"
+        p.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "clique", "--code", str(p))
+        assert code == 2
+        assert one_error_line(err) and "exceeds" in err
+
     @pytest.mark.parametrize("change", [{"elements": [[10.7, 0], [0, 0]]},
-                                        {"s": True}, {"failed": "1"}])
+                                        {"s": True}, {"failed": "1"},
+                                        {"code": 5}])
     def test_scheme_file(self, capsys, tmp_path, change):
         scheme = {"code": "rs53", "s": 1, "failed": 1,
                   "elements": [[0, 0], [0, 0]], **change}
@@ -192,6 +226,22 @@ class TestSearch:
         code, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    def test_json_payload(self, capsys, tmp_path):
+        # the payload agrees with the written scheme file, re-scored
+        out_file = tmp_path / "best.json"
+        code, out, _ = run(capsys, "search", "--code", "rs53", "--node", "2",
+                           "--json", "--out", str(out_file))
+        assert code == 0
+        payload = json.loads(out[out.index("{\n"):])
+        assert payload["manifest"]["outputs"]["scheme"] == str(out_file)
+        assert "normalize_first" not in payload["manifest"]["inputs"]
+        written = json.loads(out_file.read_text())
+        assert payload["best_elements"] == written["elements"]
+        report = gamma_ranks(load_scheme(str(out_file), bundled_code("rs53")))
+        assert report.feasible and report.failed == 2
+        assert payload["report"]["gammas"] == list(report.gammas)
+        assert payload["report"]["total_bits"] == report.total_bits == 10
+
     def test_exhaustive_cap_exit_2(self, capsys):
         code, _, err = run(capsys, "search", "--code", "fb1410", "--node", "1")
         assert code == 2
@@ -224,6 +274,18 @@ class TestReport:
         assert code == 2
         assert "no node*.json" in err
 
+    def test_duplicate_node_exit_2(self, capsys, tmp_path):
+        assert refuses_duplicate(*run(capsys, "report", "--code", "rs53",
+                                      "--scheme-dir", duplicate_dir(tmp_path)))
+
+    def test_out_holds_table(self, capsys, tmp_path):
+        out_file = tmp_path / "table.md"
+        code, out, _ = run(capsys, "report", "--code", "rs53",
+                           "--out", str(out_file))
+        assert code == 0
+        table = out_file.read_text()
+        assert out == table + f"written to {out_file}\n"
+        assert "| 3 |" in table and "mean 10 bits" in table
 
     def test_infeasible_scheme_exit_1(self, capsys, tmp_path):
         scheme_dir = tmp_path / "schemes"
@@ -272,6 +334,16 @@ class TestMisc:
         assert code == 0
         assert "PASS: 0 failure(s)" in out
         assert "FAIL" not in out.replace("0 failure", "")
+
+    def test_selftest_missing_bundled_file(self, capsys, tmp_path, monkeypatch):
+        shutil.copytree(bundled._data(), tmp_path / "data")
+        (tmp_path / "data" / "schemes" / "rs53" / "node2.json").unlink()
+        monkeypatch.setattr(bundled, "_data", lambda: tmp_path / "data")
+        code, out, err = run(capsys, "selftest")
+        assert code == 1 and err == ""
+        assert "FAIL rs53 node 2: feasible at 10 bits" in out
+        assert "ok   rs53 node 3: feasible at 10 bits" in out
+        assert "FAIL: 1 failure(s)" in out
 
     def test_unknown_code_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "--code", "nope",

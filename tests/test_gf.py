@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -58,6 +59,13 @@ class TestConstruction:
             FieldSpec(2, [1, 1, 0, 1, 0])  # not monic
         with pytest.raises(ValueError):
             FieldSpec(2, [1, 1] + [0] * 15 + [1])  # 2^17 too large
+
+    def test_large_prime_refused_before_primality_test(self):
+        # q = p^m >= p, so p = 2^61 - 1 is too large before any trial division
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds"):
+            FieldSpec(2 ** 61 - 1, [1, 1])
+        assert time.perf_counter() - start < 1.0
 
     def test_degree_one_gives_prime_field(self):
         f3 = FieldSpec(3, [1, 1])  # x + 1: root 2, order 2 = q - 1

@@ -1,7 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
-from mdsrepair.bundled import bundled_scheme, bundled_schemes
+from mdsrepair.bundled import (
+    BUNDLED_CODES,
+    GOLDEN_TOTAL_BITS,
+    bundled_scheme,
+    bundled_schemes,
+    load_scheme,
+)
 from mdsrepair.clique import find_repair, generate_clique
 from mdsrepair.codes import CodeSpec, encode
 from mdsrepair.errors import (
@@ -302,16 +310,39 @@ class TestSchemeJson:
         again = scheme_from_json(scheme.to_json(), rs53)
         assert again == scheme
 
-    def test_inline_code(self, rs53):
-        obj = bundled_scheme("rs53", 1).to_json()
-        obj["code"] = rs53.to_json()
-        again = scheme_from_json(obj)
+    @staticmethod
+    def _scheme_file(tmp_path, code_entry):
+        """The rs53 node 1 scheme written with another "code" entry."""
+        path = tmp_path / "scheme.json"
+        path.write_text(json.dumps(
+            {**bundled_scheme("rs53", 1).to_json(), "code": code_entry}))
+        return str(path)
+
+    def test_inline_code(self, rs53, tmp_path):
+        again = load_scheme(self._scheme_file(tmp_path, rs53.to_json()))
         assert again.sub.code == rs53
 
-    def test_named_code_requires_resolution(self):
+    def test_named_code_requires_resolution(self, tmp_path):
         with pytest.raises(ParseError):
-            scheme_from_json({"code": "rs53", "s": 1, "failed": 1,
-                              "elements": [[0, 0], [0, 0]]})
+            load_scheme(self._scheme_file(tmp_path, "mine"))
+
+    def test_unbundled_name_must_match_given_code(self, rs53, tmp_path):
+        path = self._scheme_file(tmp_path, "mine")
+        mine = CodeSpec.from_json({**rs53.to_json(), "name": "mine"})
+        scheme = load_scheme(path, mine)
+        assert scheme.sub.code == mine
+        assert scheme.flat_exps() == bundled_scheme("rs53", 1).flat_exps()
+        with pytest.raises(ParseError, match="'mine', not 'rs53'"):
+            load_scheme(path, rs53)
+
+    def test_bundled_schemes_match_golden(self):
+        for name in BUNDLED_CODES:
+            schemes = bundled_schemes(name)
+            assert list(schemes) == sorted(GOLDEN_TOTAL_BITS[name])
+            for node, scheme in schemes.items():
+                report = gamma_ranks(scheme)
+                assert scheme.failed == node and report.feasible
+                assert report.total_bits == GOLDEN_TOTAL_BITS[name][node]
 
     def test_bad_payload(self, rs53):
         with pytest.raises(ParseError):

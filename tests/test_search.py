@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 
 from mdsrepair.clique import clique_bound, generate_clique
 from mdsrepair.codes import encode
 from mdsrepair.errors import NoFeasibleFound, SearchSpaceTooLarge
-from mdsrepair.repair import SubpacketizationSpec, baselines, recover_node
+from mdsrepair.repair import (SchemeEvaluator, SubpacketizationSpec, baselines,
+                              recover_node)
 from mdsrepair.search import (
     SearchConfig,
     exhaustive_search,
@@ -36,12 +39,14 @@ class TestExhaustive:
             assert result.best_report.total_bw == clique_bound(part, node)
 
     def test_normalization_loses_nothing(self, rs53):
-        # full 15^4 enumeration agrees with the pinned-first-element minimum
+        # the minimum over all 15^4 unpinned tuples is the pinned minimum
         sub = SubpacketizationSpec(rs53, 1)
         pinned = exhaustive_search(SearchConfig(sub, 1))
-        free = exhaustive_search(SearchConfig(sub, 1, normalize_first=False))
-        assert free.evaluated == 15 ** 4
-        assert free.best_report.total_bw == pinned.best_report.total_bw
+        ev = SchemeEvaluator(sub, 1)
+        free = min(total for feasible, total in
+                   map(ev.evaluate, itertools.product(range(15), repeat=4))
+                   if feasible)
+        assert free == pinned.best_report.total_bw
 
     def test_space_cap(self, fb1410):
         with pytest.raises(SearchSpaceTooLarge):
@@ -138,6 +143,4 @@ class TestConfig:
 
     def test_space_size(self, rs53, fb1410):
         assert SearchConfig(SubpacketizationSpec(rs53, 1), 1).space_size == 15 ** 3
-        assert SearchConfig(SubpacketizationSpec(rs53, 1), 1,
-                            normalize_first=False).space_size == 15 ** 4
         assert SearchConfig(SubpacketizationSpec(fb1410, 1), 1).space_size == 255 ** 7
