@@ -177,6 +177,7 @@ def cmd_search(args) -> int:
                  "mode": args.mode, "samples": args.samples, "seed": args.seed},
                 {"scheme": out}),
             "evaluated": result.evaluated,
+            "feasible": result.feasible,
             "proven_optimal": result.proven_optimal,
             "report": _report_json(result.best, report),
             "best_elements": [[e.to_json() for e in row]

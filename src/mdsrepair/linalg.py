@@ -7,12 +7,17 @@ Three representations are used:
   the elimination itself runs on python lists, which beat numpy row
   operations at these sizes;
 * python ints as bit-rows for the GF(2) element rank (`bit_rank`);
+* numpy ``uint16`` arrays of shape (N, rows), one set of packed coordinate
+  rows per line, for the batched GF(2) rank (`bit_rank_batch`) that the
+  search ranks whole candidate chunks with;
 * discrete logs of GF(p^m) elements for the odd-p element rank
   (`zech_rank`), reduced through Zech-logarithm tables.
 
-The last two are the kernels behind ``SubfieldSpec.rank_exps``, which the
-search hot loops rely on.  Matrices here are tiny (at most 16x16 for the
-fields this package supports), so clarity beats asymptotics throughout.
+``bit_rank`` and ``zech_rank`` are the kernels behind
+``SubfieldSpec.rank_exps``, the scalar element rank; ``bit_rank_batch`` is
+its vectorized GF(2) counterpart.  Matrices here are tiny (at most 16x16
+for the fields this package supports), so clarity beats asymptotics
+throughout.
 """
 
 from __future__ import annotations
@@ -34,6 +39,28 @@ def bit_rank(rows) -> int:
                 rank += 1
                 break
     return rank
+
+
+def bit_rank_batch(rows: np.ndarray, m: int) -> np.ndarray:
+    """GF(2) ranks of N sets of bitmask rows at once.
+
+    ``rows`` is an (N, r) array of packed coordinates below 2^m (``uint16``
+    for the fields this package supports); returns the N ranks.  Each step
+    takes the largest row of every set as its pivot.  XORing the pivot into
+    a row clears the pivot's leading bit, and makes the row smaller, exactly
+    when the row holds that bit; so replacing every row by the minimum of
+    itself and its XOR with the pivot is one elimination step, and it turns
+    the pivot into 0.  A set's rank is the number of nonzero pivots, and
+    min(m, r) steps exhaust every set.  The rows are transposed first, so
+    that every step runs over contiguous length-N vectors.
+    """
+    cols = np.array(np.asarray(rows).T, order="C")
+    ranks = np.zeros(cols.shape[1], dtype=np.int64)
+    for _ in range(min(m, len(cols))):
+        pivot = cols.max(axis=0)
+        ranks += pivot != 0
+        np.minimum(cols, cols ^ pivot, out=cols)
+    return ranks
 
 
 def zech_rank(exps, lead_pos, lead_log, zech) -> int:

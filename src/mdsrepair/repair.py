@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -191,14 +192,20 @@ class RepairReport:
         return self.sub.bits(self.total_bw)
 
 
+# total of an infeasible row in ``SchemeEvaluator.evaluate_batch``: above
+# every feasible total, so a minimum over a batch never picks it
+INFEASIBLE = np.iinfo(np.int64).max
+
+
 class SchemeEvaluator:
     """Precomputed tables for evaluating gamma ranks of raw element-exponent
     tuples against one (code, subfield, failed node) context.
 
-    This is the inner loop of the search module: each gamma is one call of
-    the rank kernel ``SubfieldSpec.rank_exps`` on the element x parity
-    products, with the failed node checked first so infeasible tuples are
-    discarded after one rank.
+    ``evaluate`` scores one tuple: each gamma is one call of the scalar rank
+    kernel ``SubfieldSpec.rank_exps`` on the element x parity products, with
+    the failed node checked first so infeasible tuples are discarded after
+    one rank.  ``evaluate_batch`` scores a whole array of tuples, the search
+    module's inner loop; ``evaluate`` stays its oracle.
     """
 
     def __init__(self, sub: SubpacketizationSpec, failed: int):
@@ -227,6 +234,56 @@ class SchemeEvaluator:
             if u != self.failed - 1:
                 total += self._gamma(flat_exps, u)
         return True, total
+
+    @cached_property
+    def _bit_tables(self):
+        """For p = 2: the packed coordinates of z^e for 0 <= e < 2(q-1) as
+        ``uint16``, and per node u the exponent shifts log(P_u * w^t) mod q-1
+        of the batch row layout (slots in parity-major order, each repeated
+        for t < s).  A row exponent plus a shift then indexes the table
+        without a reduction mod q-1."""
+        field = self.sub.code.field
+        exp_table = np.tile(np.array(field.exp_table, dtype=np.uint16), 2)
+        shifts = np.array(
+            [[(pe[l] + off) % (field.q - 1)
+              for l in self.slot_parity for off in self.subfield.offsets]
+             for pe in self.parity_exps], dtype=np.int64)
+        return exp_table, shifts
+
+    def _gammas_batch(self, rows: np.ndarray, nodes: list) -> np.ndarray:
+        """(len(nodes), N) gammas of the (N, slots * s) exponent rows,
+        all blocks ranked in one ``linalg.bit_rank_batch`` call."""
+        exp_table, shifts = self._bit_tables
+        coords = np.empty((len(nodes),) + rows.shape, dtype=exp_table.dtype)
+        for block, u in zip(coords, nodes):
+            np.take(exp_table, rows + shifts[u], out=block)
+        r = linalg.bit_rank_batch(coords.reshape(-1, rows.shape[1]), self.sub.code.field.m)
+        s = self.sub.s
+        bad = r % s != 0
+        if bad.any():
+            raise InvalidMatrix(
+                f"GF(2)-rank {r[bad][0]} is not a multiple of s={s}")
+        return (r // s).reshape(len(nodes), len(rows))
+
+    def evaluate_batch(self, flats: np.ndarray) -> np.ndarray:
+        """Totals of the (N, slots) exponent tuples in ``flats``, with
+        ``INFEASIBLE`` for the infeasible ones.
+
+        For p = 2 the failed node's block is ranked for the whole batch, and
+        the other k-1 blocks only for the feasible rows.  Odd p loops over
+        the rows with ``evaluate``."""
+        flats = np.asarray(flats, dtype=np.int64)
+        if self.sub.code.field.p != 2:
+            return np.array([total if feasible else INFEASIBLE
+                             for feasible, total in map(self.evaluate, flats.tolist())],
+                            dtype=np.int64)
+        rows = np.repeat(flats % (self.sub.code.field.q - 1), self.sub.s, axis=1)
+        failed = self.failed - 1
+        ok = self._gammas_batch(rows, [failed])[0] == self.alpha
+        others = [u for u in range(self.sub.code.k) if u != failed]
+        totals = np.full(len(flats), INFEASIBLE, dtype=np.int64)
+        totals[ok] = self.alpha + self._gammas_batch(rows[ok], others).sum(axis=0)
+        return totals
 
 
 def gamma_ranks(scheme: RepairScheme) -> RepairReport:

@@ -4,21 +4,29 @@ Candidates are tuples of (n-k)*beta nonzero elements, one per downloaded
 equation, in parity-major order.  Scaling every element by one nonzero
 constant leaves all gamma ranks unchanged, so the first element is pinned
 to 1 and only the remaining slots are enumerated or sampled.
-Infeasible tuples (useful block not full rank) are skipped, not scored.
+Infeasible tuples (useful block not full rank) are counted, not scored.
+
+Candidates are produced and scored in chunks of at most ``CHUNK`` tuples,
+as (N, slots) exponent arrays for ``SchemeEvaluator.evaluate_batch``
+(batched GF(2) elimination for p = 2).  Exhaustive chunks are slices of
+the flat index range read in mixed radix q-1, which is lexicographic order.
 
 Random draws use the stdlib Mersenne Twister (``random.Random(seed)``),
 one ``randrange(q-1)`` exponent per free slot in slot order, so a run is
-reproducible from its seed on any platform.
+reproducible from its seed on any platform.  The draws are taken in bulk
+(``_draw``) but are identical to that stdlib stream.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NoFeasibleFound, SearchSpaceTooLarge
 from .repair import (
+    INFEASIBLE,
     RepairReport,
     RepairScheme,
     SchemeEvaluator,
@@ -27,6 +35,8 @@ from .repair import (
 )
 
 EXHAUSTIVE_CAP = 10 ** 8
+# candidates scored per batch: bounds the working arrays' memory
+CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -64,6 +74,7 @@ class SearchResult:
     best: RepairScheme
     best_report: RepairReport
     evaluated: int
+    feasible: int
     proven_optimal: bool
 
 
@@ -76,31 +87,36 @@ def _scheme_from_flat(cfg: SearchConfig, flat_exps) -> RepairScheme:
     return RepairScheme(cfg.sub, cfg.failed, elements)
 
 
-def _run(cfg: SearchConfig, candidates, proven: bool) -> SearchResult:
-    """Evaluate candidate exponent tuples, keeping the feasible minimum.
+def _run(cfg: SearchConfig, count: int, tails, proven: bool) -> SearchResult:
+    """Score ``count`` candidates in stream order, ``CHUNK`` at a time,
+    keeping the feasible minimum; ``tails(start, n)`` gives the free slots
+    of candidates start .. start+n-1 as an (n, free_slots) array.
 
-    Candidates arrive in a deterministic order and only strictly better
-    totals replace the incumbent, so with lexicographic enumeration the
-    winner is the lexicographically smallest optimum.  (The min-by-total /
-    first-in-order reduction is associative, so chunked or parallel
-    evaluation would produce the same result.)
+    Each chunk contributes its first minimum, and only strictly better
+    totals replace the incumbent, so the winner is the first optimum in
+    stream order: with lexicographic enumeration, the lexicographically
+    smallest optimum.
     """
     ev = SchemeEvaluator(cfg.sub, cfg.failed)
-    best_total = None
+    best_total = INFEASIBLE
     best_flat = None
-    evaluated = 0
-    for flat in candidates:
-        evaluated += 1
-        feasible, total = ev.evaluate(flat)
-        if feasible and (best_total is None or total < best_total):
-            best_total = total
-            best_flat = flat
+    feasible = 0
+    for start in range(0, count, CHUNK):
+        n = min(CHUNK, count - start)
+        flats = np.zeros((n, cfg.slots), dtype=np.int64)
+        flats[:, 1:] = tails(start, n)
+        totals = ev.evaluate_batch(flats)
+        feasible += int(np.count_nonzero(totals != INFEASIBLE))
+        i = int(totals.argmin())
+        if totals[i] < best_total:
+            best_total = totals[i]
+            best_flat = flats[i].tolist()
     if best_flat is None:
         raise NoFeasibleFound(
-            f"no feasible scheme among {evaluated} candidates "
+            f"no feasible scheme among {count} candidates "
             f"(naive repair at {cfg.sub.file_size} symbols always remains available)")
     best = _scheme_from_flat(cfg, best_flat)
-    return SearchResult(best, gamma_ranks(best), evaluated, proven)
+    return SearchResult(best, gamma_ranks(best), count, feasible, proven)
 
 
 def exhaustive_search(cfg: SearchConfig) -> SearchResult:
@@ -110,9 +126,36 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
         raise SearchSpaceTooLarge(
             f"{cfg.space_size} candidates exceed the cap {EXHAUSTIVE_CAP}")
     q1 = cfg.sub.code.field.q - 1
-    candidates = ((0,) + tail
-                  for tail in itertools.product(range(q1), repeat=cfg.free_slots))
-    return _run(cfg, candidates, proven=True)
+    # place values of the free slots, most significant first
+    places = q1 ** np.arange(cfg.free_slots - 1, -1, -1, dtype=np.int64)
+
+    def tails(start, n):
+        return np.arange(start, start + n, dtype=np.int64)[:, None] // places % q1
+
+    return _run(cfg, cfg.space_size, tails, proven=True)
+
+
+def _draw(rng: random.Random, q1: int, count: int) -> np.ndarray:
+    """``[rng.randrange(q1) for _ in range(count)]`` as an array, drawn in bulk.
+
+    ``randrange(q1)`` takes the top ``q1.bit_length()`` bits of one 32-bit
+    Mersenne Twister word and rejects values >= q1, drawing again;
+    ``getrandbits(32 * n)`` returns n such words, the first as the least
+    significant.  Every value takes at least one word, so asking for as many
+    words as values are still missing never reads past the stdlib stream.
+    """
+    shift = 32 - q1.bit_length()
+    parts = [np.zeros(0, dtype=np.int64)]
+    missing = count
+    while missing:
+        words = np.frombuffer(
+            rng.getrandbits(32 * missing).to_bytes(4 * missing, "little"),
+            dtype="<u4").astype(np.int64)
+        values = words >> shift
+        values = values[values < q1]
+        parts.append(values)
+        missing -= len(values)
+    return np.concatenate(parts)
 
 
 def random_search(cfg: SearchConfig) -> SearchResult:
@@ -124,8 +167,7 @@ def random_search(cfg: SearchConfig) -> SearchResult:
     q1 = cfg.sub.code.field.q - 1
     free = cfg.free_slots
 
-    def draws():
-        for _ in range(cfg.samples):
-            yield (0,) + tuple(rng.randrange(q1) for _ in range(free))
+    def tails(start, n):
+        return _draw(rng, q1, n * free).reshape(n, free)
 
-    return _run(cfg, draws(), proven=False)
+    return _run(cfg, cfg.samples, tails, proven=False)

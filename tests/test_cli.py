@@ -6,7 +6,8 @@ import pytest
 from mdsrepair import bundled
 from mdsrepair.bundled import bundled_code, bundled_scheme_dir, load_scheme
 from mdsrepair.cli import main
-from mdsrepair.repair import gamma_ranks
+from mdsrepair.repair import SubpacketizationSpec, gamma_ranks
+from mdsrepair.search import SearchConfig, exhaustive_search
 
 
 def run(capsys, *argv):
@@ -241,6 +242,10 @@ class TestSearch:
         assert report.feasible and report.failed == 2
         assert payload["report"]["gammas"] == list(report.gammas)
         assert payload["report"]["total_bits"] == report.total_bits == 10
+        sub = SubpacketizationSpec(bundled_code("rs53"), 1)
+        exhaustive = exhaustive_search(SearchConfig(sub, 2))
+        assert payload["feasible"] == exhaustive.feasible
+        assert payload["evaluated"] == exhaustive.evaluated == 15 ** 3
 
     def test_exhaustive_cap_exit_2(self, capsys):
         code, _, err = run(capsys, "search", "--code", "fb1410", "--node", "1")

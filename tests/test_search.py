@@ -1,17 +1,34 @@
+import contextlib
 import itertools
+import random
 
+import numpy as np
 import pytest
 
+from mdsrepair import linalg, search
 from mdsrepair.clique import clique_bound, generate_clique
 from mdsrepair.codes import encode
-from mdsrepair.errors import NoFeasibleFound, SearchSpaceTooLarge
-from mdsrepair.repair import (SchemeEvaluator, SubpacketizationSpec, baselines,
-                              recover_node)
+from mdsrepair.errors import InvalidMatrix, NoFeasibleFound, SearchSpaceTooLarge
+from mdsrepair.repair import (INFEASIBLE, SchemeEvaluator, SubpacketizationSpec,
+                              baselines, recover_node)
 from mdsrepair.search import (
     SearchConfig,
     exhaustive_search,
     random_search,
 )
+
+
+def _record_chunks(monkeypatch):
+    """Keep every chunk the search hands to the evaluator."""
+    seen = []
+    batch = SchemeEvaluator.evaluate_batch
+
+    def recording(self, flats):
+        seen.append(np.array(flats))
+        return batch(self, flats)
+
+    monkeypatch.setattr(SchemeEvaluator, "evaluate_batch", recording)
+    return seen
 
 
 class TestExhaustive:
@@ -67,6 +84,22 @@ class TestExhaustive:
             for node in range(1, code.k + 1):
                 result = exhaustive_search(SearchConfig(sub, node))
                 assert result.best_report.total_bw >= baselines(sub)[1]
+
+    def test_feasible_count_matches_brute_count(self, rs53):
+        sub = SubpacketizationSpec(rs53, 1)
+        result = exhaustive_search(SearchConfig(sub, 2))
+        ev = SchemeEvaluator(sub, 2)
+        brute = sum(ev.evaluate((0,) + tail)[0]
+                    for tail in itertools.product(range(15), repeat=3))
+        assert result.evaluated == 15 ** 3
+        assert result.feasible == brute
+
+    def test_lexicographic_chunks(self, rs64, monkeypatch):
+        seen = _record_chunks(monkeypatch)
+        exhaustive_search(SearchConfig(SubpacketizationSpec(rs64, 1), 1))
+        tails = list(itertools.product(range(15), repeat=3))
+        assert np.vstack(seen).tolist() == [[0, *t] for t in tails]
+        assert max(len(c) for c in seen) <= search.CHUNK
 
     def test_best_scheme_recovers(self, rs53, f16, rng):
         result = exhaustive_search(SearchConfig(SubpacketizationSpec(rs53, 1), 2))
@@ -130,6 +163,80 @@ class TestRandom:
         got = recover_node(cw, result.best)
         assert got.element == cw[6]
         assert got.total_bits == result.best_report.total_bits
+
+
+class TestStream:
+    @pytest.mark.parametrize("q1", [2, 4, 8, 15, 80, 255])
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_bulk_draw_is_the_stdlib_stream(self, q1, seed):
+        for count in (0, 1, 7 * 1030, 3 * search.CHUNK + 5):
+            rng, ref = random.Random(seed), random.Random(seed)
+            got = search._draw(rng, q1, count)
+            assert got.tolist() == [ref.randrange(q1) for _ in range(count)]
+            # no word drawn beyond what randrange used
+            assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("samples", [1, search.CHUNK + 13])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_search_candidates_are_the_stdlib_stream(self, fb1410, monkeypatch,
+                                                     samples, seed):
+        seen = _record_chunks(monkeypatch)
+        # a single sample may well be infeasible; the stream is still drawn
+        with contextlib.suppress(NoFeasibleFound):
+            random_search(SearchConfig(SubpacketizationSpec(fb1410, 1), 3,
+                                       mode="random", samples=samples, seed=seed))
+        rng = random.Random(seed)
+        ref = [[0] + [rng.randrange(255) for _ in range(7)] for _ in range(samples)]
+        assert np.vstack(seen).tolist() == ref
+
+    def test_criterion_9_stream(self, fb1410):
+        # the frozen winner of the 100k-sample fb1410 node-1 search, seed 0
+        result = random_search(SearchConfig(SubpacketizationSpec(fb1410, 1), 1,
+                                            mode="random", samples=100_000, seed=0))
+        assert result.best.flat_exps() == [0, 101, 162, 222, 104, 87, 11, 80]
+        assert result.best_report.total_bits == 65
+
+
+class TestBatch:
+    @pytest.mark.parametrize("name, s", [
+        ("fb1410", 1), ("fb1410", 2), ("rs53", 1), ("rs64", 1), ("rs64", 2),
+        ("rs64_gf81", 1)])
+    def test_batch_matches_scalar(self, request, name, s):
+        code = request.getfixturevalue(name)
+        sub = SubpacketizationSpec(code, s)
+        q1 = code.field.q - 1
+        draw = random.Random(f"{name}:{s}")
+        for failed in (1, code.k):
+            ev = SchemeEvaluator(sub, failed)
+            flats = [[draw.randrange(q1) for _ in range(code.r * sub.beta)]
+                     for _ in range(2000)]
+            want = [total if feasible else INFEASIBLE
+                    for feasible, total in map(ev.evaluate, flats)]
+            assert ev.evaluate_batch(np.array(flats)).tolist() == want
+            assert INFEASIBLE in want and min(want) < INFEASIBLE
+
+    def test_small_chunks_same_winners(self, rs53, rs64, fb1410, monkeypatch):
+        cfgs = [SearchConfig(SubpacketizationSpec(code, s), node)
+                for code, s in ((rs53, 1), (rs64, 1), (rs64, 2))
+                for node in range(1, code.k + 1)]
+        cfgs.append(SearchConfig(SubpacketizationSpec(fb1410, 1), 2,
+                                 mode="random", samples=300, seed=9))
+
+        def outcome(cfg):
+            run = exhaustive_search if cfg.mode == "exhaustive" else random_search
+            res = run(cfg)
+            return res.best.flat_exps(), res.best_report, res.evaluated, res.feasible
+
+        before = [outcome(cfg) for cfg in cfgs]
+        monkeypatch.setattr(search, "CHUNK", 7)
+        assert [outcome(cfg) for cfg in cfgs] == before
+
+    def test_rank_not_multiple_of_s_rejected(self, rs64, monkeypatch):
+        monkeypatch.setattr(linalg, "bit_rank_batch",
+                            lambda rows, m: np.full(len(rows), 3))
+        ev = SchemeEvaluator(SubpacketizationSpec(rs64, 2), 1)
+        with pytest.raises(InvalidMatrix):
+            ev.evaluate_batch(np.array([[0, 1], [2, 3]]))
 
 
 class TestConfig:
