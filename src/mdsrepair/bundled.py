@@ -115,9 +115,12 @@ def load_scheme(path: str, code: CodeSpec | None = None) -> RepairScheme:
         own = code
     if code is None:
         code = own
-    elif ((own.n, own.k, own.field, own.parity)
-          != (code.n, code.k, code.field, code.parity)):
-        raise ParseError(f"{path}: scheme is for {own!r}, not {code!r}")
+    else:
+        differs = next((a for a in ("n", "k", "field", "parity")
+                        if getattr(own, a) != getattr(code, a)), None)
+        if differs:
+            raise ParseError(f"{path}: scheme is for {own!r}, not {code!r} "
+                             f"(the codes differ in {differs})")
     return scheme_from_json(obj, code)
 
 

@@ -41,6 +41,8 @@ class CodeSpec:
     def __post_init__(self):
         if not 0 < self.k < self.n:
             raise ValueError(f"need 0 < k < n, got ({self.n},{self.k})")
+        if self.name is not None and not isinstance(self.name, str):
+            raise ValueError(f"code name must be a string or null, got {self.name!r}")
         parity = tuple(tuple(row) for row in self.parity)
         object.__setattr__(self, "parity", parity)
         if len(parity) != self.k or any(len(r) != self.n - self.k for r in parity):

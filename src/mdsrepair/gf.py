@@ -15,12 +15,14 @@ element acts on those vectors through an m x m matrix over GF(p)
 (``operator``, a power of the companion matrix of P), and sets of elements
 have a well-defined rank over any intermediate subfield GF(p^s)
 (``rank_over_subfield``).  Coordinates, vectors and operators all read one
-q x m table, ``FieldSpec.coords_table``, built once per field.  Every
-element-level rank goes through one kernel, ``SubfieldSpec.rank_exps``: a
-bitmask basis for p = 2, otherwise a basis kept in the log domain and
-reduced through Zech-logarithm tables (``FieldSpec.zech``), so no element
-is expanded to coordinates.  Coordinate elimination mod p (``linalg``)
-runs only on the explicit-matrix route.
+q x m table, ``FieldSpec.coords_table``, built once per field.  The
+element-level rank is ``SubfieldSpec.rank_exps``: a bitmask basis for
+p = 2, otherwise a basis kept in the log domain and reduced through
+Zech-logarithm tables (``FieldSpec.zech``), so no element is expanded to
+coordinates.  Only the search's p = 2 candidate scoring bypasses it, with
+the batched ``linalg.bit_rank_batch`` (see ``repair.SchemeEvaluator``).
+Coordinate elimination mod p (``linalg``) runs only on the explicit-matrix
+route.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Dense linear algebra over prime fields GF(p).
 
-Three representations are used:
+Four representations are used:
 
 * numpy int64 arrays with entries reduced mod p, for the general routines
   (echelon form, rank, solving) that the explicit-matrix repair route uses;
@@ -9,7 +9,7 @@ Three representations are used:
 * python ints as bit-rows for the GF(2) element rank (`bit_rank`);
 * numpy ``uint16`` arrays of shape (N, rows), one set of packed coordinate
   rows per line, for the batched GF(2) rank (`bit_rank_batch`) that the
-  search ranks whole candidate chunks with;
+  p = 2 search ranks whole candidate chunks with;
 * discrete logs of GF(p^m) elements for the odd-p element rank
   (`zech_rank`), reduced through Zech-logarithm tables.
 

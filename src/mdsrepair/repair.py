@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -201,11 +200,13 @@ class SchemeEvaluator:
     """Precomputed tables for evaluating gamma ranks of raw element-exponent
     tuples against one (code, subfield, failed node) context.
 
-    ``evaluate`` scores one tuple: each gamma is one call of the scalar rank
-    kernel ``SubfieldSpec.rank_exps`` on the element x parity products, with
-    the failed node checked first so infeasible tuples are discarded after
-    one rank.  ``evaluate_batch`` scores a whole array of tuples, the search
-    module's inner loop; ``evaluate`` stays its oracle.
+    ``evaluate_batch`` is the one scoring policy, the search module's inner
+    loop: the failed node's block is ranked for the whole batch, and the
+    other k-1 blocks only for the feasible rows.  Only its rank kernel
+    depends on p: one ``linalg.bit_rank_batch`` call over all blocks for
+    p = 2, one ``SubfieldSpec.rank_exps`` call per block otherwise.
+    ``gammas`` ranks one tuple with ``rank_exps``; ``evaluate`` builds on it
+    and is the oracle of ``evaluate_batch`` in the tests.
     """
 
     def __init__(self, sub: SubpacketizationSpec, failed: int):
@@ -213,52 +214,41 @@ class SchemeEvaluator:
         self.failed = failed
         self.alpha = sub.alpha
         self.subfield = sub.subfield
-        self.parity_exps = sub.code.parity_exps()
-        # flat slot index -> parity column, parity-major like flat_exps()
-        self.slot_parity = [l for l in range(sub.code.r) for _ in range(sub.beta)]
-
-    def _gamma(self, flat_exps, u: int) -> int:
-        pe = self.parity_exps[u]
-        return self.subfield.rank_exps(
-            [e + pe[l] for e, l in zip(flat_exps, self.slot_parity)])
+        field = sub.code.field
+        # shifts[u] = log(P_u * w^t) mod q-1 in the batch row layout: slots
+        # in parity-major order like flat_exps(), each repeated for t < s
+        pe = np.repeat(np.array(sub.code.parity_exps(), dtype=np.int64), sub.beta, axis=1)
+        self.shifts = (pe[:, :, None] + self.subfield.offsets).reshape(
+            sub.code.k, -1) % (field.q - 1)
+        # p = 2: packed coordinates of z^e for 0 <= e < 2(q-1), so a reduced
+        # exponent plus a shift indexes it without a reduction mod q-1
+        self.exp_table = (np.tile(np.array(field.exp_table, dtype=np.uint16), 2)
+                          if field.p == 2 else None)
 
     def gammas(self, flat_exps) -> tuple:
-        return tuple(self._gamma(flat_exps, u) for u in range(self.sub.code.k))
+        rows = np.asarray(flat_exps, dtype=np.int64) + self.shifts[:, ::self.sub.s]
+        return tuple(map(self.subfield.rank_exps, rows.tolist()))
 
     def evaluate(self, flat_exps):
         """(feasible, total).  total is None for infeasible tuples."""
-        if self._gamma(flat_exps, self.failed - 1) != self.alpha:
+        gammas = self.gammas(flat_exps)
+        if gammas[self.failed - 1] != self.alpha:
             return False, None
-        total = self.alpha
-        for u in range(self.sub.code.k):
-            if u != self.failed - 1:
-                total += self._gamma(flat_exps, u)
-        return True, total
-
-    @cached_property
-    def _bit_tables(self):
-        """For p = 2: the packed coordinates of z^e for 0 <= e < 2(q-1) as
-        ``uint16``, and per node u the exponent shifts log(P_u * w^t) mod q-1
-        of the batch row layout (slots in parity-major order, each repeated
-        for t < s).  A row exponent plus a shift then indexes the table
-        without a reduction mod q-1."""
-        field = self.sub.code.field
-        exp_table = np.tile(np.array(field.exp_table, dtype=np.uint16), 2)
-        shifts = np.array(
-            [[(pe[l] + off) % (field.q - 1)
-              for l in self.slot_parity for off in self.subfield.offsets]
-             for pe in self.parity_exps], dtype=np.int64)
-        return exp_table, shifts
+        return True, sum(gammas)
 
     def _gammas_batch(self, rows: np.ndarray, nodes: list) -> np.ndarray:
-        """(len(nodes), N) gammas of the (N, slots * s) exponent rows,
-        all blocks ranked in one ``linalg.bit_rank_batch`` call."""
-        exp_table, shifts = self._bit_tables
-        coords = np.empty((len(nodes),) + rows.shape, dtype=exp_table.dtype)
-        for block, u in zip(coords, nodes):
-            np.take(exp_table, rows + shifts[u], out=block)
-        r = linalg.bit_rank_batch(coords.reshape(-1, rows.shape[1]), self.sub.code.field.m)
+        """(len(nodes), N) gammas of the (N, slots * s) reduced exponent rows
+        of the batch layout."""
         s = self.sub.s
+        if self.exp_table is None:
+            gammas = [list(map(self.subfield.rank_exps,
+                               (rows[:, ::s] + self.shifts[u, ::s]).tolist()))
+                      for u in nodes]
+            return np.array(gammas, dtype=np.int64).reshape(len(nodes), len(rows))
+        coords = np.empty((len(nodes),) + rows.shape, dtype=np.uint16)
+        for block, u in zip(coords, nodes):
+            np.take(self.exp_table, rows + self.shifts[u], out=block)
+        r = linalg.bit_rank_batch(coords.reshape(-1, rows.shape[1]), self.sub.code.field.m)
         bad = r % s != 0
         if bad.any():
             raise InvalidMatrix(
@@ -267,21 +257,13 @@ class SchemeEvaluator:
 
     def evaluate_batch(self, flats: np.ndarray) -> np.ndarray:
         """Totals of the (N, slots) exponent tuples in ``flats``, with
-        ``INFEASIBLE`` for the infeasible ones.
-
-        For p = 2 the failed node's block is ranked for the whole batch, and
-        the other k-1 blocks only for the feasible rows.  Odd p loops over
-        the rows with ``evaluate``."""
-        flats = np.asarray(flats, dtype=np.int64)
-        if self.sub.code.field.p != 2:
-            return np.array([total if feasible else INFEASIBLE
-                             for feasible, total in map(self.evaluate, flats.tolist())],
-                            dtype=np.int64)
-        rows = np.repeat(flats % (self.sub.code.field.q - 1), self.sub.s, axis=1)
+        ``INFEASIBLE`` for the infeasible ones."""
+        flats = np.asarray(flats, dtype=np.int64) % (self.sub.code.field.q - 1)
+        rows = np.repeat(flats, self.sub.s, axis=1)
         failed = self.failed - 1
         ok = self._gammas_batch(rows, [failed])[0] == self.alpha
         others = [u for u in range(self.sub.code.k) if u != failed]
-        totals = np.full(len(flats), INFEASIBLE, dtype=np.int64)
+        totals = np.full(len(rows), INFEASIBLE, dtype=np.int64)
         totals[ok] = self.alpha + self._gammas_batch(rows[ok], others).sum(axis=0)
         return totals
 

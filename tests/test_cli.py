@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +33,7 @@ def duplicate_dir(tmp_path):
     """A scheme directory holding the rs53 node 1 scheme twice."""
     d = tmp_path / "dup"
     d.mkdir()
-    text = open(bundled_scheme_dir("rs53") + "/node1.json").read()
+    text = Path(bundled_scheme_dir("rs53"), "node1.json").read_text()
     for name in ("node1.json", "node2.json"):
         (d / name).write_text(text)
     return str(d)
@@ -88,7 +89,7 @@ class TestVerify:
 
     def test_inline_code_mismatch_exit_2(self, capsys, tmp_path):
         # an rs64 scheme carrying its code inline is not an rs53 scheme
-        scheme = json.loads(open(bundled_scheme_dir("rs64") + "/node1.json").read())
+        scheme = json.loads(Path(bundled_scheme_dir("rs64"), "node1.json").read_text())
         scheme["code"] = bundled_code("rs64").to_json()
         p = tmp_path / "inline.json"
         p.write_text(json.dumps(scheme))
@@ -98,7 +99,7 @@ class TestVerify:
         assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_inline_code_match_ignores_name(self, capsys, tmp_path):
-        scheme = json.loads(open(bundled_scheme_dir("rs53") + "/node1.json").read())
+        scheme = json.loads(Path(bundled_scheme_dir("rs53"), "node1.json").read_text())
         scheme["code"] = {**bundled_code("rs53").to_json(), "name": "mine"}
         p = tmp_path / "inline.json"
         p.write_text(json.dumps(scheme))
@@ -247,6 +248,16 @@ class TestSearch:
         assert payload["feasible"] == exhaustive.feasible
         assert payload["evaluated"] == exhaustive.evaluated == 15 ** 3
 
+    def test_non_string_code_name_exit_2(self, capsys, tmp_path):
+        # a name that is not a string would be written as an unreadable
+        # "code" entry of the scheme file
+        out_file = tmp_path / "w.json"
+        code, out, err = run(capsys, "search", "--code", code_file(tmp_path, {"n": 5}),
+                             "--node", "1", "--out", str(out_file))
+        assert code == 2 and out == ""
+        assert one_error_line(err) and "name" in err
+        assert not out_file.exists()
+
     def test_exhaustive_cap_exit_2(self, capsys):
         code, _, err = run(capsys, "search", "--code", "fb1410", "--node", "1")
         assert code == 2
@@ -298,7 +309,7 @@ class TestReport:
         (scheme_dir / "node1.json").write_text(json.dumps(
             {"code": "rs53", "s": 1, "failed": 1, "elements": [[0, 0], [0, 0]]}))
         (scheme_dir / "node2.json").write_text(
-            open(bundled_scheme_dir("rs53") + "/node2.json").read())
+            Path(bundled_scheme_dir("rs53"), "node2.json").read_text())
         code, out, err = run(capsys, "report", "--code", "rs53",
                              "--scheme-dir", str(scheme_dir))
         assert code == 1

@@ -4,6 +4,8 @@ The element route (``gamma_ranks``, ranked by ``SubfieldSpec.rank_exps``)
 and the explicit-matrix route (``realize_matrices`` +
 ``gamma_ranks_matrix`` and ``recover_node``, eliminated by
 ``linalg.rref_mod_p``) share no rank code, so each checks the other.
+The batched scorer ``SchemeEvaluator.evaluate_batch`` is checked against
+the matrix route too.
 """
 
 from hypothesis import given, settings
@@ -12,7 +14,9 @@ from hypothesis import strategies as st
 from mdsrepair.codes import encode, rs_systematic
 from mdsrepair.gf import FieldSpec
 from mdsrepair.repair import (
+    INFEASIBLE,
     RepairScheme,
+    SchemeEvaluator,
     SubpacketizationSpec,
     gamma_ranks,
     gamma_ranks_matrix,
@@ -55,6 +59,8 @@ def test_routes_agree(scheme, data):
     reference = field.coords_table[data.draw(st.integers(1, field.q - 1))]
     report = gamma_ranks(scheme)
     assert gamma_ranks_matrix(sub, failed, realize_matrices(scheme, reference)) == report
+    batch = SchemeEvaluator(sub, failed).evaluate_batch([scheme.flat_exps()])
+    assert batch.tolist() == [report.total_bw if report.feasible else INFEASIBLE]
     if not report.feasible:
         return
     message = [field.element(data.draw(st.integers(0, field.q - 2)))

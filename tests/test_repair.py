@@ -6,6 +6,7 @@ import pytest
 from mdsrepair.bundled import (
     BUNDLED_CODES,
     GOLDEN_TOTAL_BITS,
+    bundled_code,
     bundled_scheme,
     bundled_schemes,
     load_scheme,
@@ -333,6 +334,17 @@ class TestSchemeJson:
         assert scheme.sub.code == mine
         assert scheme.flat_exps() == bundled_scheme("rs53", 1).flat_exps()
         with pytest.raises(ParseError, match="'mine', not 'rs53'"):
+            load_scheme(path, rs53)
+
+    @pytest.mark.parametrize("differs, edit", [
+        ("n", lambda c: {**bundled_code("rs64").to_json(), "name": "rs53"}),
+        ("field", lambda c: {**c, "field": {"p": 2, "poly": [1, 0, 0, 1, 1]}}),
+        ("parity", lambda c: {**c, "parity": [row[:-1] + [1] for row in c["parity"]]}),
+    ])
+    def test_mismatch_names_the_difference(self, rs53, tmp_path, differs, edit):
+        # the two codes share a name, so their reprs alone would read alike
+        path = self._scheme_file(tmp_path, edit(rs53.to_json()))
+        with pytest.raises(ParseError, match=f"differ in {differs}\\)$"):
             load_scheme(path, rs53)
 
     def test_bundled_schemes_match_golden(self):

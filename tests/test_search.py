@@ -31,6 +31,13 @@ def _record_chunks(monkeypatch):
     return seen
 
 
+def _outcome(cfg):
+    """What a search reports: winner, its report, evaluated and feasible."""
+    run = exhaustive_search if cfg.mode == "exhaustive" else random_search
+    res = run(cfg)
+    return res.best.flat_exps(), res.best_report, res.evaluated, res.feasible
+
+
 class TestExhaustive:
     def test_53_optimum_all_nodes(self, rs53):
         sub = SubpacketizationSpec(rs53, 1)
@@ -200,7 +207,7 @@ class TestStream:
 class TestBatch:
     @pytest.mark.parametrize("name, s", [
         ("fb1410", 1), ("fb1410", 2), ("rs53", 1), ("rs64", 1), ("rs64", 2),
-        ("rs64_gf81", 1)])
+        ("rs64_gf81", 1), ("rs64_gf81", 2)])
     def test_batch_matches_scalar(self, request, name, s):
         code = request.getfixturevalue(name)
         sub = SubpacketizationSpec(code, s)
@@ -215,6 +222,19 @@ class TestBatch:
             assert ev.evaluate_batch(np.array(flats)).tolist() == want
             assert INFEASIBLE in want and min(want) < INFEASIBLE
 
+    def test_odd_p_search_never_calls_evaluate(self, rs64_gf81, monkeypatch):
+        cfgs = [SearchConfig(SubpacketizationSpec(rs64_gf81, 2), 1),
+                SearchConfig(SubpacketizationSpec(rs64_gf81, 1), 2,
+                             mode="random", samples=1500, seed=3)]
+
+        before = list(map(_outcome, cfgs))
+
+        def refuse(self, flat_exps):
+            raise AssertionError("search scored a candidate with evaluate")
+
+        monkeypatch.setattr(SchemeEvaluator, "evaluate", refuse)
+        assert list(map(_outcome, cfgs)) == before
+
     def test_small_chunks_same_winners(self, rs53, rs64, fb1410, monkeypatch):
         cfgs = [SearchConfig(SubpacketizationSpec(code, s), node)
                 for code, s in ((rs53, 1), (rs64, 1), (rs64, 2))
@@ -222,14 +242,9 @@ class TestBatch:
         cfgs.append(SearchConfig(SubpacketizationSpec(fb1410, 1), 2,
                                  mode="random", samples=300, seed=9))
 
-        def outcome(cfg):
-            run = exhaustive_search if cfg.mode == "exhaustive" else random_search
-            res = run(cfg)
-            return res.best.flat_exps(), res.best_report, res.evaluated, res.feasible
-
-        before = [outcome(cfg) for cfg in cfgs]
+        before = list(map(_outcome, cfgs))
         monkeypatch.setattr(search, "CHUNK", 7)
-        assert [outcome(cfg) for cfg in cfgs] == before
+        assert list(map(_outcome, cfgs)) == before
 
     def test_rank_not_multiple_of_s_rejected(self, rs64, monkeypatch):
         monkeypatch.setattr(linalg, "bit_rank_batch",
