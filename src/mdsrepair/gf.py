@@ -19,8 +19,10 @@ q x m table, ``FieldSpec.coords_table``, built once per field.  The
 element-level rank is ``SubfieldSpec.rank_exps``: a bitmask basis for
 p = 2, otherwise a basis kept in the log domain and reduced through
 Zech-logarithm tables (``FieldSpec.zech``), so no element is expanded to
-coordinates.  Only the search's p = 2 candidate scoring bypasses it, with
-the batched ``linalg.bit_rank_batch`` (see ``repair.SchemeEvaluator``).
+coordinates.  Only the search's candidate scoring bypasses it, with the
+batched ``linalg.bit_rank_batch`` for p = 2 and ``linalg.zech_rank_batch``
+on array forms of the Zech tables (``FieldSpec.zech_arrays``) otherwise
+(see ``repair.SchemeEvaluator``).
 Coordinate elimination mod p (``linalg``) runs only on the explicit-matrix
 route.
 """
@@ -162,6 +164,18 @@ class FieldSpec:
         * ``lead_log[x]``: discrete log of that coordinate, a GF(p) scalar
           (the scalar c is packed as index c);
         * ``zech[x]``: log(1 + z^x), None where 1 + z^x = 0.
+
+        ``zech_arrays`` holds the array forms that
+        ``linalg.zech_rank_batch`` reads, in which the log 2(q-1) stands for
+        zero:
+
+        * ``lead[x]`` = lead_pos[x] * 2q + monic[x] for x < 2(q-1), where
+          monic[x] = x - lead_log[x] mod q-1 is the log of z^x scaled to a
+          unit leading digit; -2q at zero;
+        * ``zech``: the zech table repeated to length 5(q-1)/2, so that
+          index 3(q-1)/2 + d holds zech[(q-1)/2 + d mod q-1] for
+          |d| < q-1, then one 0 (log 1); 2(q-1) stands for None;
+        * ``product[x + y]``: the log of z^x * z^y, zero from 2(q-1) on.
         """
         p, q1 = self.p, self.q - 1
         exps = np.array(self.exp_table, dtype=np.int64)
@@ -169,12 +183,22 @@ class FieldSpec:
         logs[exps] = np.arange(q1)
         coords = self.coords_table[exps]
         lead_pos = self.m - 1 - np.argmax(coords[:, ::-1] != 0, axis=1)
-        self.lead_pos = lead_pos.tolist()
-        self.lead_log = logs[coords[np.arange(q1), lead_pos]].tolist()
+        lead_log = logs[coords[np.arange(q1), lead_pos]]
         # adding 1 bumps the constant coordinate (digit 0 of the packed index)
-        zech = logs[exps - coords[:, 0] + (coords[:, 0] + 1) % p].tolist()
-        zech[q1 // 2] = None  # z^((q-1)/2) = -1
-        self.zech = zech
+        zech = logs[exps - coords[:, 0] + (coords[:, 0] + 1) % p]
+        zech[q1 // 2] = 2 * q1  # z^((q-1)/2) = -1, so 1 + z^x = 0
+        self.lead_pos = lead_pos.tolist()
+        self.lead_log = lead_log.tolist()
+        self.zech = zech.tolist()
+        self.zech[q1 // 2] = None
+        lead = lead_pos * 2 * self.q + (np.arange(q1) - lead_log) % q1
+        self.zech_arrays = (
+            np.append(np.tile(lead, 2), -2 * self.q),
+            np.append(np.tile(zech, 3)[:2 * q1 + q1 // 2], 0),
+            np.append(np.arange(2 * q1) % q1, np.full(2 * q1 + 1, 2 * q1)),
+        )
+        for table in self.zech_arrays:
+            table.setflags(write=False)
 
     # -- element constructors ------------------------------------------
 

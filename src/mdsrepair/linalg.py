@@ -1,6 +1,6 @@
 """Dense linear algebra over prime fields GF(p).
 
-Four representations are used:
+Five representations are used:
 
 * numpy int64 arrays with entries reduced mod p, for the general routines
   (echelon form, rank, solving) that the explicit-matrix repair route uses;
@@ -11,13 +11,17 @@ Four representations are used:
   rows per line, for the batched GF(2) rank (`bit_rank_batch`) that the
   p = 2 search ranks whole candidate chunks with;
 * discrete logs of GF(p^m) elements for the odd-p element rank
-  (`zech_rank`), reduced through Zech-logarithm tables.
+  (`zech_rank`), reduced through Zech-logarithm tables;
+* numpy int64 arrays of shape (N, rows) of such logs, one set per line,
+  for the batched odd-p rank (`zech_rank_batch`) that the odd-p search
+  ranks whole candidate chunks with, through array forms of the same
+  tables.
 
 ``bit_rank`` and ``zech_rank`` are the kernels behind
-``SubfieldSpec.rank_exps``, the scalar element rank; ``bit_rank_batch`` is
-its vectorized GF(2) counterpart.  Matrices here are tiny (at most 16x16
-for the fields this package supports), so clarity beats asymptotics
-throughout.
+``SubfieldSpec.rank_exps``, the scalar element rank; ``bit_rank_batch`` and
+``zech_rank_batch`` are their vectorized counterparts.  Matrices here are
+tiny (at most 16x16 for the fields this package supports), so clarity
+beats asymptotics throughout.
 """
 
 from __future__ import annotations
@@ -90,6 +94,45 @@ def zech_rank(exps, lead_pos, lead_log, zech) -> int:
                 break
             x = (x + y) % q1
     return len(basis)
+
+
+def zech_rank_batch(logs: np.ndarray, m: int, lead, zech, product) -> np.ndarray:
+    """GF(p) ranks, p odd, of N sets of nonzero elements of GF(p^m) at once.
+
+    ``logs`` is an (N, r) array of discrete logs in [0, q-1); returns the N
+    ranks.  The tables are ``FieldSpec.zech_arrays``, in which the log
+    2(q-1) stands for zero: ``lead[x]`` packs the leading position of z^x
+    above monic[x], the log of z^x scaled to a unit leading digit; ``zech``
+    is log(1 + z^x), offset and tiled so that no index needs a reduction
+    mod q-1; ``product[x + y]`` is the log of z^x * z^y.  This is
+    ``zech_rank``'s elimination, one leading position at a time.  Each step
+    takes the row with the largest ``lead`` of every set, which has the
+    highest leading position, as its pivot, and reduces every row x that
+    shares that position by it:
+
+        z^x -> z^x (1 + z^(log(-1) + monic[pivot] - monic[x])),
+
+    which clears the leading digit and turns the pivot itself into zero.
+    A row with a lower leading position, zero included, reads an index past
+    the end of ``zech``, which clips to its last entry, 0 = log 1, and
+    leaves the row as it is.  A set's rank is the number of nonzero pivots, and
+    min(m, r) steps exhaust every set.  The rows are transposed first, so
+    that every step runs over contiguous length-N vectors.
+    """
+    cols = np.array(np.asarray(logs, dtype=np.int64).T, order="C")
+    ranks = np.zeros(cols.shape[1], dtype=np.int64)
+    q1 = len(product) // 4
+    # zech's index of log(-1) + monic[pivot] - monic[x] is base + pivot -
+    # lead[x]: the lead positions cancel for the rows that share the pivot's
+    base = q1 + q1 // 2
+    for _ in range(min(m, len(cols))):
+        keys = lead[cols]
+        pivot = keys.max(axis=0)
+        ranks += pivot >= 0
+        factor = zech.take((base + pivot) - keys, mode="clip")
+        factor += cols
+        product.take(factor, out=cols)
+    return ranks
 
 
 def rref_mod_p(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

@@ -202,11 +202,12 @@ class SchemeEvaluator:
 
     ``evaluate_batch`` is the one scoring policy, the search module's inner
     loop: the failed node's block is ranked for the whole batch, and the
-    other k-1 blocks only for the feasible rows.  Only its rank kernel
-    depends on p: one ``linalg.bit_rank_batch`` call over all blocks for
-    p = 2, one ``SubfieldSpec.rank_exps`` call per block otherwise.
-    ``gammas`` ranks one tuple with ``rank_exps``; ``evaluate`` builds on it
-    and is the oracle of ``evaluate_batch`` in the tests.
+    other k-1 blocks only for the feasible rows, each time with one rank-
+    kernel call over all blocks.  Only that kernel and its keys depend on
+    p: ``linalg.bit_rank_batch`` on packed coordinates for p = 2,
+    ``linalg.zech_rank_batch`` on discrete logs otherwise.  ``gammas`` ranks
+    one tuple with ``SubfieldSpec.rank_exps``; ``evaluate`` builds on it and
+    is the oracle of ``evaluate_batch`` in the tests.
     """
 
     def __init__(self, sub: SubpacketizationSpec, failed: int):
@@ -220,10 +221,17 @@ class SchemeEvaluator:
         pe = np.repeat(np.array(sub.code.parity_exps(), dtype=np.int64), sub.beta, axis=1)
         self.shifts = (pe[:, :, None] + self.subfield.offsets).reshape(
             sub.code.k, -1) % (field.q - 1)
-        # p = 2: packed coordinates of z^e for 0 <= e < 2(q-1), so a reduced
-        # exponent plus a shift indexes it without a reduction mod q-1
-        self.exp_table = (np.tile(np.array(field.exp_table, dtype=np.uint16), 2)
-                          if field.p == 2 else None)
+        # rank-kernel key of z^e for 0 <= e < 2(q-1), so a reduced exponent
+        # plus a shift indexes it without a reduction mod q-1: the packed
+        # coordinates for p = 2, the reduced log otherwise
+        if field.p == 2:
+            self.key_table = np.tile(np.array(field.exp_table, dtype=np.uint16), 2)
+            self._rank_batch = lambda keys: linalg.bit_rank_batch(keys, field.m)
+        else:
+            # product[e] = e mod q-1 for e < 2(q-1): built once per field
+            self.key_table = field.zech_arrays[-1]
+            self._rank_batch = lambda keys: linalg.zech_rank_batch(
+                keys, field.m, *field.zech_arrays)
 
     def gammas(self, flat_exps) -> tuple:
         rows = np.asarray(flat_exps, dtype=np.int64) + self.shifts[:, ::self.sub.s]
@@ -238,21 +246,16 @@ class SchemeEvaluator:
 
     def _gammas_batch(self, rows: np.ndarray, nodes: list) -> np.ndarray:
         """(len(nodes), N) gammas of the (N, slots * s) reduced exponent rows
-        of the batch layout."""
+        of the batch layout, from one rank-kernel call over all blocks."""
         s = self.sub.s
-        if self.exp_table is None:
-            gammas = [list(map(self.subfield.rank_exps,
-                               (rows[:, ::s] + self.shifts[u, ::s]).tolist()))
-                      for u in nodes]
-            return np.array(gammas, dtype=np.int64).reshape(len(nodes), len(rows))
-        coords = np.empty((len(nodes),) + rows.shape, dtype=np.uint16)
-        for block, u in zip(coords, nodes):
-            np.take(self.exp_table, rows + self.shifts[u], out=block)
-        r = linalg.bit_rank_batch(coords.reshape(-1, rows.shape[1]), self.sub.code.field.m)
+        keys = np.empty((len(nodes),) + rows.shape, dtype=self.key_table.dtype)
+        for block, u in zip(keys, nodes):
+            np.take(self.key_table, rows + self.shifts[u], out=block)
+        r = self._rank_batch(keys.reshape(-1, rows.shape[1]))
         bad = r % s != 0
         if bad.any():
-            raise InvalidMatrix(
-                f"GF(2)-rank {r[bad][0]} is not a multiple of s={s}")
+            raise InvalidMatrix(f"GF({self.sub.code.field.p})-rank {r[bad][0]} "
+                                f"is not a multiple of s={s}")
         return (r // s).reshape(len(nodes), len(rows))
 
     def evaluate_batch(self, flats: np.ndarray) -> np.ndarray:

@@ -8,8 +8,9 @@ Infeasible tuples (useful block not full rank) are counted, not scored.
 
 Candidates are produced and scored in chunks of at most ``CHUNK`` tuples,
 as (N, slots) exponent arrays for ``SchemeEvaluator.evaluate_batch``
-(batched GF(2) elimination for p = 2).  Exhaustive chunks are slices of
-the flat index range read in mixed radix q-1, which is lexicographic order.
+(a batched elimination: over GF(2) for p = 2, in the log domain for odd
+p).  Exhaustive chunks are slices of the flat index range read in mixed
+radix q-1, which is lexicographic order.
 
 Random draws use the stdlib Mersenne Twister (``random.Random(seed)``),
 one ``randrange(q-1)`` exponent per free slot in slot order, so a run is

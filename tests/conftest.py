@@ -45,6 +45,14 @@ def rs64_gf81():
         rs_systematic(f81, [f81.element(i) for i in range(6)], 4, "rs64gf81"))
 
 
+@pytest.fixture(scope="session")
+def rs64_gf15625():
+    # odd characteristic, sixth degree: RS(6,4) over GF(5^6) at z^0..z^5
+    f = FieldSpec(5, [2, 0, 0, 0, 0, 1, 1])
+    return normalize_parity(
+        rs_systematic(f, [f.element(i) for i in range(6)], 4, "rs64gf15625"))
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0DE)

@@ -264,6 +264,45 @@ class TestSearch:
         assert "exceed" in err
 
 
+class TestOddCharacteristic:
+    """RS(6,4) over GF(3^4), from a code file, through the whole CLI."""
+
+    @pytest.fixture
+    def code(self, tmp_path, rs64_gf81):
+        p = tmp_path / "gf81.json"
+        p.write_text(json.dumps(rs64_gf81.to_json()))
+        return str(p)
+
+    def test_clique(self, capsys, code):
+        status, out, _ = run(capsys, "clique", "--code", code, "--json")
+        assert status == 0
+        payload = json.loads(out[out.index("{\n"):])
+        assert payload["cliques"] == [[1], [2, 3], [4]]
+        assert [row["bound"] for row in payload["nodes"]] == [6, 7, 7, 6]
+
+    def test_exhaustive_meets_clique_bound_and_verifies(self, capsys, tmp_path, code):
+        for node, bound in zip(range(1, 5), (6, 7, 7, 6)):
+            scheme = str(tmp_path / f"node{node}.json")
+            status, out, _ = run(capsys, "search", "--code", code, "--node", str(node),
+                                 "--mode", "exhaustive", "-s", "2", "--out", scheme,
+                                 "--json")
+            assert status == 0
+            found = json.loads(out[out.index("{\n"):])["report"]
+            assert found["total_bw"] == bound
+            status, out, _ = run(capsys, "verify", "--code", code, "--scheme", scheme,
+                                 "--json")
+            assert status == 0
+            checked = json.loads(out[out.index("{\n"):])["reports"][0]
+            assert checked["total_bits"] == found["total_bits"]
+
+    def test_random_deterministic(self, capsys, tmp_path, code):
+        args = ("search", "--code", code, "--node", "2", "--mode", "random",
+                "--samples", "3000", "--seed", "7", "--out", str(tmp_path / "s.json"))
+        status, out1, _ = run(capsys, *args)
+        assert status == 0 and "proven optimal: False" in out1
+        assert run(capsys, *args) == (0, out1, "")
+
+
 class TestReport:
     def test_fb_footer(self, capsys):
         code, out, _ = run(capsys, "report", "--code", "fb1410")

@@ -23,7 +23,8 @@ from mdsrepair.gf import (
 from mdsrepair import linalg
 
 # odd-characteristic fields for the log-domain rank kernel
-ODD_FIELDS = [(3, [2, 1, 1]), (3, [2, 0, 0, 1, 1]), (5, [2, 1, 1]), (7, [3, 1, 1])]
+ODD_FIELDS = [(3, [2, 1, 1]), (3, [2, 0, 0, 1, 1]), (5, [2, 1, 1]), (7, [3, 1, 1]),
+              (5, [2, 0, 0, 0, 0, 1, 1])]
 
 
 class TestConstruction:
@@ -359,23 +360,37 @@ class TestRankOverSubfield:
 
     @pytest.mark.parametrize("p, poly", ODD_FIELDS)
     def test_zech_kernel_matches_coordinate_rank(self, p, poly, rng):
-        # the log-domain kernel against elimination of coords_table rows
+        # the log-domain kernels against elimination of coords_table rows:
+        # zech_rank on each set, zech_rank_batch on all sets of a size at once
         field = FieldSpec(p, poly)
         m, q1 = field.m, field.q - 1
         for s in (d for d in range(1, m + 1) if m % d == 0):
             sub = field.subfield(s)
             drawn = [[rng.randrange(q1) for _ in range(rng.randrange(1, m + 3))]
                      for _ in range(200)]
-            # empty, repeated exponents, and the tower basis z^j w^t (full rank)
+            # empty, repeated exponents, the tower basis z^j w^t (full rank),
+            # and sets with a multiple of their first element by a GF(p)
+            # scalar or a subfield element
             cases = [[], [7, 7], *(e + e for e in drawn[:20]), list(range(m // s)),
+                     *([e[0], (e[0] + q1 // (p - 1)) % q1] for e in drawn[:20]),
+                     *(e + [(e[0] + sub.exp_step * len(e)) % q1] for e in drawn[:20]),
                      *drawn]
+            by_size = {}
             for exps in cases:
                 xs = [(e + off) % q1 for e in exps for off in sub.offsets]
                 rows = field.coords_table[[field.exp_table[x] for x in xs]]
                 rank = linalg.zech_rank(xs, field.lead_pos, field.lead_log, field.zech)
                 assert rank == linalg.rank_mod_p(rows.reshape(-1, m), p)
                 assert sub.rank_exps(exps) * s == rank
+                by_size.setdefault(len(xs), []).append((xs, rank))
+            for r, sets in by_size.items():
+                logs = np.array([xs for xs, _ in sets]).reshape(len(sets), r)
+                ranks = linalg.zech_rank_batch(logs, m, *field.zech_arrays)
+                assert ranks.tolist() == [rank for _, rank in sets]
             assert sub.rank_exps(list(range(m // s))) == m // s
+        for n, r in ((0, 3), (4, 0), (0, 0)):
+            logs = np.zeros((n, r), dtype=np.int64)
+            assert linalg.zech_rank_batch(logs, m, *field.zech_arrays).tolist() == [0] * n
 
 
 class TestSubfieldCoords:

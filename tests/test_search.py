@@ -38,6 +38,13 @@ def _outcome(cfg):
     return res.best.flat_exps(), res.best_report, res.evaluated, res.feasible
 
 
+def _odd_p_searches(code):
+    """An exhaustive search at s=2 and a seeded random one at s=1."""
+    return [SearchConfig(SubpacketizationSpec(code, 2), 1),
+            SearchConfig(SubpacketizationSpec(code, 1), 2,
+                         mode="random", samples=1500, seed=3)]
+
+
 class TestExhaustive:
     def test_53_optimum_all_nodes(self, rs53):
         sub = SubpacketizationSpec(rs53, 1)
@@ -207,7 +214,7 @@ class TestStream:
 class TestBatch:
     @pytest.mark.parametrize("name, s", [
         ("fb1410", 1), ("fb1410", 2), ("rs53", 1), ("rs64", 1), ("rs64", 2),
-        ("rs64_gf81", 1), ("rs64_gf81", 2)])
+        ("rs64_gf81", 1), ("rs64_gf81", 2), ("rs64_gf15625", 1), ("rs64_gf15625", 3)])
     def test_batch_matches_scalar(self, request, name, s):
         code = request.getfixturevalue(name)
         sub = SubpacketizationSpec(code, s)
@@ -223,10 +230,7 @@ class TestBatch:
             assert INFEASIBLE in want and min(want) < INFEASIBLE
 
     def test_odd_p_search_never_calls_evaluate(self, rs64_gf81, monkeypatch):
-        cfgs = [SearchConfig(SubpacketizationSpec(rs64_gf81, 2), 1),
-                SearchConfig(SubpacketizationSpec(rs64_gf81, 1), 2,
-                             mode="random", samples=1500, seed=3)]
-
+        cfgs = _odd_p_searches(rs64_gf81)
         before = list(map(_outcome, cfgs))
 
         def refuse(self, flat_exps):
@@ -234,6 +238,21 @@ class TestBatch:
 
         monkeypatch.setattr(SchemeEvaluator, "evaluate", refuse)
         assert list(map(_outcome, cfgs)) == before
+
+    def test_odd_p_search_ranks_in_batches(self, rs64_gf81, monkeypatch):
+        # the scalar kernel ranks only the winner's k blocks (gamma_ranks)
+        calls = []
+        zech_rank = linalg.zech_rank
+
+        def counting(*args):
+            calls.append(args)
+            return zech_rank(*args)
+
+        monkeypatch.setattr(linalg, "zech_rank", counting)
+        for cfg in _odd_p_searches(rs64_gf81):
+            calls.clear()
+            _outcome(cfg)
+            assert 0 < len(calls) <= rs64_gf81.k
 
     def test_small_chunks_same_winners(self, rs53, rs64, fb1410, monkeypatch):
         cfgs = [SearchConfig(SubpacketizationSpec(code, s), node)
@@ -250,6 +269,13 @@ class TestBatch:
         monkeypatch.setattr(linalg, "bit_rank_batch",
                             lambda rows, m: np.full(len(rows), 3))
         ev = SchemeEvaluator(SubpacketizationSpec(rs64, 2), 1)
+        with pytest.raises(InvalidMatrix):
+            ev.evaluate_batch(np.array([[0, 1], [2, 3]]))
+
+    def test_rank_not_multiple_of_s_rejected_odd_p(self, rs64_gf81, monkeypatch):
+        monkeypatch.setattr(linalg, "zech_rank_batch",
+                            lambda logs, *tables: np.full(len(logs), 3))
+        ev = SchemeEvaluator(SubpacketizationSpec(rs64_gf81, 2), 1)
         with pytest.raises(InvalidMatrix):
             ev.evaluate_batch(np.array([[0, 1], [2, 3]]))
 
