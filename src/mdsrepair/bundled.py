@@ -45,13 +45,14 @@ def _data() -> Path:
 
 def _read_json(path, missing: str | None = None) -> dict:
     """The JSON object in a file; ParseError (``missing`` if given) for a
-    missing file, invalid JSON or a value that is not an object."""
+    missing file, text that is not UTF-8, invalid or too deeply nested JSON,
+    or a value that is not an object."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             obj = json.load(f)
     except FileNotFoundError:
         raise ParseError(missing or f"file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}")
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected a JSON object")

@@ -16,13 +16,12 @@ element acts on those vectors through an m x m matrix over GF(p)
 have a well-defined rank over any intermediate subfield GF(p^s)
 (``rank_over_subfield``).  Coordinates, vectors and operators all read one
 q x m table, ``FieldSpec.coords_table``, built once per field.  The
-element-level rank is ``SubfieldSpec.rank_exps``: a bitmask basis for
-p = 2, otherwise a basis kept in the log domain and reduced through
-Zech-logarithm tables (``FieldSpec.zech``), so no element is expanded to
-coordinates.  Only the search's candidate scoring bypasses it, with the
-batched ``linalg.bit_rank_batch`` for p = 2 and ``linalg.zech_rank_batch``
-on array forms of the Zech tables (``FieldSpec.zech_arrays``) otherwise
-(see ``repair.SchemeEvaluator``).
+element rank belongs to ``SubfieldSpec``: ``rank_exps`` ranks one set of
+discrete logs, ``rank_batch`` many sets of kernel keys at once, each with a
+kernel chosen by p, a bitmask basis for p = 2 and a basis kept in the log
+domain otherwise, so no element is expanded to coordinates.  Their tables
+are built once per field: ``FieldSpec.rank_keys`` and, for odd p, the
+Zech-logarithm tables ``FieldSpec.zech_arrays`` and ``zech_lists``.
 Coordinate elimination mod p (``linalg``) runs only on the explicit-matrix
 route.
 """
@@ -153,28 +152,27 @@ class FieldSpec:
         self.coords_table = (
             np.arange(self.q, dtype=np.int64)[:, None] // p ** np.arange(m)) % p
         self.coords_table.setflags(write=False)
-        if p != 2:
+        # rank_keys[e], 0 <= e < 2(q-1), is the batched kernels' key of z^e,
+        # so a log plus a shift needs no reduction mod q-1: the packed
+        # coordinates for p = 2, the reduced log (product) otherwise
+        if p == 2:
+            self.rank_keys = np.tile(np.array(exp_table, dtype=np.uint16), 2)
+            self.rank_keys.setflags(write=False)
+        else:
             self._build_zech_tables()
+            self.rank_keys = self.zech_arrays[-1]
 
     def _build_zech_tables(self) -> None:
-        """Log-domain tables for ``linalg.zech_rank`` (odd p only), indexed
-        by the discrete log x of z^x:
+        """Log-domain tables of ``linalg.zech_rank`` (``zech_lists``, python
+        lists) and ``linalg.zech_rank_batch`` (``zech_arrays``, read-only
+        arrays), odd p only, in which the log 2(q-1) stands for zero:
 
-        * ``lead_pos[x]``: position of the highest nonzero coordinate;
-        * ``lead_log[x]``: discrete log of that coordinate, a GF(p) scalar
-          (the scalar c is packed as index c);
-        * ``zech[x]``: log(1 + z^x), None where 1 + z^x = 0.
-
-        ``zech_arrays`` holds the array forms that
-        ``linalg.zech_rank_batch`` reads, in which the log 2(q-1) stands for
-        zero:
-
-        * ``lead[x]`` = lead_pos[x] * 2q + monic[x] for x < 2(q-1), where
-          monic[x] = x - lead_log[x] mod q-1 is the log of z^x scaled to a
-          unit leading digit; -2q at zero;
-        * ``zech``: the zech table repeated to length 5(q-1)/2, so that
-          index 3(q-1)/2 + d holds zech[(q-1)/2 + d mod q-1] for
-          |d| < q-1, then one 0 (log 1); 2(q-1) stands for None;
+        * ``lead[x]`` = h * 2q + monic[x] for x < 2(q-1), where h is the
+          position of the highest nonzero coordinate of z^x and monic[x] is
+          the log of z^x scaled to a unit leading digit; -2q at zero;
+        * ``zech``: log(1 + z^x) (2(q-1) where 1 + z^x = 0) repeated to
+          length 5(q-1)/2, so that index 3(q-1)/2 + d holds the entry of
+          (q-1)/2 + d mod q-1 for |d| < q-1, then one 0 (log 1);
         * ``product[x + y]``: the log of z^x * z^y, zero from 2(q-1) on.
         """
         p, q1 = self.p, self.q - 1
@@ -187,10 +185,6 @@ class FieldSpec:
         # adding 1 bumps the constant coordinate (digit 0 of the packed index)
         zech = logs[exps - coords[:, 0] + (coords[:, 0] + 1) % p]
         zech[q1 // 2] = 2 * q1  # z^((q-1)/2) = -1, so 1 + z^x = 0
-        self.lead_pos = lead_pos.tolist()
-        self.lead_log = lead_log.tolist()
-        self.zech = zech.tolist()
-        self.zech[q1 // 2] = None
         lead = lead_pos * 2 * self.q + (np.arange(q1) - lead_log) % q1
         self.zech_arrays = (
             np.append(np.tile(lead, 2), -2 * self.q),
@@ -199,6 +193,7 @@ class FieldSpec:
         )
         for table in self.zech_arrays:
             table.setflags(write=False)
+        self.zech_lists = tuple(table.tolist() for table in self.zech_arrays)
 
     # -- element constructors ------------------------------------------
 
@@ -402,7 +397,7 @@ class SubfieldSpec:
     def rank_exps(self, exps) -> int:
         """Dimension over GF(p^s) of the span of the nonzero elements z^e,
         e in exps: the GF(p)-rank of the expanded set {z^e * w^t} for the
-        basis w^0..w^(s-1), divided by s.  This is the one element rank:
+        basis w^0..w^(s-1), divided by s.  This is the scalar element rank:
         ``linalg.bit_rank`` on packed coordinates for p = 2,
         ``linalg.zech_rank`` on the discrete logs otherwise."""
         field = self.field
@@ -414,10 +409,25 @@ class SubfieldSpec:
         else:
             r = linalg.zech_rank(
                 [(e + off) % q1 for e in exps for off in self.offsets],
-                field.lead_pos, field.lead_log, field.zech)
+                *field.zech_lists)
         if r % self.s:
             raise InvalidMatrix(
                 f"GF({field.p})-rank {r} is not a multiple of s={self.s}")
+        return r // self.s
+
+    def rank_batch(self, keys: np.ndarray) -> np.ndarray:
+        """The GF(p^s)-ranks of N sets at once, from an (N, r) array of
+        ``FieldSpec.rank_keys`` entries expanded as in ``rank_exps``:
+        ``linalg.bit_rank_batch`` for p = 2, ``zech_rank_batch`` otherwise."""
+        field = self.field
+        if field.p == 2:
+            r = linalg.bit_rank_batch(keys, field.m)
+        else:
+            r = linalg.zech_rank_batch(keys, field.m, *field.zech_arrays)
+        bad = r % self.s != 0
+        if bad.any():
+            raise InvalidMatrix(
+                f"GF({field.p})-rank {r[bad][0]} is not a multiple of s={self.s}")
         return r // self.s
 
     def __eq__(self, other) -> bool:

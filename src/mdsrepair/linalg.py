@@ -11,17 +11,17 @@ Five representations are used:
   rows per line, for the batched GF(2) rank (`bit_rank_batch`) that the
   p = 2 search ranks whole candidate chunks with;
 * discrete logs of GF(p^m) elements for the odd-p element rank
-  (`zech_rank`), reduced through Zech-logarithm tables;
+  (`zech_rank`), reduced through the field's Zech-logarithm tables;
 * numpy int64 arrays of shape (N, rows) of such logs, one set per line,
   for the batched odd-p rank (`zech_rank_batch`) that the odd-p search
   ranks whole candidate chunks with, through array forms of the same
   tables.
 
 ``bit_rank`` and ``zech_rank`` are the kernels behind
-``SubfieldSpec.rank_exps``, the scalar element rank; ``bit_rank_batch`` and
-``zech_rank_batch`` are their vectorized counterparts.  Matrices here are
-tiny (at most 16x16 for the fields this package supports), so clarity
-beats asymptotics throughout.
+``SubfieldSpec.rank_exps``, the scalar element rank, and ``bit_rank_batch``
+and ``zech_rank_batch`` the ones behind ``SubfieldSpec.rank_batch``.
+Matrices here are tiny (at most 16x16 for the fields this package
+supports), so clarity beats asymptotics throughout.
 """
 
 from __future__ import annotations
@@ -67,32 +67,33 @@ def bit_rank_batch(rows: np.ndarray, m: int) -> np.ndarray:
     return ranks
 
 
-def zech_rank(exps, lead_pos, lead_log, zech) -> int:
+def zech_rank(exps, lead, zech, product) -> int:
     """GF(p) rank, p odd, of the nonzero elements z^x of GF(p^m), x in exps.
 
     The same basis keyed by leading digit as ``bit_rank``, kept in the log
-    domain: the tables are ``FieldSpec``'s (``lead_pos[x]`` and
-    ``lead_log[x]`` give the position and discrete log of the highest
-    nonzero coordinate of z^x, ``zech[x]`` = log(1 + z^x) or None).  Basis
-    entries are stored with a unit leading digit; reducing x by entry b is
-    z^x - c z^b = z^x (1 + z^(log c + b + log(-1) - x)) with c the leading
-    digit of z^x, which clears that digit, and a zero result means x was
-    dependent.
+    domain on the tables ``FieldSpec.zech_lists``, where the log 2(q-1) is
+    zero.  Each basis entry is stored as its ``lead`` key, which packs its
+    leading position above monic[b], its log scaled to a unit leading
+    digit.  Reducing x by the entry b of its leading position is
+
+        z^x -> z^x (1 + z^(log(-1) + monic[b] - monic[x])),
+
+    which clears that digit; x is dependent when it reaches zero.
     """
-    q1 = len(zech)
-    neg = q1 // 2  # log(-1)
+    q1 = len(product) // 4
+    zero, width = 2 * q1, 2 * q1 + 2  # lead[x] = position * width + monic[x]
+    # zech's index of log(-1) + monic[b] - monic[x] is base + b - lead[x]
+    base = q1 + q1 // 2
     basis: dict[int, int] = {}
     for x in exps:
-        while True:
-            h = lead_pos[x]
-            b = basis.get(h)
-            if b is None:
-                basis[h] = (x - lead_log[x]) % q1
+        while x != zero:
+            key = lead[x]
+            h = key // width
+            if h in basis:
+                x = product[x + zech[base + basis[h] - key]]
+            else:
+                basis[h] = key
                 break
-            y = zech[(lead_log[x] + b + neg - x) % q1]
-            if y is None:
-                break
-            x = (x + y) % q1
     return len(basis)
 
 
@@ -100,15 +101,11 @@ def zech_rank_batch(logs: np.ndarray, m: int, lead, zech, product) -> np.ndarray
     """GF(p) ranks, p odd, of N sets of nonzero elements of GF(p^m) at once.
 
     ``logs`` is an (N, r) array of discrete logs in [0, q-1); returns the N
-    ranks.  The tables are ``FieldSpec.zech_arrays``, in which the log
-    2(q-1) stands for zero: ``lead[x]`` packs the leading position of z^x
-    above monic[x], the log of z^x scaled to a unit leading digit; ``zech``
-    is log(1 + z^x), offset and tiled so that no index needs a reduction
-    mod q-1; ``product[x + y]`` is the log of z^x * z^y.  This is
-    ``zech_rank``'s elimination, one leading position at a time.  Each step
-    takes the row with the largest ``lead`` of every set, which has the
-    highest leading position, as its pivot, and reduces every row x that
-    shares that position by it:
+    ranks.  The tables are ``FieldSpec.zech_arrays``, the array forms of
+    ``zech_rank``'s, and this is its elimination, one leading position at
+    a time.  Each step takes the row with the largest ``lead`` of every
+    set, which has the highest leading position, as its pivot, and reduces
+    every row x that shares that position by it:
 
         z^x -> z^x (1 + z^(log(-1) + monic[pivot] - monic[x])),
 

@@ -197,17 +197,17 @@ INFEASIBLE = np.iinfo(np.int64).max
 
 
 class SchemeEvaluator:
-    """Precomputed tables for evaluating gamma ranks of raw element-exponent
-    tuples against one (code, subfield, failed node) context.
+    """Gamma ranks of raw element-exponent tuples against one (code,
+    subfield, failed node) context.
 
     ``evaluate_batch`` is the one scoring policy, the search module's inner
     loop: the failed node's block is ranked for the whole batch, and the
-    other k-1 blocks only for the feasible rows, each time with one rank-
-    kernel call over all blocks.  Only that kernel and its keys depend on
-    p: ``linalg.bit_rank_batch`` on packed coordinates for p = 2,
-    ``linalg.zech_rank_batch`` on discrete logs otherwise.  ``gammas`` ranks
-    one tuple with ``SubfieldSpec.rank_exps``; ``evaluate`` builds on it and
-    is the oracle of ``evaluate_batch`` in the tests.
+    other k-1 blocks only for the feasible rows, each time with one
+    ``SubfieldSpec.rank_batch`` call over all blocks, on keys read from
+    ``FieldSpec.rank_keys``.  ``gammas`` ranks one tuple with
+    ``SubfieldSpec.rank_exps``; ``evaluate`` builds on it and is the oracle
+    of ``evaluate_batch`` in the tests.  The evaluator holds only the
+    per-node shifts; the field and its subfield own every table and kernel.
     """
 
     def __init__(self, sub: SubpacketizationSpec, failed: int):
@@ -215,23 +215,11 @@ class SchemeEvaluator:
         self.failed = failed
         self.alpha = sub.alpha
         self.subfield = sub.subfield
-        field = sub.code.field
         # shifts[u] = log(P_u * w^t) mod q-1 in the batch row layout: slots
         # in parity-major order like flat_exps(), each repeated for t < s
         pe = np.repeat(np.array(sub.code.parity_exps(), dtype=np.int64), sub.beta, axis=1)
         self.shifts = (pe[:, :, None] + self.subfield.offsets).reshape(
-            sub.code.k, -1) % (field.q - 1)
-        # rank-kernel key of z^e for 0 <= e < 2(q-1), so a reduced exponent
-        # plus a shift indexes it without a reduction mod q-1: the packed
-        # coordinates for p = 2, the reduced log otherwise
-        if field.p == 2:
-            self.key_table = np.tile(np.array(field.exp_table, dtype=np.uint16), 2)
-            self._rank_batch = lambda keys: linalg.bit_rank_batch(keys, field.m)
-        else:
-            # product[e] = e mod q-1 for e < 2(q-1): built once per field
-            self.key_table = field.zech_arrays[-1]
-            self._rank_batch = lambda keys: linalg.zech_rank_batch(
-                keys, field.m, *field.zech_arrays)
+            sub.code.k, -1) % (sub.code.field.q - 1)
 
     def gammas(self, flat_exps) -> tuple:
         rows = np.asarray(flat_exps, dtype=np.int64) + self.shifts[:, ::self.sub.s]
@@ -247,16 +235,12 @@ class SchemeEvaluator:
     def _gammas_batch(self, rows: np.ndarray, nodes: list) -> np.ndarray:
         """(len(nodes), N) gammas of the (N, slots * s) reduced exponent rows
         of the batch layout, from one rank-kernel call over all blocks."""
-        s = self.sub.s
-        keys = np.empty((len(nodes),) + rows.shape, dtype=self.key_table.dtype)
+        rank_keys = self.sub.code.field.rank_keys
+        keys = np.empty((len(nodes),) + rows.shape, dtype=rank_keys.dtype)
         for block, u in zip(keys, nodes):
-            np.take(self.key_table, rows + self.shifts[u], out=block)
-        r = self._rank_batch(keys.reshape(-1, rows.shape[1]))
-        bad = r % s != 0
-        if bad.any():
-            raise InvalidMatrix(f"GF({self.sub.code.field.p})-rank {r[bad][0]} "
-                                f"is not a multiple of s={s}")
-        return (r // s).reshape(len(nodes), len(rows))
+            np.take(rank_keys, rows + self.shifts[u], out=block)
+        r = self.subfield.rank_batch(keys.reshape(-1, rows.shape[1]))
+        return r.reshape(len(nodes), len(rows))
 
     def evaluate_batch(self, flats: np.ndarray) -> np.ndarray:
         """Totals of the (N, slots) exponent tuples in ``flats``, with
@@ -351,7 +335,12 @@ def gamma_ranks_matrix(sub: SubpacketizationSpec, failed: int,
                        mat: MatrixScheme) -> RepairReport:
     """Rank the stacked interference blocks (R^l)^T . operator(P_u^l) of an
     explicit matrix scheme over GF(p); counts are converted to GF(p^s)
-    symbols.  This route never touches element-level rank computations."""
+    symbols.  This route never touches element-level rank computations.
+    ``sub`` and ``failed`` must be the ones ``mat`` was realized for."""
+    if (sub, failed) != (mat.sub, mat.failed):
+        raise ValueError(
+            f"matrices realize node {mat.failed} of {mat.sub}, "
+            f"not node {failed} of {sub}")
     field = sub.code.field
     m = field.m
     cols = sub.s * sub.beta

@@ -376,6 +376,19 @@ class TestUnreadableInput:
         assert code == 2
         assert one_error_line(err)
 
+    @pytest.mark.parametrize("content", [b"[" * 100_000 + b"]" * 100_000,
+                                         b'{"name": "\xff"}'],
+                             ids=["nested", "not-utf8"])
+    @pytest.mark.parametrize("flag", ["--code", "--scheme"])
+    def test_bad_json_names_the_file(self, capsys, tmp_path, content, flag):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        argv = {"--code": ["--code", str(path), "--scheme", "x"],
+                "--scheme": ["--code", "rs53", "--scheme", str(path)]}[flag]
+        code, _, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert one_error_line(err) and str(path) in err
+
 
 class TestMisc:
     def test_list_codes(self, capsys):

@@ -350,13 +350,31 @@ class TestRankOverSubfield:
 
     @pytest.mark.parametrize("p, poly", ODD_FIELDS)
     def test_zech_tables(self, p, poly):
+        # every entry the kernels can read, against field arithmetic; the
+        # log 2(q-1) stands for zero
         field = FieldSpec(p, poly)
-        for x in range(field.q - 1):
-            coords = field.element(x).coords()
-            h = field.lead_pos[x]
+        q1 = field.q - 1
+        zero = 2 * q1
+        lead, zech, product = field.zech_lists
+        assert [table.tolist() for table in field.zech_arrays] == list(field.zech_lists)
+        assert not any(table.flags.writeable for table in field.zech_arrays)
+        assert field.rank_keys is field.zech_arrays[-1]
+        assert (len(lead), len(zech), len(product)) == (zero + 1, 5 * q1 // 2 + 1, 4 * q1 + 1)
+        for x in range(q1):
+            z_x = field.element(x)
+            coords = z_x.coords()
+            h, monic = divmod(lead[x], 2 * field.q)
+            assert lead[x + q1] == lead[x]
             assert coords[h] and not any(coords[h + 1:])
-            assert field.element(field.lead_log[x]) == field.scalar(coords[h])
-            assert (field.one() + field.element(x)).exp == field.zech[x]
+            assert monic < q1 and field.element(monic) * field.scalar(coords[h]) == z_x
+            one_plus = field.one() + z_x
+            assert zech[q1 + x] == (zero if one_plus.is_zero else one_plus.exp)
+            for y in (x, q1 - 1):
+                assert product[x + y] == (z_x * field.element(y)).exp
+        assert lead[zero] == -2 * field.q
+        assert all(zech[i] == zech[q1 + i % q1] for i in range(len(zech) - 1))
+        assert zech[-1] == 0
+        assert product[zero:] == [zero] * (zero + 1)
 
     @pytest.mark.parametrize("p, poly", ODD_FIELDS)
     def test_zech_kernel_matches_coordinate_rank(self, p, poly, rng):
@@ -379,7 +397,7 @@ class TestRankOverSubfield:
             for exps in cases:
                 xs = [(e + off) % q1 for e in exps for off in sub.offsets]
                 rows = field.coords_table[[field.exp_table[x] for x in xs]]
-                rank = linalg.zech_rank(xs, field.lead_pos, field.lead_log, field.zech)
+                rank = linalg.zech_rank(xs, *field.zech_lists)
                 assert rank == linalg.rank_mod_p(rows.reshape(-1, m), p)
                 assert sub.rank_exps(exps) * s == rank
                 by_size.setdefault(len(xs), []).append((xs, rank))

@@ -1,16 +1,19 @@
 """Package-wide guards: every exported name resolves, no check in the
-package is an ``assert`` (``python -O`` would drop it), and every function
-the benchmark tracer wraps still exists under its traced name."""
+package is an ``assert`` (``python -O`` would drop it), every function
+the benchmark tracer wraps still exists under its traced name, and the
+README's library example runs."""
 
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import mdsrepair
 
 PACKAGE = Path(mdsrepair.__file__).parent
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def test_all_names_resolve():
@@ -40,3 +43,10 @@ def test_tracing_targets_resolve():
             if not callable(getattr(owner, name, None)):
                 missing.append(f"{short}.{attr}")
     assert not missing
+
+
+def test_readme_quick_start():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -208,6 +208,15 @@ class TestMatrixOracle:
         assert report.gammas == (4, 4)
         assert report.feasible
 
+    def test_arguments_must_match_matrices(self, rs64):
+        lifted = lift_scheme(find_repair(generate_clique(rs64), 2).scheme, 2)
+        mat = realize_matrices(lifted)
+        assert gamma_ranks_matrix(lifted.sub, 2, mat) == gamma_ranks(lifted)
+        for sub, failed in ((lifted.sub, 0), (lifted.sub, 3),
+                            (SubpacketizationSpec(rs64, 2), 2)):
+            with pytest.raises(ValueError, match="realize node 2"):
+                gamma_ranks_matrix(sub, failed, mat)
+
     def test_zero_reference(self, rs53):
         with pytest.raises(ZeroReference):
             realize_matrices(bundled_scheme("rs53", 1), np.zeros(4, dtype=int))

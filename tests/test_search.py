@@ -229,6 +229,36 @@ class TestBatch:
             assert ev.evaluate_batch(np.array(flats)).tolist() == want
             assert INFEASIBLE in want and min(want) < INFEASIBLE
 
+    @pytest.mark.parametrize("name", ["rs64", "fb1410", "rs64_gf81"])
+    def test_evaluators_read_the_field_rank_keys(self, request, name, monkeypatch, rng):
+        # GF(2^4), GF(2^8), GF(3^4): the field builds the key table once,
+        # and no evaluator, for any failed node or s, keeps one of its own
+        code = request.getfixturevalue(name)
+        field = code.field
+        rank_keys = field.rank_keys
+        assert not rank_keys.flags.writeable
+        if field.p == 2:
+            assert rank_keys.dtype == np.uint16
+            assert len(rank_keys) == 2 * (field.q - 1)
+        read = []
+        take = np.take
+
+        def recording(table, *args, **kwargs):
+            read.append(table)
+            return take(table, *args, **kwargs)
+
+        monkeypatch.setattr(np, "take", recording)
+        for s in (1, 2):
+            sub = SubpacketizationSpec(code, s)
+            for failed in range(1, code.k + 1):
+                ev = SchemeEvaluator(sub, failed)
+                assert [k for k, v in vars(ev).items()
+                        if isinstance(v, np.ndarray)] == ["shifts"]
+                ev.evaluate_batch(np.array(
+                    [[rng.randrange(field.q - 1) for _ in range(code.r * sub.beta)]
+                     for _ in range(50)]))
+        assert read and all(table is field.rank_keys for table in read)
+
     def test_odd_p_search_never_calls_evaluate(self, rs64_gf81, monkeypatch):
         cfgs = _odd_p_searches(rs64_gf81)
         before = list(map(_outcome, cfgs))
