@@ -25,7 +25,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .codes import CodeSpec
-from .errors import MissingScheme, ParseError
+from .errors import MissingScheme, ParseError, short_repr
 from .repair import RepairScheme, scheme_from_json
 
 BUNDLED_CODES = ("rs53", "rs64", "fb1410")
@@ -46,13 +46,13 @@ def _data() -> Path:
 def _read_json(path, missing: str | None = None) -> dict:
     """The JSON object in a file; ParseError (``missing`` if given) for a
     missing file, text that is not UTF-8, invalid or too deeply nested JSON,
-    or a value that is not an object."""
+    an integer too long to convert, or a value that is not an object."""
     try:
         with open(path, encoding="utf-8") as f:
             obj = json.load(f)
     except FileNotFoundError:
         raise ParseError(missing or f"file not found: {path}")
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}")
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected a JSON object")
@@ -108,10 +108,11 @@ def load_scheme(path: str, code: CodeSpec | None = None) -> RepairScheme:
     elif entry in BUNDLED_CODES:
         own = bundled_code(entry)
     elif code is None:
-        raise ParseError(f"{path}: unknown code name {entry!r}; pass --code")
-    elif entry is not None and entry != code.name:
         raise ParseError(
-            f"{path}: scheme is for code {entry!r}, not {code.name!r}")
+            f"{path}: unknown code name {short_repr(entry)}; pass --code")
+    elif entry is not None and entry != code.name:
+        raise ParseError(f"{path}: scheme is for code {short_repr(entry)}, "
+                         f"not {short_repr(code.name)}")
     else:
         own = code
     if code is None:

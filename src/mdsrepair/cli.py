@@ -74,7 +74,7 @@ def _report_json(scheme: RepairScheme, report: RepairReport) -> dict:
         "interference_bw": report.interference_bw,
         "naive_bw": naive,
         "cutset_bw": cutset,
-        "symbol_bits": report.sub.symbol_bits,
+        "symbol_bits": report.sub.bits(1),
         "total_bits": report.total_bits,
     }
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .codes import CodeSpec
 from .errors import CliqueBoundMissed, NotNormalized, NotTwoParity, OddExtensionDegree
-from .gf import FieldElement, SubfieldSpec
+from .gf import FieldElement
 from .repair import RepairScheme, SubpacketizationSpec, gamma_ranks
 
 
@@ -29,14 +29,6 @@ class CliquePartition:
 
     sub: SubpacketizationSpec
     cliques: tuple
-
-    @property
-    def code(self) -> CodeSpec:
-        return self.sub.code
-
-    @property
-    def subfield(self) -> SubfieldSpec:
-        return self.sub.subfield
 
 
 @dataclass(frozen=True)
@@ -89,8 +81,8 @@ def _largest_avoiding(part: CliquePartition, i: int):
 def clique_bound(part: CliquePartition, i: int) -> int:
     """Repair bandwidth lower bound for node i, in GF(p^(m/2)) symbols:
     M - C_i * alpha / 2 (alpha = 2 here, so M - C_i)."""
-    if not 1 <= i <= part.code.k:
-        raise ValueError(f"node {i} not in [1,{part.code.k}]")
+    if not 1 <= i <= part.sub.code.k:
+        raise ValueError(f"node {i} not in [1,{part.sub.code.k}]")
     c = _largest_avoiding(part, i)
     c_i = len(c) if c else 0
     return part.sub.file_size - (c_i * part.sub.alpha) // 2
@@ -104,7 +96,7 @@ def find_repair(part: CliquePartition, i: int) -> CliqueRepair:
     single clique no alignment is possible; the result is flagged
     degenerate and carries a naive-bandwidth scheme (smallest feasible mu).
     """
-    code = part.code
+    code = part.sub.code
     if not 1 <= i <= code.k:
         raise ValueError(f"node {i} not in [1,{code.k}]")
     target = _largest_avoiding(part, i)
@@ -116,7 +108,7 @@ def find_repair(part: CliquePartition, i: int) -> CliqueRepair:
         # any mu keeping the useful block full rank; take the smallest
         mu = next(
             e for e in code.field.nonzero_elements()
-            if not part.subfield.contains(e * code.parity[i - 1][1]))
+            if not part.sub.subfield.contains(e * code.parity[i - 1][1]))
         degenerate = True
     scheme = RepairScheme(part.sub, i, ((one,), (mu,)))
     report = gamma_ranks(scheme)

@@ -19,6 +19,7 @@ from .errors import (
     ParseError,
     TooManySubsets,
     as_int,
+    short_repr,
 )
 from .gf import FieldElement, FieldSpec
 
@@ -42,7 +43,8 @@ class CodeSpec:
         if not 0 < self.k < self.n:
             raise ValueError(f"need 0 < k < n, got ({self.n},{self.k})")
         if self.name is not None and not isinstance(self.name, str):
-            raise ValueError(f"code name must be a string or null, got {self.name!r}")
+            raise ValueError(
+                f"code name must be a string or null, got {short_repr(self.name)}")
         parity = tuple(tuple(row) for row in self.parity)
         object.__setattr__(self, "parity", parity)
         if len(parity) != self.k or any(len(r) != self.n - self.k for r in parity):

@@ -2,7 +2,7 @@
 
 Everything derives from MdsRepairError so callers (and the CLI) can
 distinguish domain errors from genuine bugs.  ``as_int`` is the one check
-that JSON integers are integers.
+of JSON integers, ``short_repr`` the one bound on a value a message quotes.
 """
 
 import operator
@@ -120,4 +120,10 @@ def as_int(value, what: str) -> int:
             return operator.index(value)
         except TypeError:
             pass
-    raise ParseError(f"{what} must be an integer, got {value!r}")
+    raise ParseError(f"{what} must be an integer, got {short_repr(value)}")
+
+
+def short_repr(value) -> str:
+    """repr(value), cut to at most 60 characters."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,9 +83,20 @@ class SubpacketizationSpec:
     def file_size(self) -> int:
         return self.code.k * self.alpha
 
-    @property
+    @cached_property
     def subfield(self) -> SubfieldSpec:
         return self.code.field.subfield(self.s)
+
+    @cached_property
+    def shifts(self) -> np.ndarray:
+        """Read-only (k, slots * s) table: shifts[u] = log(P_u * w^t) mod q-1
+        in the batch row layout, slots in parity-major order like
+        ``RepairScheme.flat_exps()``, each repeated for t < s."""
+        pe = np.repeat(np.array(self.code.parity_exps(), dtype=np.int64), self.beta, axis=1)
+        shifts = (pe[:, :, None] + self.subfield.offsets).reshape(
+            self.code.k, -1) % (self.code.field.q - 1)
+        shifts.setflags(write=False)
+        return shifts
 
     def bits(self, symbols: int):
         """Bits in ``symbols`` GF(p^s) sub-symbols: the GF(p) digit count
@@ -93,11 +105,6 @@ class SubpacketizationSpec:
         digits = symbols * self.s
         p = self.code.field.p
         return digits if p == 2 else digits * math.log2(p)
-
-    @property
-    def symbol_bits(self):
-        """Bits per GF(p^s) sub-symbol."""
-        return self.bits(1)
 
 
 def baselines(sub: SubpacketizationSpec) -> tuple:
@@ -137,6 +144,12 @@ class RepairScheme:
     def flat_exps(self) -> list:
         """Element discrete logs in parity-major order."""
         return [e.exp for row in self.elements for e in row]
+
+    @classmethod
+    def from_flat(cls, sub: SubpacketizationSpec, failed: int, flat_exps) -> "RepairScheme":
+        """The scheme whose ``flat_exps()`` is ``flat_exps``."""
+        rows = np.reshape(flat_exps, (sub.code.r, -1)).tolist()
+        return cls(sub, failed, [map(sub.code.field.element, row) for row in rows])
 
     def to_json(self) -> dict:
         code = self.sub.code
@@ -196,39 +209,33 @@ class RepairReport:
 INFEASIBLE = np.iinfo(np.int64).max
 
 
+def _gammas(sub: SubpacketizationSpec, flat_exps) -> tuple:
+    """Gammas of one exponent tuple, one ``rank_exps`` call per node."""
+    rows = np.asarray(flat_exps, dtype=np.int64) + sub.shifts[:, ::sub.s]
+    return tuple(map(sub.subfield.rank_exps, rows.tolist()))
+
+
 class SchemeEvaluator:
-    """Gamma ranks of raw element-exponent tuples against one (code,
+    """The scoring policy for raw element-exponent tuples of one (code,
     subfield, failed node) context.
 
-    ``evaluate_batch`` is the one scoring policy, the search module's inner
-    loop: the failed node's block is ranked for the whole batch, and the
-    other k-1 blocks only for the feasible rows, each time with one
-    ``SubfieldSpec.rank_batch`` call over all blocks, on keys read from
-    ``FieldSpec.rank_keys``.  ``gammas`` ranks one tuple with
-    ``SubfieldSpec.rank_exps``; ``evaluate`` builds on it and is the oracle
-    of ``evaluate_batch`` in the tests.  The evaluator holds only the
-    per-node shifts; the field and its subfield own every table and kernel.
+    ``evaluate_batch`` is the search module's inner loop: the failed node's
+    block is ranked for the whole batch, the other k-1 blocks only for the
+    feasible rows, each time with one ``SubfieldSpec.rank_batch`` call on
+    keys read from ``FieldSpec.rank_keys``.  ``evaluate`` scores one tuple
+    on ``gamma_ranks``'s scalar route and is the oracle of ``evaluate_batch``
+    in the tests.  The evaluator holds no table: ``sub.shifts`` is the slot
+    layout, and the field and its subfield own every rank table and kernel.
     """
 
     def __init__(self, sub: SubpacketizationSpec, failed: int):
         self.sub = sub
         self.failed = failed
-        self.alpha = sub.alpha
-        self.subfield = sub.subfield
-        # shifts[u] = log(P_u * w^t) mod q-1 in the batch row layout: slots
-        # in parity-major order like flat_exps(), each repeated for t < s
-        pe = np.repeat(np.array(sub.code.parity_exps(), dtype=np.int64), sub.beta, axis=1)
-        self.shifts = (pe[:, :, None] + self.subfield.offsets).reshape(
-            sub.code.k, -1) % (sub.code.field.q - 1)
-
-    def gammas(self, flat_exps) -> tuple:
-        rows = np.asarray(flat_exps, dtype=np.int64) + self.shifts[:, ::self.sub.s]
-        return tuple(map(self.subfield.rank_exps, rows.tolist()))
 
     def evaluate(self, flat_exps):
         """(feasible, total).  total is None for infeasible tuples."""
-        gammas = self.gammas(flat_exps)
-        if gammas[self.failed - 1] != self.alpha:
+        gammas = _gammas(self.sub, flat_exps)
+        if gammas[self.failed - 1] != self.sub.alpha:
             return False, None
         return True, sum(gammas)
 
@@ -238,8 +245,8 @@ class SchemeEvaluator:
         rank_keys = self.sub.code.field.rank_keys
         keys = np.empty((len(nodes),) + rows.shape, dtype=rank_keys.dtype)
         for block, u in zip(keys, nodes):
-            np.take(rank_keys, rows + self.shifts[u], out=block)
-        r = self.subfield.rank_batch(keys.reshape(-1, rows.shape[1]))
+            np.take(rank_keys, rows + self.sub.shifts[u], out=block)
+        r = self.sub.subfield.rank_batch(keys.reshape(-1, rows.shape[1]))
         return r.reshape(len(nodes), len(rows))
 
     def evaluate_batch(self, flats: np.ndarray) -> np.ndarray:
@@ -248,18 +255,18 @@ class SchemeEvaluator:
         flats = np.asarray(flats, dtype=np.int64) % (self.sub.code.field.q - 1)
         rows = np.repeat(flats, self.sub.s, axis=1)
         failed = self.failed - 1
-        ok = self._gammas_batch(rows, [failed])[0] == self.alpha
+        ok = self._gammas_batch(rows, [failed])[0] == self.sub.alpha
         others = [u for u in range(self.sub.code.k) if u != failed]
         totals = np.full(len(rows), INFEASIBLE, dtype=np.int64)
-        totals[ok] = self.alpha + self._gammas_batch(rows[ok], others).sum(axis=0)
+        totals[ok] = self.sub.alpha + self._gammas_batch(rows[ok], others).sum(axis=0)
         return totals
 
 
 def gamma_ranks(scheme: RepairScheme) -> RepairReport:
     """Evaluate a scheme on its field elements: the gamma of every
     systematic node, from which feasibility and bandwidth follow."""
-    ev = SchemeEvaluator(scheme.sub, scheme.failed)
-    return RepairReport(scheme.sub, scheme.failed, ev.gammas(scheme.flat_exps()))
+    return RepairReport(scheme.sub, scheme.failed,
+                        _gammas(scheme.sub, scheme.flat_exps()))
 
 
 def lift_scheme(scheme: RepairScheme, a: int) -> RepairScheme:

@@ -79,15 +79,6 @@ class SearchResult:
     proven_optimal: bool
 
 
-def _scheme_from_flat(cfg: SearchConfig, flat_exps) -> RepairScheme:
-    field = cfg.sub.code.field
-    beta = cfg.sub.beta
-    elements = tuple(
-        tuple(field.element(flat_exps[l * beta + j]) for j in range(beta))
-        for l in range(cfg.sub.code.r))
-    return RepairScheme(cfg.sub, cfg.failed, elements)
-
-
 def _run(cfg: SearchConfig, count: int, tails, proven: bool) -> SearchResult:
     """Score ``count`` candidates in stream order, ``CHUNK`` at a time,
     keeping the feasible minimum; ``tails(start, n)`` gives the free slots
@@ -116,7 +107,7 @@ def _run(cfg: SearchConfig, count: int, tails, proven: bool) -> SearchResult:
         raise NoFeasibleFound(
             f"no feasible scheme among {count} candidates "
             f"(naive repair at {cfg.sub.file_size} symbols always remains available)")
-    best = _scheme_from_flat(cfg, best_flat)
+    best = RepairScheme.from_flat(cfg.sub, cfg.failed, best_flat)
     return SearchResult(best, gamma_ranks(best), count, feasible, proven)
 
 

@@ -11,6 +11,11 @@ from mdsrepair.repair import SubpacketizationSpec, gamma_ranks
 from mdsrepair.search import SearchConfig, exhaustive_search
 
 
+# values that repr to long text: an array nested 900 deep, a long string
+NESTED = "[" * 900 + "0" + "]" * 900
+LONG = json.dumps("x" * 100_000)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -377,8 +382,9 @@ class TestUnreadableInput:
         assert one_error_line(err)
 
     @pytest.mark.parametrize("content", [b"[" * 100_000 + b"]" * 100_000,
-                                         b'{"name": "\xff"}'],
-                             ids=["nested", "not-utf8"])
+                                         b'{"name": "\xff"}',
+                                         b'{"s": ' + b"1" * 5_000 + b"}"],
+                             ids=["nested", "not-utf8", "long-int"])
     @pytest.mark.parametrize("flag", ["--code", "--scheme"])
     def test_bad_json_names_the_file(self, capsys, tmp_path, content, flag):
         path = tmp_path / "bad.json"
@@ -388,6 +394,30 @@ class TestUnreadableInput:
         code, _, err = run(capsys, "verify", *argv)
         assert code == 2
         assert one_error_line(err) and str(path) in err
+
+    @pytest.mark.parametrize("flag, key, value", [
+        ("--code", "k", NESTED), ("--code", "name", NESTED), ("--code", "k", LONG),
+        ("--code", "parity", NESTED), ("--scheme", "code", NESTED),
+        ("--scheme", "code", LONG)],
+        ids=["code-k-nested", "code-name-nested", "code-k-long", "code-element-nested",
+             "scheme-code-nested", "scheme-code-long"])
+    def test_quoted_values_are_cut(self, capsys, tmp_path, flag, key, value):
+        # a value read from a file is quoted in the error line only in part
+        if flag == "--code":
+            obj = bundled_code("rs53").to_json()
+        else:
+            obj = json.loads(Path(bundled_scheme_dir("rs53"), "node1.json").read_text())
+        if key == "parity":
+            obj["parity"][0][0] = "@"
+        else:
+            obj[key] = "@"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj).replace('"@"', value))
+        argv = {"--code": ["--code", str(path), "--scheme", "x"],
+                "--scheme": ["--code", "rs53", "--scheme", str(path)]}[flag]
+        code, _, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert one_error_line(err) and len(err.encode()) < 200 and "..." in err
 
 
 class TestMisc:

@@ -27,7 +27,7 @@ class TestGenerateClique:
         # group nodes by second-parity exponent mod (q-1)/(p^s-1)
         for code in (rs64, rs53):
             part = generate_clique(code)
-            step = part.subfield.exp_step
+            step = part.sub.subfield.exp_step
             cosets = {}
             for i in range(1, code.k + 1):
                 cosets.setdefault(code.parity[i - 1][1].exp % step, []).append(i)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from mdsrepair.gf import SubfieldSpec
 from mdsrepair.repair import (
     MatrixScheme,
     RepairScheme,
+    SchemeEvaluator,
     SubpacketizationSpec,
     baselines,
     gamma_ranks,
@@ -85,7 +87,7 @@ class TestGammaRanks:
         assert report.feasible
         assert report.total_bw == 10
         assert baselines(report.sub) == (12, 8)
-        assert report.sub.symbol_bits == 1 and report.total_bits == 10
+        assert report.sub.bits(1) == 1 and report.total_bits == 10
         assert report.interference_bw == 6
 
     def test_all_ones_infeasible(self, rs53, f16):
@@ -98,6 +100,21 @@ class TestGammaRanks:
     def test_fb_node1(self, fb1410):
         report = gamma_ranks(bundled_scheme("fb1410", 1))
         assert report.total_bw == 65 and report.feasible
+
+    def test_builds_no_evaluator(self, rs64_gf81, monkeypatch):
+        # the scalar route reads the spec's slot layout: fb1410 node 1, rs53,
+        # and RS(6,4) over GF(3^4) clique schemes, against the matrix route
+        part = generate_clique(rs64_gf81)
+        schemes = [bundled_scheme("fb1410", 1), *bundled_schemes("rs53").values(),
+                   *(find_repair(part, i).scheme for i in range(1, 5))]
+
+        def refuse(self, sub, failed):
+            raise AssertionError("gamma_ranks built a SchemeEvaluator")
+
+        monkeypatch.setattr(SchemeEvaluator, "__init__", refuse)
+        for scheme in schemes:
+            assert gamma_ranks(scheme) == gamma_ranks_matrix(
+                scheme.sub, scheme.failed, realize_matrices(scheme))
 
     def test_validation(self, rs53, f16):
         sub = SubpacketizationSpec(rs53, 1)
@@ -320,6 +337,17 @@ class TestSchemeJson:
         again = scheme_from_json(scheme.to_json(), rs53)
         assert again == scheme
 
+    def test_flat_roundtrip(self, rs64):
+        schemes = [s for name in BUNDLED_CODES for s in bundled_schemes(name).values()]
+        schemes.append(lift_scheme(find_repair(generate_clique(rs64), 2).scheme, 2))
+        for scheme in schemes:
+            assert RepairScheme.from_flat(
+                scheme.sub, scheme.failed, scheme.flat_exps()) == scheme
+        flat = schemes[0].flat_exps()
+        for wrong in (flat[:-1], flat + [1, 2]):
+            with pytest.raises((ValueError, DimensionMismatch)):
+                RepairScheme.from_flat(schemes[0].sub, schemes[0].failed, wrong)
+
     @staticmethod
     def _scheme_file(tmp_path, code_entry):
         """The rs53 node 1 scheme written with another "code" entry."""
@@ -335,6 +363,16 @@ class TestSchemeJson:
     def test_named_code_requires_resolution(self, tmp_path):
         with pytest.raises(ParseError):
             load_scheme(self._scheme_file(tmp_path, "mine"))
+
+    @pytest.mark.parametrize("entry", ["[" * 900 + "0" + "]" * 900,
+                                       json.dumps("x" * 100_000)],
+                             ids=["nested", "long"])
+    def test_unknown_code_entry_quoted_in_part(self, tmp_path, entry):
+        path = Path(self._scheme_file(tmp_path, "@"))
+        path.write_text(path.read_text().replace('"@"', entry))
+        with pytest.raises(ParseError, match=r"\.\.\.; pass --code$") as exc:
+            load_scheme(str(path))
+        assert len(str(exc.value)) < 200
 
     def test_unbundled_name_must_match_given_code(self, rs53, tmp_path):
         path = self._scheme_file(tmp_path, "mine")

@@ -231,8 +231,9 @@ class TestBatch:
 
     @pytest.mark.parametrize("name", ["rs64", "fb1410", "rs64_gf81"])
     def test_evaluators_read_the_field_rank_keys(self, request, name, monkeypatch, rng):
-        # GF(2^4), GF(2^8), GF(3^4): the field builds the key table once,
-        # and no evaluator, for any failed node or s, keeps one of its own
+        # GF(2^4), GF(2^8), GF(3^4): the field builds the key table once and
+        # the spec the slot layout once; no evaluator, for any failed node
+        # or s, keeps a table of its own
         code = request.getfixturevalue(name)
         field = code.field
         rank_keys = field.rank_keys
@@ -250,13 +251,17 @@ class TestBatch:
         monkeypatch.setattr(np, "take", recording)
         for s in (1, 2):
             sub = SubpacketizationSpec(code, s)
+            shifts = sub.shifts
+            assert not shifts.flags.writeable
+            assert shifts.shape == (code.k, code.r * sub.beta * s)
             for failed in range(1, code.k + 1):
                 ev = SchemeEvaluator(sub, failed)
-                assert [k for k, v in vars(ev).items()
-                        if isinstance(v, np.ndarray)] == ["shifts"]
+                assert not [k for k, v in vars(ev).items()
+                            if isinstance(v, np.ndarray)]
                 ev.evaluate_batch(np.array(
                     [[rng.randrange(field.q - 1) for _ in range(code.r * sub.beta)]
                      for _ in range(50)]))
+                assert ev.sub.shifts is shifts
         assert read and all(table is field.rank_keys for table in read)
 
     def test_odd_p_search_never_calls_evaluate(self, rs64_gf81, monkeypatch):
