@@ -19,6 +19,7 @@ from .errors import (
     ParseError,
     TooManySubsets,
     as_int,
+    clip,
     short_repr,
 )
 from .gf import FieldElement, FieldSpec
@@ -65,7 +66,7 @@ class CodeSpec:
         return [[e.exp for e in row] for row in self.parity]
 
     def __repr__(self) -> str:
-        label = self.name or f"({self.n},{self.k})"
+        label = clip(self.name) if self.name else f"({self.n},{self.k})"
         return f"CodeSpec({label} over {self.field!r})"
 
     def to_json(self) -> dict:

@@ -2,7 +2,8 @@
 
 Everything derives from MdsRepairError so callers (and the CLI) can
 distinguish domain errors from genuine bugs.  ``as_int`` is the one check
-of JSON integers, ``short_repr`` the one bound on a value a message quotes.
+of JSON integers; ``clip`` is the one bound on text a message quotes, and
+``short_repr`` applies it to a value's repr.
 """
 
 import operator
@@ -125,5 +126,9 @@ def as_int(value, what: str) -> int:
 
 def short_repr(value) -> str:
     """repr(value), cut to at most 60 characters."""
-    text = repr(value)
+    return clip(repr(value))
+
+
+def clip(text: str) -> str:
+    """text cut to at most 60 characters, the cut marked by "..."."""
     return text if len(text) <= 60 else text[:57] + "..."

@@ -15,24 +15,24 @@ element acts on those vectors through an m x m matrix over GF(p)
 (``operator``, a power of the companion matrix of P), and sets of elements
 have a well-defined rank over any intermediate subfield GF(p^s)
 (``rank_over_subfield``).  Coordinates, vectors and operators all read one
-q x m table, ``FieldSpec.coords_table``, built once per field.  The
-element rank belongs to ``SubfieldSpec``: ``rank_exps`` ranks one set of
-discrete logs, ``rank_batch`` many sets of kernel keys at once, each with a
-kernel chosen by p, a bitmask basis for p = 2 and a basis kept in the log
-domain otherwise, so no element is expanded to coordinates.  Their tables
-are built once per field: ``FieldSpec.rank_keys`` and, for odd p, the
-Zech-logarithm tables ``FieldSpec.zech_arrays`` and ``zech_lists``.
-Coordinate elimination mod p (``linalg``) runs only on the explicit-matrix
-route.
+q x m table, ``FieldSpec.coords_table``.  The element rank belongs to
+``SubfieldSpec``: ``rank_exps`` ranks one set of discrete logs,
+``rank_batch`` many sets of kernel keys at once, each with a kernel chosen
+by p, a bitmask basis for p = 2 and a basis kept in the log domain
+otherwise, so no element is expanded to coordinates.  Their tables are
+``FieldSpec.rank_keys`` and, for odd p, the Zech-logarithm tables
+``FieldSpec.zech_arrays`` and ``zech_lists``.  A field builds only its
+exp/log tables at construction and every array table once, on first use,
+so the scalar p = 2 routes never load NumPy.  Coordinate elimination mod p
+(``linalg``) runs only on the explicit-matrix route.
 """
 
 from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
 from . import linalg
+from ._numpy import np
 from .errors import (
     DivisionByZero,
     IncompatibleSubfield,
@@ -148,24 +148,48 @@ class FieldSpec:
             log_table[idx] = e
         self.exp_table = exp_table
         self.log_table = log_table
-        # row idx holds the GF(p) coordinates of the element packed as idx
-        self.coords_table = (
-            np.arange(self.q, dtype=np.int64)[:, None] // p ** np.arange(m)) % p
-        self.coords_table.setflags(write=False)
-        # rank_keys[e], 0 <= e < 2(q-1), is the batched kernels' key of z^e,
-        # so a log plus a shift needs no reduction mod q-1: the packed
-        # coordinates for p = 2, the reduced log (product) otherwise
-        if p == 2:
-            self.rank_keys = np.tile(np.array(exp_table, dtype=np.uint16), 2)
-            self.rank_keys.setflags(write=False)
-        else:
-            self._build_zech_tables()
-            self.rank_keys = self.zech_arrays[-1]
+        # the array tables, built by their properties on first read
+        self._coords_table = self._rank_keys = None
+        self._zech_arrays = self._zech_lists = None
 
-    def _build_zech_tables(self) -> None:
-        """Log-domain tables of ``linalg.zech_rank`` (``zech_lists``, python
-        lists) and ``linalg.zech_rank_batch`` (``zech_arrays``, read-only
-        arrays), odd p only, in which the log 2(q-1) stands for zero:
+    # -- array tables, built on first use ------------------------------
+    #
+    # Plain properties over attributes that __init__ sets, not
+    # functools.cached_property: that one stores through the instance
+    # __dict__, which on CPython 3.11 makes every later attribute read of
+    # the field about 3x slower, FieldElement.operator's included.
+
+    @property
+    def coords_table(self) -> np.ndarray:
+        """Read-only (q, m) table: row idx holds the GF(p) coordinates of
+        the element packed as idx."""
+        if self._coords_table is None:
+            table = (np.arange(self.q, dtype=np.int64)[:, None]
+                     // self.p ** np.arange(self.m)) % self.p
+            table.setflags(write=False)
+            self._coords_table = table
+        return self._coords_table
+
+    @property
+    def rank_keys(self) -> np.ndarray:
+        """Read-only table of the batched kernels' key of z^e, 0 <= e <
+        2(q-1), so a log plus a shift needs no reduction mod q-1: the packed
+        coordinates (``uint16``) for p = 2, the reduced log (the ``product``
+        table of ``zech_arrays``) otherwise."""
+        if self._rank_keys is None:
+            if self.p == 2:
+                keys = np.tile(np.array(self.exp_table, dtype=np.uint16), 2)
+                keys.setflags(write=False)
+                self._rank_keys = keys
+            else:
+                self._rank_keys = self.zech_arrays[-1]
+        return self._rank_keys
+
+    @property
+    def zech_arrays(self) -> tuple:
+        """Log-domain tables (lead, zech, product) of
+        ``linalg.zech_rank_batch``, read-only arrays, odd p only, in which
+        the log 2(q-1) stands for zero:
 
         * ``lead[x]`` = h * 2q + monic[x] for x < 2(q-1), where h is the
           position of the highest nonzero coordinate of z^x and monic[x] is
@@ -175,7 +199,11 @@ class FieldSpec:
           (q-1)/2 + d mod q-1 for |d| < q-1, then one 0 (log 1);
         * ``product[x + y]``: the log of z^x * z^y, zero from 2(q-1) on.
         """
+        if self._zech_arrays is not None:
+            return self._zech_arrays
         p, q1 = self.p, self.q - 1
+        if p == 2:
+            raise AttributeError("the Zech-logarithm tables serve odd p only")
         exps = np.array(self.exp_table, dtype=np.int64)
         logs = np.zeros(self.q, dtype=np.int64)
         logs[exps] = np.arange(q1)
@@ -186,14 +214,22 @@ class FieldSpec:
         zech = logs[exps - coords[:, 0] + (coords[:, 0] + 1) % p]
         zech[q1 // 2] = 2 * q1  # z^((q-1)/2) = -1, so 1 + z^x = 0
         lead = lead_pos * 2 * self.q + (np.arange(q1) - lead_log) % q1
-        self.zech_arrays = (
+        tables = (
             np.append(np.tile(lead, 2), -2 * self.q),
             np.append(np.tile(zech, 3)[:2 * q1 + q1 // 2], 0),
             np.append(np.arange(2 * q1) % q1, np.full(2 * q1 + 1, 2 * q1)),
         )
-        for table in self.zech_arrays:
+        for table in tables:
             table.setflags(write=False)
-        self.zech_lists = tuple(table.tolist() for table in self.zech_arrays)
+        self._zech_arrays = tables
+        return tables
+
+    @property
+    def zech_lists(self) -> tuple:
+        """``zech_arrays`` as python lists, the tables of ``linalg.zech_rank``."""
+        if self._zech_lists is None:
+            self._zech_lists = tuple(table.tolist() for table in self.zech_arrays)
+        return self._zech_lists
 
     # -- element constructors ------------------------------------------
 

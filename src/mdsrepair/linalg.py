@@ -26,7 +26,7 @@ supports), so clarity beats asymptotics throughout.
 
 from __future__ import annotations
 
-import numpy as np
+from ._numpy import np
 
 
 def bit_rank(rows) -> int:

@@ -32,10 +32,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from operator import add
 
 from . import linalg
+from ._numpy import np
 from .codes import CodeSpec, Codeword
 from .errors import (
     DimensionMismatch,
@@ -88,12 +88,21 @@ class SubpacketizationSpec:
         return self.code.field.subfield(self.s)
 
     @cached_property
+    def slot_shifts(self) -> tuple:
+        """The slot layout, k rows of slots entries: slot_shifts[u][j] =
+        log P_u at the parity of slot j, slots in parity-major order like
+        ``RepairScheme.flat_exps()``, beta per parity."""
+        beta = self.beta
+        return tuple(tuple(e for e in row for _ in range(beta))
+                     for row in self.code.parity_exps())
+
+    @cached_property
     def shifts(self) -> np.ndarray:
-        """Read-only (k, slots * s) table: shifts[u] = log(P_u * w^t) mod q-1
-        in the batch row layout, slots in parity-major order like
-        ``RepairScheme.flat_exps()``, each repeated for t < s."""
-        pe = np.repeat(np.array(self.code.parity_exps(), dtype=np.int64), self.beta, axis=1)
-        shifts = (pe[:, :, None] + self.subfield.offsets).reshape(
+        """Read-only (k, slots * s) table of the batch row layout: shifts[u]
+        = log(P_u * w^t) mod q-1, ``slot_shifts`` with each slot repeated
+        for t < s."""
+        slots = np.array(self.slot_shifts, dtype=np.int64)[:, :, None]
+        shifts = (slots + self.subfield.offsets).reshape(
             self.code.k, -1) % (self.code.field.q - 1)
         shifts.setflags(write=False)
         return shifts
@@ -147,9 +156,11 @@ class RepairScheme:
 
     @classmethod
     def from_flat(cls, sub: SubpacketizationSpec, failed: int, flat_exps) -> "RepairScheme":
-        """The scheme whose ``flat_exps()`` is ``flat_exps``."""
-        rows = np.reshape(flat_exps, (sub.code.r, -1)).tolist()
-        return cls(sub, failed, [map(sub.code.field.element, row) for row in rows])
+        """The scheme whose ``flat_exps()`` is ``flat_exps``; a length other
+        than (n-k) * beta raises DimensionMismatch."""
+        flat = list(map(sub.code.field.element, flat_exps))
+        beta = sub.beta
+        return cls(sub, failed, [flat[i:i + beta] for i in range(0, len(flat), beta)])
 
     def to_json(self) -> dict:
         code = self.sub.code
@@ -204,15 +215,20 @@ class RepairReport:
         return self.sub.bits(self.total_bw)
 
 
-# total of an infeasible row in ``SchemeEvaluator.evaluate_batch``: above
-# every feasible total, so a minimum over a batch never picks it
-INFEASIBLE = np.iinfo(np.int64).max
+# total of an infeasible row in ``SchemeEvaluator.evaluate_batch``: the
+# largest int64, above every feasible total, so a minimum over a batch never
+# picks it
+INFEASIBLE = 2 ** 63 - 1
 
 
 def _gammas(sub: SubpacketizationSpec, flat_exps) -> tuple:
-    """Gammas of one exponent tuple, one ``rank_exps`` call per node."""
-    rows = np.asarray(flat_exps, dtype=np.int64) + sub.shifts[:, ::sub.s]
-    return tuple(map(sub.subfield.rank_exps, rows.tolist()))
+    """Gammas of one exponent tuple, one ``rank_exps`` call per node on
+    plain ints; DimensionMismatch for a tuple that is not one per slot."""
+    if len(flat_exps) != len(sub.slot_shifts[0]):
+        raise DimensionMismatch(
+            f"{len(flat_exps)} exponents for {len(sub.slot_shifts[0])} slots")
+    rank = sub.subfield.rank_exps
+    return tuple(rank(map(add, flat_exps, row)) for row in sub.slot_shifts)
 
 
 class SchemeEvaluator:
@@ -224,8 +240,9 @@ class SchemeEvaluator:
     feasible rows, each time with one ``SubfieldSpec.rank_batch`` call on
     keys read from ``FieldSpec.rank_keys``.  ``evaluate`` scores one tuple
     on ``gamma_ranks``'s scalar route and is the oracle of ``evaluate_batch``
-    in the tests.  The evaluator holds no table: ``sub.shifts`` is the slot
-    layout, and the field and its subfield own every rank table and kernel.
+    in the tests.  The evaluator holds no table: ``sub`` owns the slot
+    layout (``slot_shifts``, and ``shifts`` for the batch rows), and the
+    field and its subfield own every rank table and kernel.
     """
 
     def __init__(self, sub: SubpacketizationSpec, failed: int):

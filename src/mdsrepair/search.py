@@ -23,9 +23,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import NoFeasibleFound, SearchSpaceTooLarge
+from ._numpy import np
+from .errors import NoFeasibleFound, SearchSpaceTooLarge, short_repr
 from .repair import (
     INFEASIBLE,
     RepairReport,
@@ -54,6 +53,10 @@ class SearchConfig:
         if not 1 <= self.failed <= self.sub.code.k:
             raise ValueError(
                 f"failed node {self.failed} not in [1,{self.sub.code.k}]")
+        # random.seed takes abs() of an int, so seed -5 would replay seed 5
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(
+                f"seed must be a non-negative integer, got {short_repr(self.seed)}")
 
     @property
     def slots(self) -> int:

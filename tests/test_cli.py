@@ -268,6 +268,16 @@ class TestSearch:
         assert code == 2
         assert "exceed" in err
 
+    def test_negative_seed_exit_2(self, capsys, tmp_path):
+        # seed -5 would silently replay seed 5 while the manifest said -5
+        out_file = tmp_path / "s.json"
+        code, out, err = run(capsys, "search", "--code", "fb1410", "--node", "2",
+                             "--mode", "random", "--samples", "300", "--seed", "-5",
+                             "--out", str(out_file))
+        assert code == 2 and out == ""
+        assert one_error_line(err) and "seed" in err
+        assert not out_file.exists()
+
 
 class TestOddCharacteristic:
     """RS(6,4) over GF(3^4), from a code file, through the whole CLI."""
@@ -418,6 +428,19 @@ class TestUnreadableInput:
         code, _, err = run(capsys, "verify", *argv)
         assert code == 2
         assert one_error_line(err) and len(err.encode()) < 200 and "..." in err
+
+    def test_long_code_name_is_cut(self, capsys, tmp_path):
+        # the code mismatch message quotes both codes, each by its name
+        scheme = json.loads(Path(bundled_scheme_dir("rs53"), "node1.json").read_text())
+        other = bundled_code("rs53").to_json()
+        other["field"]["poly"] = [1, 0, 0, 1, 1]
+        path = tmp_path / "scheme.json"
+        path.write_text(json.dumps({**scheme, "code": other}))
+        code, _, err = run(capsys, "verify", "--code", code_file(tmp_path, "x" * 100_000),
+                           "--scheme", str(path))
+        assert code == 2
+        assert one_error_line(err) and len(err.encode()) < 300 and "..." in err
+        assert "differ in field" in err
 
 
 class TestMisc:

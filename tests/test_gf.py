@@ -20,7 +20,7 @@ from mdsrepair.gf import (
     rank_over_subfield,
     subfield_coords,
 )
-from mdsrepair import linalg
+from mdsrepair import gf, linalg
 
 # odd-characteristic fields for the log-domain rank kernel
 ODD_FIELDS = [(3, [2, 1, 1]), (3, [2, 0, 0, 1, 1]), (5, [2, 1, 1]), (7, [3, 1, 1]),
@@ -88,6 +88,28 @@ class TestConstruction:
         f9 = FieldSpec(np.int64(3), np.array([2, 1, 1]))
         assert f9 == FieldSpec(3, [2, 1, 1])
         assert type(f9.p) is int and all(type(c) is int for c in f9.poly)
+
+    @pytest.mark.parametrize("p, poly", [(2, [1, 1, 0, 0, 1]), (3, [2, 0, 0, 1, 1])])
+    def test_array_tables_built_on_first_use(self, p, poly, monkeypatch):
+        # construction walks the exp/log tables only and reads nothing of
+        # NumPy; each array table is built once, then the same read-only
+        # object on every access
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} read while building the field")
+
+        monkeypatch.setattr(gf, "np", NoNumpy())
+        field = FieldSpec(p, poly)
+        monkeypatch.undo()
+        names = ["coords_table", "rank_keys"]
+        if p == 2:
+            assert not hasattr(field, "zech_arrays")
+        else:
+            names += ["zech_arrays", "zech_lists"]
+        for name in names:
+            assert getattr(field, name) is getattr(field, name)
+        arrays = [field.coords_table, field.rank_keys, *getattr(field, "zech_arrays", ())]
+        assert not any(table.flags.writeable for table in arrays)
 
 
 def _monic(p, m):

@@ -1,15 +1,22 @@
 """Package-wide guards: every exported name resolves, no check in the
 package is an ``assert`` (``python -O`` would drop it), every function
-the benchmark tracer wraps still exists under its traced name, and the
-README's library example runs."""
+the benchmark tracer wraps still exists under its traced name, the
+README's library example runs, and only the array routes execute NumPy."""
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import mdsrepair
+from mdsrepair.bundled import bundled_scheme_dir
 
 PACKAGE = Path(mdsrepair.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,3 +58,46 @@ def test_readme_quick_start():
                         re.MULTILINE | re.DOTALL)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+# runs ``main(argv)``, or a bare ``import mdsrepair`` without arguments, and
+# prints its exit status and the numpy submodules loaded by then: NumPy's
+# own import loads them, the lazy ``numpy`` entry alone loads none
+PROBE = """\
+import json, sys
+if sys.argv[1:]:
+    from mdsrepair.cli import main
+    status = main(sys.argv[1:])
+else:
+    import mdsrepair
+    status = None
+print(json.dumps([status, sorted(m for m in sys.modules if m.startswith("numpy."))]))
+"""
+
+
+def _probe(cwd, *argv):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["list-codes"], ["verify", "--code", "fb1410", "--scheme", "{fb1410}", "--json"],
+    ["report", "--code", "fb1410"], ["clique", "--code", "rs64"], ["selftest"]],
+    ids=["import", "list-codes", "verify", "report", "clique", "selftest"])
+def test_scalar_commands_never_execute_numpy(tmp_path, argv):
+    scheme_dir = bundled_scheme_dir("fb1410")
+    status, loaded = _probe(tmp_path, *(a.format(fb1410=scheme_dir) for a in argv))
+    assert status in (None, 0) and loaded == []
+
+
+def test_search_loads_numpy_and_writes_the_same_scheme(tmp_path):
+    status, loaded = _probe(tmp_path, "search", "--code", "fb1410", "--node", "2",
+                            "--mode", "random", "--samples", "300", "--seed", "5",
+                            "--out", "s.json")
+    assert status == 0 and loaded
+    # the frozen winner of this seed, in the file format search has always written
+    expected = {"code": "fb1410", "s": 1, "failed": 2,
+                "elements": [[0, 248], [0, 171], [99, 96], [45, 192]]}
+    assert (tmp_path / "s.json").read_text() == json.dumps(expected, indent=1) + "\n"

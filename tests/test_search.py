@@ -324,6 +324,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SearchConfig(SubpacketizationSpec(rs53, 1), 9)
 
+    @pytest.mark.parametrize("seed", [-5, -1, 1.5, "5", True, None])
+    def test_seed_validated(self, rs53, seed):
+        # random.seed takes abs() of an int: seed -5 would replay seed 5
+        with pytest.raises(ValueError, match="seed"):
+            SearchConfig(SubpacketizationSpec(rs53, 1), 1, mode="random", seed=seed)
+
     def test_space_size(self, rs53, fb1410):
         assert SearchConfig(SubpacketizationSpec(rs53, 1), 1).space_size == 15 ** 3
         assert SearchConfig(SubpacketizationSpec(fb1410, 1), 1).space_size == 255 ** 7
