@@ -31,6 +31,7 @@ from .errors import (
     MdsRepairError,
     MissingScheme,
     NoFeasibleFound,
+    clip,
 )
 from .repair import (RepairReport, RepairScheme, SubpacketizationSpec, baselines,
                      gamma_ranks)
@@ -97,7 +98,7 @@ def cmd_verify(args) -> int:
         schemes = [scheme for _, scheme in load_schemes(args.scheme, code)]
     else:
         schemes = [load_scheme(args.scheme, code)]
-    print(f"code {code.name or ''} ({code.n},{code.k}) over {code.field!r}")
+    print(f"code {clip(code.name or '')} ({code.n},{code.k}) over {code.field!r}")
     reports = []
     for scheme in schemes:
         report = gamma_ranks(scheme)
@@ -122,7 +123,7 @@ def cmd_verify(args) -> int:
 def cmd_clique(args) -> int:
     code = load_code(args.code)
     part = generate_clique(code)
-    print(f"code {code.name or ''} ({code.n},{code.k}) over {code.field!r}, "
+    print(f"code {clip(code.name or '')} ({code.n},{code.k}) over {code.field!r}, "
           f"vectorized over GF({code.field.p}^{part.sub.s})")
     print("cliques: " + " ".join("{" + ",".join(map(str, c)) + "}"
                                  for c in part.cliques))

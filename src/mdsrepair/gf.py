@@ -14,17 +14,19 @@ every element has a coordinate vector over GF(p) (``vector``), every
 element acts on those vectors through an m x m matrix over GF(p)
 (``operator``, a power of the companion matrix of P), and sets of elements
 have a well-defined rank over any intermediate subfield GF(p^s)
-(``rank_over_subfield``).  Coordinates, vectors and operators all read one
-q x m table, ``FieldSpec.coords_table``.  The element rank belongs to
-``SubfieldSpec``: ``rank_exps`` ranks one set of discrete logs,
+(``rank_over_subfield``).  Vectors and operators read one q x m table,
+``FieldSpec.coords_table``; ``coords`` takes the base-p digits of the
+packed index on ints, so odd-p addition needs no array.  The element rank
+belongs to ``SubfieldSpec``: ``rank_exps`` ranks one set of discrete logs,
 ``rank_batch`` many sets of kernel keys at once, each with a kernel chosen
 by p, a bitmask basis for p = 2 and a basis kept in the log domain
 otherwise, so no element is expanded to coordinates.  Their tables are
 ``FieldSpec.rank_keys`` and, for odd p, the Zech-logarithm tables
 ``FieldSpec.zech_arrays`` and ``zech_lists``.  A field builds only its
 exp/log tables at construction and every array table once, on first use,
-so the scalar p = 2 routes never load NumPy.  Coordinate elimination mod p
-(``linalg``) runs only on the explicit-matrix route.
+so element arithmetic and the scalar p = 2 routes never load NumPy.
+Coordinate elimination mod p (``linalg``) runs only on the explicit-matrix
+route.
 """
 
 from __future__ import annotations
@@ -174,11 +176,13 @@ class FieldSpec:
     def rank_keys(self) -> np.ndarray:
         """Read-only table of the batched kernels' key of z^e, 0 <= e <
         2(q-1), so a log plus a shift needs no reduction mod q-1: the packed
-        coordinates (``uint16``) for p = 2, the reduced log (the ``product``
-        table of ``zech_arrays``) otherwise."""
+        coordinates for p = 2, in the smallest unsigned dtype that holds
+        q-1 (``uint8`` up to GF(2^8), ``uint16`` above), the reduced log (the
+        ``product`` table of ``zech_arrays``) otherwise."""
         if self._rank_keys is None:
             if self.p == 2:
-                keys = np.tile(np.array(self.exp_table, dtype=np.uint16), 2)
+                keys = np.tile(np.array(self.exp_table,
+                                        dtype=np.min_scalar_type(self.q - 1)), 2)
                 keys.setflags(write=False)
                 self._rank_keys = keys
             else:
@@ -319,7 +323,15 @@ class FieldElement:
         return 0 if self.exp is None else self.field.exp_table[self.exp]
 
     def coords(self) -> list:
-        return self.field.coords_table[self.index].tolist()
+        """The GF(p) coordinates b_0..b_{m-1}: the base-p digits of the
+        packed index, least significant first (``from_coords`` inverts)."""
+        f = self.field
+        idx = self.index
+        digits = []
+        for _ in range(f.m):
+            idx, digit = divmod(idx, f.p)
+            digits.append(digit)
+        return digits
 
     def vector(self) -> np.ndarray:
         """Coordinate column over GF(p): the coefficients of 1, z, ..., z^{m-1}."""
@@ -454,12 +466,16 @@ class SubfieldSpec:
     def rank_batch(self, keys: np.ndarray) -> np.ndarray:
         """The GF(p^s)-ranks of N sets at once, from an (N, r) array of
         ``FieldSpec.rank_keys`` entries expanded as in ``rank_exps``:
-        ``linalg.bit_rank_batch`` for p = 2, ``zech_rank_batch`` otherwise."""
+        ``linalg.bit_rank_batch`` for p = 2, ``zech_rank_batch`` otherwise.
+        ``keys`` follows the kernels' input contract (``linalg``): the
+        ``.T`` view of a C-ordered (r, N) buffer is eliminated in place."""
         field = self.field
         if field.p == 2:
             r = linalg.bit_rank_batch(keys, field.m)
         else:
             r = linalg.zech_rank_batch(keys, field.m, *field.zech_arrays)
+        if self.s == 1:
+            return r
         bad = r % self.s != 0
         if bad.any():
             raise InvalidMatrix(

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from operator import add
 
 from . import linalg
@@ -70,6 +69,9 @@ class SubpacketizationSpec:
         if (m // self.s) % self.code.r != 0:
             raise IncompatibleSubfield(
                 f"n-k={self.code.r} does not divide m/s={m // self.s}")
+        # the derived tables, built by their properties on first read
+        for name in ("_subfield", "_slot_shifts", "_shifts"):
+            object.__setattr__(self, name, None)
 
     @property
     def beta(self) -> int:
@@ -83,29 +85,41 @@ class SubpacketizationSpec:
     def file_size(self) -> int:
         return self.code.k * self.alpha
 
-    @cached_property
-    def subfield(self) -> SubfieldSpec:
-        return self.code.field.subfield(self.s)
+    # Plain properties over attributes that __post_init__ sets, not
+    # functools.cached_property: that one adds keys to the instance __dict__
+    # after construction, which on CPython 3.11 makes every later attribute
+    # read of the spec about 3x slower (as for FieldSpec's array tables).
 
-    @cached_property
+    @property
+    def subfield(self) -> SubfieldSpec:
+        if self._subfield is None:
+            object.__setattr__(self, "_subfield", self.code.field.subfield(self.s))
+        return self._subfield
+
+    @property
     def slot_shifts(self) -> tuple:
         """The slot layout, k rows of slots entries: slot_shifts[u][j] =
         log P_u at the parity of slot j, slots in parity-major order like
         ``RepairScheme.flat_exps()``, beta per parity."""
-        beta = self.beta
-        return tuple(tuple(e for e in row for _ in range(beta))
-                     for row in self.code.parity_exps())
+        if self._slot_shifts is None:
+            beta = self.beta
+            object.__setattr__(self, "_slot_shifts", tuple(
+                tuple(e for e in row for _ in range(beta))
+                for row in self.code.parity_exps()))
+        return self._slot_shifts
 
-    @cached_property
+    @property
     def shifts(self) -> np.ndarray:
         """Read-only (k, slots * s) table of the batch row layout: shifts[u]
         = log(P_u * w^t) mod q-1, ``slot_shifts`` with each slot repeated
-        for t < s."""
-        slots = np.array(self.slot_shifts, dtype=np.int64)[:, :, None]
-        shifts = (slots + self.subfield.offsets).reshape(
-            self.code.k, -1) % (self.code.field.q - 1)
-        shifts.setflags(write=False)
-        return shifts
+        for t < s.  Built, and NumPy loaded, on first read."""
+        if self._shifts is None:
+            slots = np.array(self.slot_shifts, dtype=np.int64)[:, :, None]
+            shifts = (slots + self.subfield.offsets).reshape(
+                self.code.k, -1) % (self.code.field.q - 1)
+            shifts.setflags(write=False)
+            object.__setattr__(self, "_shifts", shifts)
+        return self._shifts
 
     def bits(self, symbols: int):
         """Bits in ``symbols`` GF(p^s) sub-symbols: the GF(p) digit count
@@ -220,6 +234,14 @@ class RepairReport:
 # picks it
 INFEASIBLE = 2 ** 63 - 1
 
+# key indices per ``np.take`` in ``SchemeEvaluator._gammas_batch``, so that
+# each int64 index temporary stays at 64 KiB.  A single index array per block
+# set (345 KiB for the other nine nodes of a 2,000-candidate fb1410 batch)
+# grows the heap past what malloc keeps between searches: the memory freed
+# after one search goes back to the system and faults back in on the next,
+# about 130 page faults and a quarter of such a search's time.
+GATHER = 8192
+
 
 def _gammas(sub: SubpacketizationSpec, flat_exps) -> tuple:
     """Gammas of one exponent tuple, one ``rank_exps`` call per node on
@@ -237,12 +259,14 @@ class SchemeEvaluator:
 
     ``evaluate_batch`` is the search module's inner loop: the failed node's
     block is ranked for the whole batch, the other k-1 blocks only for the
-    feasible rows, each time with one ``SubfieldSpec.rank_batch`` call on
-    keys read from ``FieldSpec.rank_keys``.  ``evaluate`` scores one tuple
-    on ``gamma_ranks``'s scalar route and is the oracle of ``evaluate_batch``
-    in the tests.  The evaluator holds no table: ``sub`` owns the slot
-    layout (``slot_shifts``, and ``shifts`` for the batch rows), and the
-    field and its subfield own every rank table and kernel.
+    feasible rows.  The keys of each block set are read from
+    ``FieldSpec.rank_keys`` with ``np.take``, a few slots at a time, straight
+    into the kernels' column layout, and ranked with one
+    ``SubfieldSpec.rank_batch`` call, whatever k.  ``evaluate`` scores one
+    tuple on ``gamma_ranks``'s scalar route and is the oracle of
+    ``evaluate_batch`` in the tests.  The evaluator holds no table: ``sub``
+    owns the slot layout (``slot_shifts``, and ``shifts`` for the batch
+    rows), and the field and its subfield own every rank table and kernel.
     """
 
     def __init__(self, sub: SubpacketizationSpec, failed: int):
@@ -256,26 +280,42 @@ class SchemeEvaluator:
             return False, None
         return True, sum(gammas)
 
-    def _gammas_batch(self, rows: np.ndarray, nodes: list) -> np.ndarray:
-        """(len(nodes), N) gammas of the (N, slots * s) reduced exponent rows
-        of the batch layout, from one rank-kernel call over all blocks."""
-        rank_keys = self.sub.code.field.rank_keys
-        keys = np.empty((len(nodes),) + rows.shape, dtype=rank_keys.dtype)
-        for block, u in zip(keys, nodes):
-            np.take(rank_keys, rows + self.sub.shifts[u], out=block)
-        r = self.sub.subfield.rank_batch(keys.reshape(-1, rows.shape[1]))
-        return r.reshape(len(nodes), len(rows))
+    def _gammas_batch(self, cols: np.ndarray, nodes: list) -> np.ndarray:
+        """(len(nodes), N) gammas of the (slots, N) reduced exponent columns
+        ``cols``.  The key of slot j, basis offset t, node nodes[i] and
+        candidate c is gathered to [j, t, i, c], which is the (slots * s,
+        len(nodes) * N) column layout of the kernels, ``GATHER`` indices at a
+        time at most, and one ``rank_batch`` call ranks the ``.T`` view of
+        that buffer in place."""
+        sub = self.sub
+        slots, n = cols.shape
+        shifts = sub.shifts[nodes].T.reshape(slots, sub.s, len(nodes), 1)
+        rank_keys = sub.code.field.rank_keys
+        keys = np.empty((slots, sub.s, len(nodes), n), dtype=rank_keys.dtype)
+        step = max(1, GATHER // (keys[0].size or 1))
+        for j in range(0, slots, step):
+            # the indices are below 2(q-1) = len(rank_keys): "clip" checks
+            # nothing and, unlike "raise", writes to out without a copy
+            np.take(rank_keys, cols[j:j + step, None, None, :] + shifts[j:j + step],
+                    out=keys[j:j + step], mode="clip")
+        ranks = sub.subfield.rank_batch(keys.reshape(slots * sub.s, -1).T)
+        return ranks.reshape(len(nodes), n)
 
     def evaluate_batch(self, flats: np.ndarray) -> np.ndarray:
         """Totals of the (N, slots) exponent tuples in ``flats``, with
         ``INFEASIBLE`` for the infeasible ones."""
-        flats = np.asarray(flats, dtype=np.int64) % (self.sub.code.field.q - 1)
-        rows = np.repeat(flats, self.sub.s, axis=1)
+        q1 = self.sub.code.field.q - 1
+        flats = np.asarray(flats, dtype=np.int64)
+        # the search's exponents are reduced already, and the division is the
+        # dearest pass over a batch: reduce only when an entry needs it
+        if flats.size and (flats.min() < 0 or flats.max() >= q1):
+            flats = flats % q1
         failed = self.failed - 1
-        ok = self._gammas_batch(rows, [failed])[0] == self.sub.alpha
+        ok = self._gammas_batch(flats.T, [failed])[0] == self.sub.alpha
         others = [u for u in range(self.sub.code.k) if u != failed]
-        totals = np.full(len(rows), INFEASIBLE, dtype=np.int64)
-        totals[ok] = self.sub.alpha + self._gammas_batch(rows[ok], others).sum(axis=0)
+        gammas = self._gammas_batch(flats.compress(ok, axis=0).T, others)
+        totals = np.full(len(flats), INFEASIBLE, dtype=np.int64)
+        totals[ok] = self.sub.alpha + gammas.sum(axis=0)
         return totals
 
 

@@ -10,7 +10,17 @@ Candidates are produced and scored in chunks of at most ``CHUNK`` tuples,
 as (N, slots) exponent arrays for ``SchemeEvaluator.evaluate_batch``
 (a batched elimination: over GF(2) for p = 2, in the log domain for odd
 p).  Exhaustive chunks are slices of the flat index range read in mixed
-radix q-1, which is lexicographic order.
+radix q-1, which is lexicographic order.  A chunk's cost is mostly a fixed
+number of NumPy calls, so one chunk covers the usual search.
+
+Memory: a chunk of N candidates holds its exponent rows (8 * slots * N
+bytes, slots <= m) and, while one block set is ranked, about
+(3b + 1) * m + 9 bytes per candidate and node of the set for p = 2, b the
+bytes of a key (1 up to GF(2^8), 2 up to GF(2^16)), or 33 * m + 9 for odd
+p, plus at most 64 KiB of gather indices.  For m <= 16 and p = 2 a full
+chunk of 4,096 stays under about 0.75 MiB plus 0.5 MiB per systematic
+node; measured peaks are 0.8 MiB for fb1410 (k = 10) and 2.2 MiB for an
+RS(14,12) code over GF(2^16).
 
 Random draws use the stdlib Mersenne Twister (``random.Random(seed)``),
 one ``randrange(q-1)`` exponent per free slot in slot order, so a run is
@@ -35,8 +45,10 @@ from .repair import (
 )
 
 EXHAUSTIVE_CAP = 10 ** 8
-# candidates scored per batch: bounds the working arrays' memory
-CHUNK = 1024
+# candidates scored per batch: one batch for the 2,000-sample and the
+# 3,375-candidate searches, and at most about 0.75 MiB + 0.5 MiB per
+# systematic node of working arrays for m <= 16, p = 2 (module docstring)
+CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -82,6 +94,20 @@ class SearchResult:
     proven_optimal: bool
 
 
+def _pin_first(free: np.ndarray) -> np.ndarray:
+    """The (n, slots) int64 candidates of the (n, free_slots) ``free``
+    slots, behind a first slot pinned to 0 (the element 1).
+
+    ``free`` is drawn before the candidates are allocated and is released
+    on return, so its memory is a hole below them that the evaluator's
+    arrays reuse, not a top of the heap that free() trims and the next
+    chunk has to fault back in.
+    """
+    flats = np.zeros((len(free), free.shape[1] + 1), dtype=np.int64)
+    flats[:, 1:] = free
+    return flats
+
+
 def _run(cfg: SearchConfig, count: int, tails, proven: bool) -> SearchResult:
     """Score ``count`` candidates in stream order, ``CHUNK`` at a time,
     keeping the feasible minimum; ``tails(start, n)`` gives the free slots
@@ -98,8 +124,7 @@ def _run(cfg: SearchConfig, count: int, tails, proven: bool) -> SearchResult:
     feasible = 0
     for start in range(0, count, CHUNK):
         n = min(CHUNK, count - start)
-        flats = np.zeros((n, cfg.slots), dtype=np.int64)
-        flats[:, 1:] = tails(start, n)
+        flats = _pin_first(tails(start, n))
         totals = ev.evaluate_batch(flats)
         feasible += int(np.count_nonzero(totals != INFEASIBLE))
         i = int(totals.argmin())
@@ -131,21 +156,23 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
 
 
 def _draw(rng: random.Random, q1: int, count: int) -> np.ndarray:
-    """``[rng.randrange(q1) for _ in range(count)]`` as an array, drawn in bulk.
+    """``[rng.randrange(q1) for _ in range(count)]`` as a ``uint32`` array,
+    drawn in bulk.
 
     ``randrange(q1)`` takes the top ``q1.bit_length()`` bits of one 32-bit
     Mersenne Twister word and rejects values >= q1, drawing again;
     ``getrandbits(32 * n)`` returns n such words, the first as the least
     significant.  Every value takes at least one word, so asking for as many
     words as values are still missing never reads past the stdlib stream.
+    The values stay ``uint32``, which keeps the draw's temporaries small.
     """
     shift = 32 - q1.bit_length()
-    parts = [np.zeros(0, dtype=np.int64)]
+    parts = [np.zeros(0, dtype=np.uint32)]
     missing = count
     while missing:
         words = np.frombuffer(
             rng.getrandbits(32 * missing).to_bytes(4 * missing, "little"),
-            dtype="<u4").astype(np.int64)
+            dtype="<u4")
         values = words >> shift
         values = values[values < q1]
         parts.append(values)

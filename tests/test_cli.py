@@ -442,6 +442,23 @@ class TestUnreadableInput:
         assert one_error_line(err) and len(err.encode()) < 300 and "..." in err
         assert "differ in field" in err
 
+    @pytest.mark.parametrize("command", ["verify", "clique"])
+    def test_long_code_name_cut_on_stdout(self, capsys, tmp_path, command):
+        # the human-readable lines name the code cut to 60 characters; the
+        # JSON payload keeps the name whole
+        path = code_file(tmp_path, "x" * 100_000)
+        argv = ["--code", path, "--json"]
+        if command == "verify":
+            argv += ["--scheme", str(Path(bundled_scheme_dir("rs53"), "node1.json"))]
+        code, out, _ = run(capsys, command, *argv)
+        assert code == 0
+        first, rest = out.split("\n", 1)
+        assert len(first.encode()) < 200 and "..." in first
+        payload = json.loads(rest[rest.index("\n{") + 1:])
+        if command == "verify":
+            assert payload["reports"][0]["code"] == "x" * 100_000
+        assert all(len(line) < 200 for line in rest[:rest.index("\n{")].splitlines())
+
 
 class TestMisc:
     def test_list_codes(self, capsys):

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from mdsrepair.codes import encode, rs_systematic, verify_mds
 from mdsrepair.errors import (
     DivisionByZero,
     IncompatibleSubfield,
@@ -110,6 +111,30 @@ class TestConstruction:
             assert getattr(field, name) is getattr(field, name)
         arrays = [field.coords_table, field.rank_keys, *getattr(field, "zech_arrays", ())]
         assert not any(table.flags.writeable for table in arrays)
+
+    def test_odd_p_arithmetic_without_numpy(self, monkeypatch):
+        # coords() reads the base-p digits of the packed index on ints, so
+        # building RS(6,4) over GF(3^4), encoding and verify_mds read nothing
+        # of NumPy; the results match coordinate arithmetic on coords_table
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} read by element arithmetic")
+
+        monkeypatch.setattr(gf, "np", NoNumpy())
+        f81 = FieldSpec(3, [2, 0, 0, 1, 1])
+        code = rs_systematic(f81, [f81.element(i) for i in range(6)], 4)
+        message = [f81.element(e) for e in (0, 17, None, 61)]
+        word = encode(code, message)
+        assert verify_mds(code)
+        coords = [x.coords() for x in f81.elements()]
+        monkeypatch.undo()
+        assert coords == f81.coords_table[[x.index for x in f81.elements()]].tolist()
+        for j in range(code.r):
+            vector = sum(code.parity[i][j].operator() @ x.vector()
+                         for i, x in enumerate(message)) % 3
+            assert word[code.k + j] == f81.from_coords(vector)
+        for a, b in itertools.product(list(f81.elements())[::7], repeat=2):
+            assert (a - b).vector().tolist() == ((a.vector() - b.vector()) % 3).tolist()
 
 
 def _monic(p, m):
@@ -431,6 +456,50 @@ class TestRankOverSubfield:
         for n, r in ((0, 3), (4, 0), (0, 0)):
             logs = np.zeros((n, r), dtype=np.int64)
             assert linalg.zech_rank_batch(logs, m, *field.zech_arrays).tolist() == [0] * n
+
+
+class TestBatchKernels:
+    @pytest.mark.parametrize("m", [2, 4, 8, 9, 16])
+    def test_bit_rank_batch_matches_bit_rank(self, m, rng):
+        # every row count from 0 to m+2, in each unsigned key dtype that
+        # holds 2^m - 1, with zero rows and repeated rows mixed in
+        dtypes = [d for d in (np.uint8, np.uint16) if np.iinfo(d).max >= (1 << m) - 1]
+        for r in range(m + 3):
+            sets = []
+            for _ in range(60):
+                rows = [rng.randrange(1 << m) for _ in range(r)]
+                if r >= 2 and rng.random() < 0.5:
+                    rows[rng.randrange(r)] = 0
+                if r >= 2 and rng.random() < 0.5:
+                    rows[rng.randrange(r)] = rows[rng.randrange(r)]
+                sets.append(rows)
+            want = [linalg.bit_rank(rows) for rows in sets]
+            for dtype in dtypes:
+                rows = np.array(sets, dtype=dtype).reshape(len(sets), r)
+                assert linalg.bit_rank_batch(rows, m).tolist() == want
+                # the kernels' own column layout: the .T view of a C-ordered
+                # (r, N) buffer, which the elimination may overwrite
+                cols = np.ascontiguousarray(rows.T)
+                assert linalg.bit_rank_batch(cols.T, m).tolist() == want
+        assert linalg.bit_rank_batch(np.zeros((0, 3), dtype=np.uint8), m).tolist() == []
+
+    @pytest.mark.parametrize("p, poly", [(2, [1, 0, 1, 1, 1, 0, 0, 0, 1]),
+                                         (3, [2, 0, 0, 1, 1])])
+    def test_batch_kernels_leave_c_ordered_rows_unchanged(self, p, poly, rng):
+        # an (N, r) C-ordered argument, r = 1 included, is copied, never
+        # eliminated in place; N = 1 makes it C- and F-contiguous at once
+        field = FieldSpec(p, poly)
+        keys = field.rank_keys[:2 * (field.q - 1)]  # the keys of z^0 .. z^(2q-3)
+        sub = field.subfield(1)
+        for n, r in ((200, field.m), (200, 1), (1, field.m), (1, 1)):
+            rows = keys[[rng.randrange(len(keys)) for _ in range(n * r)]].reshape(n, r)
+            before = rows.copy()
+            ranks = sub.rank_batch(rows)
+            assert np.array_equal(rows, before) and rows.flags.c_contiguous
+            # a key is the packed index for p = 2, the log itself otherwise
+            logs = [[field.log_table[k] if p == 2 else k for k in row]
+                    for row in before.tolist()]
+            assert ranks.tolist() == list(map(sub.rank_exps, logs))
 
 
 class TestSubfieldCoords:

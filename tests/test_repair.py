@@ -24,6 +24,7 @@ from mdsrepair.errors import (
     ZeroReference,
 )
 from mdsrepair.gf import SubfieldSpec
+from mdsrepair import repair
 from mdsrepair.repair import (
     MatrixScheme,
     RepairScheme,
@@ -73,6 +74,27 @@ class TestSubpacketization:
     def test_numpy_integer_s_accepted(self, rs53):
         sub = SubpacketizationSpec(rs53, np.int64(1))
         assert sub == SubpacketizationSpec(rs53, 1) and type(sub.s) is int
+
+    @pytest.mark.parametrize("name, s", [("fb1410", 1), ("rs64", 2), ("rs64_gf81", 2)])
+    def test_derived_tables_keep_the_instance_layout(self, request, name, s, monkeypatch):
+        # subfield, slot_shifts and shifts are built on first read into
+        # attributes that construction made: no read adds a key to the
+        # instance __dict__, each returns the same object every time, and
+        # only shifts reads NumPy
+        sub = SubpacketizationSpec(request.getfixturevalue(name), s)
+        keys = set(vars(sub))
+
+        class NoNumpy:
+            def __getattr__(self, attr):
+                raise AssertionError(f"np.{attr} read for a scalar table")
+
+        monkeypatch.setattr(repair, "np", NoNumpy())
+        scalar = [sub.subfield, sub.slot_shifts]
+        monkeypatch.undo()
+        first = [*scalar, sub.shifts]
+        assert set(vars(sub)) == keys
+        assert all(a is b for a, b in zip(first, [sub.subfield, sub.slot_shifts, sub.shifts]))
+        assert sub == SubpacketizationSpec(sub.code, s)
 
     def test_baselines(self, rs53, rs64, fb1410):
         assert baselines(SubpacketizationSpec(rs53, 1)) == (12, 8)

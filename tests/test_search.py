@@ -229,6 +229,23 @@ class TestBatch:
             assert ev.evaluate_batch(np.array(flats)).tolist() == want
             assert INFEASIBLE in want and min(want) < INFEASIBLE
 
+    @pytest.mark.parametrize("name", ["fb1410", "rs64_gf81"])
+    def test_batch_reduces_its_input(self, request, name):
+        # exponents outside [0, q-1), negative ones included, score as their
+        # residues; in-range input is used as it is, and left unchanged
+        code = request.getfixturevalue(name)
+        sub = SubpacketizationSpec(code, 1)
+        q1 = code.field.q - 1
+        draw = random.Random(name)
+        flats = np.array([[draw.randrange(q1) for _ in range(code.r * sub.beta)]
+                          for _ in range(500)])
+        moved = flats + q1 * np.array([[draw.randrange(-3, 4) for _ in row]
+                                       for row in flats])
+        kept = flats.copy()
+        ev = SchemeEvaluator(sub, 2)
+        assert ev.evaluate_batch(moved).tolist() == ev.evaluate_batch(flats).tolist()
+        assert np.array_equal(flats, kept)
+
     @pytest.mark.parametrize("name", ["rs64", "fb1410", "rs64_gf81"])
     def test_evaluators_read_the_field_rank_keys(self, request, name, monkeypatch, rng):
         # GF(2^4), GF(2^8), GF(3^4): the field builds the key table once and
@@ -239,7 +256,8 @@ class TestBatch:
         rank_keys = field.rank_keys
         assert not rank_keys.flags.writeable
         if field.p == 2:
-            assert rank_keys.dtype == np.uint16
+            # the smallest unsigned dtype holding q-1
+            assert rank_keys.dtype == (np.uint8 if field.q <= 256 else np.uint16)
             assert len(rank_keys) == 2 * (field.q - 1)
         read = []
         take = np.take
@@ -297,6 +315,21 @@ class TestBatch:
                                  mode="random", samples=300, seed=9))
 
         before = list(map(_outcome, cfgs))
+        monkeypatch.setattr(search, "CHUNK", 7)
+        assert list(map(_outcome, cfgs)) == before
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_chunk_boundary_same_outcome(self, fb1410, rs64_gf81, monkeypatch, offset):
+        # samples = CHUNK - 1, CHUNK, CHUNK + 1: one chunk short of full, one
+        # full chunk, and a full chunk plus a single candidate, against the
+        # same searches in 7-row chunks
+        samples = search.CHUNK + offset
+        cfgs = [SearchConfig(SubpacketizationSpec(fb1410, 1), 2, mode="random",
+                             samples=samples, seed=11),
+                SearchConfig(SubpacketizationSpec(rs64_gf81, 2), 3, mode="random",
+                             samples=samples, seed=11)]
+        before = list(map(_outcome, cfgs))
+        assert [evaluated for _, _, evaluated, _ in before] == [samples] * 2
         monkeypatch.setattr(search, "CHUNK", 7)
         assert list(map(_outcome, cfgs)) == before
 
