@@ -8,8 +8,10 @@ Exit codes: 0 ok, 1 infeasible scheme or failed check, 2 bad input
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -151,11 +153,30 @@ def cmd_clique(args) -> int:
     return EXIT_OK
 
 
+def _default_out(name: str | None, node: int) -> str:
+    """best_<name>_node<i>.json in the working directory: the code name cut
+    to 40 characters, each character outside [A-Za-z0-9._-] replaced by _,
+    so no name makes a path or an over-long file name."""
+    stem = re.sub(r"[^A-Za-z0-9._-]", "_", (name or "code")[:40])
+    return f"best_{stem}_node{node}.json"
+
+
+def _check_out(out: str) -> None:
+    """Raise the OSError that writing ``out`` would, for a missing parent
+    directory or a directory at ``out``, before the search is run."""
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    if os.path.isdir(out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+
+
 def cmd_search(args) -> int:
     code = load_code(args.code)
     sub = SubpacketizationSpec(code, args.subfield_degree)
     cfg = SearchConfig(sub, args.node, mode=args.mode, samples=args.samples,
                        seed=args.seed)
+    out = args.out or _default_out(code.name, args.node)
+    _check_out(out)
     if args.mode == "exhaustive":
         result = exhaustive_search(cfg)
     else:
@@ -165,7 +186,6 @@ def cmd_search(args) -> int:
           f"({'exhaustive' if result.proven_optimal else f'random, seed {args.seed}'})")
     _print_report(result.best, report)
     print(f"proven optimal: {result.proven_optimal}")
-    out = args.out or f"best_{code.name or 'code'}_node{args.node}.json"
     with open(out, "w") as f:
         json.dump(result.best.to_json(), f, indent=1)
         f.write("\n")

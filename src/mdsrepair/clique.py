@@ -14,16 +14,15 @@ block stays full.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+from ._value import Value
 from .codes import CodeSpec
 from .errors import CliqueBoundMissed, NotNormalized, NotTwoParity, OddExtensionDegree
 from .gf import FieldElement
 from .repair import RepairScheme, SubpacketizationSpec, gamma_ranks
 
 
-@dataclass(frozen=True)
-class CliquePartition:
+class CliquePartition(Value):
     """Disjoint cliques (cosets of the half-degree subfield's multiplicative
     group) covering the systematic nodes, ordered by smallest member."""
 
@@ -31,8 +30,7 @@ class CliquePartition:
     cliques: tuple
 
 
-@dataclass(frozen=True)
-class CliqueRepair:
+class CliqueRepair(Value):
     """find_repair outcome: the scheme, its repair element mu, and whether
     the partition was degenerate (single clique, no gain over naive)."""
 

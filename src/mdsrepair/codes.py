@@ -10,9 +10,9 @@ Hadoop (14,10) code) can be supplied directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
+from ._value import Value
 from .errors import (
     DuplicateEvalPoints,
     LengthMismatch,
@@ -25,8 +25,7 @@ from .errors import (
 from .gf import FieldElement, FieldSpec
 
 
-@dataclass(frozen=True)
-class CodeSpec:
+class CodeSpec(Value):
     """A systematic (n,k) code given by its parity matrix.
 
     parity[i][j] is the coefficient applied to message symbol i+1 by
@@ -90,8 +89,7 @@ class CodeSpec:
             raise ParseError(f"bad code JSON: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class Codeword:
+class Codeword(Value):
     """n coded symbols; the first k are the message itself."""
 
     code: CodeSpec

@@ -30,11 +30,11 @@ codeword and counts the bits moved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import add
 
 from . import linalg
 from ._numpy import np
+from ._value import Value
 from .codes import CodeSpec, Codeword
 from .errors import (
     DimensionMismatch,
@@ -49,8 +49,7 @@ from .errors import (
 from .gf import FieldElement, SubfieldSpec, subfield_coords
 
 
-@dataclass(frozen=True)
-class SubpacketizationSpec:
+class SubpacketizationSpec(Value):
     """A code together with the subfield degree used to vectorize it.
 
     Derived quantities: beta equations per parity node, alpha = m/s
@@ -136,8 +135,7 @@ def baselines(sub: SubpacketizationSpec) -> tuple:
     return sub.file_size, (sub.code.n - 1) * sub.beta
 
 
-@dataclass(frozen=True)
-class RepairScheme:
+class RepairScheme(Value):
     """Repair field elements for one failed systematic node.
 
     elements[l][j] is the element for equation j downloaded from parity
@@ -201,8 +199,7 @@ def scheme_from_json(obj: dict, code: CodeSpec) -> RepairScheme:
         raise ParseError(f"bad scheme JSON: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class RepairReport:
+class RepairReport(Value):
     """Per-node download counts (gammas) of one repair scheme, in GF(p^s)
     symbols; everything else is derived from them."""
 
@@ -349,8 +346,7 @@ def lift_scheme(scheme: RepairScheme, a: int) -> RepairScheme:
 # explicit repair-matrix realization (the independent rank oracle)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MatrixScheme:
+class MatrixScheme(Value):
     """Explicit repair matrices over GF(p).
 
     matrices[l] has shape m x (s * beta): one column per downloaded GF(p)
@@ -431,8 +427,7 @@ def gamma_ranks_matrix(sub: SubpacketizationSpec, failed: int,
 # end-to-end repair simulation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RecoveryResult:
+class RecoveryResult(Value):
     """Outcome of a simulated repair."""
 
     element: FieldElement            # the regenerated symbol

@@ -31,9 +31,9 @@ reproducible from its seed on any platform.  The draws are taken in bulk
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from ._numpy import np
+from ._value import Value
 from .errors import NoFeasibleFound, SearchSpaceTooLarge, short_repr
 from .repair import (
     INFEASIBLE,
@@ -51,8 +51,7 @@ EXHAUSTIVE_CAP = 10 ** 8
 CHUNK = 4096
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Value):
     sub: SubpacketizationSpec
     failed: int
     mode: str = "exhaustive"            # "exhaustive" | "random"
@@ -85,8 +84,7 @@ class SearchConfig:
         return (self.sub.code.field.q - 1) ** self.free_slots
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Value):
     best: RepairScheme
     best_report: RepairReport
     evaluated: int

@@ -278,6 +278,37 @@ class TestSearch:
         assert one_error_line(err) and "seed" in err
         assert not out_file.exists()
 
+    def test_long_name_default_out_is_cut(self, capsys, tmp_path, monkeypatch):
+        path = code_file(tmp_path, "x" * 300)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "search", "--code", path, "--node", "1")
+        written = f"best_{'x' * 40}_node1.json"
+        assert code == 0 and err == ""
+        assert out.endswith(f"best scheme written to {written}\n")
+        assert json.loads((tmp_path / written).read_text())["code"] == "x" * 300
+
+    @pytest.mark.parametrize("name, written", [
+        ("..", "best_.._node1.json"), ("../up", "best_.._up_node1.json"),
+        ("a/b", "best_a_b_node1.json"), ("/abs\\x y", "best__abs_x_y_node1.json")])
+    def test_default_out_in_working_directory(self, capsys, tmp_path, monkeypatch,
+                                              name, written):
+        path = code_file(tmp_path, name)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, out, _ = run(capsys, "search", "--code", path, "--node", "1")
+        assert code == 0 and out.endswith(f"best scheme written to {written}\n")
+        assert [p.name for p in work.iterdir()] == [written]
+
+    def test_missing_out_directory_exit_2_before_search(self, capsys, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "search", "--code", "rs53", "--node", "1",
+                             "--out", "nodir/x.json")
+        assert code == 2 and "searched" not in out and out == ""
+        assert err == "error: [Errno 2] No such file or directory: 'nodir/x.json'\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOddCharacteristic:
     """RS(6,4) over GF(3^4), from a code file, through the whole CLI."""

@@ -1,7 +1,8 @@
 """Package-wide guards: every exported name resolves, no check in the
-package is an ``assert`` (``python -O`` would drop it), every function
-the benchmark tracer wraps still exists under its traced name, the
-README's library example runs, and only the array routes execute NumPy."""
+package is an ``assert`` (``python -O`` would drop it), no module builds
+code at run time, every function the benchmark tracer wraps still exists
+under its traced name, the README's library example runs, and only the
+array routes execute NumPy."""
 
 import ast
 import importlib
@@ -35,6 +36,39 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found
+
+
+def test_no_code_generation():
+    # the value classes share plain methods: no module imports dataclasses,
+    # which writes each class's methods as source, or calls exec/eval/compile
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("exec", "eval", "compile")):
+                modules = [node.func.id]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in modules
+                      if name in ("dataclasses", "exec", "eval", "compile")]
+    assert not found
+
+
+def test_cli_import_loads_no_code_generator():
+    # the modules loaded by importing the CLI, against those loaded before
+    probe = ("import sys; before = set(sys.modules); import mdsrepair.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    loaded = proc.stdout.split()
+    assert "mdsrepair.cli" in loaded
+    assert not {"dataclasses", "inspect"} & set(loaded)
 
 
 def test_tracing_targets_resolve():
