@@ -163,7 +163,8 @@ def _default_out(name: str | None, node: int) -> str:
 
 def _check_out(out: str) -> None:
     """Raise the OSError that writing ``out`` would, for a missing parent
-    directory or a directory at ``out``, before the search is run."""
+    directory or a directory at ``out``, before a command prints or runs
+    anything."""
     if not os.path.isdir(os.path.dirname(out) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
     if os.path.isdir(out):
@@ -176,7 +177,8 @@ def cmd_search(args) -> int:
     cfg = SearchConfig(sub, args.node, mode=args.mode, samples=args.samples,
                        seed=args.seed)
     out = args.out or _default_out(code.name, args.node)
-    _check_out(out)
+    if not args.out:  # main checked the path the user gave
+        _check_out(out)
     if args.mode == "exhaustive":
         result = exhaustive_search(cfg)
     else:
@@ -346,6 +348,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.func(args)
     except (InfeasibleScheme, NoFeasibleFound) as exc:
         print(f"error: {exc}", file=sys.stderr)

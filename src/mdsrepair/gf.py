@@ -463,17 +463,17 @@ class SubfieldSpec:
                 f"GF({field.p})-rank {r} is not a multiple of s={self.s}")
         return r // self.s
 
-    def rank_batch(self, keys: np.ndarray) -> np.ndarray:
-        """The GF(p^s)-ranks of N sets at once, from an (N, r) array of
-        ``FieldSpec.rank_keys`` entries expanded as in ``rank_exps``:
-        ``linalg.bit_rank_batch`` for p = 2, ``zech_rank_batch`` otherwise.
-        ``keys`` follows the kernels' input contract (``linalg``): the
-        ``.T`` view of a C-ordered (r, N) buffer is eliminated in place."""
+    def rank_batch(self, cols: np.ndarray) -> np.ndarray:
+        """The GF(p^s)-ranks of N sets at once, from the (r, N) C-ordered
+        column array of their ``FieldSpec.rank_keys`` entries, expanded as
+        in ``rank_exps`` and set c in column c, which the kernel
+        (``linalg.bit_rank_batch`` for p = 2, ``zech_rank_batch``
+        otherwise) overwrites."""
         field = self.field
         if field.p == 2:
-            r = linalg.bit_rank_batch(keys, field.m)
+            r = linalg.bit_rank_batch(cols, field.m)
         else:
-            r = linalg.zech_rank_batch(keys, field.m, *field.zech_arrays)
+            r = linalg.zech_rank_batch(cols, field.m, *field.zech_arrays)
         if self.s == 1:
             return r
         bad = r % self.s != 0

@@ -7,26 +7,21 @@ Five representations are used:
   the elimination itself runs on python lists, which beat numpy row
   operations at these sizes;
 * python ints as bit-rows for the GF(2) element rank (`bit_rank`);
-* numpy arrays of packed coordinates, one set of rows per line, for the
+* numpy arrays of packed coordinates, one set of rows per column, for the
   batched GF(2) rank (`bit_rank_batch`) that the p = 2 search ranks whole
   candidate chunks with, in the smallest unsigned dtype that holds q-1
   (``uint8`` up to GF(2^8), ``uint16`` above);
 * discrete logs of GF(p^m) elements for the odd-p element rank
   (`zech_rank`), reduced through the field's Zech-logarithm tables;
-* numpy int64 arrays of such logs, one set per line, for the batched odd-p
+* numpy int64 arrays of such logs, one set per column, for the batched odd-p
   rank (`zech_rank_batch`) that the odd-p search ranks whole candidate
   chunks with, through array forms of the same tables.
 
-Both batch kernels take N sets of r rows as an (N, r) argument and work in
-the column layout, an (r, N) C-ordered array, so that every elimination
-step runs over contiguous length-N vectors.  When the argument's transpose
-already is a writeable C-contiguous array (and the argument itself is not
-C-contiguous), as for the ``.T`` view of the buffer that
-``SchemeEvaluator.evaluate_batch`` gathers, the kernel eliminates in that
-buffer and leaves it overwritten; any other argument, an (N, r) C-ordered
-array in particular, is copied first and left unchanged.  Each step
-records its pivot row in a preallocated (steps, N) array, and a set's rank
-is the number of nonzero pivots, counted once at the end.
+Both batch kernels take N sets of r rows in the column layout, an (r, N)
+C-ordered array, so that every elimination step runs over contiguous
+length-N vectors, and eliminate in that array: it is overwritten.  Each
+step records its pivot row in a preallocated (steps, N) array, and a
+set's rank is the number of nonzero pivots, counted once at the end.
 
 ``bit_rank`` and ``zech_rank`` are the kernels behind
 ``SubfieldSpec.rank_exps``, the scalar element rank, and ``bit_rank_batch``
@@ -56,17 +51,6 @@ def bit_rank(rows) -> int:
     return rank
 
 
-def _columns(rows, dtype=None) -> np.ndarray:
-    """The (r, N) C-ordered working array of a batch kernel for the (N, r)
-    ``rows``: their transpose itself when that is a writeable C-contiguous
-    buffer that ``rows`` does not hold in (N, r) C order, else a copy."""
-    rows = np.asarray(rows, dtype=dtype)
-    cols = rows.T
-    if cols.flags.c_contiguous and cols.flags.writeable and not rows.flags.c_contiguous:
-        return cols
-    return np.array(cols, order="C")
-
-
 def _count(nonzero: np.ndarray) -> np.ndarray:
     """The int64 number of True entries in each column of the (steps, N)
     bool array ``nonzero``, summed in uint8 (steps <= 16), which is several
@@ -74,22 +58,21 @@ def _count(nonzero: np.ndarray) -> np.ndarray:
     return nonzero.sum(axis=0, dtype=np.uint8).astype(np.int64)
 
 
-def bit_rank_batch(rows: np.ndarray, m: int) -> np.ndarray:
+def bit_rank_batch(cols: np.ndarray, m: int) -> np.ndarray:
     """GF(2) ranks of N sets of bitmask rows at once.
 
-    ``rows`` is an (N, r) array of packed coordinates below 2^m, of any
-    unsigned dtype (``FieldSpec.rank_keys`` uses the smallest that holds
-    q-1); returns the N ranks.  ``rows.T`` is the working array when it is
-    a writeable C-contiguous buffer (see the module docstring), which the
-    elimination overwrites.  Each step takes the largest row of every set
-    as its pivot.  XORing the pivot into a row clears the pivot's leading
-    bit, and makes the row smaller, exactly when the row holds that bit; so
-    replacing every row by the minimum of itself and its XOR with the pivot
-    is one elimination step, and it turns the pivot into 0.  A set's rank is
-    the number of nonzero pivots, and min(m, r) steps exhaust every set;
-    the last step only records its pivot.
+    ``cols`` is an (r, N) C-ordered array of packed coordinates below 2^m,
+    column c the rows of set c, in any unsigned dtype
+    (``FieldSpec.rank_keys`` uses the smallest that holds q-1); the
+    elimination overwrites it.  Returns the N ranks.  Each step takes the
+    largest row of every set as its pivot.  XORing the pivot into a row
+    clears the pivot's leading bit, and makes the row smaller, exactly when
+    the row holds that bit; so replacing every row by the minimum of itself
+    and its XOR with the pivot is one elimination step, and it turns the
+    pivot into 0.  A set's rank is the number of nonzero pivots, and
+    min(m, r) steps exhaust every set; the last step only records its
+    pivot.
     """
-    cols = _columns(rows)
     steps = min(m, len(cols))
     pivots = np.empty((steps, cols.shape[1]), dtype=cols.dtype)
     scratch = np.empty_like(cols)
@@ -131,14 +114,13 @@ def zech_rank(exps, lead, zech, product) -> int:
     return len(basis)
 
 
-def zech_rank_batch(logs: np.ndarray, m: int, lead, zech, product) -> np.ndarray:
+def zech_rank_batch(cols: np.ndarray, m: int, lead, zech, product) -> np.ndarray:
     """GF(p) ranks, p odd, of N sets of nonzero elements of GF(p^m) at once.
 
-    ``logs`` is an (N, r) array of discrete logs in [0, 2(q-1)), with 2(q-1)
-    for zero, as ``FieldSpec.rank_keys`` holds them (other values are not
-    checked); returns the N ranks.  ``logs.T`` is the working array when it
-    is a writeable C-contiguous int64 buffer (see the module docstring),
-    which the elimination overwrites.  The tables are
+    ``cols`` is an (r, N) C-ordered int64 array of discrete logs in
+    [0, 2(q-1)), with 2(q-1) for zero, as ``FieldSpec.rank_keys`` holds
+    them (other values are not checked), column c the elements of set c;
+    the elimination overwrites it.  Returns the N ranks.  The tables are
     ``FieldSpec.zech_arrays``, the array forms of ``zech_rank``'s, and this
     is its elimination, one leading position at a time.  Each step takes
     the row with the largest ``lead`` of every set, which has the highest
@@ -154,7 +136,6 @@ def zech_rank_batch(logs: np.ndarray, m: int, lead, zech, product) -> np.ndarray
     (a nonnegative ``lead``), and min(m, r) steps exhaust every set; the
     last step only records its pivot.
     """
-    cols = _columns(logs, np.int64)
     steps = min(m, len(cols))
     pivots = np.empty((steps, cols.shape[1]), dtype=np.int64)
     keys = np.empty_like(cols)

@@ -62,15 +62,20 @@ class SubpacketizationSpec(Value):
 
     def __post_init__(self):
         object.__setattr__(self, "s", as_int(self.s, "s"))
-        m = self.code.field.m
-        if self.s < 1 or m % self.s != 0:
-            raise IncompatibleSubfield(f"s={self.s} does not divide m={m}")
-        if (m // self.s) % self.code.r != 0:
+        # IncompatibleSubfield unless s | m
+        object.__setattr__(self, "subfield", self.code.field.subfield(self.s))
+        if self.alpha % self.code.r != 0:
             raise IncompatibleSubfield(
-                f"n-k={self.code.r} does not divide m/s={m // self.s}")
-        # the derived tables, built by their properties on first read
-        for name in ("_subfield", "_slot_shifts", "_shifts"):
-            object.__setattr__(self, name, None)
+                f"n-k={self.code.r} does not divide m/s={self.alpha}")
+        # the slot layout, k rows of slots entries: slot_shifts[u][j] = log
+        # P_u at the parity of slot j, slots in parity-major order like
+        # ``RepairScheme.flat_exps()``, beta per parity
+        beta = self.beta
+        object.__setattr__(self, "slot_shifts", tuple(
+            tuple(e for e in row for _ in range(beta))
+            for row in self.code.parity_exps()))
+        # built by ``shifts`` on first read
+        object.__setattr__(self, "_shifts", None)
 
     @property
     def beta(self) -> int:
@@ -84,29 +89,10 @@ class SubpacketizationSpec(Value):
     def file_size(self) -> int:
         return self.code.k * self.alpha
 
-    # Plain properties over attributes that __post_init__ sets, not
-    # functools.cached_property: that one adds keys to the instance __dict__
+    # a plain property over an attribute that __post_init__ sets, not
+    # functools.cached_property: that one adds a key to the instance __dict__
     # after construction, which on CPython 3.11 makes every later attribute
-    # read of the spec about 3x slower (as for FieldSpec's array tables).
-
-    @property
-    def subfield(self) -> SubfieldSpec:
-        if self._subfield is None:
-            object.__setattr__(self, "_subfield", self.code.field.subfield(self.s))
-        return self._subfield
-
-    @property
-    def slot_shifts(self) -> tuple:
-        """The slot layout, k rows of slots entries: slot_shifts[u][j] =
-        log P_u at the parity of slot j, slots in parity-major order like
-        ``RepairScheme.flat_exps()``, beta per parity."""
-        if self._slot_shifts is None:
-            beta = self.beta
-            object.__setattr__(self, "_slot_shifts", tuple(
-                tuple(e for e in row for _ in range(beta))
-                for row in self.code.parity_exps()))
-        return self._slot_shifts
-
+    # read of the spec about 3x slower (as for FieldSpec's array tables)
     @property
     def shifts(self) -> np.ndarray:
         """Read-only (k, slots * s) table of the batch row layout: shifts[u]
@@ -282,8 +268,8 @@ class SchemeEvaluator:
         ``cols``.  The key of slot j, basis offset t, node nodes[i] and
         candidate c is gathered to [j, t, i, c], which is the (slots * s,
         len(nodes) * N) column layout of the kernels, ``GATHER`` indices at a
-        time at most, and one ``rank_batch`` call ranks the ``.T`` view of
-        that buffer in place."""
+        time at most, and one ``rank_batch`` call ranks that buffer in
+        place."""
         sub = self.sub
         slots, n = cols.shape
         shifts = sub.shifts[nodes].T.reshape(slots, sub.s, len(nodes), 1)
@@ -295,7 +281,7 @@ class SchemeEvaluator:
             # nothing and, unlike "raise", writes to out without a copy
             np.take(rank_keys, cols[j:j + step, None, None, :] + shifts[j:j + step],
                     out=keys[j:j + step], mode="clip")
-        ranks = sub.subfield.rank_batch(keys.reshape(slots * sub.s, -1).T)
+        ranks = sub.subfield.rank_batch(keys.reshape(slots * sub.s, -1))
         return ranks.reshape(len(nodes), n)
 
     def evaluate_batch(self, flats: np.ndarray) -> np.ndarray:

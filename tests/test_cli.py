@@ -422,6 +422,21 @@ class TestUnreadableInput:
         assert code == 2
         assert one_error_line(err)
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--code", "rs53", "--scheme", bundled_scheme_dir("rs53")],
+        ["clique", "--code", "rs64"],
+        ["search", "--code", "rs53", "--node", "1"],
+        ["report", "--code", "fb1410"],
+    ], ids=["verify", "clique", "search", "report"])
+    def test_missing_out_directory_exit_2_before_output(self, capsys, tmp_path,
+                                                        monkeypatch, argv):
+        # the --out path is checked before the command prints anything
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv, "--out", "nodir/x.json")
+        assert code == 2 and out == "" and one_error_line(err)
+        assert "nodir/x.json" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("content", [b"[" * 100_000 + b"]" * 100_000,
                                          b'{"name": "\xff"}',
                                          b'{"s": ' + b"1" * 5_000 + b"}"],

@@ -449,13 +449,16 @@ class TestRankOverSubfield:
                 assert sub.rank_exps(exps) * s == rank
                 by_size.setdefault(len(xs), []).append((xs, rank))
             for r, sets in by_size.items():
-                logs = np.array([xs for xs, _ in sets]).reshape(len(sets), r)
-                ranks = linalg.zech_rank_batch(logs, m, *field.zech_arrays)
+                # the kernels' column layout: (r, N), set c in column c
+                cols = np.array([xs for xs, _ in sets], dtype=np.int64).reshape(
+                    len(sets), r).T.copy()
+                ranks = linalg.zech_rank_batch(cols, m, *field.zech_arrays)
                 assert ranks.tolist() == [rank for _, rank in sets]
             assert sub.rank_exps(list(range(m // s))) == m // s
-        for n, r in ((0, 3), (4, 0), (0, 0)):
-            logs = np.zeros((n, r), dtype=np.int64)
-            assert linalg.zech_rank_batch(logs, m, *field.zech_arrays).tolist() == [0] * n
+        for r, n in ((3, 0), (0, 4), (0, 0)):
+            cols = np.zeros((r, n), dtype=np.int64)
+            ranks = linalg.zech_rank_batch(cols, m, *field.zech_arrays)
+            assert ranks.tolist() == [0] * n and ranks.dtype == np.int64
 
 
 class TestBatchKernels:
@@ -475,31 +478,37 @@ class TestBatchKernels:
                 sets.append(rows)
             want = [linalg.bit_rank(rows) for rows in sets]
             for dtype in dtypes:
-                rows = np.array(sets, dtype=dtype).reshape(len(sets), r)
-                assert linalg.bit_rank_batch(rows, m).tolist() == want
-                # the kernels' own column layout: the .T view of a C-ordered
-                # (r, N) buffer, which the elimination may overwrite
-                cols = np.ascontiguousarray(rows.T)
-                assert linalg.bit_rank_batch(cols.T, m).tolist() == want
-        assert linalg.bit_rank_batch(np.zeros((0, 3), dtype=np.uint8), m).tolist() == []
+                # the kernels' column layout: (r, N), set c in column c
+                cols = np.array(sets, dtype=dtype).reshape(len(sets), r).T.copy()
+                assert linalg.bit_rank_batch(cols, m).tolist() == want
+        for r, n in ((3, 0), (0, 4), (0, 0)):
+            ranks = linalg.bit_rank_batch(np.zeros((r, n), dtype=np.uint8), m)
+            assert ranks.tolist() == [0] * n and ranks.dtype == np.int64
 
     @pytest.mark.parametrize("p, poly", [(2, [1, 0, 1, 1, 1, 0, 0, 0, 1]),
                                          (3, [2, 0, 0, 1, 1])])
-    def test_batch_kernels_leave_c_ordered_rows_unchanged(self, p, poly, rng):
-        # an (N, r) C-ordered argument, r = 1 included, is copied, never
-        # eliminated in place; N = 1 makes it C- and F-contiguous at once
+    def test_batch_kernels_rank_in_place(self, p, poly, rng):
+        # the (r, N) column array is the working array: with r > 1 the first
+        # pivot of every set is eliminated to zero in the array itself, and a
+        # read-only array is refused by NumPy's out= check
         field = FieldSpec(p, poly)
+        zero = 0 if p == 2 else 2 * (field.q - 1)  # the key of the element 0
         keys = field.rank_keys[:2 * (field.q - 1)]  # the keys of z^0 .. z^(2q-3)
         sub = field.subfield(1)
-        for n, r in ((200, field.m), (200, 1), (1, field.m), (1, 1)):
-            rows = keys[[rng.randrange(len(keys)) for _ in range(n * r)]].reshape(n, r)
-            before = rows.copy()
-            ranks = sub.rank_batch(rows)
-            assert np.array_equal(rows, before) and rows.flags.c_contiguous
+        for r, n in ((field.m, 200), (1, 200), (field.m, 1), (1, 1)):
+            cols = keys[[rng.randrange(len(keys)) for _ in range(r * n)]].reshape(r, n)
             # a key is the packed index for p = 2, the log itself otherwise
-            logs = [[field.log_table[k] if p == 2 else k for k in row]
-                    for row in before.tolist()]
+            logs = [[field.log_table[k] if p == 2 else k for k in col]
+                    for col in cols.T.tolist()]
+            if r > 1:
+                frozen = cols.copy()
+                frozen.setflags(write=False)
+                with pytest.raises(ValueError):
+                    sub.rank_batch(frozen)
+            ranks = sub.rank_batch(cols)
             assert ranks.tolist() == list(map(sub.rank_exps, logs))
+            if r > 1:
+                assert (cols == zero).any(axis=0).all()
 
 
 class TestSubfieldCoords:

@@ -335,14 +335,14 @@ class TestBatch:
 
     def test_rank_not_multiple_of_s_rejected(self, rs64, monkeypatch):
         monkeypatch.setattr(linalg, "bit_rank_batch",
-                            lambda rows, m: np.full(len(rows), 3))
+                            lambda cols, m: np.full(cols.shape[1], 3))
         ev = SchemeEvaluator(SubpacketizationSpec(rs64, 2), 1)
         with pytest.raises(InvalidMatrix):
             ev.evaluate_batch(np.array([[0, 1], [2, 3]]))
 
     def test_rank_not_multiple_of_s_rejected_odd_p(self, rs64_gf81, monkeypatch):
         monkeypatch.setattr(linalg, "zech_rank_batch",
-                            lambda logs, *tables: np.full(len(logs), 3))
+                            lambda cols, *tables: np.full(cols.shape[1], 3))
         ev = SchemeEvaluator(SubpacketizationSpec(rs64_gf81, 2), 1)
         with pytest.raises(InvalidMatrix):
             ev.evaluate_batch(np.array([[0, 1], [2, 3]]))
