@@ -15,7 +15,9 @@ element acts on those vectors through an m x m matrix over GF(p)
 (``operator``, a power of the companion matrix of P), and sets of elements
 have a well-defined rank over any intermediate subfield GF(p^s)
 (``rank_over_subfield``).  Vectors and operators read one q x m table,
-``FieldSpec.coords_table``; ``coords`` takes the base-p digits of the
+``FieldSpec.coords_table``: ``FieldSpec.operators`` builds the matrices of
+a whole array of discrete logs with one gather through it, and ``operator``
+is that call for one element.  ``coords`` takes the base-p digits of the
 packed index on ints, so odd-p addition needs no array.  The element rank
 belongs to ``SubfieldSpec``: ``rank_exps`` ranks one set of discrete logs,
 ``rank_batch`` many sets of kernel keys at once, each with a kernel chosen
@@ -151,7 +153,7 @@ class FieldSpec:
         self.exp_table = exp_table
         self.log_table = log_table
         # the array tables, built by their properties on first read
-        self._coords_table = self._rank_keys = None
+        self._coords_table = self._exp_array = self._rank_keys = None
         self._zech_arrays = self._zech_lists = None
 
     # -- array tables, built on first use ------------------------------
@@ -171,6 +173,25 @@ class FieldSpec:
             table.setflags(write=False)
             self._coords_table = table
         return self._coords_table
+
+    @property
+    def exp_array(self) -> np.ndarray:
+        """``exp_table`` as a read-only int64 array: entry e is the packed
+        index of z^e, 0 <= e < q-1."""
+        if self._exp_array is None:
+            table = np.array(self.exp_table, dtype=np.int64)
+            table.setflags(write=False)
+            self._exp_array = table
+        return self._exp_array
+
+    def operators(self, exps) -> np.ndarray:
+        """The (..., m, m) multiplication matrices over GF(p) of z^e for the
+        int array of discrete logs ``exps``, reduced mod q-1 or not: column j
+        of the matrix of z^e is the coordinate vector of z^(e+j).  One gather
+        through ``coords_table`` builds them all."""
+        logs = (np.asarray(exps, dtype=np.int64)[..., None]
+                + np.arange(self.m)) % (self.q - 1)
+        return np.swapaxes(self.coords_table[self.exp_array[logs]], -1, -2)
 
     @property
     def rank_keys(self) -> np.ndarray:
@@ -345,8 +366,7 @@ class FieldElement:
         f = self.field
         if self.exp is None:
             return np.zeros((f.m, f.m), dtype=np.int64)
-        return f.coords_table[
-            [f.exp_table[(self.exp + j) % (f.q - 1)] for j in range(f.m)]].T
+        return f.operators(self.exp)
 
     def _check(self, other) -> "FieldElement":
         if not isinstance(other, FieldElement) or other.field != self.field:
@@ -432,6 +452,8 @@ class SubfieldSpec:
         self.generator = FieldElement(field, self.exp_step)
         # discrete logs of the basis generator^0 .. generator^(s-1)
         self.offsets = [t * self.exp_step for t in range(s)]
+        # built by ``tower_inverse`` on first read
+        self._tower_inverse = None
 
     def contains(self, x: FieldElement) -> bool:
         """True iff x = 0 or x^(p^s) = x."""
@@ -441,6 +463,20 @@ class SubfieldSpec:
 
     def basis(self) -> list:
         return [self.generator ** t for t in range(self.s)]
+
+    @property
+    def tower_inverse(self) -> np.ndarray:
+        """Read-only (m, m) inverse over GF(p) of the tower basis z^j * w^t
+        (j < m/s, t < s, t fastest) as GF(p) columns: row j * s + t maps the
+        coordinates of x to its coefficient of z^j * w^t."""
+        if self._tower_inverse is None:
+            field = self.field
+            logs = [j + off for j in range(field.m // self.s) for off in self.offsets]
+            tower = field.coords_table[field.exp_array[np.array(logs) % (field.q - 1)]].T
+            inverse = linalg.solve_mod_p(tower, np.eye(field.m, dtype=np.int64), field.p)
+            inverse.setflags(write=False)
+            self._tower_inverse = inverse
+        return self._tower_inverse
 
     def rank_exps(self, exps) -> int:
         """Dimension over GF(p^s) of the span of the nonzero elements z^e,
@@ -529,8 +565,7 @@ def find_left_operator(field: FieldSpec, source: np.ndarray,
         raise ZeroVector("source and target must be nonzero")
     # row i of L is source^T . operator(z^i); solving x^T L = target^T gives
     # the coordinates of b = sum x_i z^i
-    L = np.array([source @ FieldElement(field, i).operator()
-                  for i in range(field.m)]) % field.p
+    L = source @ field.operators(np.arange(field.m)) % field.p
     x = linalg.solve_mod_p(L.T, target, field.p)
     b = field.from_coords(x)
     if b.is_zero:
@@ -543,12 +578,11 @@ def subfield_coords(x: FieldElement, sub: SubfieldSpec) -> list:
 
     Returns m/s subfield elements c_j with x = sum c_j z^j.  For s = 1 this
     is the usual coordinate vector with entries embedded as field elements.
+    The coefficients over GF(p) are one product with the subfield's
+    ``tower_inverse``.
     """
     field = sub.field
-    # tower basis z^j * w^t as GF(p) columns, t fastest
-    T = field.coords_table[[field.exp_table[(j + off) % (field.q - 1)]
-                            for j in range(field.m // sub.s) for off in sub.offsets]].T
-    coeffs = linalg.solve_mod_p(T, x.vector(), field.p).reshape(-1, sub.s)
+    coeffs = (sub.tower_inverse @ field.coords_table[x.index] % field.p).reshape(-1, sub.s)
     basis = sub.basis()
     return [sum((field.scalar(int(c)) * w for c, w in zip(row, basis)), field.zero())
             for row in coeffs]

@@ -25,6 +25,14 @@ row and ranks the resulting sub-symbol equation blocks.  They must always
 agree; the equivalence is property-tested.  ``recover_node`` runs the
 whole download / interference-cancellation / solve pipeline on a real
 codeword and counts the bits moved.
+
+The matrix route batches its operator algebra and stays explicit: the
+repair columns of a scheme come from one ``FieldSpec.operators`` gather
+and one product with the reference row, and the k interference blocks
+from one product of the stacked (R^l)^T with the parity operators.  It
+multiplies GF(p) matrices and eliminates mod p (``linalg``) only, and
+reads none of the element route's tables (``rank_keys``, ``shifts``,
+``slot_shifts``) or kernels, so it remains an independent oracle.
 """
 
 from __future__ import annotations
@@ -349,32 +357,37 @@ class MatrixScheme(Value):
 def realize_matrices(scheme: RepairScheme, reference=None) -> MatrixScheme:
     """Construct the repair matrices from a reference row: the column for
     element M is (reference^T . operator(M))^T, expanded over the subfield
-    basis when s > 1."""
+    basis when s > 1.  One ``FieldSpec.operators`` call builds the
+    operators of every M * w^t."""
     field = scheme.sub.code.field
     if reference is None:
         reference = np.eye(field.m, dtype=np.int64)[0]
     reference = np.asarray(reference, dtype=np.int64) % field.p
     if not reference.any():
         raise ZeroReference("reference vector must be nonzero")
-    basis = scheme.sub.subfield.basis()
-    mats = []
-    for row in scheme.elements:
-        cols = []
-        for e in row:
-            for w in basis:
-                cols.append(reference @ (e * w).operator() % field.p)
-        mats.append(np.array(cols, dtype=np.int64).T)
-    return MatrixScheme(scheme.sub, scheme.failed, reference, tuple(mats))
+    sub = scheme.sub
+    # the logs of e * w^t, slot-major with t fastest: the column order
+    logs = (np.array(scheme.flat_exps(), dtype=np.int64)[:, None]
+            + sub.subfield.offsets)
+    cols = reference @ field.operators(logs) % field.p
+    mats = cols.reshape(sub.code.r, sub.beta * sub.s, field.m).swapaxes(1, 2)
+    return MatrixScheme(sub, scheme.failed, reference, tuple(mats))
 
 
-def _interference_blocks(sub: SubpacketizationSpec, mat: MatrixScheme) -> list:
-    """Per systematic node u, the stacked GF(p) equation blocks
-    (R^l)^T . operator(P_u^l) over the parities l: what the downloaded
-    equations see of node u's stored vector."""
-    p = sub.code.field.p
-    return [np.vstack([linalg.matmul_mod_p(R.T, sub.code.parity[u][l].operator(), p)
-                       for l, R in enumerate(mat.matrices)])
-            for u in range(sub.code.k)]
+def _equations(mat: MatrixScheme) -> np.ndarray:
+    """The (n-k, s * beta, m) stack of the transposed repair matrices
+    (R^l)^T: row j of layer l is downloaded equation j of parity l."""
+    return np.stack(mat.matrices).swapaxes(1, 2)
+
+
+def _interference_blocks(sub: SubpacketizationSpec, equations: np.ndarray) -> np.ndarray:
+    """The (k, (n-k) * s * beta, m) stack of each systematic node u's
+    GF(p) equation blocks (R^l)^T . operator(P_u^l), parities l stacked:
+    what the downloaded ``equations`` see of node u's stored vector."""
+    field = sub.code.field
+    blocks = linalg.matmul_mod_p(
+        equations, field.operators(sub.code.parity_exps()), field.p)
+    return blocks.reshape(sub.code.k, -1, field.m)
 
 
 def gamma_ranks_matrix(sub: SubpacketizationSpec, failed: int,
@@ -397,10 +410,10 @@ def gamma_ranks_matrix(sub: SubpacketizationSpec, failed: int,
         if R.shape != (m, cols):
             raise DimensionMismatch(
                 f"repair matrix shape {R.shape} != ({m},{cols})")
-        if not all(R[:, c].any() for c in range(cols)):
+        if not R.any(axis=0).all():
             raise InvalidMatrix("repair matrix has a zero column")
     gammas = []
-    for u, block in enumerate(_interference_blocks(sub, mat)):
+    for u, block in enumerate(_interference_blocks(sub, _equations(mat))):
         r = linalg.rank_mod_p(block, field.p)
         if r % sub.s:
             raise InvalidMatrix(
@@ -429,10 +442,14 @@ def recover_node(codeword: Codeword, scheme: RepairScheme,
 
     Each parity sends its beta realized equations applied to its stored
     vector; each surviving systematic node sends the echelon basis of its
-    interference block applied to its own vector; interference is
-    subtracted and the full-rank useful block is solved for the lost
-    coordinates.  Like ``gamma_ranks_matrix``, this works on the realized
-    matrices alone and never calls the element rank kernel.
+    interference block applied to its own vector, one ``rref_mod_p`` per
+    node; interference is subtracted and the useful block is solved for the
+    lost coordinates.  That block is eliminated once, together with the
+    signal: the pivots left of the signal column give its rank, and
+    ``InfeasibleScheme`` is raised unless it is full.  The stored vectors
+    come from one ``coords_table`` gather.  Like ``gamma_ranks_matrix``,
+    this works on the realized matrices alone and never calls the element
+    rank kernel.
     """
     sub, failed = scheme.sub, scheme.failed
     code = sub.code
@@ -440,15 +457,11 @@ def recover_node(codeword: Codeword, scheme: RepairScheme,
     p, m, k = field.p, field.m, code.k
     if codeword.code != code:
         raise ValueError("codeword and scheme use different codes")
-    mat = realize_matrices(scheme, reference)
-    blocks = _interference_blocks(sub, mat)
-    useful = linalg.rank_mod_p(blocks[failed - 1], p)
-    if useful != m:
-        raise InfeasibleScheme(
-            f"gamma_{failed} = {useful // sub.s} < alpha = {sub.alpha}")
+    equations = _equations(realize_matrices(scheme, reference))
+    blocks = _interference_blocks(sub, equations)
+    vectors = field.coords_table[[x.index for x in codeword.symbols]]
     # each parity sends its realized equations applied to its stored vector
-    received = np.concatenate(
-        [R.T @ codeword[k + l].vector() % p for l, R in enumerate(mat.matrices)])
+    received = (equations @ vectors[k:, :, None]).reshape(-1) % p
     downloads = {k + 1 + l: sub.beta for l in range(code.r)}
     if received.shape != (m,):
         raise DimensionMismatch(f"parities sent {received.size} values, need m={m}")
@@ -459,14 +472,21 @@ def recover_node(codeword: Codeword, scheme: RepairScheme,
             continue
         rref, pivots = linalg.rref_mod_p(blocks[u], p)
         basis_rows = rref[:len(pivots)]
-        fetched = (basis_rows @ codeword[u].vector()) % p
+        fetched = (basis_rows @ vectors[u]) % p
         # rref basis rows have unit pivots, so block = block[:, pivots] @ basis
         coeff = blocks[u][:, pivots]
         interference = (interference + coeff @ fetched) % p
         downloads[u + 1] = len(pivots) // sub.s
     signal = (received - interference) % p
-    coords = linalg.solve_mod_p(blocks[failed - 1], signal, p)
-    element = field.from_coords(coords)
+    # one elimination of [A | signal] gives the rank of the failed block A
+    # (its pivots left of column m) and, when that is full, the solution
+    rref, pivots = linalg.rref_mod_p(
+        np.column_stack([blocks[failed - 1], signal]), p)
+    useful = sum(c < m for c in pivots)
+    if useful != m:
+        raise InfeasibleScheme(
+            f"gamma_{failed} = {useful // sub.s} < alpha = {sub.alpha}")
+    element = field.from_coords(rref[:, m].tolist())
     total = sum(downloads.values())
     return RecoveryResult(
         element=element,

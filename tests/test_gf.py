@@ -280,6 +280,44 @@ class TestMultOperator:
                 assert ((A @ B) % 2 == (B @ A) % 2).all()  # commutativity
 
 
+@pytest.mark.parametrize("p,poly", [(2, [1, 1, 0, 0, 1]), (3, [2, 0, 0, 1, 1]),
+                                    (5, [2, 1, 1])], ids=["gf16", "gf81", "gf25"])
+class TestOperators:
+    def test_columns_are_shifted_powers(self, p, poly):
+        field = FieldSpec(p, poly)
+        ops = field.operators(np.arange(field.q - 1))
+        for e, op in enumerate(ops):
+            for j in range(field.m):
+                assert op[:, j].tolist() == field.element(e + j).vector().tolist()
+
+    def test_powers_of_companion_matrix(self, p, poly):
+        field = FieldSpec(p, poly)
+        C = field.zeta().operator()
+        power = np.eye(field.m, dtype=np.int64)
+        for op in field.operators(np.arange(field.q - 1)):
+            assert (op == power).all()
+            power = C @ power % p
+        assert (power == np.eye(field.m, dtype=np.int64)).all()
+
+    def test_logs_reduce(self, p, poly):
+        field = FieldSpec(p, poly)
+        q1 = field.q - 1
+        logs = np.array([-1, -q1, q1, q1 + 3, 2 * q1 + 5, -5 * q1 - 2])
+        assert (field.operators(logs) == field.operators(logs % q1)).all()
+
+    def test_shapes_broadcast(self, p, poly):
+        field = FieldSpec(p, poly)
+        m = field.m
+        assert field.operators(3).shape == (m, m)
+        assert (field.operators(3) == field.element(3).operator()).all()
+        assert field.operators([1, 2, 3]).shape == (3, m, m)
+        grid = field.operators([[0, 1, 2], [3, 4, 5]])
+        assert grid.shape == (2, 3, m, m)
+        for i in range(2):
+            for j in range(3):
+                assert (grid[i, j] == field.element(3 * i + j).operator()).all()
+
+
 class TestFindLeftOperator:
     def test_identity_case(self, f16):
         v = np.array([1, 0, 1, 1])

@@ -23,7 +23,7 @@ from mdsrepair.errors import (
     ParseError,
     ZeroReference,
 )
-from mdsrepair.gf import SubfieldSpec
+from mdsrepair.gf import FieldElement, FieldSpec, SubfieldSpec
 from mdsrepair import repair
 from mdsrepair.repair import (
     MatrixScheme,
@@ -319,7 +319,17 @@ class TestRecoverNode:
         one = f16.one()
         scheme = RepairScheme(sub, 1, ((one, one), (one, one)))
         cw = encode(rs53, [f16.one()] * 3)
-        with pytest.raises(InfeasibleScheme):
+        with pytest.raises(InfeasibleScheme, match=r"gamma_1 = 2 < alpha = 4"):
+            recover_node(cw, scheme)
+
+    def test_infeasible_rejected_odd_p(self, rs64_gf81):
+        # the failed block's rank comes from the elimination that also solves
+        # for the signal; it must be the element route's gamma
+        sub = SubpacketizationSpec(rs64_gf81, 1)
+        scheme = RepairScheme.from_flat(sub, 1, [0] * (sub.code.r * sub.beta))
+        assert gamma_ranks(scheme).gammas[0] == 2
+        cw = encode(rs64_gf81, [rs64_gf81.field.one()] * rs64_gf81.k)
+        with pytest.raises(InfeasibleScheme, match=r"^gamma_1 = 2 < alpha = 4$"):
             recover_node(cw, scheme)
 
     def test_matrix_route_never_ranks_elements(self, rs64_gf81, monkeypatch, rng):
@@ -330,9 +340,14 @@ class TestRecoverNode:
                    lift_scheme(find_repair(part, 2).scheme, 2)]
         reports = [gamma_ranks(scheme) for scheme in schemes]
 
-        def refuse(self, exps):
-            raise AssertionError("element rank kernel called")
+        def refuse(self, *args):
+            raise AssertionError("element rank kernel or table read")
         monkeypatch.setattr(SubfieldSpec, "rank_exps", refuse)
+        monkeypatch.setattr(SubfieldSpec, "rank_batch", refuse)
+        monkeypatch.setattr(SubpacketizationSpec, "shifts", property(refuse))
+        monkeypatch.setattr(FieldSpec, "rank_keys", property(refuse))
+        # the operators are built in batches, never one element at a time
+        monkeypatch.setattr(FieldElement, "operator", refuse)
         for scheme, report in zip(schemes, reports):
             code, failed = scheme.sub.code, scheme.failed
             mat = realize_matrices(scheme)
