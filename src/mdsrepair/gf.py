@@ -578,11 +578,14 @@ def subfield_coords(x: FieldElement, sub: SubfieldSpec) -> list:
 
     Returns m/s subfield elements c_j with x = sum c_j z^j.  For s = 1 this
     is the usual coordinate vector with entries embedded as field elements.
-    The coefficients over GF(p) are one product with the subfield's
-    ``tower_inverse``.
+    No element arithmetic runs: one product with the subfield's
+    ``tower_inverse`` gives the coefficients a_jt of c_j = sum_t a_jt w^t
+    over GF(p), one product with the GF(p) coordinates of the basis w^t and
+    one with the powers of p pack each c_j, and ``from_index`` reads it.
     """
     field = sub.field
-    coeffs = (sub.tower_inverse @ field.coords_table[x.index] % field.p).reshape(-1, sub.s)
-    basis = sub.basis()
-    return [sum((field.scalar(int(c)) * w for c, w in zip(row, basis)), field.zero())
-            for row in coeffs]
+    p = field.p
+    coeffs = (sub.tower_inverse @ field.coords_table[x.index] % p).reshape(-1, sub.s)
+    basis = field.coords_table[field.exp_array[sub.offsets]]
+    indices = (coeffs @ basis % p) @ p ** np.arange(field.m)
+    return [field.from_index(i) for i in indices.tolist()]

@@ -2,10 +2,12 @@
 
 Five representations are used:
 
-* numpy int64 arrays with entries reduced mod p, for the general routines
-  (echelon form, rank, solving) that the explicit-matrix repair route uses;
-  the elimination itself runs on python lists, which beat numpy row
-  operations at these sizes;
+* python lists of ints in [0, p), one list per row, for the one general
+  elimination mod p (`rref_rows`), which beats numpy row operations at
+  these sizes.  ``repair.recover_node`` runs it on lists directly; the
+  array routines that the explicit-matrix repair route and the subfield
+  tables use (`rref_mod_p`, `rank_mod_p`, `solve_mod_p`) reduce an int64
+  array mod p, call ``tolist()`` once and wrap it;
 * python ints as bit-rows for the GF(2) element rank (`bit_rank`);
 * numpy arrays of packed coordinates, one set of rows per column, for the
   batched GF(2) rank (`bit_rank_batch`) that the p = 2 search ranks whole
@@ -33,6 +35,7 @@ supports), so clarity beats asymptotics throughout.
 from __future__ import annotations
 
 from ._numpy import np
+from .errors import DimensionMismatch
 
 
 def bit_rank(rows) -> int:
@@ -155,65 +158,93 @@ def zech_rank_batch(cols: np.ndarray, m: int, lead, zech, product) -> np.ndarray
     return _count(pivots >= 0)
 
 
+def rref_rows(rows: list, p: int) -> list[int]:
+    """Bring ``rows``, a list of equal-length lists of ints in [0, p), to
+    reduced row echelon form over GF(p), in place; returns the pivot
+    columns.
+
+    The first len(pivots) rows end up as the canonical basis of the row
+    space (each has a 1 in its pivot column and 0 in every other pivot
+    column) and the rest are zero.  Rows are swapped and replaced in
+    ``rows`` but the row lists themselves are never written, so a shallow
+    copy ``list(rows)`` keeps the input.  This is the one elimination mod p:
+    ``rref_mod_p``, ``rank_mod_p`` and ``solve_mod_p`` wrap it for arrays,
+    and ``repair.recover_node`` runs it on lists directly.
+    """
+    n = len(rows)
+    pivots: list[int] = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        for i in range(r, n):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        pivot = rows[r]
+        if pivot[c] != 1:
+            inv = pow(pivot[c], -1, p)
+            pivot = rows[r] = [v * inv % p for v in pivot]
+        for i in range(n):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = [(v - f * w) % p for v, w in zip(rows[i], pivot)]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    return pivots
+
+
+def _reduced(M, p: int) -> np.ndarray:
+    """M as an int64 array with entries reduced mod p; DimensionMismatch
+    unless it is a matrix."""
+    A = np.asarray(M, dtype=np.int64) % p
+    if A.ndim != 2:
+        raise DimensionMismatch(f"expected a matrix, got shape {A.shape}")
+    return A
+
+
 def rref_mod_p(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of M over GF(p).
+    """Reduced row echelon form of M over GF(p), by ``rref_rows``.
 
     Returns (R, pivot_cols). R has the same shape as M; the first
     len(pivot_cols) rows of R are the canonical basis of the row space
     (each has a 1 in its pivot column and 0 in every other pivot column).
     """
-    A = np.asarray(M, dtype=np.int64) % p
-    rows, cols = A.shape
+    A = _reduced(M, p)
     R = A.tolist()
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(cols):
-        for i in range(r, rows):
-            if R[i][c]:
-                break
-        else:
-            continue
-        R[r], R[i] = R[i], R[r]
-        inv = pow(R[r][c], -1, p)
-        pivot = R[r] = [v * inv % p for v in R[r]]
-        for i in range(rows):
-            f = R[i][c]
-            if f and i != r:
-                R[i] = [(v - f * w) % p for v, w in zip(R[i], pivot)]
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    return np.array(R, dtype=np.int64).reshape(rows, cols), pivot_cols
+    pivots = rref_rows(R, p)
+    return np.array(R, dtype=np.int64).reshape(A.shape), pivots
 
 
 def rank_mod_p(M: np.ndarray, p: int) -> int:
-    """Rank of M over GF(p)."""
-    M = np.asarray(M)
-    if M.size == 0:
-        return 0
-    _, pivots = rref_mod_p(M, p)
-    return len(pivots)
+    """Rank of M over GF(p): the pivot count of ``rref_rows``, with no
+    array built from the echelon form."""
+    return len(rref_rows(_reduced(M, p).tolist(), p))
 
 
 def solve_mod_p(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Solve A x = b over GF(p); A must be square and invertible.
 
-    b may be a vector or a matrix of stacked right-hand-side columns.
+    b may be a vector or a matrix of stacked right-hand-side columns; x has
+    b's shape.  [A | b] is eliminated once by ``rref_rows``.
 
     Raises:
+        DimensionMismatch: if A is not square or b has not A's row count.
         ValueError: if A is singular.
     """
-    A = np.asarray(A, dtype=np.int64) % p
+    A = _reduced(A, p)
     b = np.asarray(b, dtype=np.int64) % p
     n = A.shape[0]
-    rhs = b.reshape(n, -1)
-    aug = np.hstack([A, rhs])
-    R, pivots = rref_mod_p(aug, p)
-    if pivots[:n] != list(range(n)):
+    if A.shape != (n, n) or b.shape[:1] != (n,):
+        raise DimensionMismatch(
+            f"cannot solve A x = b for A of shape {A.shape} and b of shape {b.shape}")
+    rhs = b.reshape(n, -1).tolist() if n else []
+    rows = [a + extra for a, extra in zip(A.tolist(), rhs)]
+    if rref_rows(rows, p)[:n] != list(range(n)):
         raise ValueError("singular matrix")
-    x = R[:n, n:]
-    return x.reshape(b.shape)
+    return np.array([row[n:] for row in rows], dtype=np.int64).reshape(b.shape)
 
 
 def matmul_mod_p(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:

@@ -38,7 +38,7 @@ reads none of the element route's tables (``rank_keys``, ``shifts``,
 from __future__ import annotations
 
 import math
-from operator import add
+from operator import add, mul
 
 from . import linalg
 from ._numpy import np
@@ -345,7 +345,9 @@ class MatrixScheme(Value):
 
     matrices[l] has shape m x (s * beta): one column per downloaded GF(p)
     equation from parity node k+1+l, grouped in blocks of s columns per
-    GF(p^s) sub-symbol equation.
+    GF(p^s) sub-symbol equation.  The reference and the matrices are
+    stored read-only, a writable array as a copy, and two schemes are
+    equal, with equal hashes, when their entries are.
     """
 
     sub: SubpacketizationSpec
@@ -353,16 +355,57 @@ class MatrixScheme(Value):
     reference: np.ndarray
     matrices: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "reference", _frozen(self.reference))
+        object.__setattr__(self, "matrices", _frozen(self.matrices))
+
+    def _key(self) -> tuple:
+        return (self.sub, self.failed, _entries(self.reference),
+                _entries(self.matrices))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+def _frozen(value):
+    """``value`` with each NumPy array in it, or in a tuple of it, read-only:
+    a copy unless it is read-only already."""
+    if isinstance(value, tuple):
+        return tuple(map(_frozen, value))
+    if getattr(value, "flags", None) is None or not value.flags.writeable:
+        return value
+    value = value.copy()
+    value.setflags(write=False)
+    return value
+
+
+def _entries(value):
+    """``value`` as nested tuples: each NumPy array in it, or in a tuple or
+    list of it, replaced by its entries, and each tuple or list by a tuple."""
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_entries, value))
+    tolist = getattr(value, "tolist", None)
+    return value if tolist is None else _entries(tolist())
+
 
 def realize_matrices(scheme: RepairScheme, reference=None) -> MatrixScheme:
     """Construct the repair matrices from a reference row: the column for
     element M is (reference^T . operator(M))^T, expanded over the subfield
     basis when s > 1.  One ``FieldSpec.operators`` call builds the
-    operators of every M * w^t."""
+    operators of every M * w^t.  The reference must be m GF(p) coordinates
+    (DimensionMismatch otherwise), not all zero (ZeroReference)."""
     field = scheme.sub.code.field
     if reference is None:
-        reference = np.eye(field.m, dtype=np.int64)[0]
+        reference = field.coords_table[1]  # the coordinates of 1
     reference = np.asarray(reference, dtype=np.int64) % field.p
+    if reference.shape != (field.m,):
+        raise DimensionMismatch(
+            f"reference vector has shape {reference.shape}, need ({field.m},)")
     if not reference.any():
         raise ZeroReference("reference vector must be nonzero")
     sub = scheme.sub
@@ -370,6 +413,8 @@ def realize_matrices(scheme: RepairScheme, reference=None) -> MatrixScheme:
     logs = (np.array(scheme.flat_exps(), dtype=np.int64)[:, None]
             + sub.subfield.offsets)
     cols = reference @ field.operators(logs) % field.p
+    reference.setflags(write=False)
+    cols.setflags(write=False)
     mats = cols.reshape(sub.code.r, sub.beta * sub.s, field.m).swapaxes(1, 2)
     return MatrixScheme(sub, scheme.failed, reference, tuple(mats))
 
@@ -377,7 +422,7 @@ def realize_matrices(scheme: RepairScheme, reference=None) -> MatrixScheme:
 def _equations(mat: MatrixScheme) -> np.ndarray:
     """The (n-k, s * beta, m) stack of the transposed repair matrices
     (R^l)^T: row j of layer l is downloaded equation j of parity l."""
-    return np.stack(mat.matrices).swapaxes(1, 2)
+    return np.array(mat.matrices).swapaxes(1, 2)
 
 
 def _interference_blocks(sub: SubpacketizationSpec, equations: np.ndarray) -> np.ndarray:
@@ -442,14 +487,19 @@ def recover_node(codeword: Codeword, scheme: RepairScheme,
 
     Each parity sends its beta realized equations applied to its stored
     vector; each surviving systematic node sends the echelon basis of its
-    interference block applied to its own vector, one ``rref_mod_p`` per
-    node; interference is subtracted and the useful block is solved for the
-    lost coordinates.  That block is eliminated once, together with the
-    signal: the pivots left of the signal column give its rank, and
-    ``InfeasibleScheme`` is raised unless it is full.  The stored vectors
-    come from one ``coords_table`` gather.  Like ``gamma_ranks_matrix``,
-    this works on the realized matrices alone and never calls the element
-    rank kernel.
+    interference block applied to its own vector; interference is
+    subtracted and the useful block is solved for the lost coordinates.
+    That block is eliminated once, together with the signal: the pivots
+    left of the signal column give its rank, and ``InfeasibleScheme`` is
+    raised unless it is full.
+
+    NumPy builds the realized equations, the interference blocks, the
+    stored vectors (one ``coords_table`` gather) and what the parities
+    send, and one ``tolist()`` each hands them to python ints: every
+    elimination is ``linalg.rref_rows`` on lists, one per surviving node
+    and one for the failed block, and the products after them are list
+    sums.  Like ``gamma_ranks_matrix``, this works on the realized matrices
+    alone and never calls the element rank kernel.
     """
     sub, failed = scheme.sub, scheme.failed
     code = sub.code
@@ -466,32 +516,31 @@ def recover_node(codeword: Codeword, scheme: RepairScheme,
     if received.shape != (m,):
         raise DimensionMismatch(f"parities sent {received.size} values, need m={m}")
 
-    interference = np.zeros(m, dtype=np.int64)
-    for u in range(k):
+    blocks, vectors, signal = blocks.tolist(), vectors.tolist(), received.tolist()
+    for u, (block, vector) in enumerate(zip(blocks, vectors)):
         if u == failed - 1:
             continue
-        rref, pivots = linalg.rref_mod_p(blocks[u], p)
-        basis_rows = rref[:len(pivots)]
-        fetched = (basis_rows @ vectors[u]) % p
-        # rref basis rows have unit pivots, so block = block[:, pivots] @ basis
-        coeff = blocks[u][:, pivots]
-        interference = (interference + coeff @ fetched) % p
+        basis = list(block)
+        pivots = linalg.rref_rows(basis, p)
+        # node u sends basis . vector, one GF(p) value per pivot column c.
+        # The basis rows have unit pivots, so block = block[:, pivots] . basis
+        # and the interference is block[:, pivots] . fetched: block . fetched
+        # with the fetched values scattered to their pivot columns
+        fetched = [0] * m
+        for c, row in zip(pivots, basis):
+            fetched[c] = sum(map(mul, row, vector)) % p
+        signal = [(x - sum(map(mul, row, fetched))) % p
+                  for x, row in zip(signal, block)]
         downloads[u + 1] = len(pivots) // sub.s
-    signal = (received - interference) % p
     # one elimination of [A | signal] gives the rank of the failed block A
     # (its pivots left of column m) and, when that is full, the solution
-    rref, pivots = linalg.rref_mod_p(
-        np.column_stack([blocks[failed - 1], signal]), p)
+    system = [row + [x] for row, x in zip(blocks[failed - 1], signal)]
+    pivots = linalg.rref_rows(system, p)
     useful = sum(c < m for c in pivots)
     if useful != m:
         raise InfeasibleScheme(
             f"gamma_{failed} = {useful // sub.s} < alpha = {sub.alpha}")
-    element = field.from_coords(rref[:, m].tolist())
+    element = field.from_coords([row[m] for row in system])
     total = sum(downloads.values())
-    return RecoveryResult(
-        element=element,
-        symbols=tuple(subfield_coords(element, sub.subfield)),
-        downloads=downloads,
-        total_symbols=total,
-        total_bits=sub.bits(total),
-    )
+    return RecoveryResult(element, tuple(subfield_coords(element, sub.subfield)),
+                          downloads, total, sub.bits(total))

@@ -2,10 +2,12 @@
 
 The element route (``gamma_ranks``, ranked by ``SubfieldSpec.rank_exps``)
 and the explicit-matrix route (``realize_matrices`` +
-``gamma_ranks_matrix`` and ``recover_node``, eliminated by
-``linalg.rref_mod_p``) share no rank code, so each checks the other.
-The batched scorer ``SchemeEvaluator.evaluate_batch`` is checked against
-the matrix route too.
+``gamma_ranks_matrix`` and ``recover_node``, eliminated mod p by
+``linalg.rref_rows``, through ``rank_mod_p`` or on lists) share no rank
+code, so each checks the other.  The batched scorer
+``SchemeEvaluator.evaluate_batch`` is checked against the matrix route too,
+and the sub-symbols that ``recover_node`` returns (``subfield_coords``)
+against element arithmetic, at s = 1, 2 and 3.
 """
 
 from hypothesis import given, settings
@@ -72,6 +74,13 @@ def test_routes_agree(scheme, data):
     downloads.update({sub.code.k + 1 + l: sub.beta for l in range(sub.code.r)})
     assert result.downloads == downloads
     assert result.total_symbols == report.total_bw
+    # the sub-symbols c_j lie in GF(p^s) and sum_j c_j z^j is the element
+    assert len(result.symbols) == sub.alpha
+    assert all(sub.subfield.contains(c) for c in result.symbols)
+    total = field.zero()
+    for j, c in enumerate(result.symbols):
+        total = total + c * field.element(j)
+    assert total == result.element
 
 
 @PROPERTY

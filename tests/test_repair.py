@@ -260,6 +260,34 @@ class TestMatrixOracle:
         with pytest.raises(ZeroReference):
             realize_matrices(bundled_scheme("rs53", 1), np.zeros(4, dtype=int))
 
+    def test_realizations_compare_by_content(self, rs53):
+        scheme = bundled_scheme("rs53", 1)
+        a, b = realize_matrices(scheme), realize_matrices(scheme)
+        assert a == b and hash(a) == hash(b)
+        assert a.reference is not b.reference
+        other = realize_matrices(scheme, rs53.field.element(3).vector())
+        assert a != other and not a == other
+        # both are stored read-only; a writable array given is copied
+        for array in (a.reference, *a.matrices):
+            assert not array.flags.writeable
+        reference = np.array(a.reference)
+        mat = MatrixScheme(scheme.sub, 1, reference, tuple(map(np.array, a.matrices)))
+        assert mat == a and hash(mat) == hash(a)
+        assert reference.flags.writeable and mat.reference is not reference
+        with pytest.raises(ValueError, match="read-only"):
+            mat.reference[0] = 0
+
+    @pytest.mark.parametrize("shape", [(5,), (1, 4), (3,), ()])
+    def test_reference_not_m_coordinates(self, rs53, shape):
+        scheme = bundled_scheme("rs53", 1)
+        reference = np.ones(shape, dtype=np.int64)
+        message = rf"reference vector has shape \({', '.join(map(str, shape))},?\)"
+        with pytest.raises(DimensionMismatch, match=message):
+            realize_matrices(scheme, reference)
+        cw = encode(rs53, [rs53.field.one()] * rs53.k)
+        with pytest.raises(DimensionMismatch, match=r"need \(4,\)"):
+            recover_node(cw, scheme, reference)
+
     def test_matrix_validation(self, rs53):
         scheme = bundled_scheme("rs53", 1)
         mat = realize_matrices(scheme)
@@ -330,6 +358,14 @@ class TestRecoverNode:
         assert gamma_ranks(scheme).gammas[0] == 2
         cw = encode(rs64_gf81, [rs64_gf81.field.one()] * rs64_gf81.k)
         with pytest.raises(InfeasibleScheme, match=r"^gamma_1 = 2 < alpha = 4$"):
+            recover_node(cw, scheme)
+
+    def test_infeasible_rejected_m8(self, fb1410):
+        sub = SubpacketizationSpec(fb1410, 1)
+        scheme = RepairScheme.from_flat(sub, 1, [0] * (sub.code.r * sub.beta))
+        assert gamma_ranks(scheme).gammas[0] == 4
+        cw = encode(fb1410, [fb1410.field.one()] * fb1410.k)
+        with pytest.raises(InfeasibleScheme, match=r"^gamma_1 = 4 < alpha = 8$"):
             recover_node(cw, scheme)
 
     def test_matrix_route_never_ranks_elements(self, rs64_gf81, monkeypatch, rng):
