@@ -12,6 +12,9 @@ something imported NumPy already; otherwise it is a lazy module
 access and becomes a plain module after that, so array code keeps its
 module-level ``np`` at no cost per call.  Nothing may read an attribute of
 ``np`` at import time.
+
+The array tables are lazy only so that NumPy stays unloaded, and ``table``
+builds every one of them; ``freeze`` makes arrays read-only.
 """
 
 import importlib.util
@@ -34,3 +37,33 @@ def _lazy_import(name: str):
 
 
 np = _lazy_import("numpy")
+
+
+def freeze(value, copy: bool = False):
+    """``value`` with each NumPy array in it, or in a tuple of it, read-only:
+    marked in place, or with ``copy`` copied first unless read-only already."""
+    if isinstance(value, tuple):
+        return tuple(freeze(item, copy) for item in value)
+    if getattr(getattr(value, "flags", None), "writeable", False):
+        value = value.copy() if copy else value
+        value.setflags(write=False)
+    return value
+
+
+def table(build):
+    """A property whose value ``build(self)`` computes on first read and
+    ``freeze`` marks read-only, kept in the ``_tables`` dict that the
+    instance's constructor creates.  Unlike ``functools.cached_property``,
+    this adds no attribute to the instance, which on CPython 3.11 makes every
+    later attribute read about 3x slower.  What ``build`` raises propagates.
+    """
+    name = build.__name__
+
+    def get(self):
+        try:
+            return self._tables[name]
+        except KeyError:
+            value = self._tables[name] = freeze(build(self))
+            return value
+
+    return property(get, doc=build.__doc__)

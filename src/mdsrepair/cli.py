@@ -184,8 +184,8 @@ def cmd_search(args) -> int:
     else:
         result = random_search(cfg)
     report = result.best_report
-    print(f"searched {result.evaluated} candidates "
-          f"({'exhaustive' if result.proven_optimal else f'random, seed {args.seed}'})")
+    mode = cfg.mode if cfg.mode == "exhaustive" else f"random, seed {cfg.seed}"
+    print(f"searched {result.evaluated} candidates ({mode})")
     _print_report(result.best, report)
     print(f"proven optimal: {result.proven_optimal}")
     with open(out, "w") as f:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from ._value import Value
 from .codes import CodeSpec
-from .errors import CliqueBoundMissed, NotNormalized, NotTwoParity, OddExtensionDegree
+from .errors import (CliqueBoundMissed, NotNormalized, NotTwoParity,
+                     OddExtensionDegree, as_node)
 from .gf import FieldElement
 from .repair import RepairScheme, SubpacketizationSpec, gamma_ranks
 
@@ -79,8 +80,7 @@ def _largest_avoiding(part: CliquePartition, i: int):
 def clique_bound(part: CliquePartition, i: int) -> int:
     """Repair bandwidth lower bound for node i, in GF(p^(m/2)) symbols:
     M - C_i * alpha / 2 (alpha = 2 here, so M - C_i)."""
-    if not 1 <= i <= part.sub.code.k:
-        raise ValueError(f"node {i} not in [1,{part.sub.code.k}]")
+    i = as_node(i, part.sub.code.k)
     c = _largest_avoiding(part, i)
     c_i = len(c) if c else 0
     return part.sub.file_size - (c_i * part.sub.alpha) // 2
@@ -95,8 +95,7 @@ def find_repair(part: CliquePartition, i: int) -> CliqueRepair:
     degenerate and carries a naive-bandwidth scheme (smallest feasible mu).
     """
     code = part.sub.code
-    if not 1 <= i <= code.k:
-        raise ValueError(f"node {i} not in [1,{code.k}]")
+    i = as_node(i, code.k)
     target = _largest_avoiding(part, i)
     one = code.field.one()
     if target is not None:

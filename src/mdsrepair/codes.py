@@ -24,6 +24,8 @@ from .errors import (
 )
 from .gf import FieldElement, FieldSpec
 
+SUBSET_CAP = 10 ** 6  # node subsets ``verify_mds`` enumerates at most
+
 
 class CodeSpec(Value):
     """A systematic (n,k) code given by its parity matrix.
@@ -167,7 +169,7 @@ def _det(field: FieldSpec, rows) -> FieldElement:
     return det
 
 
-def verify_mds(code: CodeSpec, max_subsets: int = 10 ** 6) -> bool:
+def verify_mds(code: CodeSpec) -> bool:
     """True iff every k of the n nodes can reconstruct the message,
     checked by enumerating all C(n,k) node subsets.
 
@@ -177,9 +179,9 @@ def verify_mds(code: CodeSpec, max_subsets: int = 10 ** 6) -> bool:
     t <= n-k is evaluated per subset.
     """
     n, k = code.n, code.k
-    if math.comb(n, k) > max_subsets:
+    if math.comb(n, k) > SUBSET_CAP:
         raise TooManySubsets(
-            f"C({n},{k}) = {math.comb(n, k)} exceeds the cap {max_subsets}")
+            f"C({n},{k}) = {math.comb(n, k)} exceeds the cap {SUBSET_CAP}")
     systematic = set(range(k))
     for subset in combinations(range(n), k):
         par_cols = [j - k for j in subset if j >= k]

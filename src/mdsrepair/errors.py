@@ -2,8 +2,8 @@
 
 Everything derives from MdsRepairError so callers (and the CLI) can
 distinguish domain errors from genuine bugs.  ``as_int`` is the one check
-of JSON integers; ``clip`` is the one bound on text a message quotes, and
-``short_repr`` applies it to a value's repr.
+of JSON integers and ``as_node`` of node indices; ``clip`` is the one bound
+on text a message quotes, and ``short_repr`` applies it to a value's repr.
 """
 
 import operator
@@ -122,6 +122,15 @@ def as_int(value, what: str) -> int:
         except TypeError:
             pass
     raise ParseError(f"{what} must be an integer, got {short_repr(value)}")
+
+
+def as_node(value, k: int, what: str = "node") -> int:
+    """value as a node index in [1, k]: ParseError unless it is an integer
+    (``as_int``), ValueError outside the range."""
+    i = as_int(value, what)
+    if not 1 <= i <= k:
+        raise ValueError(f"{what} {i} not in [1,{k}]")
+    return i
 
 
 def short_repr(value) -> str:

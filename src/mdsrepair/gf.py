@@ -25,10 +25,10 @@ by p, a bitmask basis for p = 2 and a basis kept in the log domain
 otherwise, so no element is expanded to coordinates.  Their tables are
 ``FieldSpec.rank_keys`` and, for odd p, the Zech-logarithm tables
 ``FieldSpec.zech_arrays`` and ``zech_lists``.  A field builds only its
-exp/log tables at construction and every array table once, on first use,
-so element arithmetic and the scalar p = 2 routes never load NumPy.
-Coordinate elimination mod p (``linalg``) runs only on the explicit-matrix
-route.
+exp/log tables at construction; ``_numpy.table`` builds each array table on
+first read, so element arithmetic and the scalar p = 2 routes never load
+NumPy.  Coordinate elimination mod p (``linalg``) runs only on the
+explicit-matrix route.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from ._numpy import np
+from ._numpy import np, table
 from .errors import (
     DivisionByZero,
     IncompatibleSubfield,
@@ -152,37 +152,22 @@ class FieldSpec:
             log_table[idx] = e
         self.exp_table = exp_table
         self.log_table = log_table
-        # the array tables, built by their properties on first read
-        self._coords_table = self._exp_array = self._rank_keys = None
-        self._zech_arrays = self._zech_lists = None
+        self._tables = {}  # the array tables, filled by ``table`` on first read
 
     # -- array tables, built on first use ------------------------------
-    #
-    # Plain properties over attributes that __init__ sets, not
-    # functools.cached_property: that one stores through the instance
-    # __dict__, which on CPython 3.11 makes every later attribute read of
-    # the field about 3x slower, FieldElement.operator's included.
 
-    @property
+    @table
     def coords_table(self) -> np.ndarray:
         """Read-only (q, m) table: row idx holds the GF(p) coordinates of
         the element packed as idx."""
-        if self._coords_table is None:
-            table = (np.arange(self.q, dtype=np.int64)[:, None]
-                     // self.p ** np.arange(self.m)) % self.p
-            table.setflags(write=False)
-            self._coords_table = table
-        return self._coords_table
+        return (np.arange(self.q, dtype=np.int64)[:, None]
+                // self.p ** np.arange(self.m)) % self.p
 
-    @property
+    @table
     def exp_array(self) -> np.ndarray:
         """``exp_table`` as a read-only int64 array: entry e is the packed
         index of z^e, 0 <= e < q-1."""
-        if self._exp_array is None:
-            table = np.array(self.exp_table, dtype=np.int64)
-            table.setflags(write=False)
-            self._exp_array = table
-        return self._exp_array
+        return np.array(self.exp_table, dtype=np.int64)
 
     def operators(self, exps) -> np.ndarray:
         """The (..., m, m) multiplication matrices over GF(p) of z^e for the
@@ -193,24 +178,19 @@ class FieldSpec:
                 + np.arange(self.m)) % (self.q - 1)
         return np.swapaxes(self.coords_table[self.exp_array[logs]], -1, -2)
 
-    @property
+    @table
     def rank_keys(self) -> np.ndarray:
         """Read-only table of the batched kernels' key of z^e, 0 <= e <
         2(q-1), so a log plus a shift needs no reduction mod q-1: the packed
         coordinates for p = 2, in the smallest unsigned dtype that holds
         q-1 (``uint8`` up to GF(2^8), ``uint16`` above), the reduced log (the
         ``product`` table of ``zech_arrays``) otherwise."""
-        if self._rank_keys is None:
-            if self.p == 2:
-                keys = np.tile(np.array(self.exp_table,
-                                        dtype=np.min_scalar_type(self.q - 1)), 2)
-                keys.setflags(write=False)
-                self._rank_keys = keys
-            else:
-                self._rank_keys = self.zech_arrays[-1]
-        return self._rank_keys
+        if self.p == 2:
+            return np.tile(np.array(self.exp_table,
+                                    dtype=np.min_scalar_type(self.q - 1)), 2)
+        return self.zech_arrays[-1]
 
-    @property
+    @table
     def zech_arrays(self) -> tuple:
         """Log-domain tables (lead, zech, product) of
         ``linalg.zech_rank_batch``, read-only arrays, odd p only, in which
@@ -224,12 +204,10 @@ class FieldSpec:
           (q-1)/2 + d mod q-1 for |d| < q-1, then one 0 (log 1);
         * ``product[x + y]``: the log of z^x * z^y, zero from 2(q-1) on.
         """
-        if self._zech_arrays is not None:
-            return self._zech_arrays
         p, q1 = self.p, self.q - 1
         if p == 2:
             raise AttributeError("the Zech-logarithm tables serve odd p only")
-        exps = np.array(self.exp_table, dtype=np.int64)
+        exps = self.exp_array
         logs = np.zeros(self.q, dtype=np.int64)
         logs[exps] = np.arange(q1)
         coords = self.coords_table[exps]
@@ -239,22 +217,16 @@ class FieldSpec:
         zech = logs[exps - coords[:, 0] + (coords[:, 0] + 1) % p]
         zech[q1 // 2] = 2 * q1  # z^((q-1)/2) = -1, so 1 + z^x = 0
         lead = lead_pos * 2 * self.q + (np.arange(q1) - lead_log) % q1
-        tables = (
+        return (
             np.append(np.tile(lead, 2), -2 * self.q),
             np.append(np.tile(zech, 3)[:2 * q1 + q1 // 2], 0),
             np.append(np.arange(2 * q1) % q1, np.full(2 * q1 + 1, 2 * q1)),
         )
-        for table in tables:
-            table.setflags(write=False)
-        self._zech_arrays = tables
-        return tables
 
-    @property
+    @table
     def zech_lists(self) -> tuple:
         """``zech_arrays`` as python lists, the tables of ``linalg.zech_rank``."""
-        if self._zech_lists is None:
-            self._zech_lists = tuple(table.tolist() for table in self.zech_arrays)
-        return self._zech_lists
+        return tuple(array.tolist() for array in self.zech_arrays)
 
     # -- element constructors ------------------------------------------
 
@@ -452,8 +424,7 @@ class SubfieldSpec:
         self.generator = FieldElement(field, self.exp_step)
         # discrete logs of the basis generator^0 .. generator^(s-1)
         self.offsets = [t * self.exp_step for t in range(s)]
-        # built by ``tower_inverse`` on first read
-        self._tower_inverse = None
+        self._tables = {}  # ``tower_inverse``, filled by ``table`` on first read
 
     def contains(self, x: FieldElement) -> bool:
         """True iff x = 0 or x^(p^s) = x."""
@@ -461,22 +432,15 @@ class SubfieldSpec:
             raise ValueError("element from a different field")
         return x.exp is None or x.exp % self.exp_step == 0
 
-    def basis(self) -> list:
-        return [self.generator ** t for t in range(self.s)]
-
-    @property
+    @table
     def tower_inverse(self) -> np.ndarray:
         """Read-only (m, m) inverse over GF(p) of the tower basis z^j * w^t
         (j < m/s, t < s, t fastest) as GF(p) columns: row j * s + t maps the
         coordinates of x to its coefficient of z^j * w^t."""
-        if self._tower_inverse is None:
-            field = self.field
-            logs = [j + off for j in range(field.m // self.s) for off in self.offsets]
-            tower = field.coords_table[field.exp_array[np.array(logs) % (field.q - 1)]].T
-            inverse = linalg.solve_mod_p(tower, np.eye(field.m, dtype=np.int64), field.p)
-            inverse.setflags(write=False)
-            self._tower_inverse = inverse
-        return self._tower_inverse
+        field = self.field
+        logs = [j + off for j in range(field.m // self.s) for off in self.offsets]
+        tower = field.coords_table[field.exp_array[np.array(logs) % (field.q - 1)]].T
+        return linalg.solve_mod_p(tower, np.eye(field.m, dtype=np.int64), field.p)
 
     def rank_exps(self, exps) -> int:
         """Dimension over GF(p^s) of the span of the nonzero elements z^e,

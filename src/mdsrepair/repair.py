@@ -41,7 +41,7 @@ import math
 from operator import add, mul
 
 from . import linalg
-from ._numpy import np
+from ._numpy import freeze, np, table
 from ._value import Value
 from .codes import CodeSpec, Codeword
 from .errors import (
@@ -53,6 +53,7 @@ from .errors import (
     ParseError,
     ZeroReference,
     as_int,
+    as_node,
 )
 from .gf import FieldElement, SubfieldSpec, subfield_coords
 
@@ -82,8 +83,8 @@ class SubpacketizationSpec(Value):
         object.__setattr__(self, "slot_shifts", tuple(
             tuple(e for e in row for _ in range(beta))
             for row in self.code.parity_exps()))
-        # built by ``shifts`` on first read
-        object.__setattr__(self, "_shifts", None)
+        # ``shifts``, filled by ``table`` on first read
+        object.__setattr__(self, "_tables", {})
 
     @property
     def beta(self) -> int:
@@ -97,22 +98,14 @@ class SubpacketizationSpec(Value):
     def file_size(self) -> int:
         return self.code.k * self.alpha
 
-    # a plain property over an attribute that __post_init__ sets, not
-    # functools.cached_property: that one adds a key to the instance __dict__
-    # after construction, which on CPython 3.11 makes every later attribute
-    # read of the spec about 3x slower (as for FieldSpec's array tables)
-    @property
+    @table
     def shifts(self) -> np.ndarray:
         """Read-only (k, slots * s) table of the batch row layout: shifts[u]
         = log(P_u * w^t) mod q-1, ``slot_shifts`` with each slot repeated
         for t < s.  Built, and NumPy loaded, on first read."""
-        if self._shifts is None:
-            slots = np.array(self.slot_shifts, dtype=np.int64)[:, :, None]
-            shifts = (slots + self.subfield.offsets).reshape(
-                self.code.k, -1) % (self.code.field.q - 1)
-            shifts.setflags(write=False)
-            object.__setattr__(self, "_shifts", shifts)
-        return self._shifts
+        slots = np.array(self.slot_shifts, dtype=np.int64)[:, :, None]
+        return (slots + self.subfield.offsets).reshape(
+            self.code.k, -1) % (self.code.field.q - 1)
 
     def bits(self, symbols: int):
         """Bits in ``symbols`` GF(p^s) sub-symbols: the GF(p) digit count
@@ -141,8 +134,8 @@ class RepairScheme(Value):
     elements: tuple
 
     def __post_init__(self):
-        if not 1 <= self.failed <= self.sub.code.k:
-            raise ValueError(f"failed node {self.failed} not in [1,{self.sub.code.k}]")
+        object.__setattr__(self, "failed",
+                           as_node(self.failed, self.sub.code.k, "failed node"))
         elements = tuple(tuple(row) for row in self.elements)
         object.__setattr__(self, "elements", elements)
         if (len(elements) != self.sub.code.r
@@ -356,8 +349,8 @@ class MatrixScheme(Value):
     matrices: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "reference", _frozen(self.reference))
-        object.__setattr__(self, "matrices", _frozen(self.matrices))
+        object.__setattr__(self, "reference", freeze(self.reference, copy=True))
+        object.__setattr__(self, "matrices", freeze(self.matrices, copy=True))
 
     def _key(self) -> tuple:
         return (self.sub, self.failed, _entries(self.reference),
@@ -370,18 +363,6 @@ class MatrixScheme(Value):
 
     def __hash__(self):
         return hash(self._key())
-
-
-def _frozen(value):
-    """``value`` with each NumPy array in it, or in a tuple of it, read-only:
-    a copy unless it is read-only already."""
-    if isinstance(value, tuple):
-        return tuple(map(_frozen, value))
-    if getattr(value, "flags", None) is None or not value.flags.writeable:
-        return value
-    value = value.copy()
-    value.setflags(write=False)
-    return value
 
 
 def _entries(value):
@@ -412,11 +393,10 @@ def realize_matrices(scheme: RepairScheme, reference=None) -> MatrixScheme:
     # the logs of e * w^t, slot-major with t fastest: the column order
     logs = (np.array(scheme.flat_exps(), dtype=np.int64)[:, None]
             + sub.subfield.offsets)
-    cols = reference @ field.operators(logs) % field.p
-    reference.setflags(write=False)
-    cols.setflags(write=False)
+    # both arrays are new: frozen in place, so MatrixScheme copies neither
+    cols = freeze(reference @ field.operators(logs) % field.p)
     mats = cols.reshape(sub.code.r, sub.beta * sub.s, field.m).swapaxes(1, 2)
-    return MatrixScheme(sub, scheme.failed, reference, tuple(mats))
+    return MatrixScheme(sub, scheme.failed, freeze(reference), tuple(mats))
 
 
 def _equations(mat: MatrixScheme) -> np.ndarray:

@@ -34,7 +34,7 @@ import random
 
 from ._numpy import np
 from ._value import Value
-from .errors import NoFeasibleFound, SearchSpaceTooLarge, short_repr
+from .errors import NoFeasibleFound, SearchSpaceTooLarge, as_int, as_node, short_repr
 from .repair import (
     INFEASIBLE,
     RepairReport,
@@ -61,9 +61,7 @@ class SearchConfig(Value):
     def __post_init__(self):
         if self.mode not in ("exhaustive", "random"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not 1 <= self.failed <= self.sub.code.k:
-            raise ValueError(
-                f"failed node {self.failed} not in [1,{self.sub.code.k}]")
+        as_node(self.failed, self.sub.code.k, "failed node")
         # random.seed takes abs() of an int, so seed -5 would replay seed 5
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(
@@ -140,6 +138,8 @@ def _run(cfg: SearchConfig, count: int, tails, proven: bool) -> SearchResult:
 def exhaustive_search(cfg: SearchConfig) -> SearchResult:
     """Enumerate every candidate tuple in lexicographic exponent order and
     return the feasible minimum; requires the space to fit under the cap."""
+    if cfg.mode != "exhaustive":
+        raise ValueError(f"a {cfg.mode}-mode config given to exhaustive_search")
     if cfg.space_size > EXHAUSTIVE_CAP:
         raise SearchSpaceTooLarge(
             f"{cfg.space_size} candidates exceed the cap {EXHAUSTIVE_CAP}")
@@ -181,7 +181,9 @@ def _draw(rng: random.Random, q1: int, count: int) -> np.ndarray:
 def random_search(cfg: SearchConfig) -> SearchResult:
     """Sample cfg.samples candidate tuples uniformly (seeded) and return
     the best feasible one found."""
-    if cfg.samples < 1:
+    if cfg.mode != "random":
+        raise ValueError(f"a {cfg.mode}-mode config given to random_search")
+    if as_int(cfg.samples, "samples") < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(cfg.seed)
     q1 = cfg.sub.code.field.q - 1

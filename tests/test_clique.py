@@ -2,7 +2,7 @@ import pytest
 
 from mdsrepair.clique import clique_bound, find_repair, generate_clique
 from mdsrepair.codes import CodeSpec
-from mdsrepair.errors import NotNormalized, NotTwoParity, OddExtensionDegree
+from mdsrepair.errors import NotNormalized, NotTwoParity, OddExtensionDegree, ParseError
 from mdsrepair.gf import FieldSpec
 from mdsrepair.repair import RepairScheme, SubpacketizationSpec, baselines, gamma_ranks
 
@@ -55,6 +55,13 @@ class TestCliqueBound:
         part = generate_clique(rs53)
         for i in (1, 2, 3):
             assert clique_bound(part, i) == part.sub.file_size == 6
+
+
+@pytest.mark.parametrize("entry", [clique_bound, find_repair])
+@pytest.mark.parametrize("node", [True, 1.0, 2.5, "1"])
+def test_non_integer_node_rejected(rs64, entry, node):
+    with pytest.raises(ParseError, match="node"):
+        entry(generate_clique(rs64), node)
 
 
 class TestFindRepair:

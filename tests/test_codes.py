@@ -1,5 +1,6 @@
 import pytest
 
+from mdsrepair import codes
 from mdsrepair.codes import (
     CodeSpec,
     encode,
@@ -85,9 +86,10 @@ class TestVerifyMds:
         bad = CodeSpec(4, 2, f16, [[one, one], [z, z]])
         assert not verify_mds(bad)
 
-    def test_subset_cap(self, fb1410):
+    def test_subset_cap(self, fb1410, monkeypatch):
+        monkeypatch.setattr(codes, "SUBSET_CAP", 100)
         with pytest.raises(TooManySubsets):
-            verify_mds(fb1410, max_subsets=100)
+            verify_mds(fb1410)
 
     def test_zero_parity_entry_rejected_at_construction(self, f16):
         with pytest.raises(ValueError):

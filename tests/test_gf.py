@@ -92,25 +92,31 @@ class TestConstruction:
 
     @pytest.mark.parametrize("p, poly", [(2, [1, 1, 0, 0, 1]), (3, [2, 0, 0, 1, 1])])
     def test_array_tables_built_on_first_use(self, p, poly, monkeypatch):
-        # construction walks the exp/log tables only and reads nothing of
-        # NumPy; each array table is built once, then the same read-only
-        # object on every access
+        # construction of a field and a subfield walks the exp/log tables
+        # only and reads nothing of NumPy; each array table is built once,
+        # then the same read-only object on every access, and no read adds
+        # an attribute to the instance
         class NoNumpy:
             def __getattr__(self, name):
                 raise AssertionError(f"np.{name} read while building the field")
 
         monkeypatch.setattr(gf, "np", NoNumpy())
         field = FieldSpec(p, poly)
+        sub = field.subfield(2)
         monkeypatch.undo()
-        names = ["coords_table", "rank_keys"]
+        layouts = [(obj, set(vars(obj))) for obj in (field, sub)]
+        names = ["coords_table", "exp_array", "rank_keys"]
         if p == 2:
             assert not hasattr(field, "zech_arrays")
         else:
             names += ["zech_arrays", "zech_lists"]
-        for name in names:
-            assert getattr(field, name) is getattr(field, name)
-        arrays = [field.coords_table, field.rank_keys, *getattr(field, "zech_arrays", ())]
+            assert field.rank_keys is field.zech_arrays[-1]
+        for obj, name in [(field, name) for name in names] + [(sub, "tower_inverse")]:
+            assert getattr(obj, name) is getattr(obj, name)
+        arrays = [field.coords_table, field.exp_array, field.rank_keys,
+                  sub.tower_inverse, *getattr(field, "zech_arrays", ())]
         assert not any(table.flags.writeable for table in arrays)
+        assert all(set(vars(obj)) == keys for obj, keys in layouts)
 
     def test_odd_p_arithmetic_without_numpy(self, monkeypatch):
         # coords() reads the base-p digits of the packed index on ints, so

@@ -1,6 +1,7 @@
 """Package-wide guards: every exported name resolves, no check in the
 package is an ``assert`` (``python -O`` would drop it), no module builds
-code at run time, every function the benchmark tracer wraps still exists
+code at run time, only ``_numpy`` marks arrays read-only, every function
+the benchmark tracer wraps still exists
 under its traced name, the README's library example runs, and only the
 array routes execute NumPy."""
 
@@ -35,6 +36,17 @@ def test_no_assert_statements():
         tree = ast.parse(path.read_text(), str(path))
         found += [f"{path.name}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found
+
+
+def test_only_numpy_module_sets_flags():
+    # _numpy.freeze and _numpy.table own making arrays read-only
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "_numpy.py":
+            tree = ast.parse(path.read_text(), str(path))
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr == "setflags"]
     assert not found
 
 

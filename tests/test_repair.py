@@ -148,6 +148,18 @@ class TestGammaRanks:
         with pytest.raises(ValueError):
             RepairScheme(sub, 4, ((one, one), (one, one)))
 
+    @pytest.mark.parametrize("failed", [True, 1.0, 2.5, "1"])
+    def test_non_integer_node_rejected(self, rs53, f16, failed):
+        one = f16.one()
+        with pytest.raises(ParseError, match="failed node"):
+            RepairScheme(SubpacketizationSpec(rs53, 1), failed, ((one, one), (one, one)))
+
+    def test_numpy_integer_node_accepted(self, rs53, f16):
+        one = f16.one()
+        scheme = RepairScheme(SubpacketizationSpec(rs53, 1), np.int64(2),
+                              ((one, one), (one, one)))
+        assert type(scheme.failed) is int and scheme.to_json()["failed"] == 2
+
     def test_global_scaling_invariance(self, rs53, rs64, rng):
         for code, s in ((rs53, 1), (rs53, 2), (rs64, 1), (rs64, 2)):
             for _ in range(25):

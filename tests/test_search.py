@@ -8,7 +8,7 @@ import pytest
 from mdsrepair import linalg, search
 from mdsrepair.clique import clique_bound, generate_clique
 from mdsrepair.codes import encode
-from mdsrepair.errors import InvalidMatrix, NoFeasibleFound, SearchSpaceTooLarge
+from mdsrepair.errors import InvalidMatrix, NoFeasibleFound, ParseError, SearchSpaceTooLarge
 from mdsrepair.repair import (INFEASIBLE, SchemeEvaluator, SubpacketizationSpec,
                               baselines, recover_node)
 from mdsrepair.search import (
@@ -166,6 +166,13 @@ class TestRandom:
     def test_samples_validated(self, rs53):
         cfg = SearchConfig(SubpacketizationSpec(rs53, 1), 1, mode="random", samples=0)
         with pytest.raises(ValueError):
+            random_search(cfg)
+
+    @pytest.mark.parametrize("samples", [True, "7"])
+    def test_non_integer_samples_rejected(self, rs53, samples):
+        cfg = SearchConfig(SubpacketizationSpec(rs53, 1), 1, mode="random",
+                           samples=samples)
+        with pytest.raises(ParseError, match="samples"):
             random_search(cfg)
 
     def test_best_is_feasible_and_recovers(self, fb1410, f256, rng):
@@ -356,6 +363,18 @@ class TestConfig:
     def test_node_validated(self, rs53):
         with pytest.raises(ValueError):
             SearchConfig(SubpacketizationSpec(rs53, 1), 9)
+
+    @pytest.mark.parametrize("failed", [True, 1.0, 2.5, "1"])
+    def test_non_integer_node_rejected(self, rs53, failed):
+        with pytest.raises(ParseError, match="failed node"):
+            SearchConfig(SubpacketizationSpec(rs53, 1), failed)
+
+    def test_search_refuses_the_other_mode(self, rs53):
+        sub = SubpacketizationSpec(rs53, 1)
+        with pytest.raises(ValueError, match="random-mode"):
+            exhaustive_search(SearchConfig(sub, 1, mode="random", samples=5))
+        with pytest.raises(ValueError, match="exhaustive-mode"):
+            random_search(SearchConfig(sub, 1))
 
     @pytest.mark.parametrize("seed", [-5, -1, 1.5, "5", True, None])
     def test_seed_validated(self, rs53, seed):
