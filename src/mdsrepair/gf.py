@@ -414,6 +414,7 @@ class SubfieldSpec:
     """
 
     def __init__(self, field: FieldSpec, s: int) -> None:
+        s = as_int(s, "s")
         if s < 1 or field.m % s != 0:
             raise IncompatibleSubfield(
                 f"subfield degree {s} does not divide m={field.m}")

@@ -31,7 +31,7 @@ repair columns of a scheme come from one ``FieldSpec.operators`` gather
 and one product with the reference row, and the k interference blocks
 from one product of the stacked (R^l)^T with the parity operators.  It
 multiplies GF(p) matrices and eliminates mod p (``linalg``) only, and
-reads none of the element route's tables (``rank_keys``, ``shifts``,
+reads none of the element route's tables (``rank_keys``, ``node_keys``,
 ``slot_shifts``) or kernels, so it remains an independent oracle.
 """
 
@@ -83,7 +83,7 @@ class SubpacketizationSpec(Value):
         object.__setattr__(self, "slot_shifts", tuple(
             tuple(e for e in row for _ in range(beta))
             for row in self.code.parity_exps()))
-        # ``shifts``, filled by ``table`` on first read
+        # ``node_keys``, filled by ``table`` on first read
         object.__setattr__(self, "_tables", {})
 
     @property
@@ -99,13 +99,16 @@ class SubpacketizationSpec(Value):
         return self.code.k * self.alpha
 
     @table
-    def shifts(self) -> np.ndarray:
-        """Read-only (k, slots * s) table of the batch row layout: shifts[u]
-        = log(P_u * w^t) mod q-1, ``slot_shifts`` with each slot repeated
-        for t < s.  Built, and NumPy loaded, on first read."""
-        slots = np.array(self.slot_shifts, dtype=np.int64)[:, :, None]
-        return (slots + self.subfield.offsets).reshape(
-            self.code.k, -1) % (self.code.field.q - 1)
+    def node_keys(self) -> np.ndarray:
+        """Read-only (n-k, s, k, q-1) table of the batch keys:
+        node_keys[l, t, u, e] = ``FieldSpec.rank_keys``[e + log(P_u^l * w^t)],
+        the kernel key of z^e * P_u^l * w^t, with P_u^l node u's coefficient
+        at parity l, w^t the t-th subfield basis element and the log reduced
+        mod q-1.  Built, and NumPy loaded, on first read."""
+        field = self.code.field
+        shifts = ((np.array(self.code.parity_exps(), dtype=np.int64).T[:, None, :]
+                   + np.array(self.subfield.offsets)[:, None]) % (field.q - 1))
+        return field.rank_keys[shifts[..., None] + np.arange(field.q - 1)]
 
     def bits(self, symbols: int):
         """Bits in ``symbols`` GF(p^s) sub-symbols: the GF(p) digit count
@@ -218,14 +221,6 @@ class RepairReport(Value):
 # picks it
 INFEASIBLE = 2 ** 63 - 1
 
-# key indices per ``np.take`` in ``SchemeEvaluator._gammas_batch``, so that
-# each int64 index temporary stays at 64 KiB.  A single index array per block
-# set (345 KiB for the other nine nodes of a 2,000-candidate fb1410 batch)
-# grows the heap past what malloc keeps between searches: the memory freed
-# after one search goes back to the system and faults back in on the next,
-# about 130 page faults and a quarter of such a search's time.
-GATHER = 8192
-
 
 def _gammas(sub: SubpacketizationSpec, flat_exps) -> tuple:
     """Gammas of one exponent tuple, one ``rank_exps`` call per node on
@@ -243,14 +238,13 @@ class SchemeEvaluator:
 
     ``evaluate_batch`` is the search module's inner loop: the failed node's
     block is ranked for the whole batch, the other k-1 blocks only for the
-    feasible rows.  The keys of each block set are read from
-    ``FieldSpec.rank_keys`` with ``np.take``, a few slots at a time, straight
-    into the kernels' column layout, and ranked with one
-    ``SubfieldSpec.rank_batch`` call, whatever k.  ``evaluate`` scores one
-    tuple on ``gamma_ranks``'s scalar route and is the oracle of
-    ``evaluate_batch`` in the tests.  The evaluator holds no table: ``sub``
-    owns the slot layout (``slot_shifts``, and ``shifts`` for the batch
-    rows), and the field and its subfield own every rank table and kernel.
+    feasible rows, each set with one ``SubfieldSpec.rank_batch`` call on keys
+    taken from ``sub.node_keys`` straight into the kernels' column layout.
+    ``evaluate`` scores one tuple on ``gamma_ranks``'s scalar route and is
+    the oracle of ``evaluate_batch`` in the tests.  The evaluator holds no
+    table: ``sub`` owns the slot layout (``slot_shifts``, and ``node_keys``
+    for the batch rows), and the field and its subfield own every rank
+    table and kernel.
     """
 
     def __init__(self, sub: SubpacketizationSpec, failed: int):
@@ -264,26 +258,26 @@ class SchemeEvaluator:
             return False, None
         return True, sum(gammas)
 
-    def _gammas_batch(self, cols: np.ndarray, nodes: list) -> np.ndarray:
-        """(len(nodes), N) gammas of the (slots, N) reduced exponent columns
-        ``cols``.  The key of slot j, basis offset t, node nodes[i] and
-        candidate c is gathered to [j, t, i, c], which is the (slots * s,
-        len(nodes) * N) column layout of the kernels, ``GATHER`` indices at a
-        time at most, and one ``rank_batch`` call ranks that buffer in
-        place."""
+    def _gammas_batch(self, cols: np.ndarray, runs: tuple) -> np.ndarray:
+        """(K, N) gammas of the (slots, N) reduced exponent columns ``cols``
+        for the K nodes of ``runs``, slices of 0-based nodes.  One ``np.take``
+        per (slot j, offset t) row and run copies ``node_keys[l, t, run]``, l
+        the parity of slot j, at ``cols[j]`` to the (slots * s, K * N) column
+        layout of the kernels, which one ``rank_batch`` call ranks in place."""
         sub = self.sub
         slots, n = cols.shape
-        shifts = sub.shifts[nodes].T.reshape(slots, sub.s, len(nodes), 1)
-        rank_keys = sub.code.field.rank_keys
-        keys = np.empty((slots, sub.s, len(nodes), n), dtype=rank_keys.dtype)
-        step = max(1, GATHER // (keys[0].size or 1))
-        for j in range(0, slots, step):
-            # the indices are below 2(q-1) = len(rank_keys): "clip" checks
-            # nothing and, unlike "raise", writes to out without a copy
-            np.take(rank_keys, cols[j:j + step, None, None, :] + shifts[j:j + step],
-                    out=keys[j:j + step], mode="clip")
+        width = sum(run.stop - run.start for run in runs)
+        keys = np.empty((slots, sub.s, width, n), dtype=sub.node_keys.dtype)
+        for j, exps in enumerate(cols):
+            exps = np.ascontiguousarray(exps)  # one index copy for all its takes
+            for t, out in enumerate(keys[j]):
+                for run in runs:
+                    table = sub.node_keys[j // sub.beta, t, run]
+                    # exponents < q-1: "clip" checks none, writes to out directly
+                    np.take(table, exps, axis=-1, out=out[:len(table)], mode="clip")
+                    out = out[len(table):]
         ranks = sub.subfield.rank_batch(keys.reshape(slots * sub.s, -1))
-        return ranks.reshape(len(nodes), n)
+        return ranks.reshape(width, n)
 
     def evaluate_batch(self, flats: np.ndarray) -> np.ndarray:
         """Totals of the (N, slots) exponent tuples in ``flats``, with
@@ -294,12 +288,14 @@ class SchemeEvaluator:
         # dearest pass over a batch: reduce only when an entry needs it
         if flats.size and (flats.min() < 0 or flats.max() >= q1):
             flats = flats % q1
-        failed = self.failed - 1
-        ok = self._gammas_batch(flats.T, [failed])[0] == self.sub.alpha
-        others = [u for u in range(self.sub.code.k) if u != failed]
+        failed, k, alpha = self.failed - 1, self.sub.code.k, self.sub.alpha
+        ok = self._gammas_batch(flats.T, (slice(failed, failed + 1),))[0] == alpha
+        # the other nodes: the runs below and above the failed one
+        others = tuple(run for run in (slice(0, failed), slice(failed + 1, k))
+                       if run.start < run.stop)
         gammas = self._gammas_batch(flats.compress(ok, axis=0).T, others)
         totals = np.full(len(flats), INFEASIBLE, dtype=np.int64)
-        totals[ok] = self.sub.alpha + gammas.sum(axis=0)
+        totals[ok] = alpha + gammas.sum(axis=0)
         return totals
 
 
@@ -317,6 +313,7 @@ def lift_scheme(scheme: RepairScheme, a: int) -> RepairScheme:
     generator of the original GF(p^s); beta scales by a and every gamma
     scales by exactly a, so bandwidth in bits is unchanged.
     """
+    a = as_int(a, "lift factor")
     if a < 1 or scheme.sub.s % a != 0:
         raise IncompatibleLift(f"lift factor {a} does not divide s={scheme.sub.s}")
     if a == 1:

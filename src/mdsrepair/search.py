@@ -17,15 +17,17 @@ Memory: a chunk of N candidates holds its exponent rows (8 * slots * N
 bytes, slots <= m) and, while one block set is ranked, about
 (3b + 1) * m + 9 bytes per candidate and node of the set for p = 2, b the
 bytes of a key (1 up to GF(2^8), 2 up to GF(2^16)), or 33 * m + 9 for odd
-p, plus at most 64 KiB of gather indices.  For m <= 16 and p = 2 a full
-chunk of 4,096 stays under about 0.75 MiB plus 0.5 MiB per systematic
-node; measured peaks are 0.8 MiB for fb1410 (k = 10) and 2.2 MiB for an
-RS(14,12) code over GF(2^16).
+p.  The keys come from ``SubpacketizationSpec.node_keys``, (n-k) * s * k *
+(q-1) keys per spec: 10 KiB for fb1410 at s = 1, 3 MiB for an RS(14,12)
+code over GF(2^16).  For m <= 16 and p = 2 a full chunk of 4,096 stays
+under about 0.75 MiB plus 0.5 MiB per systematic node; measured peaks are
+0.8 MiB for fb1410 (k = 10) and 2.3 MiB for that RS(14,12) code.
 
 Random draws use the stdlib Mersenne Twister (``random.Random(seed)``),
 one ``randrange(q-1)`` exponent per free slot in slot order, so a run is
-reproducible from its seed on any platform.  The draws are taken in bulk
-(``_draw``) but are identical to that stdlib stream.
+reproducible from its seed on any platform.  The draws are taken in bulk,
+one or two ``getrandbits`` calls per chunk (``_stream``), but are identical
+to that stdlib stream.
 """
 
 from __future__ import annotations
@@ -92,13 +94,10 @@ class SearchResult(Value):
 
 def _pin_first(free: np.ndarray) -> np.ndarray:
     """The (n, slots) int64 candidates of the (n, free_slots) ``free``
-    slots, behind a first slot pinned to 0 (the element 1).
-
-    ``free`` is drawn before the candidates are allocated and is released
-    on return, so its memory is a hole below them that the evaluator's
-    arrays reuse, not a top of the heap that free() trims and the next
-    chunk has to fault back in.
-    """
+    slots, behind a first slot pinned to 0 (the element 1).  Allocated after
+    the draw, so that the draw's temporaries leave a hole below them for
+    the evaluator's arrays rather than a heap top that free() trims and
+    the next chunk faults back in."""
     flats = np.zeros((len(free), free.shape[1] + 1), dtype=np.int64)
     flats[:, 1:] = free
     return flats
@@ -115,9 +114,7 @@ def _run(cfg: SearchConfig, count: int, tails, proven: bool) -> SearchResult:
     smallest optimum.
     """
     ev = SchemeEvaluator(cfg.sub, cfg.failed)
-    best_total = INFEASIBLE
-    best_flat = None
-    feasible = 0
+    best_total, best_flat, feasible = INFEASIBLE, None, 0
     for start in range(0, count, CHUNK):
         n = min(CHUNK, count - start)
         flats = _pin_first(tails(start, n))
@@ -153,29 +150,34 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
     return _run(cfg, cfg.space_size, tails, proven=True)
 
 
-def _draw(rng: random.Random, q1: int, count: int) -> np.ndarray:
-    """``[rng.randrange(q1) for _ in range(count)]`` as a ``uint32`` array,
-    drawn in bulk.
+def _stream(rng: random.Random, q1: int):
+    """``take(count)``: the next ``count`` values of the stream
+    ``rng.randrange(q1), ...`` as a ``uint32`` array.  ``randrange(q1)`` takes
+    the top ``b = q1.bit_length()`` bits of one 32-bit Mersenne Twister word,
+    drawing again while they are >= q1, and ``getrandbits(32 * w)`` returns w
+    such words, least significant first.  Each such call asks for the
+    ceil(missing * 2^b / q1) words the missing values take on average; the
+    values past ``count`` are kept for the next take."""
+    bits = q1.bit_length()
+    surplus = np.zeros(0, dtype=np.uint32)
 
-    ``randrange(q1)`` takes the top ``q1.bit_length()`` bits of one 32-bit
-    Mersenne Twister word and rejects values >= q1, drawing again;
-    ``getrandbits(32 * n)`` returns n such words, the first as the least
-    significant.  Every value takes at least one word, so asking for as many
-    words as values are still missing never reads past the stdlib stream.
-    The values stay ``uint32``, which keeps the draw's temporaries small.
-    """
-    shift = 32 - q1.bit_length()
-    parts = [np.zeros(0, dtype=np.uint32)]
-    missing = count
-    while missing:
-        words = np.frombuffer(
-            rng.getrandbits(32 * missing).to_bytes(4 * missing, "little"),
-            dtype="<u4")
-        values = words >> shift
-        values = values[values < q1]
-        parts.append(values)
-        missing -= len(values)
-    return np.concatenate(parts)
+    def take(count: int) -> np.ndarray:
+        nonlocal surplus
+        parts = [surplus]
+        missing = count - len(surplus)
+        while missing > 0:
+            words = -(-(missing << bits) // q1)
+            drawn = np.frombuffer(
+                rng.getrandbits(32 * words).to_bytes(4 * words, "little"),
+                dtype="<u4") >> (32 - bits)
+            drawn = drawn[drawn < q1]
+            parts.append(drawn)
+            missing -= len(drawn)
+        values = np.concatenate(parts)
+        surplus = values[count:]
+        return values[:count]
+
+    return take
 
 
 def random_search(cfg: SearchConfig) -> SearchResult:
@@ -185,11 +187,10 @@ def random_search(cfg: SearchConfig) -> SearchResult:
         raise ValueError(f"a {cfg.mode}-mode config given to random_search")
     if as_int(cfg.samples, "samples") < 1:
         raise ValueError("samples must be >= 1")
-    rng = random.Random(cfg.seed)
-    q1 = cfg.sub.code.field.q - 1
+    take = _stream(random.Random(cfg.seed), cfg.sub.code.field.q - 1)
     free = cfg.free_slots
 
     def tails(start, n):
-        return _draw(rng, q1, n * free).reshape(n, free)
+        return take(n * free).reshape(n, free)
 
     return _run(cfg, cfg.samples, tails, proven=False)

@@ -383,6 +383,15 @@ class TestSubfield:
         assert f16.subfield(4).exp_step == 1      # whole field
         assert f16.subfield(1).generator == f16.one()  # GF(2) = {0,1}
 
+    @pytest.mark.parametrize("s", [2.0, True])
+    def test_non_integer_degree_rejected(self, rs64, s):
+        with pytest.raises(ParseError, match="^s must be an integer"):
+            rs64.field.subfield(s)
+
+    def test_numpy_integer_degree_accepted(self, f16):
+        sub = f16.subfield(np.int64(2))
+        assert sub == f16.subfield(2) and type(sub.s) is int
+
 
 class TestRankOverSubfield:
     def test_published_full_rank_set(self, f16):

@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -77,10 +78,10 @@ class TestSubpacketization:
 
     @pytest.mark.parametrize("name, s", [("fb1410", 1), ("rs64", 2), ("rs64_gf81", 2)])
     def test_derived_tables_keep_the_instance_layout(self, request, name, s, monkeypatch):
-        # subfield, slot_shifts and shifts are built on first read into
+        # subfield, slot_shifts and node_keys are built on first read into
         # attributes that construction made: no read adds a key to the
         # instance __dict__, each returns the same object every time, and
-        # only shifts reads NumPy
+        # only node_keys reads NumPy
         sub = SubpacketizationSpec(request.getfixturevalue(name), s)
         keys = set(vars(sub))
 
@@ -91,10 +92,44 @@ class TestSubpacketization:
         monkeypatch.setattr(repair, "np", NoNumpy())
         scalar = [sub.subfield, sub.slot_shifts]
         monkeypatch.undo()
-        first = [*scalar, sub.shifts]
+        first = [*scalar, sub.node_keys]
         assert set(vars(sub)) == keys
-        assert all(a is b for a, b in zip(first, [sub.subfield, sub.slot_shifts, sub.shifts]))
+        again = [sub.subfield, sub.slot_shifts, sub.node_keys]
+        assert all(a is b for a, b in zip(first, again))
         assert sub == SubpacketizationSpec(sub.code, s)
+
+    @pytest.mark.parametrize("name", ["rs64", "fb1410", "rs64_gf81"])
+    def test_node_keys(self, request, name, monkeypatch):
+        # GF(2^4), GF(2^8), GF(3^4) at every valid s: entry [l, t, u, e] is
+        # the rank key of z^(e + log P_u^l + offset t), the log reduced mod
+        # q-1, from the field's rank_keys and the spec's slot_shifts
+        code = request.getfixturevalue(name)
+        field = code.field
+        q1 = field.q - 1
+        rank_keys = field.rank_keys.tolist()
+        valid = []
+        for s in range(1, field.m + 1):
+            try:
+                sub = SubpacketizationSpec(code, s)
+            except IncompatibleSubfield:
+                continue
+            valid.append(s)
+            attrs = set(vars(sub))
+            keys = sub.node_keys
+            assert keys.shape == (code.r, s, code.k, q1)
+            assert keys.dtype == field.rank_keys.dtype
+            assert not keys.flags.writeable
+            for l, t, u in itertools.product(range(code.r), range(s), range(code.k)):
+                shift = sub.slot_shifts[u][l * sub.beta] + sub.subfield.offsets[t]
+                assert keys[l, t, u].tolist() == [rank_keys[e + shift % q1]
+                                                  for e in range(q1)]
+            # built once: a second read is the same array and reads no table
+            with monkeypatch.context() as patch:
+                patch.setattr(FieldSpec, "rank_keys", property(
+                    lambda field: pytest.fail("rank_keys read again")))
+                assert sub.node_keys is keys
+            assert set(vars(sub)) == attrs
+        assert valid == [1, 2]
 
     def test_baselines(self, rs53, rs64, fb1410):
         assert baselines(SubpacketizationSpec(rs53, 1)) == (12, 8)
@@ -217,6 +252,14 @@ class TestLift:
     def test_incompatible(self, rs53):
         with pytest.raises(IncompatibleLift):
             lift_scheme(bundled_scheme("rs53", 1), 2)  # s = 1
+
+    @pytest.mark.parametrize("factor", [True, 2.0])
+    def test_non_integer_factor_rejected(self, rs64, factor):
+        # True would pass for a factor of 1 and 2.0 would fail on s = 1.0
+        scheme = find_repair(generate_clique(rs64), 2).scheme
+        assert scheme.sub.s == 2
+        with pytest.raises(ParseError, match="^lift factor must be an integer"):
+            lift_scheme(scheme, factor)
 
 
 class TestMatrixOracle:
@@ -392,7 +435,7 @@ class TestRecoverNode:
             raise AssertionError("element rank kernel or table read")
         monkeypatch.setattr(SubfieldSpec, "rank_exps", refuse)
         monkeypatch.setattr(SubfieldSpec, "rank_batch", refuse)
-        monkeypatch.setattr(SubpacketizationSpec, "shifts", property(refuse))
+        monkeypatch.setattr(SubpacketizationSpec, "node_keys", property(refuse))
         monkeypatch.setattr(FieldSpec, "rank_keys", property(refuse))
         # the operators are built in batches, never one element at a time
         monkeypatch.setattr(FieldElement, "operator", refuse)

@@ -187,27 +187,36 @@ class TestRandom:
 
 
 class TestStream:
-    @pytest.mark.parametrize("q1", [2, 4, 8, 15, 80, 255])
+    @pytest.mark.parametrize("q1", [2, 4, 8, 15, 80, 129, 255])
     @pytest.mark.parametrize("seed", [0, 1, 12345])
     def test_bulk_draw_is_the_stdlib_stream(self, q1, seed):
-        for count in (0, 1, 7 * 1030, 3 * search.CHUNK + 5):
-            rng, ref = random.Random(seed), random.Random(seed)
-            got = search._draw(rng, q1, count)
-            assert got.tolist() == [ref.randrange(q1) for _ in range(count)]
-            # no word drawn beyond what randrange used
-            assert rng.getstate() == ref.getstate()
+        # uneven takes, empty ones and takes that the kept surplus covers
+        # included, concatenate to the stdlib stream
+        sizes = [0, 1, 7 * 1030, 0, 3 * search.CHUNK + 5, 2, 13, 1]
+        take = search._stream(random.Random(seed), q1)
+        got = [take(count) for count in sizes]
+        assert [len(values) for values in got] == sizes
+        assert all(values.dtype == np.uint32 for values in got)
+        ref = random.Random(seed)
+        assert np.concatenate(got).tolist() == [ref.randrange(q1)
+                                                for _ in range(sum(sizes))]
 
-    @pytest.mark.parametrize("samples", [1, search.CHUNK + 13])
+    @pytest.mark.parametrize("name, samples", [
+        ("fb1410", 1), ("fb1410", search.CHUNK + 13), ("rs64_gf81", search.CHUNK + 13)],
+        ids=["1", str(search.CHUNK + 13), f"rs64_gf81-{search.CHUNK + 13}"])
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_search_candidates_are_the_stdlib_stream(self, fb1410, monkeypatch,
-                                                     samples, seed):
+    def test_search_candidates_are_the_stdlib_stream(self, request, monkeypatch,
+                                                     name, samples, seed):
+        code = request.getfixturevalue(name)
+        sub = SubpacketizationSpec(code, 1)
         seen = _record_chunks(monkeypatch)
         # a single sample may well be infeasible; the stream is still drawn
         with contextlib.suppress(NoFeasibleFound):
-            random_search(SearchConfig(SubpacketizationSpec(fb1410, 1), 3,
-                                       mode="random", samples=samples, seed=seed))
+            random_search(SearchConfig(sub, 3, mode="random", samples=samples,
+                                       seed=seed))
         rng = random.Random(seed)
-        ref = [[0] + [rng.randrange(255) for _ in range(7)] for _ in range(samples)]
+        q1, free = code.field.q - 1, code.r * sub.beta - 1
+        ref = [[0] + [rng.randrange(q1) for _ in range(free)] for _ in range(samples)]
         assert np.vstack(seen).tolist() == ref
 
     def test_criterion_9_stream(self, fb1410):
@@ -227,7 +236,8 @@ class TestBatch:
         sub = SubpacketizationSpec(code, s)
         q1 = code.field.q - 1
         draw = random.Random(f"{name}:{s}")
-        for failed in (1, code.k):
+        # a middle node splits the other nodes in two runs
+        for failed in (1, 2, code.k):
             ev = SchemeEvaluator(sub, failed)
             flats = [[draw.randrange(q1) for _ in range(code.r * sub.beta)]
                      for _ in range(2000)]
@@ -256,8 +266,8 @@ class TestBatch:
     @pytest.mark.parametrize("name", ["rs64", "fb1410", "rs64_gf81"])
     def test_evaluators_read_the_field_rank_keys(self, request, name, monkeypatch, rng):
         # GF(2^4), GF(2^8), GF(3^4): the field builds the key table once and
-        # the spec the slot layout once; no evaluator, for any failed node
-        # or s, keeps a table of its own
+        # each spec its node keys once, from it; no evaluator, for any failed
+        # node or s, keeps a table of its own
         code = request.getfixturevalue(name)
         field = code.field
         rank_keys = field.rank_keys
@@ -266,19 +276,18 @@ class TestBatch:
             # the smallest unsigned dtype holding q-1
             assert rank_keys.dtype == (np.uint8 if field.q <= 256 else np.uint16)
             assert len(rank_keys) == 2 * (field.q - 1)
-        read = []
-        take = np.take
-
-        def recording(table, *args, **kwargs):
-            read.append(table)
-            return take(table, *args, **kwargs)
-
-        monkeypatch.setattr(np, "take", recording)
         for s in (1, 2):
             sub = SubpacketizationSpec(code, s)
-            shifts = sub.shifts
-            assert not shifts.flags.writeable
-            assert shifts.shape == (code.k, code.r * sub.beta * s)
+            node_keys = sub.node_keys
+            assert node_keys.dtype == rank_keys.dtype
+            read = []
+            take = np.take
+
+            def recording(table, *args, **kwargs):
+                read.append(table)
+                return take(table, *args, **kwargs)
+
+            monkeypatch.setattr(np, "take", recording)
             for failed in range(1, code.k + 1):
                 ev = SchemeEvaluator(sub, failed)
                 assert not [k for k, v in vars(ev).items()
@@ -286,8 +295,10 @@ class TestBatch:
                 ev.evaluate_batch(np.array(
                     [[rng.randrange(field.q - 1) for _ in range(code.r * sub.beta)]
                      for _ in range(50)]))
-                assert ev.sub.shifts is shifts
-        assert read and all(table is field.rank_keys for table in read)
+                assert ev.sub.node_keys is node_keys
+            monkeypatch.undo()
+            # every gather reads a view of this spec's node keys
+            assert read and all(np.shares_memory(table, node_keys) for table in read)
 
     def test_odd_p_search_never_calls_evaluate(self, rs64_gf81, monkeypatch):
         cfgs = _odd_p_searches(rs64_gf81)
