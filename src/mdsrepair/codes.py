@@ -92,10 +92,22 @@ class CodeSpec(Value):
 
 
 class Codeword(Value):
-    """n coded symbols; the first k are the message itself."""
+    """n coded symbols; the first k are the message itself.  The symbols are
+    stored as a tuple and must be n elements of the code's field."""
 
     code: CodeSpec
     symbols: tuple
+
+    def __post_init__(self):
+        symbols = tuple(self.symbols)
+        object.__setattr__(self, "symbols", symbols)
+        if len(symbols) != self.code.n:
+            raise LengthMismatch(f"codeword length {len(symbols)} != n={self.code.n}")
+        field = self.code.field
+        for x in symbols:
+            if not isinstance(x, FieldElement) or (x.field is not field
+                                                   and x.field != field):
+                raise ValueError("codeword symbols must belong to the code's field")
 
     def __getitem__(self, i: int) -> FieldElement:
         return self.symbols[i]
@@ -208,4 +220,4 @@ def encode(code: CodeSpec, message) -> Codeword:
         for i in range(code.k):
             acc = acc + code.parity[i][j] * msg[i]
         symbols.append(acc)
-    return Codeword(code, tuple(symbols))
+    return Codeword(code, symbols)

@@ -43,7 +43,7 @@ class TooManySubsets(MdsRepairError):
 
 
 class LengthMismatch(MdsRepairError):
-    """Message length does not match the code dimension."""
+    """A message or codeword length does not match the code."""
 
 
 # -- repair schemes ---------------------------------------------------------

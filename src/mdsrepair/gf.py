@@ -547,8 +547,11 @@ def subfield_coords(x: FieldElement, sub: SubfieldSpec) -> list:
     ``tower_inverse`` gives the coefficients a_jt of c_j = sum_t a_jt w^t
     over GF(p), one product with the GF(p) coordinates of the basis w^t and
     one with the powers of p pack each c_j, and ``from_index`` reads it.
+    ValueError unless x is an element of ``sub``'s field.
     """
     field = sub.field
+    if not isinstance(x, FieldElement) or (x.field is not field and x.field != field):
+        raise ValueError(f"subfield_coords needs an element of {field!r}")
     p = field.p
     coeffs = (sub.tower_inverse @ field.coords_table[x.index] % p).reshape(-1, sub.s)
     basis = field.coords_table[field.exp_array[sub.offsets]]

@@ -1,13 +1,16 @@
 """Dense linear algebra over prime fields GF(p).
 
-Five representations are used:
+Six representations are used:
 
 * python lists of ints in [0, p), one list per row, for the one general
   elimination mod p (`rref_rows`), which beats numpy row operations at
-  these sizes.  ``repair.recover_node`` runs it on lists directly; the
-  array routines that the explicit-matrix repair route and the subfield
-  tables use (`rref_mod_p`, `rank_mod_p`, `solve_mod_p`) reduce an int64
-  array mod p, call ``tolist()`` once and wrap it;
+  these sizes.  ``repair.recover_node`` runs it on lists directly for odd
+  p; the array routines that the explicit-matrix repair route and the
+  subfield tables use (`rref_mod_p`, `rank_mod_p`, `solve_mod_p`) reduce an
+  int64 array mod p, call ``tolist()`` once and wrap it;
+* python ints as bit-rows, bit c for column c, for the matrix route's
+  GF(2) elimination (`rref_bits`), which ``repair.recover_node`` runs for
+  p = 2 with XOR for row operations;
 * python ints as bit-rows for the GF(2) element rank (`bit_rank`);
 * numpy arrays of packed coordinates, one set of rows per column, for the
   batched GF(2) rank (`bit_rank_batch`) that the p = 2 search ranks whole
@@ -28,7 +31,9 @@ set's rank is the number of nonzero pivots, counted once at the end.
 ``bit_rank`` and ``zech_rank`` are the kernels behind
 ``SubfieldSpec.rank_exps``, the scalar element rank, and ``bit_rank_batch``
 and ``zech_rank_batch`` the ones behind ``SubfieldSpec.rank_batch``.
-Matrices here are tiny (at most 16x16 for the fields this package
+``rref_rows`` and ``rref_bits`` belong to the explicit-matrix route and
+share no code with them, so the two routes stay independent checks of each
+other.  Matrices here are tiny (at most 16x16 for the fields this package
 supports), so clarity beats asymptotics throughout.
 """
 
@@ -169,7 +174,7 @@ def rref_rows(rows: list, p: int) -> list[int]:
     ``rows`` but the row lists themselves are never written, so a shallow
     copy ``list(rows)`` keeps the input.  This is the one elimination mod p:
     ``rref_mod_p``, ``rank_mod_p`` and ``solve_mod_p`` wrap it for arrays,
-    and ``repair.recover_node`` runs it on lists directly.
+    and ``repair.recover_node`` runs it on lists directly for odd p.
     """
     n = len(rows)
     pivots: list[int] = []
@@ -194,6 +199,32 @@ def rref_rows(rows: list, p: int) -> list[int]:
         if r == n:
             break
     return pivots
+
+
+def rref_bits(rows) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form over GF(2) of ``rows``, ints whose bit c is
+    column c; returns (basis, pivots), the nonzero rows of the form and
+    their pivot columns, in increasing order.
+
+    The same form ``rref_rows(rows, 2)`` gives on bit lists: each basis row
+    has its pivot as its lowest set bit and 0 in every other pivot column.
+    Each row is reduced by the basis so far, then, if anything is left, its
+    lowest bit becomes a pivot and is cleared from the other basis rows.
+    ``rows`` is only read.
+    """
+    basis: dict[int, int] = {}  # pivot column -> row
+    for v in rows:
+        for c, b in basis.items():
+            if v >> c & 1:
+                v ^= b
+        if v:
+            c = (v & -v).bit_length() - 1
+            for d, b in basis.items():
+                if b >> c & 1:
+                    basis[d] = b ^ v
+            basis[c] = v
+    pivots = sorted(basis)
+    return [basis[c] for c in pivots], pivots
 
 
 def _reduced(M, p: int) -> np.ndarray:

@@ -371,35 +371,44 @@ def _entries(value):
     return value if tolist is None else _entries(tolist())
 
 
+def _equations(scheme: RepairScheme, reference) -> tuple:
+    """(reference, equations): the reference row reduced mod p, and the
+    (n-k, s * beta, m) stack of the transposed repair matrices (R^l)^T, row
+    j of layer l downloaded equation j of parity l, realized from it.  Both
+    arrays are new.  The reference must be m integer GF(p) coordinates
+    (ParseError for other entries, DimensionMismatch for another shape),
+    not all zero (ZeroReference)."""
+    sub = scheme.sub
+    field = sub.code.field
+    if reference is None:
+        reference = field.coords_table[1]  # the coordinates of 1
+    reference = np.asarray(reference)
+    if reference.shape != (field.m,):
+        raise DimensionMismatch(
+            f"reference vector has shape {reference.shape}, need ({field.m},)")
+    if reference.dtype.kind not in "iu":
+        raise ParseError(
+            f"reference vector entries must be integers, got {reference.dtype}")
+    reference = (reference % field.p).astype(np.int64)
+    if not reference.any():
+        raise ZeroReference("reference vector must be nonzero")
+    # the logs of e * w^t, slot-major with t fastest: the row order
+    logs = (np.array(scheme.flat_exps(), dtype=np.int64)[:, None]
+            + sub.subfield.offsets)
+    rows = reference @ field.operators(logs) % field.p
+    return reference, rows.reshape(sub.code.r, sub.beta * sub.s, field.m)
+
+
 def realize_matrices(scheme: RepairScheme, reference=None) -> MatrixScheme:
     """Construct the repair matrices from a reference row: the column for
     element M is (reference^T . operator(M))^T, expanded over the subfield
     basis when s > 1.  One ``FieldSpec.operators`` call builds the
-    operators of every M * w^t.  The reference must be m GF(p) coordinates
-    (DimensionMismatch otherwise), not all zero (ZeroReference)."""
-    field = scheme.sub.code.field
-    if reference is None:
-        reference = field.coords_table[1]  # the coordinates of 1
-    reference = np.asarray(reference, dtype=np.int64) % field.p
-    if reference.shape != (field.m,):
-        raise DimensionMismatch(
-            f"reference vector has shape {reference.shape}, need ({field.m},)")
-    if not reference.any():
-        raise ZeroReference("reference vector must be nonzero")
-    sub = scheme.sub
-    # the logs of e * w^t, slot-major with t fastest: the column order
-    logs = (np.array(scheme.flat_exps(), dtype=np.int64)[:, None]
-            + sub.subfield.offsets)
+    operators of every M * w^t.  The reference is checked as ``_equations``
+    says."""
+    reference, equations = _equations(scheme, reference)
     # both arrays are new: frozen in place, so MatrixScheme copies neither
-    cols = freeze(reference @ field.operators(logs) % field.p)
-    mats = cols.reshape(sub.code.r, sub.beta * sub.s, field.m).swapaxes(1, 2)
-    return MatrixScheme(sub, scheme.failed, freeze(reference), tuple(mats))
-
-
-def _equations(mat: MatrixScheme) -> np.ndarray:
-    """The (n-k, s * beta, m) stack of the transposed repair matrices
-    (R^l)^T: row j of layer l is downloaded equation j of parity l."""
-    return np.array(mat.matrices).swapaxes(1, 2)
+    return MatrixScheme(scheme.sub, scheme.failed, freeze(reference),
+                        tuple(freeze(equations).swapaxes(1, 2)))
 
 
 def _interference_blocks(sub: SubpacketizationSpec, equations: np.ndarray) -> np.ndarray:
@@ -435,7 +444,8 @@ def gamma_ranks_matrix(sub: SubpacketizationSpec, failed: int,
         if not R.any(axis=0).all():
             raise InvalidMatrix("repair matrix has a zero column")
     gammas = []
-    for u, block in enumerate(_interference_blocks(sub, _equations(mat))):
+    equations = np.array(mat.matrices).swapaxes(1, 2)
+    for u, block in enumerate(_interference_blocks(sub, equations)):
         r = linalg.rank_mod_p(block, field.p)
         if r % sub.s:
             raise InvalidMatrix(
@@ -470,13 +480,17 @@ def recover_node(codeword: Codeword, scheme: RepairScheme,
     left of the signal column give its rank, and ``InfeasibleScheme`` is
     raised unless it is full.
 
-    NumPy builds the realized equations, the interference blocks, the
-    stored vectors (one ``coords_table`` gather) and what the parities
-    send, and one ``tolist()`` each hands them to python ints: every
-    elimination is ``linalg.rref_rows`` on lists, one per surviving node
-    and one for the failed block, and the products after them are list
-    sums.  Like ``gamma_ranks_matrix``, this works on the realized matrices
-    alone and never calls the element rank kernel.
+    NumPy builds the realized equations (``_equations``, as
+    ``realize_matrices`` does), the interference blocks, the stored vectors
+    (one ``coords_table`` gather) and what the parities send; then every
+    elimination runs on python ints, one per surviving node and one for
+    the failed block.  For p = 2 one product with the powers of 2 each packs
+    the blocks, the vectors and the signal into bit-rows: the eliminations
+    are ``linalg.rref_bits`` and the products after them parities of ANDs
+    (``_solve_bits``).  For odd p one ``tolist()`` each hands them to
+    ``linalg.rref_rows`` and list sums (``_solve_mod_p``).  Like
+    ``gamma_ranks_matrix``, this works on the realized equations alone and
+    never calls an element rank kernel.
     """
     sub, failed = scheme.sub, scheme.failed
     code = sub.code
@@ -484,18 +498,70 @@ def recover_node(codeword: Codeword, scheme: RepairScheme,
     p, m, k = field.p, field.m, code.k
     if codeword.code != code:
         raise ValueError("codeword and scheme use different codes")
-    equations = _equations(realize_matrices(scheme, reference))
+    equations = _equations(scheme, reference)[1]
     blocks = _interference_blocks(sub, equations)
     vectors = field.coords_table[[x.index for x in codeword.symbols]]
     # each parity sends its realized equations applied to its stored vector
     received = (equations @ vectors[k:, :, None]).reshape(-1) % p
-    downloads = {k + 1 + l: sub.beta for l in range(code.r)}
     if received.shape != (m,):
         raise DimensionMismatch(f"parities sent {received.size} values, need m={m}")
+    if p == 2:
+        ranks, pivots, solution = _solve_bits(blocks, vectors, received, failed - 1)
+    else:
+        ranks, pivots, solution = _solve_mod_p(blocks, vectors, received, failed - 1, p)
+    useful = sum(c < m for c in pivots)
+    if useful != m:
+        raise InfeasibleScheme(
+            f"gamma_{failed} = {useful // sub.s} < alpha = {sub.alpha}")
+    downloads = {k + 1 + l: sub.beta for l in range(code.r)}
+    downloads.update((u, rank // sub.s) for u, rank in ranks.items())
+    element = field.from_coords(solution)
+    total = sum(downloads.values())
+    return RecoveryResult(element, tuple(subfield_coords(element, sub.subfield)),
+                          downloads, total, sub.bits(total))
 
-    blocks, vectors, signal = blocks.tolist(), vectors.tolist(), received.tolist()
+
+def _solve_bits(blocks: np.ndarray, vectors: np.ndarray, received: np.ndarray,
+                failed: int) -> tuple:
+    """``recover_node``'s eliminations over GF(2) on bit-rows, bit c for
+    column c: the (k, m, m) interference ``blocks`` and the (n, m) stored
+    ``vectors`` packed a row per int, the m ``received`` values into one
+    int, bit j for equation j.  Returns (ranks, pivots, solution): the
+    block rank of each surviving node, 1-based, the pivot columns of the
+    failed block with the signal as column m, and the coordinates that
+    elimination solves for, read only when it has m pivots left of the
+    signal."""
+    m = blocks.shape[-1]
+    weights = 1 << np.arange(m)
+    blocks, vectors = (blocks @ weights).tolist(), (vectors @ weights).tolist()
+    signal = int(received @ weights)
+    ranks = {}
     for u, (block, vector) in enumerate(zip(blocks, vectors)):
-        if u == failed - 1:
+        if u == failed:
+            continue
+        basis, pivots = linalg.rref_bits(block)
+        # node u sends basis . vector, one bit per pivot column c, and the
+        # interference of equation j is block[j] . fetched: see _solve_mod_p
+        fetched = 0
+        for c, row in zip(pivots, basis):
+            fetched |= ((row & vector).bit_count() & 1) << c
+        for j, row in enumerate(block):
+            signal ^= ((row & fetched).bit_count() & 1) << j
+        ranks[u + 1] = len(pivots)
+    system = [row | (signal >> j & 1) << m for j, row in enumerate(blocks[failed])]
+    basis, pivots = linalg.rref_bits(system)
+    return ranks, pivots, [row >> m for row in basis]
+
+
+def _solve_mod_p(blocks: np.ndarray, vectors: np.ndarray, received: np.ndarray,
+                 failed: int, p: int) -> tuple:
+    """``_solve_bits`` for odd p, on lists of ints in [0, p) by
+    ``linalg.rref_rows``."""
+    m = blocks.shape[-1]
+    blocks, vectors, signal = blocks.tolist(), vectors.tolist(), received.tolist()
+    ranks = {}
+    for u, (block, vector) in enumerate(zip(blocks, vectors)):
+        if u == failed:
             continue
         basis = list(block)
         pivots = linalg.rref_rows(basis, p)
@@ -508,16 +574,9 @@ def recover_node(codeword: Codeword, scheme: RepairScheme,
             fetched[c] = sum(map(mul, row, vector)) % p
         signal = [(x - sum(map(mul, row, fetched))) % p
                   for x, row in zip(signal, block)]
-        downloads[u + 1] = len(pivots) // sub.s
+        ranks[u + 1] = len(pivots)
     # one elimination of [A | signal] gives the rank of the failed block A
     # (its pivots left of column m) and, when that is full, the solution
-    system = [row + [x] for row, x in zip(blocks[failed - 1], signal)]
+    system = [row + [x] for row, x in zip(blocks[failed], signal)]
     pivots = linalg.rref_rows(system, p)
-    useful = sum(c < m for c in pivots)
-    if useful != m:
-        raise InfeasibleScheme(
-            f"gamma_{failed} = {useful // sub.s} < alpha = {sub.alpha}")
-    element = field.from_coords([row[m] for row in system])
-    total = sum(downloads.values())
-    return RecoveryResult(element, tuple(subfield_coords(element, sub.subfield)),
-                          downloads, total, sub.bits(total))
+    return ranks, pivots, [row[m] for row in system]

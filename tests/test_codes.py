@@ -3,6 +3,7 @@ import pytest
 from mdsrepair import codes
 from mdsrepair.codes import (
     CodeSpec,
+    Codeword,
     encode,
     normalize_parity,
     rs_systematic,
@@ -129,6 +130,30 @@ class TestEncode:
     def test_length_mismatch(self, rs53, f16):
         with pytest.raises(LengthMismatch):
             encode(rs53, [f16.one()] * 2)
+
+
+class TestCodeword:
+    def test_symbols_stored_as_tuple(self, rs53, f16):
+        cw = encode(rs53, [f16.one()] * 3)
+        again = Codeword(rs53, list(cw.symbols))
+        assert again.symbols == cw.symbols and isinstance(again.symbols, tuple)
+        assert again == cw and hash(again) == hash(cw)
+
+    @pytest.mark.parametrize("edit", [lambda s: s[:-1], lambda s: s + s[:1]],
+                             ids=["short", "long"])
+    def test_length_checked(self, rs64, edit):
+        cw = encode(rs64, [rs64.field.element(i) for i in range(4)])
+        with pytest.raises(LengthMismatch, match=r"^codeword length \d != n=6$"):
+            Codeword(rs64, edit(cw.symbols))
+
+    @pytest.mark.parametrize("symbol", ["foreign", 1, None])
+    def test_symbols_checked(self, rs64, f256, symbol):
+        symbol = f256.element(3) if symbol == "foreign" else symbol
+        symbols = list(encode(rs64, [rs64.field.one()] * 4).symbols)
+        for wrong in ([symbol] + symbols[1:], symbols[:-1] + [symbol], [symbol] * 6):
+            with pytest.raises(ValueError,
+                               match="^codeword symbols must belong to the code's field$"):
+                Codeword(rs64, wrong)
 
 
 class TestJson:

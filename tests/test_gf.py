@@ -583,3 +583,12 @@ class TestSubfieldCoords:
         x = f16.element(12)
         coords = subfield_coords(x, f16.subfield(1))
         assert [c.index for c in coords] == x.vector().tolist()
+
+    @pytest.mark.parametrize("x", ["z^3", "z^200", "zero", "int"])
+    def test_foreign_element_rejected(self, f16, f256, x):
+        # z^3 of GF(2^8) was read as an element of GF(16), and z^200 indexed
+        # past GF(16)'s tables
+        x = {"z^3": f256.element(3), "z^200": f256.element(200),
+             "zero": f256.zero(), "int": 3}[x]
+        with pytest.raises(ValueError, match=r"needs an element of GF\(2\^4\)$"):
+            subfield_coords(x, f16.subfield(2))

@@ -1,6 +1,8 @@
 """The elimination mod p (``linalg.rref_rows``) and its array wrappers
 ``rref_mod_p``, ``rank_mod_p`` and ``solve_mod_p``, against brute force over
-GF(p) for p in {2, 3, 5, 7}: row spaces and solutions are enumerated."""
+GF(p) for p in {2, 3, 5, 7}: row spaces and solutions are enumerated.  The
+GF(2) elimination on bit-rows (``rref_bits``) is checked against
+``rref_rows(rows, 2)``."""
 
 import itertools
 import random
@@ -31,9 +33,12 @@ def brute_rank(M, p):
     return rank
 
 
-def matrices(p, rng):
-    """Test matrices over GF(p), entries also outside [0, p)."""
-    shapes = SHAPES + [(rng.randrange(6), rng.randrange(6)) for _ in range(12)]
+def matrices(p, rng, shapes=None):
+    """Test matrices over GF(p), entries also outside [0, p): zero, random
+    and rank-deficient ones of each shape, by default of ``SHAPES`` and of
+    random shapes up to 5 x 5."""
+    if shapes is None:
+        shapes = SHAPES + [(rng.randrange(6), rng.randrange(6)) for _ in range(12)]
     for rows, cols in shapes:
         yield np.zeros((rows, cols), dtype=np.int64)
         yield np.array([[rng.randrange(-p, 2 * p) for _ in range(cols)]
@@ -84,6 +89,27 @@ def test_list_kernel_is_rref_mod_p(p):
         assert copy == R.tolist()
         # the row lists themselves are not written: a shallow copy kept them
         assert rows == (M % p).tolist()
+
+
+def test_bit_kernel_is_rref_rows():
+    rng = random.Random(2)
+    # wide, tall and square shapes up to 16 columns, the largest m
+    shapes = SHAPES + [(1, 16), (16, 1), (3, 16), (16, 3), (16, 16)]
+    shapes += [(rng.randrange(17), rng.randrange(17)) for _ in range(40)]
+    for M in matrices(2, rng, shapes):
+        bits = (M % 2).tolist()
+        rows = [sum(b << c for c, b in enumerate(row)) for row in bits]
+        copy = list(rows)
+        basis, pivots = linalg.rref_bits(rows)
+        assert rows == copy
+        want = list(bits)
+        assert pivots == linalg.rref_rows(want, 2)
+        assert basis == [sum(b << c for c, b in enumerate(row))
+                         for row in want[:len(pivots)]]
+        # unit pivots as lowest bits, zeros in the other pivot columns
+        for row, c in zip(basis, pivots):
+            assert row & -row == 1 << c
+            assert [row >> d & 1 for d in pivots] == [int(d == c) for d in pivots]
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -2,12 +2,14 @@
 
 The element route (``gamma_ranks``, ranked by ``SubfieldSpec.rank_exps``)
 and the explicit-matrix route (``realize_matrices`` +
-``gamma_ranks_matrix`` and ``recover_node``, eliminated mod p by
-``linalg.rref_rows``, through ``rank_mod_p`` or on lists) share no rank
-code, so each checks the other.  The batched scorer
+``gamma_ranks_matrix`` and ``recover_node``) share no rank code, so each
+checks the other.  The matrix route eliminates mod p by ``linalg.rref_rows``,
+through ``rank_mod_p`` or, in ``recover_node`` for odd p, on lists; for
+p = 2 ``recover_node`` eliminates on bit-rows by ``linalg.rref_bits``, here
+on GF(2^4) and GF(2^8).  The batched scorer
 ``SchemeEvaluator.evaluate_batch`` is checked against the matrix route too,
 and the sub-symbols that ``recover_node`` returns (``subfield_coords``)
-against element arithmetic, at s = 1, 2 and 3.
+against element arithmetic, at s = 1, 2, 3 and 4.
 """
 
 from hypothesis import given, settings
@@ -34,13 +36,16 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 GF16, GF81, GF25 = (FieldSpec(2, [1, 1, 0, 0, 1]), FieldSpec(3, [2, 0, 0, 1, 1]),
                     FieldSpec(5, [2, 1, 1]))
 GF5_6 = FieldSpec(5, [2, 0, 0, 0, 0, 1, 1])  # x^6 + x^5 + 2
-RS53, RS64, RS42, RS64_5 = (
+GF256 = FieldSpec(2, [1, 0, 1, 1, 1, 0, 0, 0, 1])  # x^8 + x^4 + x^3 + x^2 + 1
+RS53, RS64, RS42, RS64_5, RS64_256 = (
     rs_systematic(f, [f.element(i) for i in range(n)], k)
-    for f, n, k in ((GF16, 5, 3), (GF81, 6, 4), (GF25, 4, 2), (GF5_6, 6, 4)))
+    for f, n, k in ((GF16, 5, 3), (GF81, 6, 4), (GF25, 4, 2), (GF5_6, 6, 4),
+                    (GF256, 6, 4)))
 # every (code, s) with s | m and n-k | m/s
 SUBS = [SubpacketizationSpec(code, s)
         for code, s in ((RS53, 1), (RS53, 2), (RS64, 1), (RS64, 2), (RS42, 1),
-                        (RS64_5, 1), (RS64_5, 3))]
+                        (RS64_5, 1), (RS64_5, 3), (RS64_256, 1), (RS64_256, 2),
+                        (RS64_256, 4))]
 
 
 @st.composite

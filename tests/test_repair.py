@@ -25,7 +25,7 @@ from mdsrepair.errors import (
     ZeroReference,
 )
 from mdsrepair.gf import FieldElement, FieldSpec, SubfieldSpec
-from mdsrepair import repair
+from mdsrepair import linalg, repair
 from mdsrepair.repair import (
     MatrixScheme,
     RepairScheme,
@@ -343,6 +343,19 @@ class TestMatrixOracle:
         with pytest.raises(DimensionMismatch, match=r"need \(4,\)"):
             recover_node(cw, scheme, reference)
 
+    @pytest.mark.parametrize("reference", [[1.5, 0, 0, 0], [1.0, 0, 0, 0],
+                                           [True, False, False, False],
+                                           ["1", "0", "0", "0"]],
+                             ids=["fraction", "float", "bool", "string"])
+    def test_reference_not_integers(self, rs53, reference):
+        scheme = bundled_scheme("rs53", 1)
+        cw = encode(rs53, [rs53.field.one()] * rs53.k)
+        for realize in (lambda: realize_matrices(scheme, reference),
+                        lambda: recover_node(cw, scheme, reference)):
+            with pytest.raises(ParseError,
+                               match="^reference vector entries must be integers, got"):
+                realize()
+
     def test_matrix_validation(self, rs53):
         scheme = bundled_scheme("rs53", 1)
         mat = realize_matrices(scheme)
@@ -423,18 +436,50 @@ class TestRecoverNode:
         with pytest.raises(InfeasibleScheme, match=r"^gamma_1 = 4 < alpha = 8$"):
             recover_node(cw, scheme)
 
+    def test_eliminations_by_characteristic(self, rs64_gf81, monkeypatch, rng):
+        # p = 2 eliminates on bit-rows (linalg.rref_bits), odd p on lists by
+        # linalg.rref_rows: one call per surviving node and one for the
+        # failed block
+        schemes = [bundled_scheme("rs53", 1), bundled_scheme("fb1410", 3),
+                   find_repair(generate_clique(rs64_gf81), 1).scheme]
+        codewords = []
+        for scheme in schemes:
+            code = scheme.sub.code
+            codewords.append(encode(code, [
+                code.field.element(rng.randrange(code.field.q - 1))
+                for _ in range(code.k)]))
+            # builds the lazy subfield tables, which solve_mod_p inverts once
+            recover_node(codewords[-1], scheme)
+        calls = []
+        rref_rows = linalg.rref_rows
+
+        def odd_only(rows, p):
+            if p == 2:
+                raise AssertionError("rref_rows called over GF(2)")
+            calls.append(p)
+            return rref_rows(rows, p)
+        monkeypatch.setattr(linalg, "rref_rows", odd_only)
+        for scheme, cw in zip(schemes, codewords):
+            calls.clear()
+            assert recover_node(cw, scheme).element == cw[scheme.failed - 1]
+            code = scheme.sub.code
+            assert calls == ([] if code.field.p == 2 else [code.field.p] * code.k)
+
     def test_matrix_route_never_ranks_elements(self, rs64_gf81, monkeypatch, rng):
         # gamma_ranks_matrix and recover_node stay an independent oracle of
-        # the element rank kernel, for p = 2 and odd p alike
+        # the element rank kernels, for p = 2 and odd p alike
         part = generate_clique(rs64_gf81)
-        schemes = [bundled_scheme("rs53", 1), find_repair(part, 1).scheme,
+        schemes = [bundled_scheme("rs53", 1), bundled_scheme("fb1410", 1),
+                   find_repair(part, 1).scheme,
                    lift_scheme(find_repair(part, 2).scheme, 2)]
         reports = [gamma_ranks(scheme) for scheme in schemes]
 
-        def refuse(self, *args):
+        def refuse(*args):
             raise AssertionError("element rank kernel or table read")
         monkeypatch.setattr(SubfieldSpec, "rank_exps", refuse)
         monkeypatch.setattr(SubfieldSpec, "rank_batch", refuse)
+        for kernel in ("bit_rank", "zech_rank", "bit_rank_batch", "zech_rank_batch"):
+            monkeypatch.setattr(linalg, kernel, refuse)
         monkeypatch.setattr(SubpacketizationSpec, "node_keys", property(refuse))
         monkeypatch.setattr(FieldSpec, "rank_keys", property(refuse))
         # the operators are built in batches, never one element at a time

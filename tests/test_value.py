@@ -7,7 +7,8 @@ import pytest
 from mdsrepair._value import Value
 from mdsrepair.clique import CliquePartition, CliqueRepair
 from mdsrepair.codes import CodeSpec, Codeword
-from mdsrepair.errors import IncompatibleSubfield
+from mdsrepair.errors import IncompatibleSubfield, LengthMismatch
+from mdsrepair.gf import FieldSpec
 from mdsrepair.repair import (
     MatrixScheme,
     RecoveryResult,
@@ -23,7 +24,9 @@ NAMES = ["CodeSpec", "Codeword", "SubpacketizationSpec", "RepairScheme",
          "CliqueRepair", "SearchConfig", "SearchResult"]
 
 # a field change each class accepts, where the last field set to None is not
-VALID_CHANGE = {"SubpacketizationSpec": {"s": 2}, "RepairScheme": {"failed": 2},
+GF16 = FieldSpec(2, [1, 1, 0, 0, 1])  # the field of rs53
+VALID_CHANGE = {"Codeword": {"symbols": (GF16.zero(),) * 5},
+                "SubpacketizationSpec": {"s": 2}, "RepairScheme": {"failed": 2},
                 "SearchConfig": {"seed": 4}}
 
 
@@ -42,7 +45,8 @@ def table(rs53):
     rows = {
         CodeSpec: ([("n", 5), ("k", 3), ("field", f), ("parity", rs53.parity),
                     ("name", "t")], {"name": None}, ({"k": 5}, ValueError)),
-        Codeword: ([("code", rs53), ("symbols", symbols)], {}, None),
+        Codeword: ([("code", rs53), ("symbols", symbols)], {},
+                   ({"symbols": symbols[:-1]}, LengthMismatch)),
         SubpacketizationSpec: ([("code", rs53), ("s", 1)], {},
                                ({"s": 3}, IncompatibleSubfield)),
         RepairScheme: ([("sub", sub), ("failed", 1), ("elements", scheme.elements)],
@@ -104,8 +108,8 @@ def test_bad_calls_raise_type_error(case):
         cls(*values, **{fields[0][0]: values[0]})
 
 
-@pytest.mark.parametrize("name", ["CodeSpec", "SubpacketizationSpec", "RepairScheme",
-                                  "SearchConfig"])
+@pytest.mark.parametrize("name", ["CodeSpec", "Codeword", "SubpacketizationSpec",
+                                  "RepairScheme", "SearchConfig"])
 def test_post_init_validation_still_raises(rs53, name):
     cls, fields, _, (change, error) = table(rs53)[name]
     kwargs = {**dict(fields), **change}
