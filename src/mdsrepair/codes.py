@@ -42,6 +42,8 @@ class CodeSpec(Value):
     name: str | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_int(self.n, "n"))
+        object.__setattr__(self, "k", as_int(self.k, "k"))
         if not 0 < self.k < self.n:
             raise ValueError(f"need 0 < k < n, got ({self.n},{self.k})")
         if self.name is not None and not isinstance(self.name, str):
@@ -53,7 +55,7 @@ class CodeSpec(Value):
             raise ValueError("parity matrix must be k x (n-k)")
         for row in parity:
             for e in row:
-                if not isinstance(e, FieldElement) or e.field != self.field:
+                if e not in self.field:
                     raise ValueError("parity entries must belong to the code's field")
                 if e.is_zero:
                     raise ValueError("parity entries must be nonzero")
@@ -85,8 +87,7 @@ class CodeSpec(Value):
             field = FieldSpec.from_json(obj["field"])
             parity = tuple(
                 tuple(field.element(e) for e in row) for row in obj["parity"])
-            return cls(as_int(obj["n"], "n"), as_int(obj["k"], "k"), field,
-                       parity, obj.get("name"))
+            return cls(obj["n"], obj["k"], field, parity, obj.get("name"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad code JSON: {exc}") from exc
 
@@ -105,8 +106,7 @@ class Codeword(Value):
             raise LengthMismatch(f"codeword length {len(symbols)} != n={self.code.n}")
         field = self.code.field
         for x in symbols:
-            if not isinstance(x, FieldElement) or (x.field is not field
-                                                   and x.field != field):
+            if x not in field:
                 raise ValueError("codeword symbols must belong to the code's field")
 
     def __getitem__(self, i: int) -> FieldElement:
@@ -125,11 +125,11 @@ def rs_systematic(field: FieldSpec, eval_points, k: int,
     ``prod_{t != i} (a_j - a_t) / (a_i - a_t)``.
     """
     pts = list(eval_points)
-    n = len(pts)
+    n, k = len(pts), as_int(k, "k")
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got n={n}, k={k}")
     for a in pts:
-        if a.field != field:
+        if a not in field:
             raise ValueError("evaluation points must belong to the field")
         if a.is_zero:
             raise ValueError("evaluation points must be nonzero")
@@ -212,7 +212,7 @@ def encode(code: CodeSpec, message) -> Codeword:
     if len(msg) != code.k:
         raise LengthMismatch(f"message length {len(msg)} != k={code.k}")
     for x in msg:
-        if not isinstance(x, FieldElement) or x.field != code.field:
+        if x not in code.field:
             raise ValueError("message symbols must belong to the code's field")
     symbols = list(msg)
     for j in range(code.r):

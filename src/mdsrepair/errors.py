@@ -1,9 +1,10 @@
 """Exception types raised across the package.
 
 Everything derives from MdsRepairError so callers (and the CLI) can
-distinguish domain errors from genuine bugs.  ``as_int`` is the one check
-of JSON integers and ``as_node`` of node indices; ``clip`` is the one bound
-on text a message quotes, and ``short_repr`` applies it to a value's repr.
+distinguish domain errors from genuine bugs.  One check per kind of
+argument: ``as_int`` for integers, ``as_node`` for node indices and
+``x in field`` (``gf.FieldSpec.__contains__``) for field elements.  ``clip``
+is the one bound on text a message quotes; ``short_repr`` clips a repr.
 """
 
 import operator

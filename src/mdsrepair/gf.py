@@ -9,13 +9,16 @@ P from an irreducible, non-primitive one.  Nonzero elements are stored as
 discrete logs (powers of z), so multiplication and inversion are exponent
 arithmetic and addition goes through precomputed log/antilog tables.
 
+``x in field`` (``FieldSpec.__contains__``) is the package's one test that
+x is an element of a field; each caller raises its own ValueError.
+
 Beyond plain arithmetic this module provides the vectorization machinery:
-every element has a coordinate vector over GF(p) (``vector``), every
-element acts on those vectors through an m x m matrix over GF(p)
-(``operator``, a power of the companion matrix of P), and sets of elements
-have a well-defined rank over any intermediate subfield GF(p^s)
-(``rank_over_subfield``).  Vectors and operators read one q x m table,
-``FieldSpec.coords_table``: ``FieldSpec.operators`` builds the matrices of
+every element has a coordinate vector over GF(p) (row ``x.index`` of the
+q x m table ``FieldSpec.coords_table``), every element acts on those
+vectors through an m x m matrix over GF(p) (``operator``, a power of the
+companion matrix of P), and sets of elements have a well-defined rank over
+any intermediate subfield GF(p^s) (``rank_over_subfield``).  Operators read
+``coords_table`` too: ``FieldSpec.operators`` builds the matrices of
 a whole array of discrete logs with one gather through it, and ``operator``
 is that call for one element.  ``coords`` takes the base-p digits of the
 packed index on ints, so odd-p addition needs no array.  The element rank
@@ -260,14 +263,6 @@ class FieldSpec:
             idx = idx * self.p + int(c) % self.p
         return self.from_index(idx)
 
-    def scalar(self, c: int) -> "FieldElement":
-        """The base-field scalar c, embedded as c * 1."""
-        return self.from_coords([c] + [0] * (self.m - 1))
-
-    def elements(self):
-        yield self.zero()
-        yield from self.nonzero_elements()
-
     def nonzero_elements(self):
         for e in range(self.q - 1):
             yield FieldElement(self, e)
@@ -275,7 +270,12 @@ class FieldSpec:
     def subfield(self, s: int) -> "SubfieldSpec":
         return SubfieldSpec(self, s)
 
-    # -- structural equality --------------------------------------------
+    # -- membership and structural equality ----------------------------
+
+    def __contains__(self, x) -> bool:
+        """True iff x is a ``FieldElement`` of this field or of an equal one
+        (``__eq__`` runs only when the two objects differ)."""
+        return isinstance(x, FieldElement) and (x.field is self or x.field == self)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FieldSpec)
@@ -326,10 +326,6 @@ class FieldElement:
             digits.append(digit)
         return digits
 
-    def vector(self) -> np.ndarray:
-        """Coordinate column over GF(p): the coefficients of 1, z, ..., z^{m-1}."""
-        return self.field.coords_table[self.index].copy()
-
     def operator(self) -> np.ndarray:
         """The m x m multiplication matrix over GF(p): column j is the
         coordinate vector of self * z^j.  These are exactly the powers of
@@ -341,7 +337,7 @@ class FieldElement:
         return f.operators(self.exp)
 
     def _check(self, other) -> "FieldElement":
-        if not isinstance(other, FieldElement) or other.field != self.field:
+        if other not in self.field:
             raise ValueError(f"elements of different fields: {self!r}, {other!r}")
         return other
 
@@ -377,6 +373,7 @@ class FieldElement:
         return FieldElement(self.field, -self.exp)
 
     def __pow__(self, e: int) -> "FieldElement":
+        e = as_int(e, "exponent")
         if self.exp is None:
             if e > 0:
                 return self.field.zero()
@@ -386,8 +383,7 @@ class FieldElement:
         return FieldElement(self.field, self.exp * e)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, FieldElement)
-                and self.field == other.field and self.exp == other.exp)
+        return other in self.field and self.exp == other.exp
 
     def __hash__(self) -> int:
         return hash((self.field.p, self.field.poly, self.exp))
@@ -429,7 +425,7 @@ class SubfieldSpec:
 
     def contains(self, x: FieldElement) -> bool:
         """True iff x = 0 or x^(p^s) = x."""
-        if x.field != self.field:
+        if x not in self.field:
             raise ValueError("element from a different field")
         return x.exp is None or x.exp % self.exp_step == 0
 
@@ -507,7 +503,7 @@ def rank_over_subfield(elems, sub: SubfieldSpec) -> int:
     """
     exps = []
     for a in elems:
-        if a.field != sub.field:
+        if a not in sub.field:
             raise ValueError("elements from different fields")
         if a.exp is not None:
             exps.append(a.exp)
@@ -550,7 +546,7 @@ def subfield_coords(x: FieldElement, sub: SubfieldSpec) -> list:
     ValueError unless x is an element of ``sub``'s field.
     """
     field = sub.field
-    if not isinstance(x, FieldElement) or (x.field is not field and x.field != field):
+    if x not in field:
         raise ValueError(f"subfield_coords needs an element of {field!r}")
     p = field.p
     coeffs = (sub.tower_inverse @ field.coords_table[x.index] % p).reshape(-1, sub.s)

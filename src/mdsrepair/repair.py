@@ -147,7 +147,7 @@ class RepairScheme(Value):
                 f"elements must be (n-k) x beta = {self.sub.code.r} x {self.sub.beta}")
         for row in elements:
             for e in row:
-                if not isinstance(e, FieldElement) or e.field != self.sub.code.field:
+                if e not in self.sub.code.field:
                     raise ValueError("elements must belong to the code's field")
                 if e.is_zero:
                     raise ValueError("repair field elements must be nonzero")

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from mdsrepair import codes
@@ -51,6 +52,13 @@ class TestRsSystematic:
             rs_systematic(f16, pts, 3)  # k = n
         with pytest.raises(ValueError):
             rs_systematic(f16, pts, 0)
+
+    @pytest.mark.parametrize("k", [True, 3.0, "3"], ids=repr)
+    def test_non_integer_k_rejected(self, f16, k):
+        # k=True built a code with k=True, and k=3.0 died inside range()
+        pts = [f16.element(i) for i in range(1, 6)]
+        with pytest.raises(ParseError, match=f"^k must be an integer, got {k!r}$"):
+            rs_systematic(f16, pts, k)
 
     def test_always_mds(self, f16, rng):
         for _ in range(5):
@@ -154,6 +162,19 @@ class TestCodeword:
             with pytest.raises(ValueError,
                                match="^codeword symbols must belong to the code's field$"):
                 Codeword(rs64, wrong)
+
+
+class TestCodeSpec:
+    @pytest.mark.parametrize("name, value", [("n", 5.0), ("n", True), ("k", 3.0)])
+    def test_non_integer_length_rejected(self, rs53, name, value):
+        # CodeSpec(5.0, 3, ...) built a code whose repr read (5.0,3)
+        args = {"n": rs53.n, "k": rs53.k, name: value}
+        with pytest.raises(ParseError, match=f"^{name} must be an integer, got {value!r}$"):
+            CodeSpec(args["n"], args["k"], rs53.field, rs53.parity)
+
+    def test_numpy_integer_length_accepted(self, rs53):
+        code = CodeSpec(np.int64(5), np.int16(3), rs53.field, rs53.parity, rs53.name)
+        assert code == rs53 and type(code.n) is int and type(code.k) is int
 
 
 class TestJson:

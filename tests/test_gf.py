@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from mdsrepair.codes import encode, rs_systematic, verify_mds
+from mdsrepair.codes import CodeSpec, Codeword, encode, rs_systematic, verify_mds
 from mdsrepair.errors import (
     DivisionByZero,
     IncompatibleSubfield,
@@ -21,6 +21,7 @@ from mdsrepair.gf import (
     rank_over_subfield,
     subfield_coords,
 )
+from mdsrepair.repair import RepairScheme, SubpacketizationSpec
 from mdsrepair import gf, linalg
 
 # odd-characteristic fields for the log-domain rank kernel
@@ -132,15 +133,18 @@ class TestConstruction:
         message = [f81.element(e) for e in (0, 17, None, 61)]
         word = encode(code, message)
         assert verify_mds(code)
-        coords = [x.coords() for x in f81.elements()]
+        elements = [f81.zero(), *f81.nonzero_elements()]
+        coords = [x.coords() for x in elements]
         monkeypatch.undo()
-        assert coords == f81.coords_table[[x.index for x in f81.elements()]].tolist()
+        table = f81.coords_table
+        assert coords == table[[x.index for x in elements]].tolist()
         for j in range(code.r):
-            vector = sum(code.parity[i][j].operator() @ x.vector()
+            vector = sum(code.parity[i][j].operator() @ table[x.index]
                          for i, x in enumerate(message)) % 3
             assert word[code.k + j] == f81.from_coords(vector)
-        for a, b in itertools.product(list(f81.elements())[::7], repeat=2):
-            assert (a - b).vector().tolist() == ((a.vector() - b.vector()) % 3).tolist()
+        for a, b in itertools.product(elements[::7], repeat=2):
+            difference = (table[a.index] - table[b.index]) % 3
+            assert table[(a - b).index].tolist() == difference.tolist()
 
 
 def _monic(p, m):
@@ -225,26 +229,39 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             f16.one() + f4.one()
 
+    @pytest.mark.parametrize("e", [1.5, True, "2", None], ids=repr)
+    @pytest.mark.parametrize("base", ["zeta", "zero"])
+    def test_non_integer_exponent_rejected(self, f16, base, e):
+        # z ** 1.5 was an element with a float log, and z ** True was z
+        with pytest.raises(ParseError, match=r"^exponent must be an integer, got "):
+            getattr(f16, base)() ** e
+
+    def test_numpy_integer_exponent_accepted(self, f16):
+        assert f16.zeta() ** np.int64(3) == f16.element(3)
+        assert f16.zero() ** np.uint8(0) == f16.one()
+
     def test_nonbinary_field(self):
         f9 = FieldSpec(3, [2, 1, 1])  # x^2 + x + 2, primitive over GF(3)
         z = f9.zeta()
         assert z ** 8 == f9.one()
         a, b = z ** 3, z ** 5
         assert (a + b) - b == a
-        assert (a * b).vector().tolist() == ((a.operator() @ b.vector()) % 3).tolist()
+        table = f9.coords_table
+        assert table[(a * b).index].tolist() == ((a.operator() @ table[b.index]) % 3).tolist()
         assert (-a + a).is_zero
 
 
 class TestVectorRep:
     def test_examples(self, f16):
         z = f16.zeta()
-        assert (z ** 2 + f16.one()).vector().tolist() == [1, 0, 1, 0]
-        assert f16.zero().vector().tolist() == [0, 0, 0, 0]
+        table = f16.coords_table
+        assert table[(z ** 2 + f16.one()).index].tolist() == [1, 0, 1, 0]
+        assert table[f16.zero().index].tolist() == [0, 0, 0, 0]
         # repeated reduction by z^4 = z + 1
-        assert (z ** 12).vector().tolist() == [1, 1, 1, 1]
+        assert table[(z ** 12).index].tolist() == [1, 1, 1, 1]
 
     def test_roundtrip(self, f16):
-        for e in f16.elements():
+        for e in [f16.zero(), *f16.nonzero_elements()]:
             assert f16.from_coords(e.coords()) == e
 
 
@@ -268,16 +285,17 @@ class TestMultOperator:
     @pytest.mark.parametrize("fieldname", ["f4", "f16"])
     def test_homomorphism_exhaustive(self, fieldname, request):
         field = request.getfixturevalue(fieldname)
-        p = field.p
-        for a in field.elements():
+        p, table = field.p, field.coords_table
+        elements = [field.zero(), *field.nonzero_elements()]
+        for a in elements:
             ga = a.operator()
-            for b in field.elements():
+            for b in elements:
                 assert ((a * b).operator() == (ga @ b.operator()) % p).all()
                 assert ((a + b).operator() == (ga + b.operator()) % p).all()
-                assert ((a * b).vector() == (ga @ b.vector()) % p).all()
+                assert (table[(a * b).index] == (ga @ table[b.index]) % p).all()
 
     def test_operator_set_closed_and_commutes(self, f16):
-        ops = [e.operator() for e in f16.elements()]
+        ops = [e.operator() for e in [f16.zero(), *f16.nonzero_elements()]]
         op_set = {op.tobytes() for op in ops}
         assert len(op_set) == 16
         for A in ops:
@@ -294,7 +312,7 @@ class TestOperators:
         ops = field.operators(np.arange(field.q - 1))
         for e, op in enumerate(ops):
             for j in range(field.m):
-                assert op[:, j].tolist() == field.element(e + j).vector().tolist()
+                assert op[:, j].tolist() == field.coords_table[field.element(e + j).index].tolist()
 
     def test_powers_of_companion_matrix(self, p, poly):
         field = FieldSpec(p, poly)
@@ -335,8 +353,8 @@ class TestFindLeftOperator:
 
     def test_contract(self, f16, rng):
         for _ in range(50):
-            src = f16.element(rng.randrange(15)).vector()
-            tgt = f16.element(rng.randrange(15)).vector()
+            src = f16.coords_table[f16.element(rng.randrange(15)).index]
+            tgt = f16.coords_table[f16.element(rng.randrange(15)).index]
             b = find_left_operator(f16, src, tgt)
             assert ((src @ b.operator()) % 2 == tgt).all()
 
@@ -346,7 +364,7 @@ class TestFindLeftOperator:
         # pairwise distinct, hence cover every nonzero row vector
         field = request.getfixturevalue(fieldname)
         for src_el in field.nonzero_elements():
-            src = src_el.vector()
+            src = field.coords_table[src_el.index]
             rows = {tuple((src @ b.operator()) % field.p)
                     for b in field.nonzero_elements()}
             assert len(rows) == field.q - 1
@@ -367,7 +385,7 @@ class TestSubfield:
         assert not sub.contains(z ** 3)
         assert sub.contains(f16.zero())
         # x^(p^s) == x characterization
-        for e in f16.elements():
+        for e in [f16.zero(), *f16.nonzero_elements()]:
             assert sub.contains(e) == (e ** 4 == e)
 
     def test_generator(self, f16):
@@ -412,7 +430,7 @@ class TestRankOverSubfield:
         sub = f16.subfield(1)
         for _ in range(100):
             els = [f16.element(rng.randrange(15)) for _ in range(rng.randrange(1, 7))]
-            stacked = np.array([e.vector() for e in els])
+            stacked = f16.coords_table[[e.index for e in els]]
             assert rank_over_subfield(els, sub) == linalg.rank_mod_p(stacked, 2)
 
     def test_s_equals_m_rank_one(self, f16, rng):
@@ -435,7 +453,7 @@ class TestRankOverSubfield:
         sub = f9.subfield(1)
         z = f9.zeta()
         assert rank_over_subfield([f9.one(), z], sub) == 2
-        assert rank_over_subfield([z, z * f9.scalar(2)], sub) == 1
+        assert rank_over_subfield([z, z * f9.from_coords([2, 0])], sub) == 1
 
     def test_rank_not_multiple_of_s_rejected(self, f16, monkeypatch):
         monkeypatch.setattr(linalg, "bit_rank", lambda rows: 3)
@@ -466,7 +484,8 @@ class TestRankOverSubfield:
             h, monic = divmod(lead[x], 2 * field.q)
             assert lead[x + q1] == lead[x]
             assert coords[h] and not any(coords[h + 1:])
-            assert monic < q1 and field.element(monic) * field.scalar(coords[h]) == z_x
+            scalar = field.from_coords([coords[h]] + [0] * (field.m - 1))
+            assert monic < q1 and field.element(monic) * scalar == z_x
             one_plus = field.one() + z_x
             assert zech[q1 + x] == (zero if one_plus.is_zero else one_plus.exp)
             for y in (x, q1 - 1):
@@ -582,7 +601,7 @@ class TestSubfieldCoords:
     def test_s1_matches_vector(self, f16):
         x = f16.element(12)
         coords = subfield_coords(x, f16.subfield(1))
-        assert [c.index for c in coords] == x.vector().tolist()
+        assert [c.index for c in coords] == f16.coords_table[x.index].tolist()
 
     @pytest.mark.parametrize("x", ["z^3", "z^200", "zero", "int"])
     def test_foreign_element_rejected(self, f16, f256, x):
@@ -592,3 +611,73 @@ class TestSubfieldCoords:
              "zero": f256.zero(), "int": 3}[x]
         with pytest.raises(ValueError, match=r"needs an element of GF\(2\^4\)$"):
             subfield_coords(x, f16.subfield(2))
+
+
+# every check that an argument is an element of a given field, each fed x
+# where an element of rs53's field GF(2^4) belongs, with the message it
+# raises on anything else
+def _entry_points():
+    def scheme(code, x):
+        one = code.field.one()
+        return RepairScheme(SubpacketizationSpec(code, 1), 1, ((x, one), (one, one)))
+
+    def with_parity(code, x):
+        return CodeSpec(code.n, code.k, code.field,
+                        ((x, *code.parity[0][1:]), *code.parity[1:]))
+
+    def points(code, x):
+        return [x] + [code.field.element(i) for i in range(1, code.n)]
+
+    ops = "elements of different fields"
+    return {
+        "add": (lambda c, x: c.field.one() + x, ops),
+        "sub": (lambda c, x: c.field.one() - x, ops),
+        "mul": (lambda c, x: c.field.one() * x, ops),
+        "div": (lambda c, x: c.field.one() / x, ops),
+        "SubfieldSpec.contains": (lambda c, x: c.field.subfield(2).contains(x),
+                                  "^element from a different field$"),
+        "rank_over_subfield": (lambda c, x: rank_over_subfield([x], c.field.subfield(2)),
+                               "^elements from different fields$"),
+        "subfield_coords": (lambda c, x: subfield_coords(x, c.field.subfield(2)),
+                            r"^subfield_coords needs an element of GF\(2\^4\)$"),
+        "CodeSpec": (with_parity, "^parity entries must belong to the code's field$"),
+        "Codeword": (lambda c, x: Codeword(c, [x] * c.n),
+                     "^codeword symbols must belong to the code's field$"),
+        "rs_systematic": (lambda c, x: rs_systematic(c.field, points(c, x), c.k),
+                          "^evaluation points must belong to the field$"),
+        "encode": (lambda c, x: encode(c, [x] * c.k),
+                   "^message symbols must belong to the code's field$"),
+        "RepairScheme": (scheme, "^elements must belong to the code's field$"),
+    }
+
+
+ENTRY_POINTS = _entry_points()
+
+
+class TestMembership:
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("x", ["int", "None", "GF(2^8)"])
+    def test_non_members_rejected(self, rs53, f256, entry, x):
+        # an int or None used to reach ``.field`` and die with AttributeError
+        # in SubfieldSpec.contains, rank_over_subfield and rs_systematic
+        x = {"int": 3, "None": None, "GF(2^8)": f256.element(3)}[x]
+        call, message = ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=message):
+            call(rs53, x)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_equal_field_accepted(self, rs53, entry):
+        # a separately built GF(2^4) with the same polynomial is the same field
+        twin = FieldSpec(rs53.field.p, rs53.field.poly)
+        assert twin is not rs53.field and twin == rs53.field
+        call, _ = ENTRY_POINTS[entry]
+        call(rs53, twin.one())
+
+    def test_in_and_equality(self, rs53, f256):
+        field = rs53.field
+        twin = FieldSpec(field.p, field.poly)
+        assert field.one() in field and twin.one() in field and field.one() in twin
+        assert field.one() == twin.one() and field.zero() == twin.zero()
+        for x in (3, None, "z^0", f256.one(), f256.zero(), field):
+            assert x not in field
+            assert field.one() != x and not field.one() == x

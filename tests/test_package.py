@@ -1,6 +1,7 @@
 """Package-wide guards: every exported name resolves, no check in the
 package is an ``assert`` (``python -O`` would drop it), no module builds
-code at run time, only ``_numpy`` marks arrays read-only, every function
+code at run time, only ``_numpy`` marks arrays read-only, only
+``FieldSpec.__contains__`` compares an element's field, every function
 the benchmark tracer wraps still exists
 under its traced name, the README's library example runs, and only the
 array routes execute NumPy."""
@@ -48,6 +49,32 @@ def test_only_numpy_module_sets_flags():
             found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Attribute) and node.attr == "setflags"]
     assert not found
+
+
+def _field_comparisons(node, scope=""):
+    """(qualified scope, line) of every ``==``, ``!=``, ``is`` or ``is not``
+    comparison with a ``.field`` attribute among its operands."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = f"{scope}.{node.name}" if scope else node.name
+    if (isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.Eq, ast.NotEq, ast.Is, ast.IsNot))
+                    for op in node.ops)
+            and any(isinstance(operand, ast.Attribute) and operand.attr == "field"
+                    for operand in (node.left, *node.comparators))):
+        yield scope, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _field_comparisons(child, scope)
+
+
+def test_only_contains_compares_fields():
+    # ``x in field`` decides membership; SubfieldSpec.__eq__ compares the
+    # fields of two subfields, not of an element
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for scope, line in _field_comparisons(tree):
+            found.setdefault(scope, []).append(f"{path.name}:{line}")
+    assert set(found) == {"FieldSpec.__contains__", "SubfieldSpec.__eq__"}, found
 
 
 def test_no_code_generation():

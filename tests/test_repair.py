@@ -277,7 +277,8 @@ class TestMatrixOracle:
                 failed = rng.randrange(1, code.k + 1)
                 scheme = random_scheme(code, s, failed, rng)
                 expect = gamma_ranks(scheme)
-                ref = code.field.element(rng.randrange(code.field.q - 1)).vector()
+                ref = code.field.coords_table[
+                    code.field.element(rng.randrange(code.field.q - 1)).index]
                 mat = realize_matrices(scheme, ref)
                 got = gamma_ranks_matrix(scheme.sub, failed, mat)
                 assert got == expect
@@ -286,7 +287,7 @@ class TestMatrixOracle:
         scheme = bundled_scheme("rs53", 2)
         reports = set()
         for _ in range(10):
-            ref = rs53.field.element(rng.randrange(15)).vector()
+            ref = rs53.field.coords_table[rs53.field.element(rng.randrange(15)).index]
             reports.add(gamma_ranks_matrix(
                 scheme.sub, 2, realize_matrices(scheme, ref)))
         assert len(reports) == 1
@@ -320,7 +321,7 @@ class TestMatrixOracle:
         a, b = realize_matrices(scheme), realize_matrices(scheme)
         assert a == b and hash(a) == hash(b)
         assert a.reference is not b.reference
-        other = realize_matrices(scheme, rs53.field.element(3).vector())
+        other = realize_matrices(scheme, rs53.field.coords_table[rs53.field.element(3).index])
         assert a != other and not a == other
         # both are stored read-only; a writable array given is copied
         for array in (a.reference, *a.matrices):
@@ -498,7 +499,7 @@ class TestRecoverNode:
         scheme = bundled_scheme("rs53", 3)
         cw = encode(rs53, [f16.element(rng.randrange(15)) for _ in range(3)])
         results = [recover_node(cw, scheme,
-                                f16.element(rng.randrange(15)).vector())
+                                f16.coords_table[f16.element(rng.randrange(15)).index])
                    for _ in range(5)]
         assert all(r.element == cw[2] for r in results)
         assert len({r.total_bits for r in results}) == 1
