@@ -55,7 +55,7 @@ class CodeSpec(Value):
             raise ValueError("parity matrix must be k x (n-k)")
         for row in parity:
             for e in row:
-                if e not in self.field:
+                if not isinstance(self.field, FieldSpec) or e not in self.field:
                     raise ValueError("parity entries must belong to the code's field")
                 if e.is_zero:
                     raise ValueError("parity entries must be nonzero")
@@ -129,7 +129,7 @@ def rs_systematic(field: FieldSpec, eval_points, k: int,
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got n={n}, k={k}")
     for a in pts:
-        if a not in field:
+        if not isinstance(field, FieldSpec) or a not in field:
             raise ValueError("evaluation points must belong to the field")
         if a.is_zero:
             raise ValueError("evaluation points must be nonzero")

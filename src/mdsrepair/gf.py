@@ -13,30 +13,28 @@ arithmetic and addition goes through precomputed log/antilog tables.
 x is an element of a field; each caller raises its own ValueError.
 
 Beyond plain arithmetic this module provides the vectorization machinery:
-every element has a coordinate vector over GF(p) (row ``x.index`` of the
-q x m table ``FieldSpec.coords_table``), every element acts on those
-vectors through an m x m matrix over GF(p) (``operator``, a power of the
-companion matrix of P), and sets of elements have a well-defined rank over
-any intermediate subfield GF(p^s) (``rank_over_subfield``).  Operators read
-``coords_table`` too: ``FieldSpec.operators`` builds the matrices of
-a whole array of discrete logs with one gather through it, and ``operator``
-is that call for one element.  ``coords`` takes the base-p digits of the
-packed index on ints, so odd-p addition needs no array.  The element rank
-belongs to ``SubfieldSpec``: ``rank_exps`` ranks one set of discrete logs,
+every element has a coordinate vector over GF(p) (``x.coords()``, the
+base-p digits of its packed index, and row ``x.index`` of the q x m table
+``FieldSpec.coords_table``), acts on those vectors through an m x m matrix
+over GF(p) (``FieldSpec.operators``, one gather through ``coords_table``
+for a whole array of discrete logs, a power of the companion matrix of P),
+and sets of elements have a rank over any subfield GF(p^s).  A linear
+functional tabulated at the powers of z (``FieldSpec.functional``) gives
+every row reference . operator(z^e) by lookup.  The element rank belongs
+to ``SubfieldSpec``: ``rank_exps`` ranks one set of discrete logs,
 ``rank_batch`` many sets of kernel keys at once, each with a kernel chosen
 by p, a bitmask basis for p = 2 and a basis kept in the log domain
-otherwise, so no element is expanded to coordinates.  Their tables are
-``FieldSpec.rank_keys`` and, for odd p, the Zech-logarithm tables
-``FieldSpec.zech_arrays`` and ``zech_lists``.  A field builds only its
+otherwise (``FieldSpec.rank_keys``, and for odd p the Zech-logarithm
+tables ``zech_arrays`` and ``zech_lists``).  A field builds only its
 exp/log tables at construction; ``_numpy.table`` builds each array table on
 first read, so element arithmetic and the scalar p = 2 routes never load
-NumPy.  Coordinate elimination mod p (``linalg``) runs only on the
-explicit-matrix route.
+NumPy.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import mul
 
 from . import linalg
 from ._numpy import np, table
@@ -180,6 +178,27 @@ class FieldSpec:
         logs = (np.asarray(exps, dtype=np.int64)[..., None]
                 + np.arange(self.m)) % (self.q - 1)
         return np.swapaxes(self.coords_table[self.exp_array[logs]], -1, -2)
+
+    def functional(self, reference) -> tuple:
+        """(values, rows), the repair-equation table of the functional f(x)
+        = reference . coords(x) mod p, ``reference`` an int64 array of m
+        digits in [0, p): ``values`` the int64 array of f(z^(x mod q-1)) for
+        x < q-1 + m-1, and the tuple ``rows``, rows[e] = values[e:e+m] =
+        reference . operator(z^e) for e < q-1 on python: a bit-row int (bit c
+        for column c) for p = 2, a tuple otherwise."""
+        p, m, q1 = self.p, self.m, self.q - 1
+        values = (self.coords_table @ reference % p)[
+            self.exp_array[np.arange(q1 + m - 1) % q1]]
+        columns = [values[c:c + q1] for c in range(m)]  # column c of every row
+        if p == 2:
+            return values, tuple(sum(col << c for c, col in enumerate(columns)).tolist())
+        return values, tuple(zip(*(col.tolist() for col in columns)))
+
+    @table
+    def unit_functional(self) -> tuple:
+        """``functional`` of the repair route's default reference e_0, the
+        coordinates of 1."""
+        return self.functional(self.coords_table[1])
 
     @table
     def rank_keys(self) -> np.ndarray:
@@ -430,14 +449,17 @@ class SubfieldSpec:
         return x.exp is None or x.exp % self.exp_step == 0
 
     @table
-    def tower_inverse(self) -> np.ndarray:
-        """Read-only (m, m) inverse over GF(p) of the tower basis z^j * w^t
-        (j < m/s, t < s, t fastest) as GF(p) columns: row j * s + t maps the
-        coordinates of x to its coefficient of z^j * w^t."""
-        field = self.field
-        logs = [j + off for j in range(field.m // self.s) for off in self.offsets]
-        tower = field.coords_table[field.exp_array[np.array(logs) % (field.q - 1)]].T
-        return linalg.solve_mod_p(tower, np.eye(field.m, dtype=np.int64), field.p)
+    def tower_inverse(self) -> tuple:
+        """The (m, m) inverse over GF(p) of the tower basis z^j * w^t (j <
+        m/s, t < s, t fastest) as GF(p) columns, a tuple of row tuples: row
+        j * s + t maps the coordinates of x to its coefficient of z^j * w^t.
+        One ``linalg.rref_rows`` of [tower | I] on lists inverts it."""
+        field, m = self.field, self.field.m
+        tower = zip(*(FieldElement(field, j + off).coords()
+                      for j in range(m // self.s) for off in self.offsets))
+        rows = [[*col, *(int(i == c) for i in range(m))] for c, col in enumerate(tower)]
+        linalg.rref_rows(rows, field.p)
+        return tuple(tuple(row[m:]) for row in rows)
 
     def rank_exps(self, exps) -> int:
         """Dimension over GF(p^s) of the span of the nonzero elements z^e,
@@ -537,19 +559,19 @@ def find_left_operator(field: FieldSpec, source: np.ndarray,
 def subfield_coords(x: FieldElement, sub: SubfieldSpec) -> list:
     """Coordinates of x over GF(p^s) in the basis 1, z, ..., z^(m/s - 1).
 
-    Returns m/s subfield elements c_j with x = sum c_j z^j.  For s = 1 this
-    is the usual coordinate vector with entries embedded as field elements.
-    No element arithmetic runs: one product with the subfield's
-    ``tower_inverse`` gives the coefficients a_jt of c_j = sum_t a_jt w^t
-    over GF(p), one product with the GF(p) coordinates of the basis w^t and
-    one with the powers of p pack each c_j, and ``from_index`` reads it.
-    ValueError unless x is an element of ``sub``'s field.
+    Returns m/s subfield elements c_j with x = sum c_j z^j (at s = 1 the
+    GF(p) digits of x), on python ints with no element arithmetic: the rows
+    of ``tower_inverse`` give the coefficients a_jt of c_j = sum_t a_jt w^t,
+    and the coordinates of the basis w^t combine them.  ValueError unless x
+    is an element of ``sub``'s field.
     """
     field = sub.field
     if x not in field:
         raise ValueError(f"subfield_coords needs an element of {field!r}")
-    p = field.p
-    coeffs = (sub.tower_inverse @ field.coords_table[x.index] % p).reshape(-1, sub.s)
-    basis = field.coords_table[field.exp_array[sub.offsets]]
-    indices = (coeffs @ basis % p) @ p ** np.arange(field.m)
-    return [field.from_index(i) for i in indices.tolist()]
+    digits = x.coords()
+    if sub.s == 1:
+        return list(map(field.from_index, digits))
+    coeffs = [sum(map(mul, row, digits)) for row in sub.tower_inverse]
+    by_digit = list(zip(*(FieldElement(field, off).coords() for off in sub.offsets)))
+    return [field.from_coords(sum(map(mul, coeffs[j:j + sub.s], w_d)) for w_d in by_digit)
+            for j in range(0, field.m, sub.s)]

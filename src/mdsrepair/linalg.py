@@ -2,15 +2,13 @@
 
 Six representations are used:
 
-* python lists of ints in [0, p), one list per row, for the one general
+* python rows (lists or tuples) of ints in [0, p) for the one general
   elimination mod p (`rref_rows`), which beats numpy row operations at
-  these sizes.  ``repair.recover_node`` runs it on lists directly for odd
-  p; the array routines that the explicit-matrix repair route and the
-  subfield tables use (`rref_mod_p`, `rank_mod_p`, `solve_mod_p`) reduce an
-  int64 array mod p, call ``tolist()`` once and wrap it;
-* python ints as bit-rows, bit c for column c, for the matrix route's
-  GF(2) elimination (`rref_bits`), which ``repair.recover_node`` runs for
-  p = 2 with XOR for row operations;
+  these sizes: ``repair.recover_node`` for odd p and
+  ``SubfieldSpec.tower_inverse`` run it directly, and `rref_mod_p`,
+  `rank_mod_p` and `solve_mod_p` wrap it for int64 arrays;
+* python ints as bit-rows, bit c for column c, for the GF(2) elimination
+  of ``repair.recover_node`` (`rref_bits`), by XOR;
 * python ints as bit-rows for the GF(2) element rank (`bit_rank`);
 * numpy arrays of packed coordinates, one set of rows per column, for the
   batched GF(2) rank (`bit_rank_batch`) that the p = 2 search ranks whole
@@ -164,17 +162,15 @@ def zech_rank_batch(cols: np.ndarray, m: int, lead, zech, product) -> np.ndarray
 
 
 def rref_rows(rows: list, p: int) -> list[int]:
-    """Bring ``rows``, a list of equal-length lists of ints in [0, p), to
+    """Bring ``rows``, a list of equal-length rows of ints in [0, p), to
     reduced row echelon form over GF(p), in place; returns the pivot
     columns.
 
     The first len(pivots) rows end up as the canonical basis of the row
     space (each has a 1 in its pivot column and 0 in every other pivot
     column) and the rest are zero.  Rows are swapped and replaced in
-    ``rows`` but the row lists themselves are never written, so a shallow
-    copy ``list(rows)`` keeps the input.  This is the one elimination mod p:
-    ``rref_mod_p``, ``rank_mod_p`` and ``solve_mod_p`` wrap it for arrays,
-    and ``repair.recover_node`` runs it on lists directly for odd p.
+    ``rows`` but never written, so rows may be tuples and a shallow copy
+    ``list(rows)`` keeps the input.  This is the one elimination mod p.
     """
     n = len(rows)
     pivots: list[int] = []

@@ -18,21 +18,15 @@ times log2 p for odd p.  A ``RepairReport`` stores only its gammas and
 derives feasibility, totals and bits from them, so re-expressing a scheme
 over a smaller subfield (``lift_scheme``) keeps its bit count exactly.
 
-Two independent evaluation routes are provided: ``gamma_ranks`` works
-directly on the field elements, while ``realize_matrices`` +
-``gamma_ranks_matrix`` builds the explicit repair vectors from a reference
-row and ranks the resulting sub-symbol equation blocks.  They must always
-agree; the equivalence is property-tested.  ``recover_node`` runs the
-whole download / interference-cancellation / solve pipeline on a real
-codeword and counts the bits moved.
-
-The matrix route batches its operator algebra and stays explicit: the
-repair columns of a scheme come from one ``FieldSpec.operators`` gather
-and one product with the reference row, and the k interference blocks
-from one product of the stacked (R^l)^T with the parity operators.  It
-multiplies GF(p) matrices and eliminates mod p (``linalg``) only, and
-reads none of the element route's tables (``rank_keys``, ``node_keys``,
-``slot_shifts``) or kernels, so it remains an independent oracle.
+Two independent routes evaluate a scheme: ``gamma_ranks`` ranks its field
+elements, and ``realize_matrices`` + ``gamma_ranks_matrix`` rank the GF(p)
+equation blocks realized from a reference row r.  ``recover_node`` runs
+the download / interference-cancellation / solve pipeline on a codeword.
+The matrix route realizes every equation from one table of r . coords(x)
+at the powers of z (``FieldSpec.functional``): its row L is the equation
+r . operator(z^L) of z^L, and row L + log P_u what that sees of node u.
+It eliminates mod p (``linalg``) only and reads none of the element
+route's tables (``rank_keys``, ``node_keys``, ``slot_shifts``) or kernels.
 """
 
 from __future__ import annotations
@@ -372,16 +366,19 @@ def _entries(value):
 
 
 def _equations(scheme: RepairScheme, reference) -> tuple:
-    """(reference, equations): the reference row reduced mod p, and the
-    (n-k, s * beta, m) stack of the transposed repair matrices (R^l)^T, row
-    j of layer l downloaded equation j of parity l, realized from it.  Both
-    arrays are new.  The reference must be m integer GF(p) coordinates
-    (ParseError for other entries, DimensionMismatch for another shape),
-    not all zero (ZeroReference)."""
+    """(reference, table, logs): the reference row reduced mod p, its
+    ``FieldSpec.functional`` table (``unit_functional`` by default), and
+    the log L, mod q-1, of the element e * w^t of each downloaded equation,
+    parity-major with t fastest: that equation is the table's row L.  The
+    reference must be m integer GF(p) coordinates (ParseError for other
+    entries, DimensionMismatch for another shape), not all zero
+    (ZeroReference)."""
     sub = scheme.sub
     field = sub.code.field
+    q1 = field.q - 1
+    logs = [(e + off) % q1 for e in scheme.flat_exps() for off in sub.subfield.offsets]
     if reference is None:
-        reference = field.coords_table[1]  # the coordinates of 1
+        return field.coords_table[1], field.unit_functional, logs
     reference = np.asarray(reference)
     if reference.shape != (field.m,):
         raise DimensionMismatch(
@@ -392,33 +389,22 @@ def _equations(scheme: RepairScheme, reference) -> tuple:
     reference = (reference % field.p).astype(np.int64)
     if not reference.any():
         raise ZeroReference("reference vector must be nonzero")
-    # the logs of e * w^t, slot-major with t fastest: the row order
-    logs = (np.array(scheme.flat_exps(), dtype=np.int64)[:, None]
-            + sub.subfield.offsets)
-    rows = reference @ field.operators(logs) % field.p
-    return reference, rows.reshape(sub.code.r, sub.beta * sub.s, field.m)
+    return reference, field.functional(reference), logs
 
 
 def realize_matrices(scheme: RepairScheme, reference=None) -> MatrixScheme:
     """Construct the repair matrices from a reference row: the column for
     element M is (reference^T . operator(M))^T, expanded over the subfield
-    basis when s > 1.  One ``FieldSpec.operators`` call builds the
-    operators of every M * w^t.  The reference is checked as ``_equations``
-    says."""
-    reference, equations = _equations(scheme, reference)
-    # both arrays are new: frozen in place, so MatrixScheme copies neither
-    return MatrixScheme(scheme.sub, scheme.failed, freeze(reference),
+    basis when s > 1, all gathered at once from the reference's functional
+    table.  The reference is checked as ``_equations`` says."""
+    reference, (values, _), logs = _equations(scheme, reference)
+    sub = scheme.sub
+    # the (n-k, s * beta, m) stack of the transposed matrices (R^l)^T
+    equations = values[np.array(logs).reshape(sub.code.r, -1, 1)
+                       + np.arange(sub.code.field.m)]
+    # each array new or read-only: frozen in place, so MatrixScheme copies neither
+    return MatrixScheme(sub, scheme.failed, freeze(reference),
                         tuple(freeze(equations).swapaxes(1, 2)))
-
-
-def _interference_blocks(sub: SubpacketizationSpec, equations: np.ndarray) -> np.ndarray:
-    """The (k, (n-k) * s * beta, m) stack of each systematic node u's
-    GF(p) equation blocks (R^l)^T . operator(P_u^l), parities l stacked:
-    what the downloaded ``equations`` see of node u's stored vector."""
-    field = sub.code.field
-    blocks = linalg.matmul_mod_p(
-        equations, field.operators(sub.code.parity_exps()), field.p)
-    return blocks.reshape(sub.code.k, -1, field.m)
 
 
 def gamma_ranks_matrix(sub: SubpacketizationSpec, failed: int,
@@ -443,9 +429,12 @@ def gamma_ranks_matrix(sub: SubpacketizationSpec, failed: int,
                 f"repair matrix shape {R.shape} != ({m},{cols})")
         if not R.any(axis=0).all():
             raise InvalidMatrix("repair matrix has a zero column")
-    gammas = []
+    # node u's blocks (R^l)^T . operator(P_u^l), parities l stacked
     equations = np.array(mat.matrices).swapaxes(1, 2)
-    for u, block in enumerate(_interference_blocks(sub, equations)):
+    blocks = linalg.matmul_mod_p(
+        equations, field.operators(sub.code.parity_exps()), field.p)
+    gammas = []
+    for u, block in enumerate(blocks.reshape(sub.code.k, -1, m)):
         r = linalg.rank_mod_p(block, field.p)
         if r % sub.s:
             raise InvalidMatrix(
@@ -480,35 +469,31 @@ def recover_node(codeword: Codeword, scheme: RepairScheme,
     left of the signal column give its rank, and ``InfeasibleScheme`` is
     raised unless it is full.
 
-    NumPy builds the realized equations (``_equations``, as
-    ``realize_matrices`` does), the interference blocks, the stored vectors
-    (one ``coords_table`` gather) and what the parities send; then every
-    elimination runs on python ints, one per surviving node and one for
-    the failed block.  For p = 2 one product with the powers of 2 each packs
-    the blocks, the vectors and the signal into bit-rows: the eliminations
-    are ``linalg.rref_bits`` and the products after them parities of ANDs
-    (``_solve_bits``).  For odd p one ``tolist()`` each hands them to
-    ``linalg.rref_rows`` and list sums (``_solve_mod_p``).  Like
-    ``gamma_ranks_matrix``, this works on the realized equations alone and
-    never calls an element rank kernel.
+    Every equation is a row of the reference's functional table
+    (``_equations``), read on python ints: row L for z^L, and row L + log
+    P_u^l, mod q-1, for what it sees of node u at parity l.  For p = 2 the
+    rows are bit-rows and the stored vectors ``x.index``, eliminated by
+    ``linalg.rref_bits`` (``_solve_bits``); for odd p tuples and
+    ``x.coords()``, by ``linalg.rref_rows`` (``_solve_mod_p``).  No
+    operator is built and no element rank kernel runs.
     """
     sub, failed = scheme.sub, scheme.failed
     code = sub.code
     field = code.field
-    p, m, k = field.p, field.m, code.k
+    p, m, k, q1 = field.p, field.m, code.k, field.q - 1
     if codeword.code != code:
         raise ValueError("codeword and scheme use different codes")
-    equations = _equations(scheme, reference)[1]
-    blocks = _interference_blocks(sub, equations)
-    vectors = field.coords_table[[x.index for x in codeword.symbols]]
-    # each parity sends its realized equations applied to its stored vector
-    received = (equations @ vectors[k:, :, None]).reshape(-1) % p
-    if received.shape != (m,):
-        raise DimensionMismatch(f"parities sent {received.size} values, need m={m}")
+    _, (_, rows), logs = _equations(scheme, reference)
+    width = m // code.r  # equation i comes from parity i // width
+    blocks = [[rows[(L + shifts[i // width]) % q1] for i, L in enumerate(logs)]
+              for shifts in code.parity_exps()]
+    vectors = [x.index if p == 2 else x.coords() for x in codeword.symbols]
+    # each parity sends its equations applied to its stored vector
+    sent = [(rows[L], vectors[k + i // width]) for i, L in enumerate(logs)]
     if p == 2:
-        ranks, pivots, solution = _solve_bits(blocks, vectors, received, failed - 1)
+        ranks, pivots, solution = _solve_bits(blocks, vectors, sent, failed - 1)
     else:
-        ranks, pivots, solution = _solve_mod_p(blocks, vectors, received, failed - 1, p)
+        ranks, pivots, solution = _solve_mod_p(blocks, vectors, sent, failed - 1, p)
     useful = sum(c < m for c in pivots)
     if useful != m:
         raise InfeasibleScheme(
@@ -521,20 +506,17 @@ def recover_node(codeword: Codeword, scheme: RepairScheme,
                           downloads, total, sub.bits(total))
 
 
-def _solve_bits(blocks: np.ndarray, vectors: np.ndarray, received: np.ndarray,
-                failed: int) -> tuple:
+def _solve_bits(blocks: list, vectors: list, sent: list, failed: int) -> tuple:
     """``recover_node``'s eliminations over GF(2) on bit-rows, bit c for
-    column c: the (k, m, m) interference ``blocks`` and the (n, m) stored
-    ``vectors`` packed a row per int, the m ``received`` values into one
-    int, bit j for equation j.  Returns (ranks, pivots, solution): the
-    block rank of each surviving node, 1-based, the pivot columns of the
-    failed block with the signal as column m, and the coordinates that
-    elimination solves for, read only when it has m pivots left of the
-    signal."""
-    m = blocks.shape[-1]
-    weights = 1 << np.arange(m)
-    blocks, vectors = (blocks @ weights).tolist(), (vectors @ weights).tolist()
-    signal = int(received @ weights)
+    column c, of the k interference ``blocks`` of m rows, the n stored
+    ``vectors`` and the m (equation, parity vector) pairs ``sent``, whose
+    products are the signal, bit j for equation j.  Returns (ranks, pivots,
+    solution): each surviving node's block rank, 1-based, the failed
+    block's pivot columns with the signal as column m, and the coordinates
+    solved for, read only when m pivots lie left of the signal."""
+    m = len(sent)
+    signal = sum(((row & vector).bit_count() & 1) << j
+                 for j, (row, vector) in enumerate(sent))
     ranks = {}
     for u, (block, vector) in enumerate(zip(blocks, vectors)):
         if u == failed:
@@ -553,12 +535,12 @@ def _solve_bits(blocks: np.ndarray, vectors: np.ndarray, received: np.ndarray,
     return ranks, pivots, [row >> m for row in basis]
 
 
-def _solve_mod_p(blocks: np.ndarray, vectors: np.ndarray, received: np.ndarray,
-                 failed: int, p: int) -> tuple:
-    """``_solve_bits`` for odd p, on lists of ints in [0, p) by
+def _solve_mod_p(blocks: list, vectors: list, sent: list, failed: int,
+                 p: int) -> tuple:
+    """``_solve_bits`` for odd p, on rows of ints in [0, p) by
     ``linalg.rref_rows``."""
-    m = blocks.shape[-1]
-    blocks, vectors, signal = blocks.tolist(), vectors.tolist(), received.tolist()
+    m = len(sent)
+    signal = [sum(map(mul, row, vector)) % p for row, vector in sent]
     ranks = {}
     for u, (block, vector) in enumerate(zip(blocks, vectors)):
         if u == failed:
@@ -577,6 +559,6 @@ def _solve_mod_p(blocks: np.ndarray, vectors: np.ndarray, received: np.ndarray,
         ranks[u + 1] = len(pivots)
     # one elimination of [A | signal] gives the rank of the failed block A
     # (its pivots left of column m) and, when that is full, the solution
-    system = [row + [x] for row, x in zip(blocks[failed], signal)]
+    system = [[*row, x] for row, x in zip(blocks[failed], signal)]
     pivots = linalg.rref_rows(system, p)
     return ranks, pivots, [row[m] for row in system]

