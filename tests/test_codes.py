@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mdsrepair import codes
+from mdsrepair.bundled import BUNDLED_CODES, bundled_code
 from mdsrepair.codes import (
     CodeSpec,
     Codeword,
@@ -16,6 +17,7 @@ from mdsrepair.errors import (
     ParseError,
     TooManySubsets,
 )
+from mdsrepair.gf import FieldElement, FieldSpec
 
 
 class TestRsSystematic:
@@ -138,6 +140,41 @@ class TestEncode:
     def test_length_mismatch(self, rs53, f16):
         with pytest.raises(LengthMismatch):
             encode(rs53, [f16.one()] * 2)
+
+    def test_matches_element_arithmetic(self, rs64_gf81, rs64_gf15625, monkeypatch, rng):
+        # every parity symbol is sum_i P_ij * x_i by FieldElement * and +, on
+        # every bundled code and on RS codes over GF(3^4), GF(5^2) and GF(5^6),
+        # for messages with zero symbols, unit messages and the zero message;
+        # with * and + refused, encoding still gives the same codewords
+        f25 = FieldSpec(5, [2, 1, 1])
+        cases = [bundled_code(name) for name in BUNDLED_CODES]
+        cases += [rs64_gf81, rs64_gf15625,
+                  rs_systematic(f25, [f25.element(i) for i in range(4)], 2)]
+        expected = []
+        for code in cases:
+            field, k = code.field, code.k
+            messages = [[field.zero()] * k]
+            messages += [[field.one() if i == j else field.zero() for i in range(k)]
+                         for j in range(k)]
+            messages += [[field.zero() if rng.random() < 0.3
+                          else field.element(rng.randrange(field.q - 1)) for _ in range(k)]
+                         for _ in range(10)]
+            for msg in messages:
+                parity = []
+                for j in range(code.r):
+                    acc = field.zero()
+                    for i in range(k):
+                        acc = acc + code.parity[i][j] * msg[i]
+                    parity.append(acc)
+                expected.append((code, msg, [*msg, *parity]))
+                assert list(encode(code, msg).symbols) == expected[-1][-1]
+
+        def refuse(self, other):
+            raise AssertionError("element arithmetic in encode")
+        monkeypatch.setattr(FieldElement, "__mul__", refuse)
+        monkeypatch.setattr(FieldElement, "__add__", refuse)
+        for code, msg, symbols in expected:
+            assert list(encode(code, msg).symbols) == symbols
 
 
 class TestCodeword:

@@ -118,7 +118,8 @@ class TestConstruction:
                   field.unit_functional[0], *getattr(field, "zech_arrays", ())]
         assert not any(table.flags.writeable for table in arrays)
         # the list tables are immutable by construction
-        assert all(type(row) is tuple for row in sub.tower_inverse)
+        assert all(type(rows) is tuple and all(type(row) is tuple for row in rows)
+                   for rows in sub.tower_inverse)
         assert all(set(vars(obj)) == keys for obj, keys in layouts)
 
     def test_odd_p_arithmetic_without_numpy(self, monkeypatch):

@@ -5,18 +5,20 @@ and the explicit-matrix route (``realize_matrices`` +
 ``gamma_ranks_matrix`` and ``recover_node``) share no rank code, so each
 checks the other.  The matrix route realizes its equations from the
 reference's functional table (``FieldSpec.functional``), which
-``realize_matrices`` gathers and ``recover_node`` reads on python ints;
-``gamma_ranks_matrix`` multiplies operators and eliminates mod p by
-``linalg.rref_rows`` through ``rank_mod_p``, and ``recover_node``
-eliminates by ``rref_rows`` on tuples for odd p and by ``linalg.rref_bits``
-on bit-rows for p = 2, here on GF(2^4) and GF(2^8).  ``test_routes_agree``
+``realize_matrices`` gathers and ``recover_node`` reads on python ints.
+``gamma_ranks_matrix`` multiplies operators, then ranks each node's block
+on python ints like ``recover_node`` eliminates: by ``linalg.rref_bits``
+on bit-rows for p = 2, here on GF(2^4) and GF(2^8), and by
+``linalg.rref_rows`` on lists for odd p.  ``test_routes_agree``
 runs the same number of examples on every (code, s) of ``SUBS``, so each
 reaches ``recover_node`` on feasible schemes.  The batched scorer
 ``SchemeEvaluator.evaluate_batch`` is checked against the matrix route too,
 and the sub-symbols that ``recover_node`` returns (``subfield_coords``)
 against element arithmetic, at s = 1, 2, 3 and 4.  One ``recover_node``
 takes about 0.03 ms on RS(5,3) over GF(2^4) and 0.08 ms on RS(6,4) over
-GF(3^4) (0.07 and 0.10 ms with the operator products it replaced).
+GF(3^4) (0.07 and 0.10 ms with the operator products it replaced), and
+one matrix report about 0.13 ms on fb1410 (0.35 ms when each block went
+through ``linalg.rank_mod_p``) and 0.07 ms on RS(6,4) over GF(3^4).
 """
 
 import pytest

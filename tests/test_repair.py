@@ -377,6 +377,78 @@ class TestMatrixOracle:
                                match="^reference vector entries must be integers, got"):
                 realize()
 
+    def test_eliminations_by_characteristic(self, rs64_gf81, monkeypatch, rng):
+        # gamma_ranks_matrix ranks each of its k blocks once, as bit-rows by
+        # linalg.rref_bits for p = 2 and as lists by linalg.rref_rows for odd
+        # p, and never through rank_mod_p
+        schemes = [bundled_scheme("rs53", 1), bundled_scheme("fb1410", 3),
+                   lift_scheme(find_repair(generate_clique(bundled_code("rs64")), 2).scheme, 2),
+                   random_scheme(rs64_gf81, 1, 2, rng), random_scheme(rs64_gf81, 2, 3, rng)]
+        mats = [realize_matrices(scheme) for scheme in schemes]
+        reports = [gamma_ranks(scheme) for scheme in schemes]
+        calls = []
+        rref_rows, rref_bits = linalg.rref_rows, linalg.rref_bits
+
+        def rows_spy(rows, p):
+            calls.append(("rref_rows", p))
+            return rref_rows(rows, p)
+
+        def bits_spy(rows):
+            calls.append(("rref_bits", 2))
+            return rref_bits(rows)
+
+        def refuse(*args):
+            raise AssertionError("rank_mod_p called")
+        monkeypatch.setattr(linalg, "rref_rows", rows_spy)
+        monkeypatch.setattr(linalg, "rref_bits", bits_spy)
+        monkeypatch.setattr(linalg, "rank_mod_p", refuse)
+        for scheme, mat, report in zip(schemes, mats, reports):
+            calls.clear()
+            assert gamma_ranks_matrix(scheme.sub, scheme.failed, mat) == report
+            code = scheme.sub.code
+            p = code.field.p
+            assert calls == [("rref_bits" if p == 2 else "rref_rows", p)] * code.k
+
+    def test_gammas_are_block_ranks(self, rng):
+        # each gamma is rank_mod_p of its node's block, built here one
+        # operator at a time, divided by s: on every bundled scheme and on
+        # random schemes over GF(2^4), GF(2^8), GF(3^4) and GF(5^2) at every
+        # valid s
+        fields = [FieldSpec(2, [1, 1, 0, 0, 1]), FieldSpec(2, [1, 0, 1, 1, 1, 0, 0, 0, 1]),
+                  FieldSpec(3, [2, 0, 0, 1, 1]), FieldSpec(5, [2, 1, 1])]
+        codes = [rs_systematic(f, [f.element(i) for i in range(n)], k)
+                 for f in fields for n, k in ((3, 2), (4, 2), (6, 4))]
+        schemes = [s for name in BUNDLED_CODES for s in bundled_schemes(name).values()]
+        for code in codes:
+            m = code.field.m
+            for s in [s for s in range(1, m + 1) if m % s == 0 and m // s % code.r == 0]:
+                schemes += [random_scheme(code, s, rng.randrange(1, code.k + 1), rng)
+                            for _ in range(8)]
+        for scheme in schemes:
+            code, s = scheme.sub.code, scheme.sub.s
+            p = code.field.p
+            mat = realize_matrices(scheme)
+            ranks = [linalg.rank_mod_p(np.vstack([
+                R.T @ code.parity[u][l].operator() % p for l, R in enumerate(mat.matrices)]), p)
+                for u in range(code.k)]
+            assert all(rank % s == 0 for rank in ranks)
+            report = gamma_ranks_matrix(scheme.sub, scheme.failed, mat)
+            assert report.gammas == tuple(rank // s for rank in ranks)
+            assert report == gamma_ranks(scheme)
+
+    def test_rank_not_multiple_of_s_rejected(self, rs64, rs64_gf81, monkeypatch, rng):
+        # a kernel that returns one pivot too many, an odd rank at s = 2, is
+        # caught for p = 2 and odd p alike
+        rref_rows, rref_bits = linalg.rref_rows, linalg.rref_bits
+        monkeypatch.setattr(linalg, "rref_rows",
+                            lambda rows, p: [*rref_rows(rows, p), len(rows[0])])
+        monkeypatch.setattr(linalg, "rref_bits",
+                            lambda rows: tuple([*part, 0] for part in rref_bits(rows)))
+        for code in (rs64, rs64_gf81):
+            scheme = random_scheme(code, 2, 1, rng)
+            with pytest.raises(InvalidMatrix, match="of node 1 block is not a multiple of s=2"):
+                gamma_ranks_matrix(scheme.sub, 1, realize_matrices(scheme))
+
     def test_matrix_validation(self, rs53):
         scheme = bundled_scheme("rs53", 1)
         mat = realize_matrices(scheme)
