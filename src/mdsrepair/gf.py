@@ -18,9 +18,9 @@ base-p digits of its packed index, and row ``x.index`` of the q x m table
 ``FieldSpec.coords_table``), acts on those vectors through an m x m matrix
 over GF(p) (``FieldSpec.operators``, one gather through ``coords_table``
 for a whole array of discrete logs, a power of the companion matrix of P),
-and sets of elements have a rank over any subfield GF(p^s).  A linear
-functional tabulated at the powers of z (``FieldSpec.functional``) gives
-every row reference . operator(z^e) by lookup.  The element rank belongs
+and sets of elements have a rank over any subfield GF(p^s).  One table
+(``FieldSpec.unit_functional``) gives every row e_0 . operator(z^e), and,
+shifted by a log, every row r . operator(z^e).  The element rank belongs
 to ``SubfieldSpec``: ``rank_exps`` ranks one set of discrete logs,
 ``rank_batch`` many sets of kernel keys at once, each with a kernel chosen
 by p, a bitmask basis for p = 2 and a basis kept in the log domain
@@ -39,11 +39,13 @@ from operator import mul
 from . import linalg
 from ._numpy import np, table
 from .errors import (
+    DimensionMismatch,
     DivisionByZero,
     IncompatibleSubfield,
     InvalidMatrix,
     NotIrreducible,
     NotPrimitive,
+    ParseError,
     ZeroVector,
     as_int,
 )
@@ -179,26 +181,20 @@ class FieldSpec:
                 + np.arange(self.m)) % (self.q - 1)
         return np.swapaxes(self.coords_table[self.exp_array[logs]], -1, -2)
 
-    def functional(self, reference) -> tuple:
-        """(values, rows), the repair-equation table of the functional f(x)
-        = reference . coords(x) mod p, ``reference`` an int64 array of m
-        digits in [0, p): ``values`` the int64 array of f(z^(x mod q-1)) for
-        x < q-1 + m-1, and the tuple ``rows``, rows[e] = values[e:e+m] =
-        reference . operator(z^e) for e < q-1 on python: a bit-row int (bit c
-        for column c) for p = 2, a tuple otherwise."""
+    @table
+    def unit_functional(self) -> tuple:
+        """(values, rows), the one repair-equation table: ``values`` the
+        int64 array of e_0 . coords(z^(x mod q-1)), digit 0 of its packed
+        index, for x < q-1 + m-1, and the tuple ``rows``, rows[e] =
+        values[e:e+m] = e_0 . operator(z^e) for e < q-1 on python: a bit-row
+        int (bit c for column c) for p = 2, a tuple otherwise.  Row e + log nu
+        is r . operator(z^e) for r = e_0 . operator(nu) (``find_left_operator``)."""
         p, m, q1 = self.p, self.m, self.q - 1
-        values = (self.coords_table @ reference % p)[
-            self.exp_array[np.arange(q1 + m - 1) % q1]]
+        values = self.exp_array[np.arange(q1 + m - 1) % q1] % p
         columns = [values[c:c + q1] for c in range(m)]  # column c of every row
         if p == 2:
             return values, tuple(sum(col << c for c, col in enumerate(columns)).tolist())
         return values, tuple(zip(*(col.tolist() for col in columns)))
-
-    @table
-    def unit_functional(self) -> tuple:
-        """``functional`` of the repair route's default reference e_0, the
-        coordinates of 1."""
-        return self.functional(self.coords_table[1])
 
     @table
     def rank_keys(self) -> np.ndarray:
@@ -540,28 +536,36 @@ def rank_over_subfield(elems, sub: SubfieldSpec) -> int:
     return sub.rank_exps(exps)
 
 
-def find_left_operator(field: FieldSpec, source: np.ndarray,
-                       target: np.ndarray) -> FieldElement:
+def coordinate_vector(field: FieldSpec, vector, name: str) -> np.ndarray:
+    """``vector`` as m GF(p) coordinates, an int64 array reduced mod p, with
+    nothing coerced: DimensionMismatch unless its shape is (m,), ParseError
+    unless its entries are integers; each message starts with ``name``."""
+    vector = np.asarray(vector)
+    if vector.shape != (field.m,):
+        raise DimensionMismatch(
+            f"{name} vector has shape {vector.shape}, need ({field.m},)")
+    if vector.dtype.kind not in "iu":
+        raise ParseError(f"{name} vector entries must be integers, got {vector.dtype}")
+    return (vector % field.p).astype(np.int64)
+
+
+def find_left_operator(field: FieldSpec, source, target) -> FieldElement:
     """The unique nonzero element b with source^T . operator(b) = target^T.
 
-    source and target are nonzero GF(p) coordinate vectors.  Existence and
+    source and target are nonzero ``coordinate_vector`` inputs.  Existence and
     uniqueness hold because the p^m - 1 products source^T . operator(.)
     are pairwise distinct, hence exhaust the nonzero row vectors.
 
     Returns the element b; its matrix is ``b.operator()``.
     """
-    source = np.asarray(source, dtype=np.int64) % field.p
-    target = np.asarray(target, dtype=np.int64) % field.p
+    source = coordinate_vector(field, source, "source")
+    target = coordinate_vector(field, target, "target")
     if not source.any() or not target.any():
         raise ZeroVector("source and target must be nonzero")
     # row i of L is source^T . operator(z^i); solving x^T L = target^T gives
-    # the coordinates of b = sum x_i z^i
+    # the coordinates of b = sum x_i z^i, nonzero because target is
     L = source @ field.operators(np.arange(field.m)) % field.p
-    x = linalg.solve_mod_p(L.T, target, field.p)
-    b = field.from_coords(x)
-    if b.is_zero:
-        raise ZeroVector("left operator solved to zero")
-    return b
+    return field.from_coords(linalg.solve_mod_p(L.T, target, field.p))
 
 
 def subfield_coords(x: FieldElement, sub: SubfieldSpec) -> list:

@@ -22,10 +22,11 @@ Two independent routes evaluate a scheme: ``gamma_ranks`` ranks its field
 elements, and ``realize_matrices`` + ``gamma_ranks_matrix`` rank the GF(p)
 equation blocks realized from a reference row r.  ``recover_node`` runs
 the download / interference-cancellation / solve pipeline on a codeword.
-The matrix route realizes every equation from one table of r . coords(x)
-at the powers of z (``FieldSpec.functional``): its row L is the equation
-r . operator(z^L) of z^L, and row L + log P_u what that sees of node u.
-It eliminates mod p (``linalg``) only and reads none of the element
+The matrix route realizes every equation from one table per field,
+``FieldSpec.unit_functional`` of e_0 . coords(x) at the powers of z: row L
+is the equation of z^L, row L + log P_u what that sees of node u, and a
+reference r = e_0 . operator(nu) shifts every row by log nu.  It
+eliminates mod p (``linalg``) only and reads none of the element
 route's tables (``rank_keys``, ``node_keys``, ``slot_shifts``) or kernels.
 """
 
@@ -49,7 +50,8 @@ from .errors import (
     as_int,
     as_node,
 )
-from .gf import FieldElement, SubfieldSpec, subfield_coords
+from .gf import (FieldElement, SubfieldSpec, coordinate_vector, find_left_operator,
+                 subfield_coords)
 
 
 class SubpacketizationSpec(Value):
@@ -366,42 +368,35 @@ def _entries(value):
 
 
 def _equations(scheme: RepairScheme, reference) -> tuple:
-    """(reference, table, logs): the reference row reduced mod p, its
-    ``FieldSpec.functional`` table (``unit_functional`` by default), and
-    the log L, mod q-1, of the element e * w^t of each downloaded equation,
-    parity-major with t fastest: that equation is the table's row L.  The
-    reference must be m integer GF(p) coordinates (ParseError for other
-    entries, DimensionMismatch for another shape), not all zero
-    (ZeroReference)."""
-    sub = scheme.sub
-    field = sub.code.field
-    q1 = field.q - 1
-    logs = [(e + off) % q1 for e in scheme.flat_exps() for off in sub.subfield.offsets]
+    """(reference, logs): the reference row r reduced mod p (e_0 by
+    default) and the row L of ``FieldSpec.unit_functional`` of each
+    downloaded equation, parity-major with t fastest.  Its equation r .
+    operator(e * w^t) is e_0 . operator(nu * e * w^t) for the nu with e_0 .
+    operator(nu) = r (``find_left_operator``), so L = log(nu * e * w^t) mod
+    q-1.  The reference must pass ``coordinate_vector`` (ParseError,
+    DimensionMismatch) and be nonzero (ZeroReference)."""
+    field = scheme.sub.code.field
     if reference is None:
-        return field.coords_table[1], field.unit_functional, logs
-    reference = np.asarray(reference)
-    if reference.shape != (field.m,):
-        raise DimensionMismatch(
-            f"reference vector has shape {reference.shape}, need ({field.m},)")
-    if reference.dtype.kind not in "iu":
-        raise ParseError(
-            f"reference vector entries must be integers, got {reference.dtype}")
-    reference = (reference % field.p).astype(np.int64)
-    if not reference.any():
-        raise ZeroReference("reference vector must be nonzero")
-    return reference, field.functional(reference), logs
+        reference, shift = field.coords_table[1], 0
+    else:
+        reference = coordinate_vector(field, reference, "reference")
+        if not reference.any():
+            raise ZeroReference("reference vector must be nonzero")
+        shift = find_left_operator(field, field.coords_table[1], reference).exp
+    return reference, [(e + off + shift) % (field.q - 1)
+                       for e in scheme.flat_exps() for off in scheme.sub.subfield.offsets]
 
 
 def realize_matrices(scheme: RepairScheme, reference=None) -> MatrixScheme:
     """Construct the repair matrices from a reference row: the column for
     element M is (reference^T . operator(M))^T, expanded over the subfield
-    basis when s > 1, all gathered at once from the reference's functional
-    table.  The reference is checked as ``_equations`` says."""
-    reference, (values, _), logs = _equations(scheme, reference)
-    sub = scheme.sub
+    basis when s > 1, all gathered at once from ``FieldSpec.unit_functional``
+    at the rows of ``_equations``, which checks the reference."""
+    reference, logs = _equations(scheme, reference)
+    sub, field = scheme.sub, scheme.sub.code.field
     # the (n-k, s * beta, m) stack of the transposed matrices (R^l)^T
-    equations = values[np.array(logs).reshape(sub.code.r, -1, 1)
-                       + np.arange(sub.code.field.m)]
+    equations = field.unit_functional[0][np.array(logs).reshape(sub.code.r, -1, 1)
+                                         + np.arange(field.m)]
     # each array new or read-only: frozen in place, so MatrixScheme copies neither
     return MatrixScheme(sub, scheme.failed, freeze(reference),
                         tuple(freeze(equations).swapaxes(1, 2)))
@@ -480,9 +475,9 @@ def recover_node(codeword: Codeword, scheme: RepairScheme,
     left of the signal column give its rank, and ``InfeasibleScheme`` is
     raised unless it is full.
 
-    Every equation is a row of the reference's functional table
-    (``_equations``), read on python ints: row L for z^L, and row L + log
-    P_u^l, mod q-1, for what it sees of node u at parity l.  For p = 2 the
+    Every equation is a row of ``FieldSpec.unit_functional`` read on python
+    ints: row L (``_equations``) for the equation, and row L + log P_u^l,
+    mod q-1, for what it sees of node u at parity l.  For p = 2 the
     rows are bit-rows and the stored vectors ``x.index``, eliminated by
     ``linalg.rref_bits`` (``_solve_bits``); for odd p tuples and
     ``x.coords()``, by ``linalg.rref_rows`` (``_solve_mod_p``).  No
@@ -494,7 +489,8 @@ def recover_node(codeword: Codeword, scheme: RepairScheme,
     p, m, k, q1 = field.p, field.m, code.k, field.q - 1
     if codeword.code != code:
         raise ValueError("codeword and scheme use different codes")
-    _, (_, rows), logs = _equations(scheme, reference)
+    _, logs = _equations(scheme, reference)
+    rows = field.unit_functional[1]
     width = m // code.r  # equation i comes from parity i // width
     blocks = [[rows[(L + shifts[i // width]) % q1] for i, L in enumerate(logs)]
               for shifts in code.parity_exps()]

@@ -1,10 +1,11 @@
 import pytest
 
 from mdsrepair.clique import clique_bound, find_repair, generate_clique
-from mdsrepair.codes import CodeSpec
+from mdsrepair.codes import CodeSpec, normalize_parity, rs_systematic
 from mdsrepair.errors import NotNormalized, NotTwoParity, OddExtensionDegree, ParseError
 from mdsrepair.gf import FieldSpec
 from mdsrepair.repair import RepairScheme, SubpacketizationSpec, baselines, gamma_ranks
+from mdsrepair.search import SearchConfig, exhaustive_search
 
 
 class TestGenerateClique:
@@ -128,3 +129,20 @@ class TestFindRepair:
                     if report.feasible:
                         best = report.total_bw if best is None else min(best, report.total_bw)
                 assert best == bound
+
+    def test_bound_is_optimal_only_at_beta_one(self):
+        # RS(5,3) over GF(2^4) at z^9, z^8, z^2, z^5, z^14, cliques {1} and
+        # {2,3}: over the half-degree subfield (s = 2, beta = 1) exhaustive
+        # search meets the clique bounds of 8, 10 and 10 bits, while over
+        # GF(2) (s = 1, beta = 2) it repairs nodes 2 and 3 in 9 bits
+        f16 = FieldSpec(2, [1, 1, 0, 0, 1])
+        code = normalize_parity(
+            rs_systematic(f16, [f16.element(e) for e in (9, 8, 2, 5, 14)], 3))
+        part = generate_clique(code)
+        assert part.cliques == ((1,), (2, 3))
+        bounds = [part.sub.bits(clique_bound(part, i)) for i in (1, 2, 3)]
+        assert bounds == [8, 10, 10]
+        for s, expect in ((2, bounds), (1, [8, 9, 9])):
+            sub = SubpacketizationSpec(code, s)
+            assert [exhaustive_search(SearchConfig(sub, i)).best_report.total_bits
+                    for i in (1, 2, 3)] == expect

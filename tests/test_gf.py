@@ -6,6 +6,7 @@ import pytest
 
 from mdsrepair.codes import CodeSpec, Codeword, encode, rs_systematic, verify_mds
 from mdsrepair.errors import (
+    DimensionMismatch,
     DivisionByZero,
     IncompatibleSubfield,
     InvalidMatrix,
@@ -345,23 +346,21 @@ class TestOperators:
                 assert (grid[i, j] == field.element(3 * i + j).operator()).all()
 
     def test_functional_rows_are_operator_rows(self, p, poly):
-        # rows[e] and values[e:e+m] are reference . operator(z^e), the row a
-        # bit-row int for p = 2 and a tuple otherwise; the default table is
-        # the reference e_0's
+        # the one repair-equation table: rows[e] and values[e:e+m] are
+        # e_0 . operator(z^e), the row a bit-row int for p = 2 and a tuple
+        # otherwise (any other reference is a shift of it, pinned in
+        # test_repair against the operator product)
         field = FieldSpec(p, poly)
         m, q1 = field.m, field.q - 1
-        ops = field.operators(np.arange(q1))
-        for reference in (field.coords_table[1], np.arange(1, m + 1) % p):
-            expect = (reference @ ops % p).tolist()
-            values, rows = field.functional(reference)
-            assert len(rows) == q1 and len(values) == q1 + m - 1
-            assert [values[e:e + m].tolist() for e in range(q1)] == expect
-            if p == 2:
-                assert [[r >> c & 1 for c in range(m)] for r in rows] == expect
-            else:
-                assert list(map(list, rows)) == expect
+        expect = (field.coords_table[1] @ field.operators(np.arange(q1)) % p).tolist()
         values, rows = field.unit_functional
-        assert rows == field.functional(field.coords_table[1])[1]
+        assert values.dtype == np.int64
+        assert len(rows) == q1 and len(values) == q1 + m - 1
+        assert [values[e:e + m].tolist() for e in range(q1)] == expect
+        if p == 2:
+            assert [[r >> c & 1 for c in range(m)] for r in rows] == expect
+        else:
+            assert list(map(list, rows)) == expect
 
 
 class TestFindLeftOperator:
@@ -397,6 +396,23 @@ class TestFindLeftOperator:
             find_left_operator(f16, np.zeros(4, dtype=int), np.array([1, 0, 0, 0]))
         with pytest.raises(ZeroVector):
             find_left_operator(f16, np.array([1, 0, 0, 0]), np.zeros(4, dtype=int))
+
+    @pytest.mark.parametrize("vector, error, message", [
+        ([1.5, 0, 0, 0], ParseError, "entries must be integers, got float64"),
+        ([1.0, 0, 0, 0], ParseError, "entries must be integers, got float64"),
+        ([True, False, False, False], ParseError, "entries must be integers, got bool"),
+        (["1", "0", "0", "0"], ParseError, "entries must be integers, got <U1"),
+        ([1, 0, 0], DimensionMismatch, r"has shape \(3,\), need \(4,\)"),
+        ([[1, 0, 0, 0]], DimensionMismatch, r"has shape \(1, 4\), need \(4,\)"),
+    ], ids=["fraction", "float", "bool", "string", "short", "matrix"])
+    def test_hostile_vectors_rejected(self, f16, vector, error, message):
+        # neither vector is coerced: each gets the error the reference row
+        # of the repair route gets, named after it
+        e0 = f16.coords_table[1]
+        with pytest.raises(error, match=f"^source vector {message}"):
+            find_left_operator(f16, vector, e0)
+        with pytest.raises(error, match=f"^target vector {message}"):
+            find_left_operator(f16, e0, vector)
 
 
 class TestSubfield:

@@ -3,9 +3,10 @@
 The element route (``gamma_ranks``, ranked by ``SubfieldSpec.rank_exps``)
 and the explicit-matrix route (``realize_matrices`` +
 ``gamma_ranks_matrix`` and ``recover_node``) share no rank code, so each
-checks the other.  The matrix route realizes its equations from the
-reference's functional table (``FieldSpec.functional``), which
-``realize_matrices`` gathers and ``recover_node`` reads on python ints.
+checks the other.  The matrix route realizes its equations from the one
+table per field (``FieldSpec.unit_functional``), a reference row being a
+log shift into it, which ``realize_matrices`` gathers and ``recover_node``
+reads on python ints.
 ``gamma_ranks_matrix`` multiplies operators, then ranks each node's block
 on python ints like ``recover_node`` eliminates: by ``linalg.rref_bits``
 on bit-rows for p = 2, here on GF(2^4) and GF(2^8), and by

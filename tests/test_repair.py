@@ -14,7 +14,7 @@ from mdsrepair.bundled import (
     load_scheme,
 )
 from mdsrepair.clique import find_repair, generate_clique
-from mdsrepair.codes import CodeSpec, encode, rs_systematic
+from mdsrepair.codes import CodeSpec, encode, normalize_parity, rs_systematic
 from mdsrepair.errors import (
     DimensionMismatch,
     IncompatibleLift,
@@ -24,7 +24,7 @@ from mdsrepair.errors import (
     ParseError,
     ZeroReference,
 )
-from mdsrepair.gf import FieldElement, FieldSpec, SubfieldSpec
+from mdsrepair.gf import FieldElement, FieldSpec, SubfieldSpec, find_left_operator
 from mdsrepair import linalg, repair
 from mdsrepair.repair import (
     MatrixScheme,
@@ -269,9 +269,10 @@ class TestMatrixOracle:
         for l, row in enumerate(scheme.elements):
             for j, e in enumerate(row):
                 assert (mat.matrices[l][:, j] == e.operator()[0]).all()
-        # the functional table realizes every equation as the operator product
-        # it stands for, reference . operator(e * w^t), at every valid s and
-        # for integer references with entries >= p and negative ones
+        # the unit table, shifted by the reference, realizes every equation as
+        # the operator product it stands for, reference . operator(e * w^t),
+        # at every valid s and for integer references with entries >= p and
+        # negative ones
         f25 = FieldSpec(5, [2, 1, 1])
         rs42 = rs_systematic(f25, [f25.element(i) for i in range(4)], 2)
         for code in (rs53, fb1410, rs64_gf81, rs42):
@@ -289,6 +290,35 @@ class TestMatrixOracle:
                         logs = (np.array([e.exp for e in row])[:, None] + offsets).reshape(-1)
                         expect = (reference % p) @ field.operators(logs) % p
                         assert (mat.matrices[l].T == expect).all()
+
+    def test_reference_is_a_scaling(self, rs53, rs64_gf81, rng):
+        # every reference r is e_0 . operator(nu) for the one nu that
+        # find_left_operator returns, so the unit table's row log nu is r,
+        # realizing with r is realizing the scheme scaled by nu, and a
+        # recovery with r is one of the scaled scheme: for every nonzero r
+        # over GF(2^4), GF(5^2) and GF(3^4)
+        f25 = FieldSpec(5, [2, 1, 1])
+        rs42 = normalize_parity(rs_systematic(f25, [f25.element(i) for i in range(4)], 2))
+        schemes = [bundled_scheme("rs53", 1), find_repair(generate_clique(rs42), 1).scheme,
+                   find_repair(generate_clique(rs64_gf81), 2).scheme]
+        for scheme in schemes:
+            sub, failed = scheme.sub, scheme.failed
+            field = sub.code.field
+            values = field.unit_functional[0]
+            cw = encode(sub.code, [field.element(rng.randrange(field.q - 1))
+                                   for _ in range(sub.code.k)])
+            for reference in field.coords_table[1:]:
+                nu = find_left_operator(field, field.coords_table[1], reference)
+                assert (values[nu.exp:nu.exp + field.m] == reference).all()
+                scaled = RepairScheme(sub, failed,
+                                      [[e * nu for e in row] for row in scheme.elements])
+                mat = realize_matrices(scheme, reference)
+                assert (mat.reference == reference).all()
+                assert all((a == b).all() for a, b in
+                           zip(mat.matrices, realize_matrices(scaled).matrices, strict=True))
+                got, expect = recover_node(cw, scheme, reference), recover_node(cw, scaled)
+                assert got.element == expect.element == cw[failed - 1]
+                assert got.downloads == expect.downloads
 
     def test_equivalence_small(self, rs53, rs64, rs64_gf81, rng):
         for code, s in ((rs53, 1), (rs64, 1), (rs64, 2),
@@ -560,7 +590,7 @@ class TestRecoverNode:
 
     def test_no_operators_per_call(self, rs64_gf81, monkeypatch, rng):
         # every equation and interference row is a lookup in the lazily
-        # built functional table: after one warm-up call, no recovery builds
+        # built unit table: after one warm-up call, no recovery builds
         # an operator or multiplies GF(p) matrices
         clique = find_repair(generate_clique(rs64_gf81), 2).scheme
         schemes = [*bundled_schemes("rs53").values(), *bundled_schemes("fb1410").values(),
