@@ -160,51 +160,45 @@ def normalize_parity(code: CodeSpec) -> CodeSpec:
     return CodeSpec(code.n, code.k, code.field, parity, code.name)
 
 
-def _det(field: FieldSpec, rows) -> FieldElement:
-    """Determinant of a small square matrix of field elements (in-place
-    elimination on a copy)."""
+def _singular(rows) -> bool:
+    """Whether a small square matrix of field elements is singular: forward
+    elimination on a copy, stopped at the first column with no pivot."""
     a = [list(r) for r in rows]
     t = len(a)
-    det = field.one()
     for c in range(t):
         piv = next((i for i in range(c, t) if not a[i][c].is_zero), None)
         if piv is None:
-            return field.zero()
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det = det * a[c][c]
+            return True
+        a[c], a[piv] = a[piv], a[c]
         inv = a[c][c].inverse()
         for i in range(c + 1, t):
             f = a[i][c] * inv
             if not f.is_zero:
                 for j in range(c, t):
                     a[i][j] = a[i][j] - f * a[c][j]
-    return det
+    return False
 
 
 def verify_mds(code: CodeSpec) -> bool:
-    """True iff every k of the n nodes can reconstruct the message,
-    checked by enumerating all C(n,k) node subsets.
+    """True iff every k of the n nodes can reconstruct the message.
 
-    For a subset the k x k generator minor reduces (up to sign) to the
-    square parity submatrix indexed by the missing systematic rows and
-    the chosen parity columns, so only a t x t determinant with
-    t <= n-k is evaluated per subset.
+    The generator [I | P] of a systematic code is MDS iff every square
+    submatrix of the k x (n-k) parity matrix P is nonsingular: the k x k
+    minor of a node subset is, up to sign, the t x t submatrix of P on the
+    missing systematic rows and the chosen parity columns.  So the t x t
+    submatrices for t = 1..min(k, n-k) are checked directly, the C(n,k) - 1
+    minors of the subsets that hold a parity node.  ``TooManySubsets`` when
+    C(n,k) exceeds ``SUBSET_CAP``.
     """
     n, k = code.n, code.k
     if math.comb(n, k) > SUBSET_CAP:
         raise TooManySubsets(
             f"C({n},{k}) = {math.comb(n, k)} exceeds the cap {SUBSET_CAP}")
-    systematic = set(range(k))
-    for subset in combinations(range(n), k):
-        par_cols = [j - k for j in subset if j >= k]
-        if not par_cols:
-            continue  # identity minor
-        missing = sorted(systematic - set(subset))
-        sub = [[code.parity[i][j] for j in par_cols] for i in missing]
-        if _det(code.field, sub).is_zero:
-            return False
+    for t in range(1, min(k, n - k) + 1):
+        for rows in combinations(code.parity, t):
+            for cols in combinations(range(n - k), t):
+                if _singular([[row[j] for j in cols] for row in rows]):
+                    return False
     return True
 
 
@@ -216,7 +210,7 @@ def encode(code: CodeSpec, message) -> Codeword:
     ``exp_table[(log P_ij + log x_i) mod (q-1)]``, and the terms are XORed
     for p = 2 and added digit by digit mod p otherwise.  One
     ``FieldElement`` is built per parity symbol: an fb1410 codeword takes
-    about 14 us (52 us with element arithmetic).
+    about 14 us.
     """
     msg = list(message)
     if len(msg) != code.k:

@@ -254,10 +254,6 @@ class FieldSpec:
     def one(self) -> "FieldElement":
         return FieldElement(self, 0)
 
-    def zeta(self) -> "FieldElement":
-        """The fixed primitive root (x mod P)."""
-        return FieldElement(self, 1)
-
     def element(self, exp) -> "FieldElement":
         """Element from its integer discrete log; None (or the string "0")
         is zero.  Anything else that is not an integer raises ParseError."""

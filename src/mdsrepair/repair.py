@@ -245,14 +245,12 @@ class SchemeEvaluator:
 
     def __init__(self, sub: SubpacketizationSpec, failed: int):
         self.sub = sub
-        self.failed = failed
+        self.failed = as_node(failed, sub.code.k, "failed node")
 
     def evaluate(self, flat_exps):
         """(feasible, total).  total is None for infeasible tuples."""
-        gammas = _gammas(self.sub, flat_exps)
-        if gammas[self.failed - 1] != self.sub.alpha:
-            return False, None
-        return True, sum(gammas)
+        report = RepairReport(self.sub, self.failed, _gammas(self.sub, flat_exps))
+        return (True, report.total_bw) if report.feasible else (False, None)
 
     def _gammas_batch(self, cols: np.ndarray, runs: tuple) -> np.ndarray:
         """(K, N) gammas of the (slots, N) reduced exponent columns ``cols``
@@ -410,9 +408,10 @@ def gamma_ranks_matrix(sub: SubpacketizationSpec, failed: int,
     in one ``tolist()``: for p = 2 as bit-rows (bit c for column c), each
     ranked by ``linalg.rref_bits``, for odd p as lists, each ranked by
     ``linalg.rref_rows``: about 0.13 ms for an fb1410 scheme with
-    ``realize_matrices`` (0.35 ms through ``linalg.rank_mod_p``).  This route
-    never touches element-level rank computations.  ``sub`` and ``failed``
-    must be the ones ``mat`` was realized for."""
+    ``realize_matrices``.  This route never touches element-level rank
+    computations.  ``sub`` and ``failed`` must be the ones ``mat`` was
+    realized for; integer entries only (ParseError otherwise, nothing is
+    coerced)."""
     if (sub, failed) != (mat.sub, mat.failed):
         raise ValueError(
             f"matrices realize node {mat.failed} of {mat.sub}, "
@@ -427,6 +426,8 @@ def gamma_ranks_matrix(sub: SubpacketizationSpec, failed: int,
         if R.shape != (m, cols):
             raise DimensionMismatch(
                 f"repair matrix shape {R.shape} != ({m},{cols})")
+        if R.dtype.kind not in "iu":
+            raise ParseError(f"repair matrix entries must be integers, got {R.dtype}")
         if not R.any(axis=0).all():
             raise InvalidMatrix("repair matrix has a zero column")
     # node u's blocks (R^l)^T . operator(P_u^l), parities l stacked: k

@@ -40,7 +40,7 @@ class TestGenerateClique:
         f8 = FieldSpec(2, [1, 1, 0, 1])
         one8 = f8.one()
         with pytest.raises(OddExtensionDegree):
-            generate_clique(CodeSpec(4, 2, f8, [[one8, one8], [one8, f8.zeta()]]))
+            generate_clique(CodeSpec(4, 2, f8, [[one8, one8], [one8, f8.element(1)]]))
         denorm = CodeSpec(6, 4, f16,
                           [[f16.element(1), r[1]] for r in rs64.parity])
         with pytest.raises(NotNormalized):

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from mdsrepair import codes
+from mdsrepair import codes, linalg
 from mdsrepair.bundled import BUNDLED_CODES, bundled_code
 from mdsrepair.codes import (
     CodeSpec,
@@ -84,6 +86,32 @@ class TestNormalize:
         assert verify_mds(raw) == verify_mds(normalize_parity(raw)) is True
 
 
+def _random_code(field, n, k, rng):
+    """An (n,k) code with uniform random nonzero parity entries."""
+    return CodeSpec(n, k, field, [
+        [field.element(rng.randrange(field.q - 1)) for _ in range(n - k)]
+        for _ in range(k)])
+
+
+def _singular_subsets(code):
+    """The numbers of parity nodes in the k-node subsets that cannot rebuild
+    the message, found without ``verify_mds``: the generator [I | P] expanded
+    over GF(p) entry by entry through ``FieldSpec.operators`` (an extension
+    matrix is singular iff its expansion is), and the km x km expansion of
+    each subset's k columns ranked by ``linalg.rref_rows``."""
+    field, n, k, m = code.field, code.n, code.k, code.field.m
+    exps = np.zeros((k, n), dtype=np.int64)
+    exps[:, k:] = code.parity_exps()
+    nonzero = np.hstack([np.eye(k, dtype=np.int64), np.ones((k, n - k), dtype=np.int64)])
+    blocks = field.operators(exps) * nonzero[..., None, None]  # (k, n, m, m)
+    singular = set()
+    for subset in itertools.combinations(range(n), k):
+        expanded = blocks[:, subset].transpose(0, 2, 1, 3).reshape(k * m, k * m)
+        if len(linalg.rref_rows(expanded.tolist(), field.p)) < k * m:
+            singular.add(sum(j >= k for j in subset))
+    return singular
+
+
 class TestVerifyMds:
     def test_bundled_codes(self, rs53, rs64, fb1410):
         assert verify_mds(rs53)
@@ -92,10 +120,32 @@ class TestVerifyMds:
 
     def test_detects_singular_minor(self, f16):
         one = f16.one()
-        z = f16.zeta()
+        z = f16.element(1)
         # two identical parity columns: nodes {3,4} cannot recover
         bad = CodeSpec(4, 2, f16, [[one, one], [z, z]])
         assert not verify_mds(bad)
+
+    @pytest.mark.parametrize("field", [FieldSpec(2, [1, 1, 0, 0, 1]),
+                                       FieldSpec(3, [2, 0, 0, 1, 1])], ids=repr)
+    def test_matches_generator_rank_oracle(self, field, rng):
+        answers = []
+        for n, k in ((5, 2), (6, 3), (7, 4), (6, 4)):
+            for _ in range(12):
+                code = _random_code(field, n, k, rng)
+                answers.append(verify_mds(code))
+                assert answers[-1] == (not _singular_subsets(code))
+        assert True in answers and False in answers
+
+    def test_singular_only_at_3x3(self, f16, rng):
+        # every 1x1 and 2x2 parity minor nonsingular, the 3x3 one singular:
+        # only the subset of the three parity nodes fails
+        for _ in range(1000):
+            code = _random_code(f16, 6, 3, rng)
+            if _singular_subsets(code) == {3}:
+                break
+        else:
+            pytest.fail("no (6,3) code over GF(16) is singular at 3x3 only")
+        assert not verify_mds(code)
 
     def test_subset_cap(self, fb1410, monkeypatch):
         monkeypatch.setattr(codes, "SUBSET_CAP", 100)

@@ -189,6 +189,22 @@ class TestGammaRanks:
         with pytest.raises(ParseError, match="failed node"):
             RepairScheme(SubpacketizationSpec(rs53, 1), failed, ((one, one), (one, one)))
 
+    @pytest.mark.parametrize("failed", [0, -1, 4, True, 1.0, "1"], ids=repr)
+    def test_evaluator_checks_failed_node(self, rs53, failed):
+        # 0 and -1 scored node k's block as the failed one, True passed as
+        # node 1, and k+1 raised a bare IndexError
+        error = ValueError if type(failed) is int else ParseError
+        with pytest.raises(error, match="failed node"):
+            SchemeEvaluator(SubpacketizationSpec(rs53, 1), failed)
+
+    def test_evaluator_reads_the_report(self, rs53):
+        scheme = bundled_scheme("rs53", 1)
+        ev = SchemeEvaluator(scheme.sub, np.int64(1))
+        report = gamma_ranks(scheme)
+        assert type(ev.failed) is int
+        assert ev.evaluate(scheme.flat_exps()) == (True, report.total_bw)
+        assert ev.evaluate([0] * 4) == (False, None)
+
     def test_numpy_integer_node_accepted(self, rs53, f16):
         one = f16.one()
         scheme = RepairScheme(SubpacketizationSpec(rs53, 1), np.int64(2),
@@ -345,7 +361,7 @@ class TestMatrixOracle:
     def test_naive_full_download_matrices(self, f16):
         # single-parity code: downloading the parity's entire content makes
         # every gamma full
-        code = CodeSpec(3, 2, f16, [[f16.one()], [f16.zeta()]])
+        code = CodeSpec(3, 2, f16, [[f16.one()], [f16.element(1)]])
         sub = SubpacketizationSpec(code, 1)
         mat = MatrixScheme(sub, 1, np.eye(4, dtype=np.int64)[0],
                            (np.eye(4, dtype=np.int64),))
@@ -494,6 +510,30 @@ class TestMatrixOracle:
                                             (bad, mat.matrices[1])))
 
 
+    @pytest.mark.parametrize("edit", [
+        lambda R: R + 0.5,
+        lambda R: np.where(R == 1, 1.9, R),
+        lambda R: np.where(np.arange(R.shape[1]) == 0, 0.5, R),
+        lambda R: R.astype(bool),
+    ], ids=["shifted", "1.9 for 1", "column of 0.5", "bool"])
+    def test_non_integer_matrix_rejected(self, rs53, edit):
+        # truncated to int64, the first three ranked like the integer
+        # matrices or as a zero column (gammas (3, 3, 2)), and bools passed
+        scheme = bundled_scheme("rs53", 1)
+        mat = realize_matrices(scheme)
+        hostile = MatrixScheme(scheme.sub, 1, mat.reference,
+                               tuple(map(edit, mat.matrices)))
+        with pytest.raises(ParseError, match="^repair matrix entries must be integers, got "):
+            gamma_ranks_matrix(scheme.sub, 1, hostile)
+
+    def test_integer_matrix_dtypes_accepted(self, rs53):
+        scheme = bundled_scheme("rs53", 1)
+        mat = realize_matrices(scheme)
+        narrow = MatrixScheme(scheme.sub, 1, mat.reference,
+                              tuple(R.astype(np.uint8) for R in mat.matrices))
+        assert gamma_ranks_matrix(scheme.sub, 1, narrow) == gamma_ranks(scheme)
+
+
 class TestRecoverNode:
     def test_zero_codeword(self, rs53, f16):
         cw = encode(rs53, [f16.zero()] * 3)
@@ -571,7 +611,8 @@ class TestRecoverNode:
             codewords.append(encode(code, [
                 code.field.element(rng.randrange(code.field.q - 1))
                 for _ in range(code.k)]))
-            # builds the lazy subfield tables, which solve_mod_p inverts once
+            # builds the lazy subfield tables: tower_inverse comes from one
+            # linalg.rref_rows over GF(p), p = 2 included, before the patch
             recover_node(codewords[-1], scheme)
         calls = []
         rref_rows = linalg.rref_rows
