@@ -188,13 +188,29 @@ class FieldSpec:
         index, for x < q-1 + m-1, and the tuple ``rows``, rows[e] =
         values[e:e+m] = e_0 . operator(z^e) for e < q-1 on python: a bit-row
         int (bit c for column c) for p = 2, a tuple otherwise.  Row e + log nu
-        is r . operator(z^e) for r = e_0 . operator(nu) (``find_left_operator``)."""
+        is r . operator(z^e) for r = e_0 . operator(nu) (``unit_logs``)."""
         p, m, q1 = self.p, self.m, self.q - 1
         values = self.exp_array[np.arange(q1 + m - 1) % q1] % p
         columns = [values[c:c + q1] for c in range(m)]  # column c of every row
         if p == 2:
             return values, tuple(sum(col << c for c, col in enumerate(columns)).tolist())
         return values, tuple(zip(*(col.tolist() for col in columns)))
+
+    @table
+    def unit_logs(self) -> tuple:
+        """The inverse of ``unit_functional``'s rows, a tuple indexed by
+        packed index: unit_logs[x.index] is the e < q-1 with e_0 .
+        operator(z^e) = x.coords(), None at x = 0.  The rows run over every
+        nonzero vector once, so a nonzero reference r is e_0 . operator(nu)
+        for the one nu = z^unit_logs[from_coords(r).index], a lookup in
+        place of ``find_left_operator``'s linear solve."""
+        q1 = self.q - 1
+        values = self.unit_functional[0]
+        packed = sum(values[c:c + q1] * self.p ** c for c in range(self.m))
+        logs = [None] * self.q
+        for e, index in enumerate(packed.tolist()):
+            logs[index] = e
+        return tuple(logs)
 
     @table
     def rank_keys(self) -> np.ndarray:

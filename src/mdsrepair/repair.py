@@ -50,8 +50,7 @@ from .errors import (
     as_int,
     as_node,
 )
-from .gf import (FieldElement, SubfieldSpec, coordinate_vector, find_left_operator,
-                 subfield_coords)
+from .gf import FieldElement, SubfieldSpec, coordinate_vector, subfield_coords
 
 
 class SubpacketizationSpec(Value):
@@ -329,9 +328,11 @@ class MatrixScheme(Value):
 
     matrices[l] has shape m x (s * beta): one column per downloaded GF(p)
     equation from parity node k+1+l, grouped in blocks of s columns per
-    GF(p^s) sub-symbol equation.  The reference and the matrices are
-    stored read-only, a writable array as a copy, and two schemes are
-    equal, with equal hashes, when their entries are.
+    GF(p^s) sub-symbol equation.  The reference is checked here as
+    ``realize_matrices`` checks it (``_reference``), the matrices by
+    ``gamma_ranks_matrix``.  Both are stored as given, read-only, a
+    writable array as a copy, and two schemes are equal, with equal
+    hashes, when their entries are.
     """
 
     sub: SubpacketizationSpec
@@ -340,6 +341,7 @@ class MatrixScheme(Value):
     matrices: tuple
 
     def __post_init__(self):
+        _reference(self.sub.code.field, self.reference)
         object.__setattr__(self, "reference", freeze(self.reference, copy=True))
         object.__setattr__(self, "matrices", freeze(self.matrices, copy=True))
 
@@ -365,22 +367,29 @@ def _entries(value):
     return value if tolist is None else _entries(tolist())
 
 
+def _reference(field, reference) -> np.ndarray:
+    """The reference row as m GF(p) coordinates, a new int64 array reduced
+    mod p: it must pass ``coordinate_vector`` (ParseError,
+    DimensionMismatch) and be nonzero (ZeroReference)."""
+    reference = coordinate_vector(field, reference, "reference")
+    if not reference.any():
+        raise ZeroReference("reference vector must be nonzero")
+    return reference
+
+
 def _equations(scheme: RepairScheme, reference) -> tuple:
     """(reference, logs): the reference row r reduced mod p (e_0 by
-    default) and the row L of ``FieldSpec.unit_functional`` of each
-    downloaded equation, parity-major with t fastest.  Its equation r .
-    operator(e * w^t) is e_0 . operator(nu * e * w^t) for the nu with e_0 .
-    operator(nu) = r (``find_left_operator``), so L = log(nu * e * w^t) mod
-    q-1.  The reference must pass ``coordinate_vector`` (ParseError,
-    DimensionMismatch) and be nonzero (ZeroReference)."""
+    default), checked by ``_reference``, and the row L of
+    ``FieldSpec.unit_functional`` of each downloaded equation, parity-major
+    with t fastest.  Its equation r . operator(e * w^t) is e_0 .
+    operator(nu * e * w^t) for the nu with e_0 . operator(nu) = r, looked up
+    in ``FieldSpec.unit_logs``, so L = log(nu * e * w^t) mod q-1."""
     field = scheme.sub.code.field
     if reference is None:
         reference, shift = field.coords_table[1], 0
     else:
-        reference = coordinate_vector(field, reference, "reference")
-        if not reference.any():
-            raise ZeroReference("reference vector must be nonzero")
-        shift = find_left_operator(field, field.coords_table[1], reference).exp
+        reference = _reference(field, reference)
+        shift = field.unit_logs[field.from_coords(reference).index]
     return reference, [(e + off + shift) % (field.q - 1)
                        for e in scheme.flat_exps() for off in scheme.sub.subfield.offsets]
 
@@ -406,12 +415,12 @@ def gamma_ranks_matrix(sub: SubpacketizationSpec, failed: int,
     explicit matrix scheme over GF(p); counts are converted to GF(p^s)
     symbols.  The k blocks come from one operator product and leave NumPy
     in one ``tolist()``: for p = 2 as bit-rows (bit c for column c), each
-    ranked by ``linalg.rref_bits``, for odd p as lists, each ranked by
-    ``linalg.rref_rows``: about 0.13 ms for an fb1410 scheme with
-    ``realize_matrices``.  This route never touches element-level rank
-    computations.  ``sub`` and ``failed`` must be the ones ``mat`` was
-    realized for; integer entries only (ParseError otherwise, nothing is
-    coerced)."""
+    ranked by the basis size of ``linalg.echelon_bits``, for odd p as lists,
+    each by the pivot count of ``linalg.rref_rows``: about 0.09 ms for an
+    fb1410 scheme with ``realize_matrices``.  This route never touches
+    element-level rank computations.  ``sub`` and ``failed`` must be the
+    ones ``mat`` was realized for; NumPy integer arrays only (ParseError
+    otherwise, nothing is coerced)."""
     if (sub, failed) != (mat.sub, mat.failed):
         raise ValueError(
             f"matrices realize node {mat.failed} of {mat.sub}, "
@@ -423,6 +432,9 @@ def gamma_ranks_matrix(sub: SubpacketizationSpec, failed: int,
         raise DimensionMismatch(
             f"expected {sub.code.r} repair matrices, got {len(mat.matrices)}")
     for R in mat.matrices:
+        if not isinstance(R, np.ndarray):
+            raise ParseError(
+                f"repair matrices must be integer arrays, got {type(R).__name__}")
         if R.shape != (m, cols):
             raise DimensionMismatch(
                 f"repair matrix shape {R.shape} != ({m},{cols})")
@@ -437,7 +449,7 @@ def gamma_ranks_matrix(sub: SubpacketizationSpec, failed: int,
         equations, field.operators(sub.code.parity_exps()), field.p
     ).reshape(sub.code.k, m, m)
     if field.p == 2:
-        ranks = [len(linalg.rref_bits(rows)[1])
+        ranks = [len(linalg.echelon_bits(rows)[0])
                  for rows in (blocks << np.arange(m)).sum(-1).tolist()]
     else:
         ranks = [len(linalg.rref_rows(rows, field.p)) for rows in blocks.tolist()]
@@ -470,17 +482,17 @@ def recover_node(codeword: Codeword, scheme: RepairScheme,
 
     Each parity sends its beta realized equations applied to its stored
     vector; each surviving systematic node sends the echelon basis of its
-    interference block applied to its own vector; interference is
-    subtracted and the useful block is solved for the lost coordinates.
-    That block is eliminated once, together with the signal: the pivots
-    left of the signal column give its rank, and ``InfeasibleScheme`` is
-    raised unless it is full.
+    interference block applied to its own vector, from which the repairer
+    rebuilds the interference and subtracts it; the useful block is solved
+    for the lost coordinates.  That block is eliminated once, together with
+    the signal: the pivots left of the signal column give its rank, and
+    ``InfeasibleScheme`` is raised unless it is full.
 
     Every equation is a row of ``FieldSpec.unit_functional`` read on python
     ints: row L (``_equations``) for the equation, and row L + log P_u^l,
-    mod q-1, for what it sees of node u at parity l.  For p = 2 the
-    rows are bit-rows and the stored vectors ``x.index``, eliminated by
-    ``linalg.rref_bits`` (``_solve_bits``); for odd p tuples and
+    mod q-1, for what it sees of node u at parity l.  For p = 2 the rows
+    are bit-rows and the stored vectors ``x.index``, eliminated forward
+    only by ``linalg.echelon_bits`` (``_solve_bits``); for odd p tuples and
     ``x.coords()``, by ``linalg.rref_rows`` (``_solve_mod_p``).  No
     operator is built and no element rank kernel runs.
     """
@@ -499,10 +511,9 @@ def recover_node(codeword: Codeword, scheme: RepairScheme,
     # each parity sends its equations applied to its stored vector
     sent = [(rows[L], vectors[k + i // width]) for i, L in enumerate(logs)]
     if p == 2:
-        ranks, pivots, solution = _solve_bits(blocks, vectors, sent, failed - 1)
+        ranks, useful, solution = _solve_bits(blocks, vectors, sent, failed - 1)
     else:
-        ranks, pivots, solution = _solve_mod_p(blocks, vectors, sent, failed - 1, p)
-    useful = sum(c < m for c in pivots)
+        ranks, useful, solution = _solve_mod_p(blocks, vectors, sent, failed - 1, p)
     if useful != m:
         raise InfeasibleScheme(
             f"gamma_{failed} = {useful // sub.s} < alpha = {sub.alpha}")
@@ -515,13 +526,13 @@ def recover_node(codeword: Codeword, scheme: RepairScheme,
 
 
 def _solve_bits(blocks: list, vectors: list, sent: list, failed: int) -> tuple:
-    """``recover_node``'s eliminations over GF(2) on bit-rows, bit c for
-    column c, of the k interference ``blocks`` of m rows, the n stored
-    ``vectors`` and the m (equation, parity vector) pairs ``sent``, whose
-    products are the signal, bit j for equation j.  Returns (ranks, pivots,
-    solution): each surviving node's block rank, 1-based, the failed
-    block's pivot columns with the signal as column m, and the coordinates
-    solved for, read only when m pivots lie left of the signal."""
+    """``recover_node``'s eliminations over GF(2) by ``linalg.echelon_bits``
+    on bit-rows, bit c for column c, of the k interference ``blocks`` of m
+    rows, the n stored ``vectors`` and the m (equation, parity vector) pairs
+    ``sent``, whose products are the signal, bit j for equation j.  Returns
+    (ranks, rank, solution): each surviving node's block rank, 1-based, the
+    failed block's rank, and the coordinates solved for, read only when
+    that rank is m."""
     m = len(sent)
     signal = sum(((row & vector).bit_count() & 1) << j
                  for j, (row, vector) in enumerate(sent))
@@ -529,18 +540,27 @@ def _solve_bits(blocks: list, vectors: list, sent: list, failed: int) -> tuple:
     for u, (block, vector) in enumerate(zip(blocks, vectors)):
         if u == failed:
             continue
-        basis, pivots = linalg.rref_bits(block)
-        # node u sends basis . vector, one bit per pivot column c, and the
-        # interference of equation j is block[j] . fetched: see _solve_mod_p
+        basis, combos = linalg.echelon_bits(block)
+        # node u sends basis . vector, one bit per basis row; block[j] is the
+        # XOR of the basis rows in combos[j], so that is its interference
         fetched = 0
-        for c, row in zip(pivots, basis):
-            fetched |= ((row & vector).bit_count() & 1) << c
-        for j, row in enumerate(block):
-            signal ^= ((row & fetched).bit_count() & 1) << j
-        ranks[u + 1] = len(pivots)
+        for i, row in enumerate(basis):
+            fetched |= ((row & vector).bit_count() & 1) << i
+        for j, combo in enumerate(combos):
+            signal ^= ((combo & fetched).bit_count() & 1) << j
+        ranks[u + 1] = len(basis)
+    # the basis rows of [A | signal] with a lowest bit below m count A's rank
+    # and at full rank hold the pivots 0..m-1: from the last pivot c down, x_c
+    # is the row's signal bit plus its bits of x above c
     system = [row | (signal >> j & 1) << m for j, row in enumerate(blocks[failed])]
-    basis, pivots = linalg.rref_bits(system)
-    return ranks, pivots, [row >> m for row in basis]
+    mask = (1 << m) - 1
+    pivots = sorted((row for row in linalg.echelon_bits(system)[0] if row & mask),
+                    key=lambda row: row & -row, reverse=True)
+    x = 0
+    for row in pivots:
+        if (row >> m ^ (row & mask & x).bit_count()) & 1:
+            x |= row & -row
+    return ranks, len(pivots), [x >> c & 1 for c in range(m)]
 
 
 def _solve_mod_p(blocks: list, vectors: list, sent: list, failed: int,
@@ -569,4 +589,4 @@ def _solve_mod_p(blocks: list, vectors: list, sent: list, failed: int,
     # (its pivots left of column m) and, when that is full, the solution
     system = [[*row, x] for row, x in zip(blocks[failed], signal)]
     pivots = linalg.rref_rows(system, p)
-    return ranks, pivots, [row[m] for row in system]
+    return ranks, sum(c < m for c in pivots), [row[m] for row in system]

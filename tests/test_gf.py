@@ -107,7 +107,7 @@ class TestConstruction:
         sub = field.subfield(2)
         monkeypatch.undo()
         layouts = [(obj, set(vars(obj))) for obj in (field, sub)]
-        names = ["coords_table", "exp_array", "rank_keys", "unit_functional"]
+        names = ["coords_table", "exp_array", "rank_keys", "unit_functional", "unit_logs"]
         if p == 2:
             assert not hasattr(field, "zech_arrays")
         else:
@@ -361,6 +361,10 @@ class TestOperators:
             assert [[r >> c & 1 for c in range(m)] for r in rows] == expect
         else:
             assert list(map(list, rows)) == expect
+        # unit_logs inverts the rows, by packed index
+        logs = field.unit_logs
+        assert len(logs) == field.q and logs[0] is None
+        assert [logs[field.from_coords(row).index] for row in expect] == list(range(q1))
 
 
 class TestFindLeftOperator:

@@ -1,14 +1,16 @@
 """The elimination mod p (``linalg.rref_rows``) and its array wrappers
 ``rref_mod_p``, ``rank_mod_p`` and ``solve_mod_p``, against brute force over
 GF(p) for p in {2, 3, 5, 7}: row spaces and solutions are enumerated.  The
-GF(2) elimination on bit-rows (``rref_bits``) is checked against
-``rref_rows(rows, 2)``."""
+forward-only GF(2) elimination on bit-rows (``echelon_bits``) is checked
+against ``rref_rows(rows, 2)``."""
 
 import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mdsrepair import linalg
 from mdsrepair.errors import DimensionMismatch
@@ -91,25 +93,41 @@ def test_list_kernel_is_rref_mod_p(p):
         assert rows == (M % p).tolist()
 
 
+def assert_echelon(rows, width):
+    """``echelon_bits(rows)`` has the rank of ``rref_rows``, basis rows with
+    distinct lowest bits, and combos whose basis rows XOR to each row."""
+    copy = list(rows)
+    basis, combos = linalg.echelon_bits(rows)
+    assert rows == copy
+    bits = [[v >> c & 1 for c in range(width)] for v in rows]
+    assert len(basis) == len(linalg.rref_rows(bits, 2))
+    assert 0 not in basis
+    assert len({v & -v for v in basis}) == len(basis)
+    assert len(combos) == len(rows)
+    for v, combo in zip(rows, combos):
+        assert combo < 1 << len(basis)
+        xor = 0
+        for i, b in enumerate(basis):
+            if combo >> i & 1:
+                xor ^= b
+        assert xor == v
+
+
 def test_bit_kernel_is_rref_rows():
     rng = random.Random(2)
     # wide, tall and square shapes up to 16 columns, the largest m
     shapes = SHAPES + [(1, 16), (16, 1), (3, 16), (16, 3), (16, 16)]
     shapes += [(rng.randrange(17), rng.randrange(17)) for _ in range(40)]
     for M in matrices(2, rng, shapes):
-        bits = (M % 2).tolist()
-        rows = [sum(b << c for c, b in enumerate(row)) for row in bits]
-        copy = list(rows)
-        basis, pivots = linalg.rref_bits(rows)
-        assert rows == copy
-        want = list(bits)
-        assert pivots == linalg.rref_rows(want, 2)
-        assert basis == [sum(b << c for c, b in enumerate(row))
-                         for row in want[:len(pivots)]]
-        # unit pivots as lowest bits, zeros in the other pivot columns
-        for row, c in zip(basis, pivots):
-            assert row & -row == 1 << c
-            assert [row >> d & 1 for d in pivots] == [int(d == c) for d in pivots]
+        assert_echelon([sum(b << c for c, b in enumerate(row)) for row in (M % 2).tolist()],
+                       M.shape[1])
+
+
+@given(st.integers(0, 16).flatmap(lambda width: st.tuples(
+    st.lists(st.integers(0, (1 << width) - 1), max_size=20), st.just(width))))
+def test_bit_kernel_properties(case):
+    # random bit-row sets of every width up to 16, repeats and zeros included
+    assert_echelon(*case)
 
 
 @pytest.mark.parametrize("p", PRIMES)

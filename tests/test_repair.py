@@ -1,5 +1,7 @@
+import ast
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,7 @@ from mdsrepair.errors import (
     ZeroReference,
 )
 from mdsrepair.gf import FieldElement, FieldSpec, SubfieldSpec, find_left_operator
-from mdsrepair import linalg, repair
+from mdsrepair import gf, linalg, repair
 from mdsrepair.repair import (
     MatrixScheme,
     RepairScheme,
@@ -379,8 +381,12 @@ class TestMatrixOracle:
                 gamma_ranks_matrix(sub, failed, mat)
 
     def test_zero_reference(self, rs53):
+        scheme = bundled_scheme("rs53", 1)
         with pytest.raises(ZeroReference):
-            realize_matrices(bundled_scheme("rs53", 1), np.zeros(4, dtype=int))
+            realize_matrices(scheme, np.zeros(4, dtype=int))
+        # a hand-built scheme's reference is checked alike, on construction
+        with pytest.raises(ZeroReference):
+            MatrixScheme(scheme.sub, 1, [0, 2, 0, -2], realize_matrices(scheme).matrices)
 
     def test_realizations_compare_by_content(self, rs53):
         scheme = bundled_scheme("rs53", 1)
@@ -409,6 +415,8 @@ class TestMatrixOracle:
         cw = encode(rs53, [rs53.field.one()] * rs53.k)
         with pytest.raises(DimensionMismatch, match=r"need \(4,\)"):
             recover_node(cw, scheme, reference)
+        with pytest.raises(DimensionMismatch, match=message):
+            MatrixScheme(scheme.sub, 1, reference, realize_matrices(scheme).matrices)
 
     @pytest.mark.parametrize("reference", [[1.5, 0, 0, 0], [1.0, 0, 0, 0],
                                            [True, False, False, False],
@@ -417,43 +425,45 @@ class TestMatrixOracle:
     def test_reference_not_integers(self, rs53, reference):
         scheme = bundled_scheme("rs53", 1)
         cw = encode(rs53, [rs53.field.one()] * rs53.k)
+        matrices = realize_matrices(scheme).matrices
         for realize in (lambda: realize_matrices(scheme, reference),
-                        lambda: recover_node(cw, scheme, reference)):
+                        lambda: recover_node(cw, scheme, reference),
+                        lambda: MatrixScheme(scheme.sub, 1, reference, matrices)):
             with pytest.raises(ParseError,
                                match="^reference vector entries must be integers, got"):
                 realize()
 
     def test_eliminations_by_characteristic(self, rs64_gf81, monkeypatch, rng):
         # gamma_ranks_matrix ranks each of its k blocks once, as bit-rows by
-        # linalg.rref_bits for p = 2 and as lists by linalg.rref_rows for odd
-        # p, and never through rank_mod_p
+        # linalg.echelon_bits for p = 2 and as lists by linalg.rref_rows for
+        # odd p, and never through rank_mod_p
         schemes = [bundled_scheme("rs53", 1), bundled_scheme("fb1410", 3),
                    lift_scheme(find_repair(generate_clique(bundled_code("rs64")), 2).scheme, 2),
                    random_scheme(rs64_gf81, 1, 2, rng), random_scheme(rs64_gf81, 2, 3, rng)]
         mats = [realize_matrices(scheme) for scheme in schemes]
         reports = [gamma_ranks(scheme) for scheme in schemes]
         calls = []
-        rref_rows, rref_bits = linalg.rref_rows, linalg.rref_bits
+        rref_rows, echelon_bits = linalg.rref_rows, linalg.echelon_bits
 
         def rows_spy(rows, p):
             calls.append(("rref_rows", p))
             return rref_rows(rows, p)
 
         def bits_spy(rows):
-            calls.append(("rref_bits", 2))
-            return rref_bits(rows)
+            calls.append(("echelon_bits", 2))
+            return echelon_bits(rows)
 
         def refuse(*args):
             raise AssertionError("rank_mod_p called")
         monkeypatch.setattr(linalg, "rref_rows", rows_spy)
-        monkeypatch.setattr(linalg, "rref_bits", bits_spy)
+        monkeypatch.setattr(linalg, "echelon_bits", bits_spy)
         monkeypatch.setattr(linalg, "rank_mod_p", refuse)
         for scheme, mat, report in zip(schemes, mats, reports):
             calls.clear()
             assert gamma_ranks_matrix(scheme.sub, scheme.failed, mat) == report
             code = scheme.sub.code
             p = code.field.p
-            assert calls == [("rref_bits" if p == 2 else "rref_rows", p)] * code.k
+            assert calls == [("echelon_bits" if p == 2 else "rref_rows", p)] * code.k
 
     def test_gammas_are_block_ranks(self, rng):
         # each gamma is rank_mod_p of its node's block, built here one
@@ -483,13 +493,13 @@ class TestMatrixOracle:
             assert report == gamma_ranks(scheme)
 
     def test_rank_not_multiple_of_s_rejected(self, rs64, rs64_gf81, monkeypatch, rng):
-        # a kernel that returns one pivot too many, an odd rank at s = 2, is
-        # caught for p = 2 and odd p alike
-        rref_rows, rref_bits = linalg.rref_rows, linalg.rref_bits
+        # a kernel that returns one pivot (or basis row) too many, an odd
+        # rank at s = 2, is caught for p = 2 and odd p alike
+        rref_rows, echelon_bits = linalg.rref_rows, linalg.echelon_bits
         monkeypatch.setattr(linalg, "rref_rows",
                             lambda rows, p: [*rref_rows(rows, p), len(rows[0])])
-        monkeypatch.setattr(linalg, "rref_bits",
-                            lambda rows: tuple([*part, 0] for part in rref_bits(rows)))
+        monkeypatch.setattr(linalg, "echelon_bits",
+                            lambda rows: tuple([*part, 0] for part in echelon_bits(rows)))
         for code in (rs64, rs64_gf81):
             scheme = random_scheme(code, 2, 1, rng)
             with pytest.raises(InvalidMatrix, match="of node 1 block is not a multiple of s=2"):
@@ -498,6 +508,14 @@ class TestMatrixOracle:
     def test_matrix_validation(self, rs53):
         scheme = bundled_scheme("rs53", 1)
         mat = realize_matrices(scheme)
+        # nested lists are refused, not converted
+        nested = MatrixScheme(scheme.sub, 1, mat.reference,
+                              tuple(R.tolist() for R in mat.matrices))
+        with pytest.raises(ParseError, match="^repair matrices must be integer arrays, got list$"):
+            gamma_ranks_matrix(scheme.sub, 1, nested)
+        # a reference that is no m-vector of integers is refused on construction
+        with pytest.raises(DimensionMismatch, match=r"^reference vector has shape \(2,\)"):
+            MatrixScheme(scheme.sub, 1, [0.5, "x"], mat.matrices)
         with pytest.raises(DimensionMismatch):
             gamma_ranks_matrix(scheme.sub, 1,
                                MatrixScheme(scheme.sub, 1, mat.reference,
@@ -600,7 +618,7 @@ class TestRecoverNode:
             recover_node(cw, scheme)
 
     def test_eliminations_by_characteristic(self, rs64_gf81, monkeypatch, rng):
-        # p = 2 eliminates on bit-rows (linalg.rref_bits), odd p on lists by
+        # p = 2 eliminates on bit-rows (linalg.echelon_bits), odd p on lists by
         # linalg.rref_rows: one call per surviving node and one for the
         # failed block
         schemes = [bundled_scheme("rs53", 1), bundled_scheme("fb1410", 3),
@@ -631,25 +649,28 @@ class TestRecoverNode:
 
     def test_no_operators_per_call(self, rs64_gf81, monkeypatch, rng):
         # every equation and interference row is a lookup in the lazily
-        # built unit table: after one warm-up call, no recovery builds
-        # an operator or multiplies GF(p) matrices
+        # built unit table, and a custom reference a lookup of its log in
+        # unit_logs: after one warm-up call, no recovery builds an operator,
+        # multiplies GF(p) matrices or solves for the reference's nu
         clique = find_repair(generate_clique(rs64_gf81), 2).scheme
         schemes = [*bundled_schemes("rs53").values(), *bundled_schemes("fb1410").values(),
                    clique, lift_scheme(clique, 2)]
-        codewords = []
+        cases = []
         for scheme in schemes:
-            code = scheme.sub.code
-            codewords.append(encode(code, [
-                code.field.element(rng.randrange(code.field.q - 1))
-                for _ in range(code.k)]))
-            recover_node(codewords[-1], scheme)
+            field = scheme.sub.code.field
+            cw = encode(scheme.sub.code, [field.element(rng.randrange(field.q - 1))
+                                          for _ in range(scheme.sub.code.k)])
+            for reference in (None, field.coords_table[rng.randrange(2, field.q)]):
+                recover_node(cw, scheme, reference)
+                cases.append((scheme, cw, reference))
 
         def refuse(*args):
-            raise AssertionError("operator built or GF(p) product taken")
+            raise AssertionError("operator built, GF(p) product taken or system solved")
         monkeypatch.setattr(FieldSpec, "operators", refuse)
         monkeypatch.setattr(linalg, "matmul_mod_p", refuse)
-        for scheme, cw in zip(schemes, codewords):
-            assert recover_node(cw, scheme).element == cw[scheme.failed - 1]
+        monkeypatch.setattr(linalg, "solve_mod_p", refuse)
+        for scheme, cw, reference in cases:
+            assert recover_node(cw, scheme, reference).element == cw[scheme.failed - 1]
 
     def test_matrix_route_never_ranks_elements(self, rs64_gf81, monkeypatch, rng):
         # gamma_ranks_matrix and recover_node stay an independent oracle of
@@ -679,6 +700,45 @@ class TestRecoverNode:
             result = recover_node(cw, scheme)
             assert result.element == cw[failed - 1]
             assert result.total_symbols == report.total_bw
+
+    def test_matrix_route_names_no_element_kernel(self):
+        # the same independence read off the source: the matrix-route
+        # functions name no element-route kernel or table, and gf, which
+        # holds the element route, never names the matrix route's GF(2)
+        # kernel
+        def names(tree):
+            return {node.id if isinstance(node, ast.Name) else node.attr
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Name, ast.Attribute))}
+
+        element = re.compile(r"(bit_rank|zech_rank)\w*|rank_exps|rank_batch|rank_keys"
+                             r"|node_keys|slot_shifts")
+        route = {"_equations", "realize_matrices", "gamma_ranks_matrix", "recover_node",
+                 "_solve_bits", "_solve_mod_p"}
+        tree = ast.parse(Path(repair.__file__).read_text())
+        functions = {node.name: node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name in route}
+        assert set(functions) == route
+        assert {name: sorted(filter(element.fullmatch, names(node)))
+                for name, node in functions.items()} == dict.fromkeys(route, [])
+        assert "echelon_bits" not in names(ast.parse(Path(gf.__file__).read_text()))
+
+    def test_back_substitution_is_solve_mod_p(self, rng):
+        # the failed block alone, with no interference and signal bit j the
+        # right-hand side b_j: the rank _solve_bits counts off its forward
+        # echelon is A's, and on invertible systems of every size up to
+        # 16 its back-substituted solution is solve_mod_p's
+        solved = 0
+        while solved < 120:
+            m = rng.randrange(1, 17)
+            A = np.array([[rng.randrange(2) for _ in range(m)] for _ in range(m)])
+            b = np.array([rng.randrange(2) for _ in range(m)])
+            rows = [sum(v << c for c, v in enumerate(row)) for row in A.tolist()]
+            ranks, rank, x = repair._solve_bits([rows], [0], [(v, 1) for v in b.tolist()], 0)
+            assert ranks == {} and rank == linalg.rank_mod_p(A, 2)
+            if rank == m:
+                assert x == linalg.solve_mod_p(A, b, 2).tolist()
+                solved += 1
 
     def test_reference_immaterial(self, rs53, f16, rng):
         scheme = bundled_scheme("rs53", 3)
