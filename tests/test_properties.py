@@ -8,7 +8,7 @@ table per field (``FieldSpec.unit_functional``), a reference row being a
 log shift into it, which ``realize_matrices`` gathers and ``recover_node``
 reads on python ints.
 ``gamma_ranks_matrix`` multiplies operators, then ranks each node's block
-on python ints like ``recover_node`` eliminates: by ``linalg.rref_bits``
+on python ints like ``recover_node`` eliminates: by ``linalg.echelon_bits``
 on bit-rows for p = 2, here on GF(2^4) and GF(2^8), and by
 ``linalg.rref_rows`` on lists for odd p.  ``test_routes_agree``
 runs the same number of examples on every (code, s) of ``SUBS``, so each
@@ -18,7 +18,7 @@ and the sub-symbols that ``recover_node`` returns (``subfield_coords``)
 against element arithmetic, at s = 1, 2, 3 and 4.  One ``recover_node``
 takes about 0.03 ms on RS(5,3) over GF(2^4) and 0.08 ms on RS(6,4) over
 GF(3^4) (0.07 and 0.10 ms with the operator products it replaced), and
-one matrix report about 0.13 ms on fb1410 (0.35 ms when each block went
+one matrix report about 0.09 ms on fb1410 (0.35 ms when each block went
 through ``linalg.rank_mod_p``) and 0.07 ms on RS(6,4) over GF(3^4).
 """
 
