@@ -506,16 +506,31 @@ class SubfieldSpec:
         otherwise) overwrites."""
         field = self.field
         if field.p == 2:
-            r = linalg.bit_rank_batch(cols, field.m)
-        else:
-            r = linalg.zech_rank_batch(cols, field.m, *field.zech_arrays)
+            return self._symbols(linalg.bit_rank_batch(cols, field.m))
+        return self._symbols(linalg.zech_rank_batch(cols, field.m, *field.zech_arrays))
+
+    def rank_extend_batch(self, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """(N, V) GF(p^s)-ranks of set n of ``cols``, laid out as for
+        ``rank_batch``, with the s keys rows[:, n, v] of the (s, N, V) array
+        ``rows``, one element's expansion: each set is eliminated once, and
+        its V extensions reduced against its pivots.  Both are overwritten."""
+        field, m = self.field, self.field.m
+        if field.p == 2:
+            pivots = linalg.bit_echelon_batch(cols, m)
+            return self._symbols(linalg.bit_extend_batch(rows, pivots, m))
+        pivots = linalg.zech_echelon_batch(cols, m, *field.zech_arrays)
+        return self._symbols(linalg.zech_extend_batch(rows, pivots, m, *field.zech_arrays))
+
+    def _symbols(self, r: np.ndarray) -> np.ndarray:
+        """GF(p)-ranks as GF(p^s)-ranks; InvalidMatrix unless multiples of s."""
         if self.s == 1:
             return r
-        bad = r % self.s != 0
+        symbols = r // self.s  # faster than r % s
+        bad = symbols * self.s != r
         if bad.any():
             raise InvalidMatrix(
-                f"GF({field.p})-rank {r[bad][0]} is not a multiple of s={self.s}")
-        return r // self.s
+                f"GF({self.field.p})-rank {r[bad][0]} is not a multiple of s={self.s}")
+        return symbols
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SubfieldSpec)

@@ -11,20 +11,21 @@ Six representations are used:
   elimination of the same two callers (`echelon_bits`), by XOR;
 * python ints as bit-rows for the GF(2) element rank (`bit_rank`);
 * numpy arrays of packed coordinates, one set of rows per column, for the
-  batched GF(2) rank (`bit_rank_batch`) that the p = 2 search ranks whole
-  candidate chunks with, in the smallest unsigned dtype that holds q-1
-  (``uint8`` up to GF(2^8), ``uint16`` above);
+  batched GF(2) elimination (`bit_echelon_batch`) that the p = 2 search
+  ranks whole candidate chunks with, in the smallest unsigned dtype that
+  holds q-1 (``uint8`` up to GF(2^8), ``uint16`` above);
 * discrete logs of GF(p^m) elements for the odd-p element rank
   (`zech_rank`), reduced through the field's Zech-logarithm tables;
 * numpy int64 arrays of such logs, one set per column, for the batched odd-p
-  rank (`zech_rank_batch`) that the odd-p search ranks whole candidate
-  chunks with, through array forms of the same tables.
+  elimination (`zech_echelon_batch`) that the odd-p search ranks whole
+  candidate chunks with, through array forms of the same tables.
 
 Both batch kernels take N sets of r rows in the column layout, an (r, N)
 C-ordered array, so that every elimination step runs over contiguous
 length-N vectors, and eliminate in that array: it is overwritten.  Each
-step records its pivot row in a preallocated (steps, N) array, and a
-set's rank is the number of nonzero pivots, counted once at the end.
+step records its pivot row in a (steps, N) array, which the kernel
+returns, a set's rank being its number of nonzero pivots; the extend step
+(`bit_extend_batch`, `zech_extend_batch`) reduces more rows against them.
 
 ``repair.gamma_ranks_matrix`` ranks the ten 8x8 blocks of an fb1410
 scheme by ``echelon_bits`` in about 0.03 ms (0.065 ms when each was
@@ -32,8 +33,8 @@ brought to reduced form), and the four 4x4 blocks of an RS(6,4) scheme
 over GF(3^4) by ``rref_rows`` in about 0.03 ms.
 
 ``bit_rank`` and ``zech_rank`` are the kernels behind
-``SubfieldSpec.rank_exps``, the scalar element rank, and ``bit_rank_batch``
-and ``zech_rank_batch`` the ones behind ``SubfieldSpec.rank_batch``.
+``SubfieldSpec.rank_exps``, the scalar element rank, and the batch kernels
+the ones behind ``SubfieldSpec.rank_batch`` and ``rank_extend_batch``.
 ``rref_rows`` and ``echelon_bits`` belong to the explicit-matrix route and
 share no code with them, so the two routes stay independent checks of each
 other.  Matrices here are tiny (at most 16x16 for the fields this package
@@ -63,26 +64,31 @@ def bit_rank(rows) -> int:
 
 
 def _count(nonzero: np.ndarray) -> np.ndarray:
-    """The int64 number of True entries in each column of the (steps, N)
-    bool array ``nonzero``, summed in uint8 (steps <= 16), which is several
-    times faster than a count in int64."""
-    return nonzero.sum(axis=0, dtype=np.uint8).astype(np.int64)
+    """The uint8 number of True entries in each column of the (steps, N)
+    bool array ``nonzero`` (steps <= 16), several times faster than int64."""
+    return nonzero.sum(axis=0, dtype=np.uint8)
 
 
-def bit_rank_batch(cols: np.ndarray, m: int) -> np.ndarray:
-    """GF(2) ranks of N sets of bitmask rows at once.
+def _bit_step(cols: np.ndarray, pivot: np.ndarray, scratch: np.ndarray) -> None:
+    """XOR ``pivot`` into every row of ``cols`` that holds its leading bit."""
+    np.bitwise_xor(cols, pivot, out=scratch)
+    np.minimum(cols, scratch, out=cols)
+
+
+def bit_echelon_batch(cols: np.ndarray, m: int) -> np.ndarray:
+    """GF(2) echelon pivots of N sets of bitmask rows at once.
 
     ``cols`` is an (r, N) C-ordered array of packed coordinates below 2^m,
     column c the rows of set c, in any unsigned dtype
     (``FieldSpec.rank_keys`` uses the smallest that holds q-1); the
-    elimination overwrites it.  Returns the N ranks.  Each step takes the
-    largest row of every set as its pivot.  XORing the pivot into a row
-    clears the pivot's leading bit, and makes the row smaller, exactly when
-    the row holds that bit; so replacing every row by the minimum of itself
-    and its XOR with the pivot is one elimination step, and it turns the
-    pivot into 0.  A set's rank is the number of nonzero pivots, and
-    min(m, r) steps exhaust every set; the last step only records its
-    pivot.
+    elimination overwrites it.  Returns the (min(m, r), N) pivots.  Each
+    step takes the largest row of every set as its pivot.  XORing the pivot
+    into a row clears the pivot's leading bit, and makes the row smaller,
+    exactly when the row holds that bit; so replacing every row by the
+    minimum of itself and its XOR with the pivot is one elimination step
+    (``_bit_step``), and it turns the pivot into 0.  A set's nonzero pivots
+    lead at falling bits and span its rows; min(m, r) steps exhaust every
+    set, and the last step only records its pivot.
     """
     steps = min(m, len(cols))
     pivots = np.empty((steps, cols.shape[1]), dtype=cols.dtype)
@@ -90,9 +96,25 @@ def bit_rank_batch(cols: np.ndarray, m: int) -> np.ndarray:
     for i, pivot in enumerate(pivots, 1):
         cols.max(axis=0, out=pivot)
         if i < steps:
-            np.bitwise_xor(cols, pivot, out=scratch)
-            np.minimum(cols, scratch, out=cols)
-    return _count(pivots != 0)
+            _bit_step(cols, pivot, scratch)
+    return pivots
+
+
+def bit_rank_batch(cols: np.ndarray, m: int) -> np.ndarray:
+    """The int64 GF(2) ranks of ``bit_echelon_batch``'s sets."""
+    return _count(bit_echelon_batch(cols, m) != 0).astype(np.int64)
+
+
+def bit_extend_batch(rows: np.ndarray, pivots: np.ndarray, m: int) -> np.ndarray:
+    """(N, V) uint8 GF(2) ranks of set n's ``bit_echelon_batch`` pivots with
+    the rows rows[:, n, v] of the (r, N, V) C-ordered array ``rows``, which
+    each pivot in turn reduces by ``_bit_step``: that clears every pivot's
+    leading bit, so the reduced rows' rank adds to the pivots'."""
+    scratch = np.empty_like(rows)
+    for pivot in pivots:
+        _bit_step(rows, pivot[:, None], scratch)
+    extra = _count(bit_echelon_batch(rows.reshape(len(rows), -1), m) != 0)
+    return extra.reshape(rows.shape[1:]) + _count(pivots != 0)[:, None]
 
 
 def zech_rank(exps, lead, zech, product) -> int:
@@ -125,34 +147,38 @@ def zech_rank(exps, lead, zech, product) -> int:
     return len(basis)
 
 
-def zech_rank_batch(cols: np.ndarray, m: int, lead, zech, product) -> np.ndarray:
-    """GF(p) ranks, p odd, of N sets of nonzero elements of GF(p^m) at once.
+def _zech_step(cols, index, factor, zech, product) -> None:
+    """z^x -> z^x (1 + z^zech[index]) for every row x of ``cols``, in place;
+    an index past the end of ``zech`` reads 0 = log 1 and keeps the row."""
+    zech.take(index, out=factor, mode="clip")
+    factor += cols
+    product.take(factor, out=cols, mode="clip")
+
+
+def zech_echelon_batch(cols: np.ndarray, m: int, lead, zech, product) -> np.ndarray:
+    """Echelon pivots, p odd, of N sets of nonzero elements of GF(p^m).
 
     ``cols`` is an (r, N) C-ordered int64 array of discrete logs in
     [0, 2(q-1)), with 2(q-1) for zero, as ``FieldSpec.rank_keys`` holds
     them (other values are not checked), column c the elements of set c;
-    the elimination overwrites it.  Returns the N ranks.  The tables are
-    ``FieldSpec.zech_arrays``, the array forms of ``zech_rank``'s, and this
-    is its elimination, one leading position at a time.  Each step takes
-    the row with the largest ``lead`` of every set, which has the highest
-    leading position, as its pivot, and reduces every row x that shares
-    that position by it:
-
-        z^x -> z^x (1 + z^(log(-1) + monic[pivot] - monic[x])),
-
-    which clears the leading digit and turns the pivot itself into zero.
-    A row with a lower leading position, zero included, reads an index past
-    the end of ``zech``, which clips to its last entry, 0 = log 1, and
-    leaves the row as it is.  A set's rank is the number of nonzero pivots
-    (a nonnegative ``lead``), and min(m, r) steps exhaust every set; the
-    last step only records its pivot.
+    the elimination overwrites it.  Returns the (min(m, r), N) ``lead``
+    keys of the pivots.  The tables are ``FieldSpec.zech_arrays``, the
+    array forms of ``zech_rank``'s, and this is its elimination: each step
+    takes the row of every set with the largest ``lead``, the highest
+    leading position, as its pivot, and reduces every row x at that
+    position by z^x -> z^x (1 + z^(log(-1) + monic[pivot] - monic[x]))
+    (``_zech_step``), which clears the leading digit and turns the pivot
+    into zero; a lower row, zero included, reads past the end of ``zech``
+    and is kept.  A set's nonzero pivots (``lead`` >= 0) lead at falling
+    positions, and min(m, r) steps exhaust every set; the last only
+    records its pivot.
     """
     steps = min(m, len(cols))
     pivots = np.empty((steps, cols.shape[1]), dtype=np.int64)
     keys = np.empty_like(cols)
     factor = np.empty_like(cols)
     q1 = len(product) // 4
-    # zech's index of log(-1) + monic[pivot] - monic[x] is base + pivot -
+    # zech's index of log(-1) + monic[pivot] - monic[x] is 3(q-1)/2 + pivot -
     # lead[x]: the lead positions cancel for the rows that share the pivot's
     shifted = zech[q1 + q1 // 2:]
     for i, pivot in enumerate(pivots, 1):
@@ -160,10 +186,33 @@ def zech_rank_batch(cols: np.ndarray, m: int, lead, zech, product) -> np.ndarray
         keys.max(axis=0, out=pivot)
         if i < steps:
             np.subtract(pivot, keys, out=keys)
-            shifted.take(keys, out=factor, mode="clip")
-            factor += cols
-            product.take(factor, out=cols, mode="clip")
-    return _count(pivots >= 0)
+            _zech_step(cols, keys, factor, shifted, product)
+    return pivots
+
+
+def zech_rank_batch(cols: np.ndarray, m: int, lead, zech, product) -> np.ndarray:
+    """The int64 GF(p) ranks of ``zech_echelon_batch``'s sets."""
+    return _count(zech_echelon_batch(cols, m, lead, zech, product) >= 0).astype(np.int64)
+
+
+def zech_extend_batch(rows: np.ndarray, pivots: np.ndarray, m: int,
+                      lead, zech, product) -> np.ndarray:
+    """``bit_extend_batch`` for p odd, on ``zech_echelon_batch`` pivots.  A
+    row may lead above a pivot, or the pivot be zero (``lead`` -2q), so the
+    key difference d may be negative: zech is read at 3(q-1)/2 + d, moved
+    past the end where |d| >= q-1 and the positions differ.  A reduced row
+    is zero iff it lay in the pivots' span, so the ranks add when each
+    (n, v) holds one element's expansion over a subfield, as here."""
+    q1 = len(product) // 4
+    keys = np.empty_like(rows)
+    factor = np.empty_like(rows)
+    for pivot in pivots:
+        lead.take(rows, out=keys, mode="clip")
+        np.subtract((pivot + (q1 + q1 // 2))[:, None], keys, out=keys)
+        np.putmask(keys, keys <= q1 // 2, len(zech))
+        _zech_step(rows, keys, factor, zech, product)
+    extra = _count(zech_echelon_batch(rows.reshape(len(rows), -1), m, lead, zech, product) >= 0)
+    return extra.reshape(rows.shape[1:]) + _count(pivots >= 0)[:, None]
 
 
 def rref_rows(rows: list, p: int) -> list[int]:

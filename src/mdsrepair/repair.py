@@ -251,12 +251,12 @@ class SchemeEvaluator:
         report = RepairReport(self.sub, self.failed, _gammas(self.sub, flat_exps))
         return (True, report.total_bw) if report.feasible else (False, None)
 
-    def _gammas_batch(self, cols: np.ndarray, runs: tuple) -> np.ndarray:
-        """(K, N) gammas of the (slots, N) reduced exponent columns ``cols``
-        for the K nodes of ``runs``, slices of 0-based nodes.  One ``np.take``
-        per (slot j, offset t) row and run copies ``node_keys[l, t, run]``, l
-        the parity of slot j, at ``cols[j]`` to the (slots * s, K * N) column
-        layout of the kernels, which one ``rank_batch`` call ranks in place."""
+    def _keys(self, cols: np.ndarray, runs: tuple) -> np.ndarray:
+        """The keys of the (slots, N) reduced exponent columns ``cols`` for
+        the K nodes of ``runs``, slices of 0-based nodes, in the (slots * s,
+        K * N) column layout of the kernels.  One ``np.take`` per (slot j,
+        offset t) row and run copies ``node_keys[l, t, run]``, l the parity
+        of slot j, at ``cols[j]``."""
         sub = self.sub
         slots, n = cols.shape
         width = sum(run.stop - run.start for run in runs)
@@ -269,8 +269,27 @@ class SchemeEvaluator:
                     # exponents < q-1: "clip" checks none, writes to out directly
                     np.take(table, exps, axis=-1, out=out[:len(table)], mode="clip")
                     out = out[len(table):]
-        ranks = sub.subfield.rank_batch(keys.reshape(slots * sub.s, -1))
-        return ranks.reshape(width, n)
+        return keys.reshape(slots * sub.s, width * n)
+
+    def _gammas_batch(self, cols: np.ndarray, runs: tuple) -> np.ndarray:
+        """(K, N) gammas of ``cols`` for the K nodes of ``runs`` (``_keys``),
+        ranked in place by one ``rank_batch`` call."""
+        ranks = self.sub.subfield.rank_batch(self._keys(cols, runs))
+        return ranks.reshape(sum(run.stop - run.start for run in runs), cols.shape[1])
+
+    def evaluate_completions(self, heads: np.ndarray, values: int) -> np.ndarray:
+        """(H, values) ``evaluate_batch`` totals of the completions of the
+        (H, slots-1) reduced exponent heads ``heads`` by a last exponent 0 ..
+        values-1, in row-major order.  Each head's k blocks are eliminated
+        once, and the last slot's keys, which no head changes, are reduced
+        against their pivots (``SubfieldSpec.rank_extend_batch``)."""
+        sub, k = self.sub, self.sub.code.k
+        rows = np.repeat(sub.node_keys[-1, :, :, :values], len(heads), axis=1)
+        ranks = sub.subfield.rank_extend_batch(
+            self._keys(heads.T, (slice(0, k),)), rows).reshape(k, len(heads), values)
+        totals = ranks.sum(axis=0, dtype=np.int64)
+        totals[ranks[self.failed - 1] != sub.alpha] = INFEASIBLE
+        return totals
 
     def evaluate_batch(self, flats: np.ndarray) -> np.ndarray:
         """Totals of the (N, slots) exponent tuples in ``flats``, with
@@ -328,11 +347,12 @@ class MatrixScheme(Value):
 
     matrices[l] has shape m x (s * beta): one column per downloaded GF(p)
     equation from parity node k+1+l, grouped in blocks of s columns per
-    GF(p^s) sub-symbol equation.  The reference is checked here as
-    ``realize_matrices`` checks it (``_reference``), the matrices by
-    ``gamma_ranks_matrix``.  Both are stored as given, read-only, a
-    writable array as a copy, and two schemes are equal, with equal
-    hashes, when their entries are.
+    GF(p^s) sub-symbol equation.  The failed node is checked here as in
+    ``RepairScheme``, the reference as ``realize_matrices`` checks it
+    (``_reference``), the matrices by ``gamma_ranks_matrix``.  Reference
+    and matrices are stored as given, read-only, a writable array as a
+    copy, and two schemes are equal, with equal hashes, when their entries
+    are.
     """
 
     sub: SubpacketizationSpec
@@ -341,6 +361,8 @@ class MatrixScheme(Value):
     matrices: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "failed",
+                           as_node(self.failed, self.sub.code.k, "failed node"))
         _reference(self.sub.code.field, self.reference)
         object.__setattr__(self, "reference", freeze(self.reference, copy=True))
         object.__setattr__(self, "matrices", freeze(self.matrices, copy=True))

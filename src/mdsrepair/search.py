@@ -6,22 +6,25 @@ constant leaves all gamma ranks unchanged, so the first element is pinned
 to 1 and only the remaining slots are enumerated or sampled.
 Infeasible tuples (useful block not full rank) are counted, not scored.
 
-Candidates are produced and scored in chunks of at most ``CHUNK`` tuples,
-as (N, slots) exponent arrays for ``SchemeEvaluator.evaluate_batch``
-(a batched elimination: over GF(2) for p = 2, in the log domain for odd
-p).  Exhaustive chunks are slices of the flat index range read in mixed
-radix q-1, which is lexicographic order.  A chunk's cost is mostly a fixed
+Candidates are scored in chunks of at most ``CHUNK`` tuples (a batched
+elimination: over GF(2) for p = 2, in the log domain for odd p): random
+ones as (N, slots) exponent arrays (``SchemeEvaluator.evaluate_batch``),
+exhaustive ones as heads, the first slots-1 exponents, read in mixed radix
+q-1, each with every last exponent (``evaluate_completions``): row-major,
+that is lexicographic order.  A chunk's cost is mostly a fixed
 number of NumPy calls, so one chunk covers the usual search.
 
-Memory: a chunk of N candidates holds its exponent rows (8 * slots * N
-bytes, slots <= m) and, while one block set is ranked, about
+Memory: a random chunk of N candidates holds its exponent rows (8 * slots
+* N bytes, slots <= m) and, while one block set is ranked, about
 (3b + 1) * m + 9 bytes per candidate and node of the set for p = 2, b the
 bytes of a key (1 up to GF(2^8), 2 up to GF(2^16)), or 33 * m + 9 for odd
 p.  The keys come from ``SubpacketizationSpec.node_keys``, (n-k) * s * k *
 (q-1) keys per spec: 10 KiB for fb1410 at s = 1, 3 MiB for an RS(14,12)
 code over GF(2^16).  For m <= 16 and p = 2 a full chunk of 4,096 stays
 under about 0.75 MiB plus 0.5 MiB per systematic node; measured peaks are
-0.8 MiB for fb1410 (k = 10) and 2.3 MiB for that RS(14,12) code.
+0.8 MiB for fb1410 (k = 10) and 2.3 MiB for that RS(14,12) code.  An
+exhaustive chunk peaks at 0.3 MiB for fb1410 at s = 2 (about 4 * s bytes per
+completion and node) and 1.5 MiB for RS(6,4) over GF(3^4) at s = 2 (48 * s).
 
 Random draws use the stdlib Mersenne Twister (``random.Random(seed)``),
 one ``randrange(q-1)`` exponent per free slot in slot order, so a run is
@@ -103,27 +106,24 @@ def _pin_first(free: np.ndarray) -> np.ndarray:
     return flats
 
 
-def _run(cfg: SearchConfig, count: int, tails, proven: bool) -> SearchResult:
-    """Score ``count`` candidates in stream order, ``CHUNK`` at a time,
-    keeping the feasible minimum; ``tails(start, n)`` gives the free slots
-    of candidates start .. start+n-1 as an (n, free_slots) array.
+def _run(cfg: SearchConfig, count: int, chunks, proven: bool) -> SearchResult:
+    """Keep the feasible minimum of ``count`` candidates scored in stream
+    order: ``chunks(ev)`` yields, chunk by chunk, the 1-D totals of the
+    chunk's candidates, scored by the evaluator ``ev``, and a function of i
+    that gives the exponents of its i-th candidate.
 
     Each chunk contributes its first minimum, and only strictly better
     totals replace the incumbent, so the winner is the first optimum in
     stream order: with lexicographic enumeration, the lexicographically
     smallest optimum.
     """
-    ev = SchemeEvaluator(cfg.sub, cfg.failed)
     best_total, best_flat, feasible = INFEASIBLE, None, 0
-    for start in range(0, count, CHUNK):
-        n = min(CHUNK, count - start)
-        flats = _pin_first(tails(start, n))
-        totals = ev.evaluate_batch(flats)
+    for totals, flat in chunks(SchemeEvaluator(cfg.sub, cfg.failed)):
         feasible += int(np.count_nonzero(totals != INFEASIBLE))
         i = int(totals.argmin())
         if totals[i] < best_total:
             best_total = totals[i]
-            best_flat = flats[i].tolist()
+            best_flat = flat(i)
     if best_flat is None:
         raise NoFeasibleFound(
             f"no feasible scheme among {count} candidates "
@@ -134,20 +134,30 @@ def _run(cfg: SearchConfig, count: int, tails, proven: bool) -> SearchResult:
 
 def exhaustive_search(cfg: SearchConfig) -> SearchResult:
     """Enumerate every candidate tuple in lexicographic exponent order and
-    return the feasible minimum; requires the space to fit under the cap."""
+    return the feasible minimum; requires the space to fit under the cap.
+    A chunk holds max(1, ``CHUNK`` // (q-1)) heads; with no free slot, the
+    one head is empty and its one completion the pinned 0."""
     if cfg.mode != "exhaustive":
         raise ValueError(f"a {cfg.mode}-mode config given to exhaustive_search")
     if cfg.space_size > EXHAUSTIVE_CAP:
         raise SearchSpaceTooLarge(
             f"{cfg.space_size} candidates exceed the cap {EXHAUSTIVE_CAP}")
     q1 = cfg.sub.code.field.q - 1
-    # place values of the free slots, most significant first
-    places = q1 ** np.arange(cfg.free_slots - 1, -1, -1, dtype=np.int64)
+    values = q1 if cfg.free_slots else 1
+    count = cfg.space_size // values
+    step = max(1, CHUNK // values)
+    # place values of the free head slots, most significant first
+    places = q1 ** np.arange(cfg.free_slots - 2, -1, -1, dtype=np.int64)
 
-    def tails(start, n):
-        return np.arange(start, start + n, dtype=np.int64)[:, None] // places % q1
+    def chunks(ev):
+        for start in range(0, count, step):
+            index = np.arange(start, min(start + step, count), dtype=np.int64)
+            heads = np.zeros((len(index), cfg.slots - 1), dtype=np.int64)
+            heads[:, 1:] = index[:, None] // places % q1
+            totals = ev.evaluate_completions(heads, values).ravel()
+            yield totals, lambda i: [*heads[i // values].tolist(), i % values]
 
-    return _run(cfg, cfg.space_size, tails, proven=True)
+    return _run(cfg, cfg.space_size, chunks, proven=True)
 
 
 def _stream(rng: random.Random, q1: int):
@@ -190,7 +200,10 @@ def random_search(cfg: SearchConfig) -> SearchResult:
     take = _stream(random.Random(cfg.seed), cfg.sub.code.field.q - 1)
     free = cfg.free_slots
 
-    def tails(start, n):
-        return take(n * free).reshape(n, free)
+    def chunks(ev):
+        for start in range(0, cfg.samples, CHUNK):
+            n = min(CHUNK, cfg.samples - start)
+            flats = _pin_first(take(n * free).reshape(n, free))
+            yield ev.evaluate_batch(flats), lambda i: flats[i].tolist()
 
-    return _run(cfg, cfg.samples, tails, proven=False)
+    return _run(cfg, cfg.samples, chunks, proven=False)

@@ -625,6 +625,84 @@ class TestBatchKernels:
                 assert (cols == zero).any(axis=0).all()
 
 
+    @pytest.mark.parametrize("p, poly", [(2, [1, 1, 0, 0, 1]),
+                                         (2, [1, 0, 1, 1, 1, 0, 0, 0, 1]), *ODD_FIELDS])
+    def test_extend_matches_coordinate_rank(self, p, poly, rng):
+        # a set's echelon pivots, extended by the expansion of one more
+        # element over a subfield, against rref_rows on coords_table rows of
+        # the union: heads of every size with zero and repeated elements
+        # (rank-deficient, so zero pivots), and last elements that lead
+        # above some pivot
+        field = FieldSpec(p, poly)
+        m, q1 = field.m, field.q - 1
+        if p == 2:
+            echelon, extend, tables = linalg.bit_echelon_batch, linalg.bit_extend_batch, ()
+        else:
+            echelon, extend, tables = (linalg.zech_echelon_batch, linalg.zech_extend_batch,
+                                       field.zech_arrays)
+        zero = 0 if p == 2 else 2 * q1
+        keys = field.rank_keys.tolist()
+
+        def coords(x):
+            return [0] * m if x is None else field.coords_table[field.exp_table[x]].tolist()
+
+        for s in (d for d in range(1, m + 1) if m % d == 0):
+            sub = field.subfield(s)
+
+            def expand(exps):
+                return [None if e is None else (e + off) % q1
+                        for e in exps for off in sub.offsets]
+
+            for h in range(m // s + 2):
+                heads = []
+                for _ in range(10):
+                    head = [rng.randrange(q1) for _ in range(h)]
+                    if h >= 2 and rng.random() < 0.5:
+                        head[rng.randrange(h)] = head[0]
+                    if h and rng.random() < 0.3:
+                        head[rng.randrange(h)] = None
+                    if h and rng.random() < 0.3:
+                        # the prime field: every pivot at position 0
+                        head = [rng.randrange(p - 1) * (q1 // (p - 1)) for _ in range(h)]
+                    heads.append(head)
+                # every last element where the field is small
+                lasts = [range(q1) if q1 <= 80 else [rng.randrange(q1) for _ in range(8)]
+                         for _ in heads]
+                cols = np.array([[zero if x is None else keys[x] for x in expand(head)]
+                                 for head in heads], dtype=field.rank_keys.dtype)
+                cols = cols.reshape(len(heads), h * s).T.copy()
+                rows = np.array([[[keys[x] for x in expand([e])] for e in last]
+                                 for last in lasts], dtype=cols.dtype).transpose(2, 0, 1).copy()
+                pivots = echelon(cols, m, *tables)
+                got = extend(rows, pivots, m, *tables)
+                want = [[len(linalg.rref_rows([coords(x) for x in expand(head + [e])], p))
+                         for e in last] for head, last in zip(heads, lasts)]
+                assert got.tolist() == want
+                # the nonzero pivots come first and lead at falling positions
+                head_ranks = [len(linalg.rref_rows([coords(x) for x in expand(head)], p))
+                              for head in heads]
+                nonzero = pivots != 0 if p == 2 else pivots >= 0
+                assert nonzero.sum(axis=0).tolist() == head_ranks
+                for n, rank in enumerate(head_ranks):
+                    lead = pivots[:rank, n].tolist()
+                    assert nonzero[:rank, n].all() and lead == sorted(set(lead), reverse=True)
+
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_bit_extend_takes_any_rows(self, m, rng):
+        # over GF(2) the reduced rows' rank adds to the pivots' for any
+        # extra rows, not only an element's expansion
+        for r in range(m + 2):
+            for extra in (1, 2, 3):
+                sets = [[rng.randrange(1 << m) for _ in range(r)] for _ in range(40)]
+                more = [[[rng.randrange(1 << m) for _ in range(extra)] for _ in range(3)]
+                        for _ in sets]
+                cols = np.array(sets, dtype=np.uint8).reshape(len(sets), r).T.copy()
+                rows = np.array(more, dtype=np.uint8).transpose(2, 0, 1).copy()
+                got = linalg.bit_extend_batch(rows, linalg.bit_echelon_batch(cols, m), m)
+                assert got.tolist() == [[linalg.bit_rank(rows_ + tail) for tail in tails]
+                                        for rows_, tails in zip(sets, more)]
+
+
 class TestSubfieldCoords:
     def test_roundtrip(self, f16, rng):
         z = f16.element(1)

@@ -380,6 +380,14 @@ class TestMatrixOracle:
             with pytest.raises(ValueError, match="realize node 2"):
                 gamma_ranks_matrix(sub, failed, mat)
 
+    @pytest.mark.parametrize("failed, error", [(0, ValueError), (-1, ValueError),
+                                                (7, ValueError), (True, ParseError)])
+    def test_failed_node_checked(self, rs53, failed, error):
+        # as RepairScheme checks it: out of range, or not an integer
+        mat = realize_matrices(bundled_scheme("rs53", 1))
+        with pytest.raises(error, match="failed node"):
+            MatrixScheme(mat.sub, failed, mat.reference, mat.matrices)
+
     def test_zero_reference(self, rs53):
         scheme = bundled_scheme("rs53", 1)
         with pytest.raises(ZeroReference):
@@ -711,8 +719,8 @@ class TestRecoverNode:
                     for node in ast.walk(tree)
                     if isinstance(node, (ast.Name, ast.Attribute))}
 
-        element = re.compile(r"(bit_rank|zech_rank)\w*|rank_exps|rank_batch|rank_keys"
-                             r"|node_keys|slot_shifts")
+        element = re.compile(r"(bit|zech)_(rank|echelon|extend)\w*|rank_exps|rank_\w*batch"
+                             r"|rank_keys|node_keys|slot_shifts")
         route = {"_equations", "realize_matrices", "gamma_ranks_matrix", "recover_node",
                  "_solve_bits", "_solve_mod_p"}
         tree = ast.parse(Path(repair.__file__).read_text())

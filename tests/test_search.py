@@ -7,7 +7,7 @@ import pytest
 
 from mdsrepair import linalg, search
 from mdsrepair.clique import clique_bound, generate_clique
-from mdsrepair.codes import encode
+from mdsrepair.codes import encode, rs_systematic
 from mdsrepair.errors import InvalidMatrix, NoFeasibleFound, ParseError, SearchSpaceTooLarge
 from mdsrepair.repair import (INFEASIBLE, SchemeEvaluator, SubpacketizationSpec,
                               baselines, recover_node)
@@ -109,11 +109,54 @@ class TestExhaustive:
         assert result.feasible == brute
 
     def test_lexicographic_chunks(self, rs64, monkeypatch):
-        seen = _record_chunks(monkeypatch)
+        # exhaustive search scores heads, never full tuples: the heads it
+        # hands over, each completed by every last exponent, run through the
+        # space in lexicographic order, at most CHUNK candidates per call
+        seen = []
+        completions = SchemeEvaluator.evaluate_completions
+
+        def recording(self, heads, values):
+            seen.append((np.array(heads), values))
+            return completions(self, heads, values)
+
+        monkeypatch.setattr(SchemeEvaluator, "evaluate_completions", recording)
+        refused = _record_chunks(monkeypatch)
         exhaustive_search(SearchConfig(SubpacketizationSpec(rs64, 1), 1))
-        tails = list(itertools.product(range(15), repeat=3))
-        assert np.vstack(seen).tolist() == [[0, *t] for t in tails]
-        assert max(len(c) for c in seen) <= search.CHUNK
+        assert not refused
+        flats = [[*head, last] for heads, values in seen
+                 for head in heads.tolist() for last in range(values)]
+        assert flats == [[0, *t] for t in itertools.product(range(15), repeat=3)]
+        assert max(len(heads) * values for heads, values in seen) <= search.CHUNK
+
+    @pytest.mark.parametrize("name, s, winners, feasible", [
+        ("rs53", 1, [[0, 1, 0, 6], [0, 1, 0, 2], [0, 1, 0, 11]], 1344),
+        ("rs53", 2, [[0, 0], [0, 0], [0, 0]], 12),
+        ("rs64", 1, [[0, 2, 0, 6], [0, 5, 3, 8], [0, 2, 4, 11], [0, 1, 0, 1]], 1344),
+        ("rs64", 2, [[0, 0], [0, 3], [0, 3], [0, 0]], 12),
+        ("rs64_gf81", 2, [[0, 6], [0, 4], [0, 4], [0, 6]], 72)])
+    def test_pinned_outcomes(self, request, name, s, winners, feasible):
+        # the lexicographically first optimum and the feasible count of
+        # every node, as the search scored full tuples before it scored heads
+        code = request.getfixturevalue(name)
+        sub = SubpacketizationSpec(code, s)
+        for node, winner in enumerate(winners, 1):
+            result = exhaustive_search(SearchConfig(sub, node))
+            assert result.best.flat_exps() == winner
+            assert result.evaluated == (code.field.q - 1) ** (len(winner) - 1)
+            assert result.feasible == feasible
+
+    def test_no_free_slot(self, f16):
+        # RS(4,3) at s=4: one parity, beta=1, so the one candidate is the
+        # pinned element 1, an empty head completed by the exponent 0
+        code = rs_systematic(f16, [f16.element(i) for i in range(4)], 3, "rs43")
+        sub = SubpacketizationSpec(code, 4)
+        for node in (1, 2, 3):
+            cfg = SearchConfig(sub, node)
+            assert (cfg.slots, cfg.space_size) == (1, 1)
+            result = exhaustive_search(cfg)
+            assert result.best.flat_exps() == [0]
+            assert (result.evaluated, result.feasible) == (1, 1)
+            assert result.best_report.gammas == (1, 1, 1)
 
     def test_best_scheme_recovers(self, rs53, f16, rng):
         result = exhaustive_search(SearchConfig(SubpacketizationSpec(rs53, 1), 2))
@@ -364,6 +407,47 @@ class TestBatch:
         ev = SchemeEvaluator(SubpacketizationSpec(rs64_gf81, 2), 1)
         with pytest.raises(InvalidMatrix):
             ev.evaluate_batch(np.array([[0, 1], [2, 3]]))
+
+
+class TestCompletions:
+    @pytest.mark.parametrize("name", ["rs53", "rs64", "fb1410", "rs64_gf81"])
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_completions_are_evaluate_batch(self, request, name, s):
+        # every completion of random heads scores as evaluate_batch scores
+        # the full tuple; heads with a repeated exponent in one parity are
+        # rank-deficient (zero pivots), and heads whose elements at one
+        # node all lie in the prime field put that node's pivots at
+        # position 0, below most last elements
+        code = request.getfixturevalue(name)
+        sub = SubpacketizationSpec(code, s)
+        p, q1, beta = code.field.p, code.field.q - 1, sub.beta
+        slots = code.r * beta
+        draw = random.Random(f"{name}:{s}")
+        heads = [[draw.randrange(q1) for _ in range(slots - 1)] for _ in range(20)]
+        for head in heads[:6]:
+            j = draw.randrange(slots - 1)
+            head[j] = head[j - j % beta]
+        for row in sub.slot_shifts[:3]:
+            heads.append([(draw.randrange(p - 1) * (q1 // (p - 1)) - shift) % q1
+                          for shift in row[:slots - 1]])
+        heads = np.array(heads)
+        flats = np.array([[*head, last] for head in heads.tolist() for last in range(q1)])
+        for failed in (1, 2, code.k):
+            ev = SchemeEvaluator(sub, failed)
+            want = ev.evaluate_batch(flats).reshape(len(heads), q1)
+            assert ev.evaluate_completions(heads, q1).tolist() == want.tolist()
+            assert ev.evaluate_completions(heads, 3).tolist() == want[:, :3].tolist()
+            assert INFEASIBLE in want and want.min() < INFEASIBLE
+
+    @pytest.mark.parametrize("name, kernel", [("rs64", "bit_extend_batch"),
+                                              ("rs64_gf81", "zech_extend_batch")])
+    def test_rank_not_multiple_of_s_rejected(self, request, monkeypatch, name, kernel):
+        # exhaustive search checks every rank of the extended sets
+        monkeypatch.setattr(linalg, kernel,
+                            lambda rows, pivots, *args: np.full(rows.shape[1:], 3))
+        sub = SubpacketizationSpec(request.getfixturevalue(name), 2)
+        with pytest.raises(InvalidMatrix):
+            exhaustive_search(SearchConfig(sub, 1))
 
 
 class TestConfig:
