@@ -148,8 +148,8 @@ def zech_rank(exps, lead, zech, product) -> int:
 
 
 def _zech_step(cols, index, factor, zech, product) -> None:
-    """z^x -> z^x (1 + z^zech[index]) for every row x of ``cols``, in place;
-    an index past the end of ``zech`` reads 0 = log 1 and keeps the row."""
+    """Multiply every row z^x of ``cols`` by z^zech[index], a 1 + z^y, in
+    place; an index past the end of ``zech`` reads 0 = log 1, keeping x."""
     zech.take(index, out=factor, mode="clip")
     factor += cols
     product.take(factor, out=cols, mode="clip")

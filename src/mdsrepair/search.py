@@ -6,13 +6,14 @@ constant leaves all gamma ranks unchanged, so the first element is pinned
 to 1 and only the remaining slots are enumerated or sampled.
 Infeasible tuples (useful block not full rank) are counted, not scored.
 
-Candidates are scored in chunks of at most ``CHUNK`` tuples (a batched
-elimination: over GF(2) for p = 2, in the log domain for odd p): random
-ones as (N, slots) exponent arrays (``SchemeEvaluator.evaluate_batch``),
-exhaustive ones as heads, the first slots-1 exponents, read in mixed radix
-q-1, each with every last exponent (``evaluate_completions``): row-major,
-that is lexicographic order.  A chunk's cost is mostly a fixed
-number of NumPy calls, so one chunk covers the usual search.
+Candidates are scored in chunks of at most ``CHUNK`` tuples, or of one
+head's q-1 (a batched elimination: over GF(2) for p = 2, in the log domain
+for odd p): random ones as (N, slots) exponent arrays
+(``SchemeEvaluator.evaluate_batch``), exhaustive ones as heads, the first
+slots-1 exponents, read in mixed radix q-1, each with every last exponent
+(``evaluate_completions``): row-major, that is lexicographic order.  A
+chunk's cost is mostly a fixed number of NumPy calls, so one chunk covers
+the usual search.
 
 Memory: a random chunk of N candidates holds its exponent rows (8 * slots
 * N bytes, slots <= m) and, while one block set is ranked, about
@@ -24,7 +25,9 @@ code over GF(2^16).  For m <= 16 and p = 2 a full chunk of 4,096 stays
 under about 0.75 MiB plus 0.5 MiB per systematic node; measured peaks are
 0.8 MiB for fb1410 (k = 10) and 2.3 MiB for that RS(14,12) code.  An
 exhaustive chunk peaks at 0.3 MiB for fb1410 at s = 2 (about 4 * s bytes per
-completion and node) and 1.5 MiB for RS(6,4) over GF(3^4) at s = 2 (48 * s).
+completion and node) and 1.5 MiB for RS(6,4) over GF(3^4) at s = 2 (48 * s);
+with q-1 > CHUNK its one head has q-1 completions: 48 MiB for an RS(14,12)
+code over GF(2^16) at s = 8.
 
 Random draws use the stdlib Mersenne Twister (``random.Random(seed)``),
 one ``randrange(q-1)`` exponent per free slot in slot order, so a run is
@@ -143,15 +146,15 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
         raise SearchSpaceTooLarge(
             f"{cfg.space_size} candidates exceed the cap {EXHAUSTIVE_CAP}")
     q1 = cfg.sub.code.field.q - 1
-    values = q1 if cfg.free_slots else 1
-    count = cfg.space_size // values
+    values = q1 if cfg.free_slots else 1  # last exponents per head
+    head_count = cfg.space_size // values
     step = max(1, CHUNK // values)
     # place values of the free head slots, most significant first
     places = q1 ** np.arange(cfg.free_slots - 2, -1, -1, dtype=np.int64)
 
     def chunks(ev):
-        for start in range(0, count, step):
-            index = np.arange(start, min(start + step, count), dtype=np.int64)
+        for start in range(0, head_count, step):
+            index = np.arange(start, min(start + step, head_count), dtype=np.int64)
             heads = np.zeros((len(index), cfg.slots - 1), dtype=np.int64)
             heads[:, 1:] = index[:, None] // places % q1
             totals = ev.evaluate_completions(heads, values).ravel()

@@ -136,7 +136,7 @@ class TestExhaustive:
         ("rs64_gf81", 2, [[0, 6], [0, 4], [0, 4], [0, 6]], 72)])
     def test_pinned_outcomes(self, request, name, s, winners, feasible):
         # the lexicographically first optimum and the feasible count of
-        # every node, as the search scored full tuples before it scored heads
+        # every node, as scoring every full tuple with evaluate_batch finds them
         code = request.getfixturevalue(name)
         sub = SubpacketizationSpec(code, s)
         for node, winner in enumerate(winners, 1):
