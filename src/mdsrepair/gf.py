@@ -21,11 +21,12 @@ for a whole array of discrete logs, a power of the companion matrix of P),
 and sets of elements have a rank over any subfield GF(p^s).  One table
 (``FieldSpec.unit_functional``) gives every row e_0 . operator(z^e), and,
 shifted by a log, every row r . operator(z^e).  The element rank belongs
-to ``SubfieldSpec``: ``rank_exps`` ranks one set of discrete logs,
-``rank_batch`` many sets of kernel keys at once, each with a kernel chosen
-by p, a bitmask basis for p = 2 and a basis kept in the log domain
-otherwise (``FieldSpec.rank_keys``, and for odd p the Zech-logarithm
-tables ``zech_arrays`` and ``zech_lists``).  A field builds only its
+to ``SubfieldSpec``: ``rank_exps`` ranks sets of discrete logs,
+``rank_batch`` sets of kernel keys, each with a kernel chosen by p, a
+bitmask basis for p = 2 and a basis kept in the log domain otherwise
+(``FieldSpec.rank_keys``, and for odd p the Zech-logarithm tables
+``zech_arrays``).  p = 2 has a scalar kernel on python ints beside its
+batch kernel; odd p has the batch kernel only.  A field builds only its
 exp/log tables at construction; ``_numpy.table`` builds each array table on
 first read, so element arithmetic and the scalar p = 2 routes never load
 NumPy.
@@ -257,11 +258,6 @@ class FieldSpec:
             np.append(np.arange(2 * q1) % q1, np.full(2 * q1 + 1, 2 * q1)),
         )
 
-    @table
-    def zech_lists(self) -> tuple:
-        """``zech_arrays`` as python lists, the tables of ``linalg.zech_rank``."""
-        return tuple(array.tolist() for array in self.zech_arrays)
-
     # -- element constructors ------------------------------------------
 
     def zero(self) -> "FieldElement":
@@ -477,26 +473,29 @@ class SubfieldSpec:
                   for w_d in zip(*basis))
             for j in range(0, m, s))
 
-    def rank_exps(self, exps) -> int:
-        """Dimension over GF(p^s) of the span of the nonzero elements z^e,
-        e in exps: the GF(p)-rank of the expanded set {z^e * w^t} for the
-        basis w^0..w^(s-1), divided by s.  This is the scalar element rank:
-        ``linalg.bit_rank`` on packed coordinates for p = 2,
-        ``linalg.zech_rank`` on the discrete logs otherwise."""
-        field = self.field
+    def rank_exps(self, sets) -> tuple:
+        """The dimensions over GF(p^s) of the spans of K sets of nonzero
+        elements z^e, each set an iterable of the discrete logs e, all of
+        one length r: each the GF(p)-rank of the expanded set {z^e * w^t}
+        for the basis w^0..w^(s-1), divided by s.  This is the element rank
+        of the scalar routes: ``linalg.bit_rank`` on packed coordinates, set
+        by set, for p = 2, so NumPy stays unloaded; otherwise one
+        ``rank_batch`` call on the (r * s, K) column array of the expanded
+        logs reduced mod q-1, their ``FieldSpec.rank_keys``."""
+        field, offsets = self.field, self.offsets
         q1 = field.q - 1
-        if field.p == 2:
-            exp_table = field.exp_table
-            r = linalg.bit_rank(
-                [exp_table[(e + off) % q1] for e in exps for off in self.offsets])
-        else:
-            r = linalg.zech_rank(
-                [(e + off) % q1 for e in exps for off in self.offsets],
-                *field.zech_lists)
-        if r % self.s:
-            raise InvalidMatrix(
-                f"GF({field.p})-rank {r} is not a multiple of s={self.s}")
-        return r // self.s
+        if field.p != 2:
+            logs = [[(e + off) % q1 for e in exps for off in offsets] for exps in sets]
+            return tuple(self.rank_batch(np.array(logs, dtype=np.int64).T.copy()).tolist())
+        exp_table = field.exp_table
+        ranks = []
+        for exps in sets:
+            r = linalg.bit_rank([exp_table[(e + off) % q1] for e in exps for off in offsets])
+            if r % self.s:
+                raise InvalidMatrix(
+                    f"GF({field.p})-rank {r} is not a multiple of s={self.s}")
+            ranks.append(r // self.s)
+        return tuple(ranks)
 
     def rank_batch(self, cols: np.ndarray) -> np.ndarray:
         """The GF(p^s)-ranks of N sets at once, from the (r, N) C-ordered
@@ -560,7 +559,7 @@ def rank_over_subfield(elems, sub: SubfieldSpec) -> int:
             raise ValueError("elements from different fields")
         if a.exp is not None:
             exps.append(a.exp)
-    return sub.rank_exps(exps)
+    return sub.rank_exps([exps])[0]
 
 
 def coordinate_vector(field: FieldSpec, vector, name: str) -> np.ndarray:

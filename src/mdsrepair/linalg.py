@@ -1,6 +1,6 @@
 """Dense linear algebra over prime fields GF(p).
 
-Six representations are used:
+Five representations are used:
 
 * python rows (lists or tuples) of ints in [0, p) for the one general
   elimination mod p (`rref_rows`), which beats numpy row operations at
@@ -9,16 +9,15 @@ Six representations are used:
   `rref_mod_p`, `rank_mod_p` and `solve_mod_p` wrap it for int64 arrays;
 * python ints as bit-rows, bit c for column c, for the forward-only GF(2)
   elimination of the same two callers (`echelon_bits`), by XOR;
-* python ints as bit-rows for the GF(2) element rank (`bit_rank`);
+* python ints as bit-rows for the scalar GF(2) element rank (`bit_rank`);
 * numpy arrays of packed coordinates, one set of rows per column, for the
   batched GF(2) elimination (`bit_echelon_batch`) that the p = 2 search
   ranks whole candidate chunks with, in the smallest unsigned dtype that
   holds q-1 (``uint8`` up to GF(2^8), ``uint16`` above);
-* discrete logs of GF(p^m) elements for the odd-p element rank
-  (`zech_rank`), reduced through the field's Zech-logarithm tables;
-* numpy int64 arrays of such logs, one set per column, for the batched odd-p
-  elimination (`zech_echelon_batch`) that the odd-p search ranks whole
-  candidate chunks with, through array forms of the same tables.
+* numpy int64 arrays of discrete logs of GF(p^m) elements, one set per
+  column, for the odd-p elimination (`zech_echelon_batch`), reduced
+  through the field's Zech-logarithm tables: the odd-p search ranks whole
+  candidate chunks with it, and a report its k sets in one call.
 
 Both batch kernels take N sets of r rows in the column layout, an (r, N)
 C-ordered array, so that every elimination step runs over contiguous
@@ -32,9 +31,11 @@ scheme by ``echelon_bits`` in about 0.03 ms (0.065 ms when each was
 brought to reduced form), and the four 4x4 blocks of an RS(6,4) scheme
 over GF(3^4) by ``rref_rows`` in about 0.03 ms.
 
-``bit_rank`` and ``zech_rank`` are the kernels behind
-``SubfieldSpec.rank_exps``, the scalar element rank, and the batch kernels
-the ones behind ``SubfieldSpec.rank_batch`` and ``rank_extend_batch``.
+``bit_rank`` is the kernel behind ``SubfieldSpec.rank_exps``, the element
+rank of the scalar routes, for p = 2, kept on python ints so that those
+routes load no NumPy; for odd p ``rank_exps`` calls ``zech_rank_batch``
+once.  The batch kernels are the ones behind ``SubfieldSpec.rank_batch``
+and ``rank_extend_batch``.
 ``rref_rows`` and ``echelon_bits`` belong to the explicit-matrix route and
 share no code with them, so the two routes stay independent checks of each
 other.  Matrices here are tiny (at most 16x16 for the fields this package
@@ -117,36 +118,6 @@ def bit_extend_batch(rows: np.ndarray, pivots: np.ndarray, m: int) -> np.ndarray
     return extra.reshape(rows.shape[1:]) + _count(pivots != 0)[:, None]
 
 
-def zech_rank(exps, lead, zech, product) -> int:
-    """GF(p) rank, p odd, of the nonzero elements z^x of GF(p^m), x in exps.
-
-    The same basis keyed by leading digit as ``bit_rank``, kept in the log
-    domain on the tables ``FieldSpec.zech_lists``, where the log 2(q-1) is
-    zero.  Each basis entry is stored as its ``lead`` key, which packs its
-    leading position above monic[b], its log scaled to a unit leading
-    digit.  Reducing x by the entry b of its leading position is
-
-        z^x -> z^x (1 + z^(log(-1) + monic[b] - monic[x])),
-
-    which clears that digit; x is dependent when it reaches zero.
-    """
-    q1 = len(product) // 4
-    zero, width = 2 * q1, 2 * q1 + 2  # lead[x] = position * width + monic[x]
-    # zech's index of log(-1) + monic[b] - monic[x] is base + b - lead[x]
-    base = q1 + q1 // 2
-    basis: dict[int, int] = {}
-    for x in exps:
-        while x != zero:
-            key = lead[x]
-            h = key // width
-            if h in basis:
-                x = product[x + zech[base + basis[h] - key]]
-            else:
-                basis[h] = key
-                break
-    return len(basis)
-
-
 def _zech_step(cols, index, factor, zech, product) -> None:
     """Multiply every row z^x of ``cols`` by z^zech[index], a 1 + z^y, in
     place; an index past the end of ``zech`` reads 0 = log 1, keeping x."""
@@ -162,11 +133,12 @@ def zech_echelon_batch(cols: np.ndarray, m: int, lead, zech, product) -> np.ndar
     [0, 2(q-1)), with 2(q-1) for zero, as ``FieldSpec.rank_keys`` holds
     them (other values are not checked), column c the elements of set c;
     the elimination overwrites it.  Returns the (min(m, r), N) ``lead``
-    keys of the pivots.  The tables are ``FieldSpec.zech_arrays``, the
-    array forms of ``zech_rank``'s, and this is its elimination: each step
-    takes the row of every set with the largest ``lead``, the highest
-    leading position, as its pivot, and reduces every row x at that
-    position by z^x -> z^x (1 + z^(log(-1) + monic[pivot] - monic[x]))
+    keys of the pivots.  The tables are ``FieldSpec.zech_arrays``, in which
+    the log 2(q-1) is zero and the ``lead`` key of z^x packs the position of
+    its leading coordinate above monic[x], its log scaled to a unit leading
+    digit.  Each step takes the row of every set with the largest ``lead``,
+    the highest leading position, as its pivot, and reduces every row x at
+    that position by z^x -> z^x (1 + z^(log(-1) + monic[pivot] - monic[x]))
     (``_zech_step``), which clears the leading digit and turns the pivot
     into zero; a lower row, zero included, reads past the end of ``zech``
     and is kept.  A set's nonzero pivots (``lead`` >= 0) lead at falling

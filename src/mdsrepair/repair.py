@@ -218,13 +218,12 @@ INFEASIBLE = 2 ** 63 - 1
 
 
 def _gammas(sub: SubpacketizationSpec, flat_exps) -> tuple:
-    """Gammas of one exponent tuple, one ``rank_exps`` call per node on
-    plain ints; DimensionMismatch for a tuple that is not one per slot."""
+    """Gammas of one exponent tuple, one ``rank_exps`` call for the k
+    nodes' sets; DimensionMismatch for a tuple that is not one per slot."""
     if len(flat_exps) != len(sub.slot_shifts[0]):
         raise DimensionMismatch(
             f"{len(flat_exps)} exponents for {len(sub.slot_shifts[0])} slots")
-    rank = sub.subfield.rank_exps
-    return tuple(rank(map(add, flat_exps, row)) for row in sub.slot_shifts)
+    return sub.subfield.rank_exps([map(add, flat_exps, row) for row in sub.slot_shifts])
 
 
 class SchemeEvaluator:
@@ -235,11 +234,13 @@ class SchemeEvaluator:
     block is ranked for the whole batch, the other k-1 blocks only for the
     feasible rows, each set with one ``SubfieldSpec.rank_batch`` call on keys
     taken from ``sub.node_keys`` straight into the kernels' column layout.
-    ``evaluate`` scores one tuple on ``gamma_ranks``'s scalar route and is
-    the oracle of ``evaluate_batch`` in the tests.  The evaluator holds no
-    table: ``sub`` owns the slot layout (``slot_shifts``, and ``node_keys``
-    for the batch rows), and the field and its subfield own every rank
-    table and kernel.
+    ``evaluate`` scores one tuple on ``gamma_ranks``'s scalar route
+    (``SubfieldSpec.rank_exps``).  For p = 2 that ranks on python ints and
+    is an independent oracle of ``evaluate_batch`` in the tests; for odd p
+    it runs the same kernel, and the matrix route (``gamma_ranks_matrix``)
+    is the independent oracle.  The evaluator holds no table: ``sub`` owns
+    the slot layout (``slot_shifts``, and ``node_keys`` for the batch
+    rows), and the field and its subfield own every rank table and kernel.
     """
 
     def __init__(self, sub: SubpacketizationSpec, failed: int):

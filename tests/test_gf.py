@@ -111,7 +111,7 @@ class TestConstruction:
         if p == 2:
             assert not hasattr(field, "zech_arrays")
         else:
-            names += ["zech_arrays", "zech_lists"]
+            names += ["zech_arrays"]
             assert field.rank_keys is field.zech_arrays[-1]
         for obj, name in [(field, name) for name in names] + [(sub, "tower_inverse")]:
             assert getattr(obj, name) is getattr(obj, name)
@@ -504,7 +504,8 @@ class TestRankOverSubfield:
 
     def test_rank_not_multiple_of_s_rejected_odd_p(self, monkeypatch):
         f81 = FieldSpec(3, [2, 0, 0, 1, 1])
-        monkeypatch.setattr(linalg, "zech_rank", lambda *tables: 3)
+        monkeypatch.setattr(linalg, "zech_rank_batch",
+                            lambda cols, *tables: np.full(cols.shape[1], 3))
         with pytest.raises(InvalidMatrix):
             rank_over_subfield([f81.one(), f81.element(1)], f81.subfield(2))
 
@@ -515,8 +516,7 @@ class TestRankOverSubfield:
         field = FieldSpec(p, poly)
         q1 = field.q - 1
         zero = 2 * q1
-        lead, zech, product = field.zech_lists
-        assert [table.tolist() for table in field.zech_arrays] == list(field.zech_lists)
+        lead, zech, product = (table.tolist() for table in field.zech_arrays)
         assert not any(table.flags.writeable for table in field.zech_arrays)
         assert field.rank_keys is field.zech_arrays[-1]
         assert (len(lead), len(zech), len(product)) == (zero + 1, 5 * q1 // 2 + 1, 4 * q1 + 1)
@@ -539,8 +539,8 @@ class TestRankOverSubfield:
 
     @pytest.mark.parametrize("p, poly", ODD_FIELDS)
     def test_zech_kernel_matches_coordinate_rank(self, p, poly, rng):
-        # the log-domain kernels against elimination of coords_table rows:
-        # zech_rank on each set, zech_rank_batch on all sets of a size at once
+        # the log-domain kernel against elimination of coords_table rows,
+        # on all sets of a size at once, directly and through rank_exps
         field = FieldSpec(p, poly)
         m, q1 = field.m, field.q - 1
         for s in (d for d in range(1, m + 1) if m % d == 0):
@@ -558,17 +558,19 @@ class TestRankOverSubfield:
             for exps in cases:
                 xs = [(e + off) % q1 for e in exps for off in sub.offsets]
                 rows = field.coords_table[[field.exp_table[x] for x in xs]]
-                rank = linalg.zech_rank(xs, *field.zech_lists)
-                assert rank == linalg.rank_mod_p(rows.reshape(-1, m), p)
-                assert sub.rank_exps(exps) * s == rank
-                by_size.setdefault(len(xs), []).append((xs, rank))
+                rank = linalg.rank_mod_p(rows.reshape(-1, m), p)
+                by_size.setdefault(len(xs), []).append((exps, xs, rank))
             for r, sets in by_size.items():
                 # the kernels' column layout: (r, N), set c in column c
-                cols = np.array([xs for xs, _ in sets], dtype=np.int64).reshape(
+                cols = np.array([xs for _, xs, _ in sets], dtype=np.int64).reshape(
                     len(sets), r).T.copy()
                 ranks = linalg.zech_rank_batch(cols, m, *field.zech_arrays)
-                assert ranks.tolist() == [rank for _, rank in sets]
-            assert sub.rank_exps(list(range(m // s))) == m // s
+                assert ranks.tolist() == [rank for _, _, rank in sets]
+                symbols = sub.rank_exps([exps for exps, _, _ in sets])
+                assert [rank * s for rank in symbols] == ranks.tolist()
+                exps, _, rank = sets[0]
+                assert sub.rank_exps([exps]) == (rank // s,) and rank % s == 0
+            assert sub.rank_exps([list(range(m // s))]) == (m // s,)
         for r, n in ((3, 0), (0, 4), (0, 0)):
             cols = np.zeros((r, n), dtype=np.int64)
             ranks = linalg.zech_rank_batch(cols, m, *field.zech_arrays)
@@ -620,7 +622,10 @@ class TestBatchKernels:
                 with pytest.raises(ValueError):
                     sub.rank_batch(frozen)
             ranks = sub.rank_batch(cols)
-            assert ranks.tolist() == list(map(sub.rank_exps, logs))
+            # against elimination mod p of the coordinate rows, which for odd
+            # p shares no code with rank_exps, itself a rank_batch call
+            assert ranks.tolist() == [
+                linalg.rank_mod_p(field.coords_table[field.exp_array[xs]], p) for xs in logs]
             if r > 1:
                 assert (cols == zero).any(axis=0).all()
 

@@ -1,7 +1,8 @@
 """Package-wide guards: every exported name resolves, no check in the
 package is an ``assert`` (``python -O`` would drop it), no module builds
 code at run time, only ``_numpy`` marks arrays read-only, only
-``FieldSpec.__contains__`` compares an element's field, every function
+``FieldSpec.__contains__`` compares an element's field, only ``gf`` names
+an element rank kernel, every function
 the benchmark tracer wraps still exists
 under its traced name, the README's library example runs, and only the
 array routes execute NumPy."""
@@ -75,6 +76,22 @@ def test_only_contains_compares_fields():
         for scope, line in _field_comparisons(tree):
             found.setdefault(scope, []).append(f"{path.name}:{line}")
     assert set(found) == {"FieldSpec.__contains__", "SubfieldSpec.__eq__"}, found
+
+
+def test_only_gf_names_an_element_kernel():
+    # SubfieldSpec chooses the element rank kernel by p, so no other module
+    # names one, in an expression or an import; linalg defines them
+    kernel = re.compile(r"bit_rank\w*|bit_echelon_batch|bit_extend_batch|zech_\w*")
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name not in ("gf.py", "linalg.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else
+                        node.name if isinstance(node, ast.alias) else "")
+                if kernel.fullmatch(name):
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found
 
 
 def test_no_code_generation():

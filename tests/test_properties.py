@@ -1,12 +1,15 @@
-"""Property tests across the two repair routes, over p in {2, 3, 5}.
+"""Property tests across the two repair routes, over p in {2, 3, 5, 7}.
 
 The element route (``gamma_ranks``, ranked by ``SubfieldSpec.rank_exps``)
 and the explicit-matrix route (``realize_matrices`` +
 ``gamma_ranks_matrix`` and ``recover_node``) share no rank code, so each
-checks the other.  The matrix route realizes its equations from the one
-table per field (``FieldSpec.unit_functional``), a reference row being a
-log shift into it, which ``realize_matrices`` gathers and ``recover_node``
-reads on python ints.
+checks the other.  For odd p the element route ranks with the batch kernel
+(``linalg.zech_rank_batch``) that ``SchemeEvaluator.evaluate_batch`` runs,
+so there the matrix route is the one independent check of both.  The
+matrix route realizes its equations from the one table per field
+(``FieldSpec.unit_functional``), a reference row being a log shift into it,
+which ``realize_matrices`` gathers and ``recover_node`` reads on python
+ints.
 ``gamma_ranks_matrix`` multiplies operators, then ranks each node's block
 on python ints like ``recover_node`` eliminates: by ``linalg.echelon_bits``
 on bit-rows for p = 2, here on GF(2^4) and GF(2^8), and by
@@ -44,19 +47,19 @@ from mdsrepair.repair import (
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
 
-GF16, GF81, GF25 = (FieldSpec(2, [1, 1, 0, 0, 1]), FieldSpec(3, [2, 0, 0, 1, 1]),
-                    FieldSpec(5, [2, 1, 1]))
+GF16, GF81, GF25, GF49 = (FieldSpec(2, [1, 1, 0, 0, 1]), FieldSpec(3, [2, 0, 0, 1, 1]),
+                          FieldSpec(5, [2, 1, 1]), FieldSpec(7, [3, 1, 1]))
 GF5_6 = FieldSpec(5, [2, 0, 0, 0, 0, 1, 1])  # x^6 + x^5 + 2
 GF256 = FieldSpec(2, [1, 0, 1, 1, 1, 0, 0, 0, 1])  # x^8 + x^4 + x^3 + x^2 + 1
-RS53, RS64, RS42, RS64_5, RS64_256 = (
+RS53, RS64, RS42, RS42_7, RS64_5, RS64_256 = (
     rs_systematic(f, [f.element(i) for i in range(n)], k)
-    for f, n, k in ((GF16, 5, 3), (GF81, 6, 4), (GF25, 4, 2), (GF5_6, 6, 4),
-                    (GF256, 6, 4)))
+    for f, n, k in ((GF16, 5, 3), (GF81, 6, 4), (GF25, 4, 2), (GF49, 4, 2),
+                    (GF5_6, 6, 4), (GF256, 6, 4)))
 # every (code, s) with s | m and n-k | m/s
 SUBS = [SubpacketizationSpec(code, s)
         for code, s in ((RS53, 1), (RS53, 2), (RS64, 1), (RS64, 2), (RS42, 1),
-                        (RS64_5, 1), (RS64_5, 3), (RS64_256, 1), (RS64_256, 2),
-                        (RS64_256, 4))]
+                        (RS42_7, 1), (RS64_5, 1), (RS64_5, 3), (RS64_256, 1),
+                        (RS64_256, 2), (RS64_256, 4))]
 
 
 @st.composite

@@ -693,7 +693,8 @@ class TestRecoverNode:
             raise AssertionError("element rank kernel or table read")
         monkeypatch.setattr(SubfieldSpec, "rank_exps", refuse)
         monkeypatch.setattr(SubfieldSpec, "rank_batch", refuse)
-        for kernel in ("bit_rank", "zech_rank", "bit_rank_batch", "zech_rank_batch"):
+        for kernel in ("bit_rank", "bit_rank_batch", "bit_echelon_batch", "bit_extend_batch",
+                       "zech_rank_batch", "zech_echelon_batch", "zech_extend_batch"):
             monkeypatch.setattr(linalg, kernel, refuse)
         monkeypatch.setattr(SubpacketizationSpec, "node_keys", property(refuse))
         monkeypatch.setattr(FieldSpec, "rank_keys", property(refuse))

@@ -9,8 +9,9 @@ from mdsrepair import linalg, search
 from mdsrepair.clique import clique_bound, generate_clique
 from mdsrepair.codes import encode, rs_systematic
 from mdsrepair.errors import InvalidMatrix, NoFeasibleFound, ParseError, SearchSpaceTooLarge
-from mdsrepair.repair import (INFEASIBLE, SchemeEvaluator, SubpacketizationSpec,
-                              baselines, recover_node)
+from mdsrepair.gf import rank_over_subfield
+from mdsrepair.repair import (INFEASIBLE, RepairScheme, SchemeEvaluator,
+                              SubpacketizationSpec, baselines, gamma_ranks, recover_node)
 from mdsrepair.search import (
     SearchConfig,
     exhaustive_search,
@@ -353,20 +354,36 @@ class TestBatch:
         monkeypatch.setattr(SchemeEvaluator, "evaluate", refuse)
         assert list(map(_outcome, cfgs)) == before
 
-    def test_odd_p_search_ranks_in_batches(self, rs64_gf81, monkeypatch):
-        # the scalar kernel ranks only the winner's k blocks (gamma_ranks)
+    def test_odd_p_search_ranks_in_batches(self, rs64_gf81, monkeypatch, rng):
+        # odd p has one element kernel: a report or a rank_over_subfield
+        # ranks all its sets in one zech_rank_batch call, and a search ranks
+        # only in batches, one elimination per block set and chunk plus one
+        # for the winner's report
         calls = []
-        zech_rank = linalg.zech_rank
+        for name in ("zech_rank_batch", "zech_echelon_batch"):
+            def counting(cols, *args, name=name, kernel=getattr(linalg, name)):
+                calls.append((name, cols.shape[1]))
+                return kernel(cols, *args)
 
-        def counting(*args):
-            calls.append(args)
-            return zech_rank(*args)
+            monkeypatch.setattr(linalg, name, counting)
 
-        monkeypatch.setattr(linalg, "zech_rank", counting)
-        for cfg in _odd_p_searches(rs64_gf81):
+        def rank_calls(run, *args):
             calls.clear()
-            _outcome(cfg)
-            assert 0 < len(calls) <= rs64_gf81.k
+            run(*args)
+            return [n for name, n in calls if name == "zech_rank_batch"]
+
+        field, k = rs64_gf81.field, rs64_gf81.k
+        for s in (1, 2):
+            sub = SubpacketizationSpec(rs64_gf81, s)
+            flat = [rng.randrange(field.q - 1) for _ in range(rs64_gf81.r * sub.beta)]
+            scheme = RepairScheme.from_flat(sub, 1, flat)
+            assert rank_calls(gamma_ranks, scheme) == [k]
+            elems = [field.element(rng.randrange(field.q - 1)) for _ in range(3)]
+            assert rank_calls(rank_over_subfield, elems, sub.subfield) == [1]
+        for cfg in _odd_p_searches(rs64_gf81):
+            # each search is one chunk: two eliminations, then the report's
+            assert rank_calls(_outcome, cfg)[-1] == k
+            assert sum(name == "zech_echelon_batch" for name, _ in calls) == 3
 
     def test_small_chunks_same_winners(self, rs53, rs64, fb1410, monkeypatch):
         cfgs = [SearchConfig(SubpacketizationSpec(code, s), node)
