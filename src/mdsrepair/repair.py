@@ -20,8 +20,11 @@ over a smaller subfield (``lift_scheme``) keeps its bit count exactly.
 
 Two independent routes evaluate a scheme: ``gamma_ranks`` ranks its field
 elements, and ``realize_matrices`` + ``gamma_ranks_matrix`` rank the GF(p)
-equation blocks realized from a reference row r.  ``recover_node`` runs
-the download / interference-cancellation / solve pipeline on a codeword.
+equation blocks realized from a reference row r.  ``SchemeEvaluator``
+ranks exponent tuples in batches and returns their gammas, so a search
+ranks each candidate once and takes its winner's report from that batch.
+``recover_node`` runs the download / interference-cancellation / solve
+pipeline on a codeword.
 The matrix route realizes every equation from one table per field,
 ``FieldSpec.unit_functional`` of e_0 . coords(x) at the powers of z: row L
 is the equation of z^L, row L + log P_u what that sees of node u, and a
@@ -58,7 +61,8 @@ class SubpacketizationSpec(Value):
 
     Derived quantities: beta equations per parity node, alpha = m/s
     sub-symbols stored per node, file size M = k * alpha (all counted in
-    GF(p^s) symbols).
+    GF(p^s) symbols).  ``alpha`` and ``beta`` are attributes, set once on
+    construction, as are ``subfield`` and ``slot_shifts``.
     """
 
     code: CodeSpec
@@ -68,26 +72,21 @@ class SubpacketizationSpec(Value):
         object.__setattr__(self, "s", as_int(self.s, "s"))
         # IncompatibleSubfield unless s | m
         object.__setattr__(self, "subfield", self.code.field.subfield(self.s))
-        if self.alpha % self.code.r != 0:
+        alpha = self.code.field.m // self.s
+        if alpha % self.code.r != 0:
             raise IncompatibleSubfield(
-                f"n-k={self.code.r} does not divide m/s={self.alpha}")
+                f"n-k={self.code.r} does not divide m/s={alpha}")
+        beta = alpha // self.code.r
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
         # the slot layout, k rows of slots entries: slot_shifts[u][j] = log
         # P_u at the parity of slot j, slots in parity-major order like
         # ``RepairScheme.flat_exps()``, beta per parity
-        beta = self.beta
         object.__setattr__(self, "slot_shifts", tuple(
             tuple(e for e in row for _ in range(beta))
             for row in self.code.parity_exps()))
         # ``node_keys``, filled by ``table`` on first read
         object.__setattr__(self, "_tables", {})
-
-    @property
-    def beta(self) -> int:
-        return self.code.field.m // (self.s * self.code.r)
-
-    @property
-    def alpha(self) -> int:
-        return self.code.field.m // self.s
 
     @property
     def file_size(self) -> int:
@@ -234,6 +233,9 @@ class SchemeEvaluator:
     block is ranked for the whole batch, the other k-1 blocks only for the
     feasible rows, each set with one ``SubfieldSpec.rank_batch`` call on keys
     taken from ``sub.node_keys`` straight into the kernels' column layout.
+    It and ``evaluate_completions`` return the gammas, one column per
+    tuple, so a search takes its winner's report from the batch that scored
+    it; ``totals`` turns gammas into the totals the search minimizes.
     ``evaluate`` scores one tuple on ``gamma_ranks``'s scalar route
     (``SubfieldSpec.rank_exps``).  For p = 2 that ranks on python ints and
     is an independent oracle of ``evaluate_batch`` in the tests; for odd p
@@ -252,21 +254,31 @@ class SchemeEvaluator:
         report = RepairReport(self.sub, self.failed, _gammas(self.sub, flat_exps))
         return (True, report.total_bw) if report.feasible else (False, None)
 
+    def totals(self, gammas: np.ndarray) -> np.ndarray:
+        """The totals of the gamma columns of ``evaluate_batch`` or
+        ``evaluate_completions``, shaped as one node's gammas: the sum over
+        the nodes, or ``INFEASIBLE`` where the failed node's gamma is below
+        alpha."""
+        # a total is at most k * alpha < 2^21: summed faster in uint32
+        totals = gammas.sum(axis=0, dtype=np.uint32).astype(np.int64)
+        totals[gammas[self.failed - 1] < self.sub.alpha] = INFEASIBLE
+        return totals
+
     def _keys(self, cols: np.ndarray, runs: tuple) -> np.ndarray:
         """The keys of the (slots, N) reduced exponent columns ``cols`` for
         the K nodes of ``runs``, slices of 0-based nodes, in the (slots * s,
         K * N) column layout of the kernels.  One ``np.take`` per (slot j,
         offset t) row and run copies ``node_keys[l, t, run]``, l the parity
         of slot j, at ``cols[j]``."""
-        sub = self.sub
+        sub, node_keys = self.sub, self.sub.node_keys
         slots, n = cols.shape
         width = sum(run.stop - run.start for run in runs)
-        keys = np.empty((slots, sub.s, width, n), dtype=sub.node_keys.dtype)
+        keys = np.empty((slots, sub.s, width, n), dtype=node_keys.dtype)
         for j, exps in enumerate(cols):
             exps = np.ascontiguousarray(exps)  # one index copy for all its takes
             for t, out in enumerate(keys[j]):
                 for run in runs:
-                    table = sub.node_keys[j // sub.beta, t, run]
+                    table = node_keys[j // sub.beta, t, run]
                     # exponents < q-1: "clip" checks none, writes to out directly
                     np.take(table, exps, axis=-1, out=out[:len(table)], mode="clip")
                     out = out[len(table):]
@@ -278,38 +290,44 @@ class SchemeEvaluator:
         ranks = self.sub.subfield.rank_batch(self._keys(cols, runs))
         return ranks.reshape(sum(run.stop - run.start for run in runs), cols.shape[1])
 
-    def evaluate_completions(self, heads: np.ndarray, values: int) -> np.ndarray:
-        """(H, values) ``evaluate_batch`` totals of the completions of the
-        (H, slots-1) reduced exponent heads ``heads`` by a last exponent 0 ..
-        values-1, in row-major order.  Each head's k blocks are eliminated
-        once, and the last slot's keys, which no head changes, are reduced
-        against their pivots (``SubfieldSpec.rank_extend_batch``)."""
+    def evaluate_completions(self, heads: np.ndarray, lasts: range) -> np.ndarray:
+        """(k, H, V) ``evaluate_batch`` gammas of the completions of the (H,
+        slots-1) reduced exponent heads ``heads`` by each of the V last
+        exponents of ``lasts``, a range in [0, q-1) of step 1, in row-major
+        order.  Each head's k blocks are eliminated once, and the last
+        slot's keys, which no head changes, are reduced against their pivots
+        (``SubfieldSpec.rank_extend_batch``)."""
         sub, k = self.sub, self.sub.code.k
-        rows = np.repeat(sub.node_keys[-1, :, :, :values], len(heads), axis=1)
-        ranks = sub.subfield.rank_extend_batch(
-            self._keys(heads.T, (slice(0, k),)), rows).reshape(k, len(heads), values)
-        totals = ranks.sum(axis=0, dtype=np.int64)
-        totals[ranks[self.failed - 1] != sub.alpha] = INFEASIBLE
-        return totals
+        rows = np.repeat(sub.node_keys[-1, :, :, lasts.start:lasts.stop], len(heads), axis=1)
+        return sub.subfield.rank_extend_batch(
+            self._keys(heads.T, (slice(0, k),)), rows).reshape(k, len(heads), len(lasts))
 
     def evaluate_batch(self, flats: np.ndarray) -> np.ndarray:
-        """Totals of the (N, slots) exponent tuples in ``flats``, with
-        ``INFEASIBLE`` for the infeasible ones."""
+        """(k, N) gammas of the (N, slots) exponent tuples in ``flats``, one
+        column per tuple, as ``uint8`` (a gamma is at most alpha <= m, and
+        q <= 2^16 keeps m <= 16).  The other nodes of an infeasible tuple
+        are not ranked and read 0."""
         q1 = self.sub.code.field.q - 1
         flats = np.asarray(flats, dtype=np.int64)
         # the search's exponents are reduced already, and the division is the
         # dearest pass over a batch: reduce only when an entry needs it
         if flats.size and (flats.min() < 0 or flats.max() >= q1):
             flats = flats % q1
-        failed, k, alpha = self.failed - 1, self.sub.code.k, self.sub.alpha
-        ok = self._gammas_batch(flats.T, (slice(failed, failed + 1),))[0] == alpha
-        # the other nodes: the runs below and above the failed one
+        failed, k = self.failed - 1, self.sub.code.k
+        gammas = np.zeros((k, len(flats)), dtype=np.uint8)
+        gammas[failed] = self._gammas_batch(flats.T, (slice(failed, failed + 1),))[0]
+        feasible = gammas[failed] == self.sub.alpha
+        # the other nodes: the runs below and above the failed one, ranked
+        # for the feasible tuples and put in their columns
         others = tuple(run for run in (slice(0, failed), slice(failed + 1, k))
                        if run.start < run.stop)
-        gammas = self._gammas_batch(flats.compress(ok, axis=0).T, others)
-        totals = np.full(len(flats), INFEASIBLE, dtype=np.int64)
-        totals[ok] = alpha + gammas.sum(axis=0)
-        return totals
+        rest = self._gammas_batch(flats.compress(feasible, axis=0).T, others)
+        ok = feasible.nonzero()[0]
+        if failed:
+            gammas[:failed, ok] = rest[:failed]
+        if failed < k - 1:
+            gammas[failed + 1:, ok] = rest[failed:]
+        return gammas
 
 
 def gamma_ranks(scheme: RepairScheme) -> RepairReport:

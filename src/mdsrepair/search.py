@@ -6,28 +6,31 @@ constant leaves all gamma ranks unchanged, so the first element is pinned
 to 1 and only the remaining slots are enumerated or sampled.
 Infeasible tuples (useful block not full rank) are counted, not scored.
 
-Candidates are scored in chunks of at most ``CHUNK`` tuples, or of one
-head's q-1 (a batched elimination: over GF(2) for p = 2, in the log domain
-for odd p): random ones as (N, slots) exponent arrays
-(``SchemeEvaluator.evaluate_batch``), exhaustive ones as heads, the first
-slots-1 exponents, read in mixed radix q-1, each with every last exponent
-(``evaluate_completions``): row-major, that is lexicographic order.  A
-chunk's cost is mostly a fixed number of NumPy calls, so one chunk covers
-the usual search.
+Candidates are scored in chunks of at most ``CHUNK`` tuples (a batched
+elimination: over GF(2) for p = 2, in the log domain for odd p): random
+ones as (N, slots) exponent arrays (``SchemeEvaluator.evaluate_batch``),
+exhaustive ones as heads, the first slots-1 exponents, read in mixed radix
+q-1, each with a range of last exponents (``evaluate_completions``):
+row-major, that is lexicographic order.  A chunk's cost is mostly a fixed
+number of NumPy calls, so one chunk covers the usual search.  Each chunk
+returns the gammas of its candidates, and the search keeps the winner's
+column as its report: every candidate is ranked once, the winner included.
 
 Memory: a random chunk of N candidates holds its exponent rows (8 * slots
-* N bytes, slots <= m) and, while one block set is ranked, about
-(3b + 1) * m + 9 bytes per candidate and node of the set for p = 2, b the
-bytes of a key (1 up to GF(2^8), 2 up to GF(2^16)), or 33 * m + 9 for odd
-p.  The keys come from ``SubpacketizationSpec.node_keys``, (n-k) * s * k *
-(q-1) keys per spec: 10 KiB for fb1410 at s = 1, 3 MiB for an RS(14,12)
-code over GF(2^16).  For m <= 16 and p = 2 a full chunk of 4,096 stays
-under about 0.75 MiB plus 0.5 MiB per systematic node; measured peaks are
-0.8 MiB for fb1410 (k = 10) and 2.3 MiB for that RS(14,12) code.  An
-exhaustive chunk peaks at 0.3 MiB for fb1410 at s = 2 (about 4 * s bytes per
-completion and node) and 1.5 MiB for RS(6,4) over GF(3^4) at s = 2 (48 * s);
-with q-1 > CHUNK its one head has q-1 completions: 48 MiB for an RS(14,12)
-code over GF(2^16) at s = 8.
+* N bytes, slots <= m), its k * N gammas (one byte each) and, while one
+block set is ranked, about (3b + 1) * m + 9 bytes per candidate and node
+of the set for p = 2, b the bytes of a key (1 up to GF(2^8), 2 up to
+GF(2^16)), or 33 * m + 9 for odd p.  The keys come from
+``SubpacketizationSpec.node_keys``, (n-k) * s * k * (q-1) keys per spec: 10
+KiB for fb1410 at s = 1, 3 MiB for an RS(14,12) code over GF(2^16).  For m
+<= 16 and p = 2 a full chunk of 4,096 stays under about 0.75 MiB plus 0.5
+MiB per systematic node; measured peaks are 0.8 MiB for fb1410 (k = 10)
+and 2.3 MiB for that RS(14,12) code.  An exhaustive chunk peaks at 0.3 MiB
+for fb1410 at s = 2 (about 4 * s bytes per completion and node) and 1.5
+MiB for RS(6,4) over GF(3^4) at s = 2 (48 * s).  When q-1 > ``CHUNK``,
+each head's last exponents are split in ranges of ``CHUNK``: 3.1 MiB for
+that RS(14,12) code at s = 8, tracemalloc's peak, node keys included
+(48 MiB when one chunk held a head's 65,535 completions).
 
 Random draws use the stdlib Mersenne Twister (``random.Random(seed)``),
 one ``randrange(q-1)`` exponent per free slot in slot order, so a run is
@@ -49,7 +52,6 @@ from .repair import (
     RepairScheme,
     SchemeEvaluator,
     SubpacketizationSpec,
-    gamma_ranks,
 )
 
 EXHAUSTIVE_CAP = 10 ** 8
@@ -74,20 +76,12 @@ class SearchConfig(Value):
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(
                 f"seed must be a non-negative integer, got {short_repr(self.seed)}")
-
-    @property
-    def slots(self) -> int:
-        """Number of repair field elements in a candidate."""
-        return self.sub.code.r * self.sub.beta
-
-    @property
-    def free_slots(self) -> int:
-        """Slots after the first, which is pinned to 1."""
-        return self.slots - 1
-
-    @property
-    def space_size(self) -> int:
-        return (self.sub.code.field.q - 1) ** self.free_slots
+        # set once: slots repair field elements per candidate, the free ones
+        # after the first, which is pinned to 1, and the candidates they span
+        slots = self.sub.code.r * self.sub.beta
+        object.__setattr__(self, "slots", slots)
+        object.__setattr__(self, "free_slots", slots - 1)
+        object.__setattr__(self, "space_size", (self.sub.code.field.q - 1) ** (slots - 1))
 
 
 class SearchResult(Value):
@@ -111,44 +105,52 @@ def _pin_first(free: np.ndarray) -> np.ndarray:
 
 def _run(cfg: SearchConfig, count: int, chunks, proven: bool) -> SearchResult:
     """Keep the feasible minimum of ``count`` candidates scored in stream
-    order: ``chunks(ev)`` yields, chunk by chunk, the 1-D totals of the
-    chunk's candidates, scored by the evaluator ``ev``, and a function of i
-    that gives the exponents of its i-th candidate.
+    order: ``chunks(ev)`` yields, chunk by chunk, the (k, N) gammas of the
+    chunk's N candidates, scored by the evaluator ``ev``, and a function of
+    i that gives the exponents of its i-th candidate.
 
     Each chunk contributes its first minimum, and only strictly better
     totals replace the incumbent, so the winner is the first optimum in
     stream order: with lexicographic enumeration, the lexicographically
-    smallest optimum.
+    smallest optimum.  The winner's report is its column of gammas, so no
+    candidate is ranked twice.
     """
-    best_total, best_flat, feasible = INFEASIBLE, None, 0
-    for totals, flat in chunks(SchemeEvaluator(cfg.sub, cfg.failed)):
+    ev = SchemeEvaluator(cfg.sub, cfg.failed)
+    best_total, best, feasible = INFEASIBLE, None, 0
+    for gammas, flat in chunks(ev):
+        totals = ev.totals(gammas)
         feasible += int(np.count_nonzero(totals != INFEASIBLE))
         i = int(totals.argmin())
         if totals[i] < best_total:
             best_total = totals[i]
-            best_flat = flat(i)
-    if best_flat is None:
+            best = flat(i), gammas[:, i].tolist()
+    if best is None:
         raise NoFeasibleFound(
             f"no feasible scheme among {count} candidates "
             f"(naive repair at {cfg.sub.file_size} symbols always remains available)")
-    best = RepairScheme.from_flat(cfg.sub, cfg.failed, best_flat)
-    return SearchResult(best, gamma_ranks(best), count, feasible, proven)
+    flat, gammas = best
+    return SearchResult(RepairScheme.from_flat(cfg.sub, cfg.failed, flat),
+                        RepairReport(cfg.sub, cfg.failed, tuple(gammas)),
+                        count, feasible, proven)
 
 
 def exhaustive_search(cfg: SearchConfig) -> SearchResult:
     """Enumerate every candidate tuple in lexicographic exponent order and
     return the feasible minimum; requires the space to fit under the cap.
-    A chunk holds max(1, ``CHUNK`` // (q-1)) heads; with no free slot, the
-    one head is empty and its one completion the pinned 0."""
+    A chunk holds max(1, ``CHUNK`` // (q-1)) heads, each with every last
+    exponent, or, when q-1 > ``CHUNK``, one head with ``CHUNK`` consecutive
+    last exponents; with no free slot, the one head is empty and its one
+    completion the pinned 0."""
     if cfg.mode != "exhaustive":
         raise ValueError(f"a {cfg.mode}-mode config given to exhaustive_search")
     if cfg.space_size > EXHAUSTIVE_CAP:
         raise SearchSpaceTooLarge(
             f"{cfg.space_size} candidates exceed the cap {EXHAUSTIVE_CAP}")
-    q1 = cfg.sub.code.field.q - 1
+    q1, k = cfg.sub.code.field.q - 1, cfg.sub.code.k
     values = q1 if cfg.free_slots else 1  # last exponents per head
     head_count = cfg.space_size // values
     step = max(1, CHUNK // values)
+    width = min(values, CHUNK)  # last exponents per chunk
     # place values of the free head slots, most significant first
     places = q1 ** np.arange(cfg.free_slots - 2, -1, -1, dtype=np.int64)
 
@@ -157,8 +159,11 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
             index = np.arange(start, min(start + step, head_count), dtype=np.int64)
             heads = np.zeros((len(index), cfg.slots - 1), dtype=np.int64)
             heads[:, 1:] = index[:, None] // places % q1
-            totals = ev.evaluate_completions(heads, values).ravel()
-            yield totals, lambda i: [*heads[i // values].tolist(), i % values]
+            for low in range(0, values, width):
+                lasts = range(low, min(low + width, values))
+                gammas = ev.evaluate_completions(heads, lasts).reshape(k, -1)
+                yield gammas, lambda i: [*heads[i // len(lasts)].tolist(),
+                                         lasts[i % len(lasts)]]
 
     return _run(cfg, cfg.space_size, chunks, proven=True)
 

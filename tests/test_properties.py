@@ -25,11 +25,16 @@ one matrix report about 0.09 ms on fb1410 (0.35 ms when each block went
 through ``linalg.rank_mod_p``) and 0.07 ms on RS(6,4) over GF(3^4).
 """
 
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from mdsrepair.codes import encode, rs_systematic
+from mdsrepair import search
+from mdsrepair.bundled import bundled_code
+from mdsrepair.codes import encode, normalize_parity, rs_systematic
+from mdsrepair.errors import NoFeasibleFound
 from mdsrepair.gf import FieldSpec
 from mdsrepair.repair import (
     INFEASIBLE,
@@ -42,6 +47,7 @@ from mdsrepair.repair import (
     realize_matrices,
     recover_node,
 )
+from mdsrepair.search import SearchConfig, exhaustive_search, random_search
 
 # deterministic and bounded, so the suite stays reproducible and fast
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -93,10 +99,13 @@ def test_routes_agree(sub, data):
                for _ in range(sub.code.k)]
     report = gamma_ranks(scheme)
     assert gamma_ranks_matrix(sub, failed, realize_matrices(scheme, reference)) == report
-    batch = SchemeEvaluator(sub, failed).evaluate_batch([scheme.flat_exps()])
-    assert batch.tolist() == [report.total_bw if report.feasible else INFEASIBLE]
+    ev = SchemeEvaluator(sub, failed)
+    batch = ev.evaluate_batch([scheme.flat_exps()])
+    assert ev.totals(batch).tolist() == [report.total_bw if report.feasible else INFEASIBLE]
+    assert batch[failed - 1].tolist() == [report.gammas[failed - 1]]
     if not report.feasible:
         return
+    assert tuple(batch[:, 0].tolist()) == report.gammas
     codeword = encode(sub.code, message)
     result = recover_node(codeword, scheme, reference)
     assert result.element == codeword[failed - 1]
@@ -130,3 +139,48 @@ def test_lift_keeps_bits(scheme):
     assert lifted.gammas == tuple(scheme.sub.s * g for g in base.gammas)
     assert lifted.feasible == base.feasible
     assert lifted.total_bits == base.total_bits
+
+
+# the bundled codes and RS(6,4) over GF(3^4) at z^0..z^5, normalized, at
+# every valid s; fb1410's exhaustive spaces (255^7 at s = 1, 255^3 at s = 2)
+# take too long, so it is searched at random only
+SEARCHED = [SubpacketizationSpec(code, s)
+            for code in (*map(bundled_code, ("rs53", "rs64", "fb1410")),
+                         normalize_parity(RS64))
+            for s in (1, 2)]
+SEARCH_IDS = [f"{sub.code.name or 'RS64-GF3^4'}-s{sub.s}" for sub in SEARCHED]
+
+
+def _check_search_report(result):
+    """A search's report, taken from the batch that scored its winner, is
+    what the element route and the matrix route give the winner, in python
+    ints."""
+    best, report = result.best, result.best_report
+    assert report.feasible
+    assert all(type(g) is int for g in report.gammas)
+    assert report == gamma_ranks(best)
+    assert report == gamma_ranks_matrix(best.sub, best.failed, realize_matrices(best))
+
+
+@pytest.mark.parametrize("sub", [sub for sub in SEARCHED if sub.code.field.q < 256],
+                         ids=[i for i, sub in zip(SEARCH_IDS, SEARCHED)
+                              if sub.code.field.q < 256])
+def test_exhaustive_report_is_both_routes(sub):
+    for failed in range(1, sub.code.k + 1):
+        _check_search_report(exhaustive_search(SearchConfig(sub, failed)))
+
+
+@pytest.mark.parametrize("sub", SEARCHED, ids=SEARCH_IDS)
+@settings(PROPERTY, max_examples=6)
+@given(st.data())
+def test_random_report_is_both_routes(sub, data):
+    # chunks of 7 and 100 put most winners in a later chunk than the first
+    cfg = SearchConfig(sub, data.draw(st.integers(1, sub.code.k)), mode="random",
+                       samples=data.draw(st.integers(1, 600)),
+                       seed=data.draw(st.integers(0, 2 ** 32 - 1)))
+    with mock.patch.object(search, "CHUNK", data.draw(st.sampled_from([7, 100, search.CHUNK]))):
+        try:
+            result = random_search(cfg)
+        except NoFeasibleFound:
+            reject()
+    _check_search_report(result)

@@ -109,25 +109,45 @@ class TestExhaustive:
         assert result.evaluated == 15 ** 3
         assert result.feasible == brute
 
-    def test_lexicographic_chunks(self, rs64, monkeypatch):
+    @staticmethod
+    def _check_completion_chunks(cfg, monkeypatch):
         # exhaustive search scores heads, never full tuples: the heads it
-        # hands over, each completed by every last exponent, run through the
-        # space in lexicographic order, at most CHUNK candidates per call
+        # hands over, each completed by its range of last exponents, run
+        # through the space in lexicographic order, at most CHUNK candidates
+        # per call
         seen = []
         completions = SchemeEvaluator.evaluate_completions
 
-        def recording(self, heads, values):
-            seen.append((np.array(heads), values))
-            return completions(self, heads, values)
+        def recording(self, heads, lasts):
+            seen.append((np.array(heads), lasts))
+            return completions(self, heads, lasts)
 
         monkeypatch.setattr(SchemeEvaluator, "evaluate_completions", recording)
         refused = _record_chunks(monkeypatch)
-        exhaustive_search(SearchConfig(SubpacketizationSpec(rs64, 1), 1))
+        outcome = _outcome(cfg)
         assert not refused
-        flats = [[*head, last] for heads, values in seen
-                 for head in heads.tolist() for last in range(values)]
-        assert flats == [[0, *t] for t in itertools.product(range(15), repeat=3)]
-        assert max(len(heads) * values for heads, values in seen) <= search.CHUNK
+        q1 = cfg.sub.code.field.q - 1
+        flats = [[*head, last] for heads, lasts in seen
+                 for head in heads.tolist() for last in lasts]
+        assert flats == [[0, *t] for t in itertools.product(range(q1), repeat=cfg.free_slots)]
+        assert max(len(heads) * len(lasts) for heads, lasts in seen) <= search.CHUNK
+        return outcome
+
+    def test_lexicographic_chunks(self, rs64, monkeypatch):
+        self._check_completion_chunks(SearchConfig(SubpacketizationSpec(rs64, 1), 1),
+                                      monkeypatch)
+
+    @pytest.mark.parametrize("name, s", [("rs53", 1), ("rs53", 2), ("rs64", 1), ("rs64", 2)])
+    def test_chunk_below_q1_splits_heads(self, request, monkeypatch, name, s):
+        # CHUNK = 7 < q-1 = 15: each head's completions are split in ranges
+        # of at most 7, in order, with the same winner and feasible count
+        sub = SubpacketizationSpec(request.getfixturevalue(name), s)
+        for node in range(1, sub.code.k + 1):
+            cfg = SearchConfig(sub, node)
+            before = _outcome(cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(search, "CHUNK", 7)
+                assert self._check_completion_chunks(cfg, patch) == before
 
     @pytest.mark.parametrize("name, s, winners, feasible", [
         ("rs53", 1, [[0, 1, 0, 6], [0, 1, 0, 2], [0, 1, 0, 11]], 1344),
@@ -287,8 +307,19 @@ class TestBatch:
                      for _ in range(2000)]
             want = [total if feasible else INFEASIBLE
                     for feasible, total in map(ev.evaluate, flats)]
-            assert ev.evaluate_batch(np.array(flats)).tolist() == want
+            gammas = ev.evaluate_batch(np.array(flats))
+            assert gammas.shape == (code.k, len(flats))
+            assert ev.totals(gammas).tolist() == want
             assert INFEASIBLE in want and min(want) < INFEASIBLE
+            # the gammas of a feasible tuple are its report's; an infeasible
+            # one has its failed node's gamma and zeros
+            for flat, column in zip(flats[:200], gammas.T.tolist()):
+                report = gamma_ranks(RepairScheme.from_flat(sub, failed, flat))
+                if not report.feasible:
+                    report = [0] * code.k
+                    report[failed - 1] = column[failed - 1]
+                    assert column[failed - 1] < sub.alpha
+                assert column == list(getattr(report, "gammas", report))
 
     @pytest.mark.parametrize("name", ["fb1410", "rs64_gf81"])
     def test_batch_reduces_its_input(self, request, name):
@@ -357,8 +388,8 @@ class TestBatch:
     def test_odd_p_search_ranks_in_batches(self, rs64_gf81, monkeypatch, rng):
         # odd p has one element kernel: a report or a rank_over_subfield
         # ranks all its sets in one zech_rank_batch call, and a search ranks
-        # only in batches, one elimination per block set and chunk plus one
-        # for the winner's report
+        # only in batches, one elimination per block set and chunk, and
+        # takes its winner's report from them: no report-sized call
         calls = []
         for name in ("zech_rank_batch", "zech_echelon_batch"):
             def counting(cols, *args, name=name, kernel=getattr(linalg, name)):
@@ -381,9 +412,13 @@ class TestBatch:
             elems = [field.element(rng.randrange(field.q - 1)) for _ in range(3)]
             assert rank_calls(rank_over_subfield, elems, sub.subfield) == [1]
         for cfg in _odd_p_searches(rs64_gf81):
-            # each search is one chunk: two eliminations, then the report's
-            assert rank_calls(_outcome, cfg)[-1] == k
-            assert sum(name == "zech_echelon_batch" for name, _ in calls) == 3
+            # each search is one chunk of two eliminations (a random chunk's
+            # two zech_rank_batch calls; exhaustive search's head echelon and
+            # the one inside zech_extend_batch), and no report is ranked after
+            ranked = rank_calls(_outcome, cfg)
+            assert k not in ranked
+            assert len(ranked) == (2 if cfg.mode == "random" else 0)
+            assert sum(name == "zech_echelon_batch" for name, _ in calls) == 2
 
     def test_small_chunks_same_winners(self, rs53, rs64, fb1410, monkeypatch):
         cfgs = [SearchConfig(SubpacketizationSpec(code, s), node)
@@ -451,10 +486,18 @@ class TestCompletions:
         flats = np.array([[*head, last] for head in heads.tolist() for last in range(q1)])
         for failed in (1, 2, code.k):
             ev = SchemeEvaluator(sub, failed)
-            want = ev.evaluate_batch(flats).reshape(len(heads), q1)
-            assert ev.evaluate_completions(heads, q1).tolist() == want.tolist()
-            assert ev.evaluate_completions(heads, 3).tolist() == want[:, :3].tolist()
-            assert INFEASIBLE in want and want.min() < INFEASIBLE
+            want = ev.evaluate_batch(flats).reshape(code.k, len(heads), q1)
+            got = ev.evaluate_completions(heads, range(q1))
+            # every node's gammas where feasible, the failed node's everywhere
+            feasible = want[failed - 1] == sub.alpha
+            assert np.array_equal(got[failed - 1], want[failed - 1])
+            assert np.array_equal(got[:, feasible], want[:, feasible])
+            totals = ev.totals(want)
+            assert ev.totals(got).tolist() == totals.tolist()
+            assert INFEASIBLE in totals and totals.min() < INFEASIBLE
+            for lasts in (range(3), range(5, 9), range(q1 - 1, q1)):
+                part = ev.evaluate_completions(heads, lasts)
+                assert part.tolist() == got[..., lasts.start:lasts.stop].tolist()
 
     @pytest.mark.parametrize("name, kernel", [("rs64", "bit_extend_batch"),
                                               ("rs64_gf81", "zech_extend_batch")])
