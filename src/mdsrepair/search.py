@@ -28,9 +28,9 @@ MiB per systematic node; measured peaks are 0.8 MiB for fb1410 (k = 10)
 and 2.3 MiB for that RS(14,12) code.  An exhaustive chunk peaks at 0.3 MiB
 for fb1410 at s = 2 (about 4 * s bytes per completion and node) and 1.5
 MiB for RS(6,4) over GF(3^4) at s = 2 (48 * s).  When q-1 > ``CHUNK``,
-each head's last exponents are split in ranges of ``CHUNK``: 3.1 MiB for
-that RS(14,12) code at s = 8, tracemalloc's peak, node keys included
-(48 MiB when one chunk held a head's 65,535 completions).
+each head's last exponents are split in ranges of ``CHUNK``, so a chunk
+stays bounded: 3.1 MiB for that RS(14,12) code at s = 8, tracemalloc's
+peak over a search whose node keys (24 MiB at s = 8) were built before.
 
 Random draws use the stdlib Mersenne Twister (``random.Random(seed)``),
 one ``randrange(q-1)`` exponent per free slot in slot order, so a run is

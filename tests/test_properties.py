@@ -23,6 +23,12 @@ takes about 0.03 ms on RS(5,3) over GF(2^4) and 0.08 ms on RS(6,4) over
 GF(3^4) (0.07 and 0.10 ms with the operator products it replaced), and
 one matrix report about 0.09 ms on fb1410 (0.35 ms when each block went
 through ``linalg.rank_mod_p``) and 0.07 ms on RS(6,4) over GF(3^4).
+
+A search takes its winner's report from the gammas of the batch that
+scored it, so ``test_exhaustive_report_is_both_routes`` and
+``test_random_report_is_both_routes`` check that report against both
+routes, on the bundled codes and RS(6,4) over GF(3^4) at s = 1 and 2, with
+random chunks of 7, 100 and ``CHUNK`` candidates.
 """
 
 from unittest import mock
