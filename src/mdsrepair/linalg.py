@@ -67,7 +67,7 @@ def bit_rank(rows) -> int:
 def _count(nonzero: np.ndarray) -> np.ndarray:
     """The uint8 number of True entries in each column of the (steps, N)
     bool array ``nonzero`` (steps <= 16), several times faster than int64."""
-    return nonzero.sum(axis=0, dtype=np.uint8)
+    return np.add.reduce(nonzero, axis=0, dtype=np.uint8)
 
 
 def _bit_step(cols: np.ndarray, pivot: np.ndarray, scratch: np.ndarray) -> None:
@@ -95,7 +95,7 @@ def bit_echelon_batch(cols: np.ndarray, m: int) -> np.ndarray:
     pivots = np.empty((steps, cols.shape[1]), dtype=cols.dtype)
     scratch = np.empty_like(cols)
     for i, pivot in enumerate(pivots, 1):
-        cols.max(axis=0, out=pivot)
+        np.maximum.reduce(cols, axis=0, out=pivot)
         if i < steps:
             _bit_step(cols, pivot, scratch)
     return pivots
@@ -155,7 +155,7 @@ def zech_echelon_batch(cols: np.ndarray, m: int, lead, zech, product) -> np.ndar
     shifted = zech[q1 + q1 // 2:]
     for i, pivot in enumerate(pivots, 1):
         lead.take(cols, out=keys, mode="clip")
-        keys.max(axis=0, out=pivot)
+        np.maximum.reduce(keys, axis=0, out=pivot)
         if i < steps:
             np.subtract(pivot, keys, out=keys)
             _zech_step(cols, keys, factor, shifted, product)

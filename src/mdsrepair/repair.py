@@ -94,15 +94,15 @@ class SubpacketizationSpec(Value):
 
     @table
     def node_keys(self) -> np.ndarray:
-        """Read-only (n-k, s, k, q-1) table of the batch keys:
-        node_keys[l, t, u, e] = ``FieldSpec.rank_keys``[e + log(P_u^l * w^t)],
+        """Read-only (n-k, s, q-1, k) C-ordered table of the batch keys:
+        node_keys[l, t, e, u] = ``FieldSpec.rank_keys``[e + log(P_u^l * w^t)],
         the kernel key of z^e * P_u^l * w^t, with P_u^l node u's coefficient
         at parity l, w^t the t-th subfield basis element and the log reduced
-        mod q-1.  Built, and NumPy loaded, on first read."""
+        mod q-1; row [l, t, e] holds every node's.  Built on first read."""
         field = self.code.field
-        shifts = ((np.array(self.code.parity_exps(), dtype=np.int64).T[:, None, :]
-                   + np.array(self.subfield.offsets)[:, None]) % (field.q - 1))
-        return field.rank_keys[shifts[..., None] + np.arange(field.q - 1)]
+        shifts = ((np.array(self.code.parity_exps(), dtype=np.int64).T[:, None, None]
+                   + np.array(self.subfield.offsets)[:, None, None]) % (field.q - 1))
+        return np.ascontiguousarray(field.rank_keys[shifts + np.arange(field.q - 1)[:, None]])
 
     def bits(self, symbols: int):
         """Bits in ``symbols`` GF(p^s) sub-symbols: the GF(p) digit count
@@ -229,13 +229,15 @@ class SchemeEvaluator:
     """The scoring policy for raw element-exponent tuples of one (code,
     subfield, failed node) context.
 
-    ``evaluate_batch`` is the search module's inner loop: the failed node's
-    block is ranked for the whole batch, the other k-1 blocks only for the
-    feasible rows, each set with one ``SubfieldSpec.rank_batch`` call on keys
-    taken from ``sub.node_keys`` straight into the kernels' column layout.
-    It and ``evaluate_completions`` return the gammas, one column per
-    tuple, so a search takes its winner's report from the batch that scored
-    it; ``totals`` turns gammas into the totals the search minimizes.
+    ``evaluate_batch`` is the search module's inner loop: two
+    ``SubfieldSpec.rank_batch`` calls on keys gathered from ``sub.node_keys``
+    straight into the kernels' column layout, one ``np.take`` per (slot,
+    offset) row, first of the failed node's block for the whole batch, then
+    of all k blocks of the feasible tuples (leaving the failed one out
+    would cost more than ranking it again).  It and ``evaluate_completions``
+    return the gammas, one column per tuple, so a search takes its winner's
+    report from the batch that scored it; ``totals`` turns gammas into the
+    totals the search minimizes.
     ``evaluate`` scores one tuple on ``gamma_ranks``'s scalar route
     (``SubfieldSpec.rank_exps``).  For p = 2 that ranks on python ints and
     is an independent oracle of ``evaluate_batch`` in the tests; for odd p
@@ -260,73 +262,71 @@ class SchemeEvaluator:
         the nodes, or ``INFEASIBLE`` where the failed node's gamma is below
         alpha."""
         # a total is at most k * alpha < 2^21: summed faster in uint32
-        totals = gammas.sum(axis=0, dtype=np.uint32).astype(np.int64)
+        totals = np.add.reduce(gammas, axis=0, dtype=np.uint32).astype(np.int64)
         totals[gammas[self.failed - 1] < self.sub.alpha] = INFEASIBLE
         return totals
 
-    def _keys(self, cols: np.ndarray, runs: tuple) -> np.ndarray:
-        """The keys of the (slots, N) reduced exponent columns ``cols`` for
-        the K nodes of ``runs``, slices of 0-based nodes, in the (slots * s,
-        K * N) column layout of the kernels.  One ``np.take`` per (slot j,
-        offset t) row and run copies ``node_keys[l, t, run]``, l the parity
-        of slot j, at ``cols[j]``."""
-        sub, node_keys = self.sub, self.sub.node_keys
-        slots, n = cols.shape
-        width = sum(run.stop - run.start for run in runs)
-        keys = np.empty((slots, sub.s, width, n), dtype=node_keys.dtype)
+    def _columns(self, tuples, width: int) -> np.ndarray:
+        """The C-ordered int64 (width, N) transpose of the (N, width) integer
+        exponent tuples, reduced mod q-1: no copy for a search's tuples,
+        views of such arrays already reduced, as the division is the dearest
+        pass over a batch (a negative entry reads above q-1 as uint64).
+        DimensionMismatch for another shape, ParseError for non-integers."""
+        tuples = np.asarray(tuples)
+        if tuples.ndim != 2 or tuples.shape[1] != width:
+            raise DimensionMismatch(f"exponent tuples of shape {tuples.shape}, not (N, {width})")
+        if tuples.dtype.kind not in "iu":
+            raise ParseError(f"exponents must be integers, got {tuples.dtype}")
+        cols, q1 = np.ascontiguousarray(tuples.T, dtype=np.int64), self.sub.code.field.q - 1
+        return cols % q1 if cols.size and cols.view(np.uint64).max() >= q1 else cols
+
+    def _keys(self, cols: np.ndarray, node=slice(None)) -> np.ndarray:
+        """The keys of the (slots, N) reduced exponent columns ``cols`` in the
+        kernels' (slots * s, N * K) layout, sets tuple-major: of the 0-based
+        node ``node`` (K = 1), or of all k nodes.  One ``np.take`` per (slot
+        j, offset t) row gathers node_keys[l, t] at cols[j], l the parity of
+        slot j: its rows, or its column ``node``, copied first (q-1 keys)."""
+        sub, tables = self.sub, self.sub.node_keys[..., node]
+        keys = np.empty((len(cols), sub.s, *cols.shape[1:], *tables.shape[3:]), tables.dtype)
         for j, exps in enumerate(cols):
-            exps = np.ascontiguousarray(exps)  # one index copy for all its takes
-            for t, out in enumerate(keys[j]):
-                for run in runs:
-                    table = node_keys[j // sub.beta, t, run]
-                    # exponents < q-1: "clip" checks none, writes to out directly
-                    np.take(table, exps, axis=-1, out=out[:len(table)], mode="clip")
-                    out = out[len(table):]
-        return keys.reshape(slots * sub.s, width * n)
+            for t in range(sub.s):
+                # exponents < q-1: "wrap" moves none, writes to out directly
+                np.take(tables[j // sub.beta, t], exps, axis=0, out=keys[j, t], mode="wrap")
+        return keys.reshape(len(cols) * sub.s, math.prod(keys.shape[2:]))
 
-    def _gammas_batch(self, cols: np.ndarray, runs: tuple) -> np.ndarray:
-        """(K, N) gammas of ``cols`` for the K nodes of ``runs`` (``_keys``),
-        ranked in place by one ``rank_batch`` call."""
-        ranks = self.sub.subfield.rank_batch(self._keys(cols, runs))
-        return ranks.reshape(sum(run.stop - run.start for run in runs), cols.shape[1])
-
-    def evaluate_completions(self, heads: np.ndarray, lasts: range) -> np.ndarray:
+    def evaluate_completions(self, heads, lasts: range) -> np.ndarray:
         """(k, H, V) ``evaluate_batch`` gammas of the completions of the (H,
-        slots-1) reduced exponent heads ``heads`` by each of the V last
-        exponents of ``lasts``, a range in [0, q-1) of step 1, in row-major
-        order.  Each head's k blocks are eliminated once, and the last
-        slot's keys, which no head changes, are reduced against their pivots
+        slots-1) exponent heads ``heads`` by each of the V last exponents of
+        ``lasts``, a range in [0, q-1) of step 1, in row-major order.  Each
+        head's k blocks are eliminated once, and the last slot's keys, which
+        no head changes, are reduced against their pivots
         (``SubfieldSpec.rank_extend_batch``)."""
         sub, k = self.sub, self.sub.code.k
-        rows = np.repeat(sub.node_keys[-1, :, :, lasts.start:lasts.stop], len(heads), axis=1)
-        return sub.subfield.rank_extend_batch(
-            self._keys(heads.T, (slice(0, k),)), rows).reshape(k, len(heads), len(lasts))
+        if not isinstance(lasts, range) or lasts.step != 1:
+            raise ParseError(f"last exponents must be a range of step 1, got {lasts!r}")
+        if not 0 <= lasts.start <= lasts.stop < sub.code.field.q:
+            raise DimensionMismatch(f"last exponents {lasts} not in [0, q-1)")
+        cols = self._columns(heads, len(sub.slot_shifts[0]) - 1)
+        h, v = cols.shape[1], len(lasts)
+        # rows[t, h * k + u]: the last slot's keys of node u at offset t
+        rows = np.repeat(sub.node_keys[-1, :, None, lasts.start:lasts.stop].swapaxes(2, 3),
+                         h, axis=1).reshape(sub.s, h * k, v)
+        gammas = sub.subfield.rank_extend_batch(self._keys(cols), rows)
+        return np.ascontiguousarray(gammas.reshape(h, k, v).swapaxes(0, 1))
 
-    def evaluate_batch(self, flats: np.ndarray) -> np.ndarray:
+    def evaluate_batch(self, flats) -> np.ndarray:
         """(k, N) gammas of the (N, slots) exponent tuples in ``flats``, one
-        column per tuple, as ``uint8`` (a gamma is at most alpha <= m, and
-        q <= 2^16 keeps m <= 16).  The other nodes of an infeasible tuple
-        are not ranked and read 0."""
-        q1 = self.sub.code.field.q - 1
-        flats = np.asarray(flats, dtype=np.int64)
-        # the search's exponents are reduced already, and the division is the
-        # dearest pass over a batch: reduce only when an entry needs it
-        if flats.size and (flats.min() < 0 or flats.max() >= q1):
-            flats = flats % q1
-        failed, k = self.failed - 1, self.sub.code.k
-        gammas = np.zeros((k, len(flats)), dtype=np.uint8)
-        gammas[failed] = self._gammas_batch(flats.T, (slice(failed, failed + 1),))[0]
-        feasible = gammas[failed] == self.sub.alpha
-        # the other nodes: the runs below and above the failed one, ranked
-        # for the feasible tuples and put in their columns
-        others = tuple(run for run in (slice(0, failed), slice(failed + 1, k))
-                       if run.start < run.stop)
-        rest = self._gammas_batch(flats.compress(feasible, axis=0).T, others)
-        ok = feasible.nonzero()[0]
-        if failed:
-            gammas[:failed, ok] = rest[:failed]
-        if failed < k - 1:
-            gammas[failed + 1:, ok] = rest[failed:]
+        column per tuple, as a C-ordered ``uint8`` array (a gamma is at most
+        alpha <= m, and q <= 2^16 keeps m <= 16).  The other nodes of an
+        infeasible tuple are not ranked and read 0."""
+        sub, failed, k = self.sub, self.failed - 1, self.sub.code.k
+        cols = self._columns(flats, len(sub.slot_shifts[0]))
+        rank = sub.subfield.rank_batch
+        gammas = np.zeros((k, cols.shape[1]), dtype=np.uint8)
+        gammas[failed] = own = rank(self._keys(cols, failed))
+        ok = (own == sub.alpha).nonzero()[0]
+        # the feasible tuples' (N_f, k) ranks, written to their columns
+        gammas[:, ok] = rank(self._keys(cols.take(ok, axis=1))).reshape(-1, k).T
         return gammas
 
 

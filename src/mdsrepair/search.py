@@ -16,21 +16,21 @@ number of NumPy calls, so one chunk covers the usual search.  Each chunk
 returns the gammas of its candidates, and the search keeps the winner's
 column as its report: every candidate is ranked once, the winner included.
 
-Memory: a random chunk of N candidates holds its exponent rows (8 * slots
-* N bytes, slots <= m), its k * N gammas (one byte each) and, while one
-block set is ranked, about (3b + 1) * m + 9 bytes per candidate and node
-of the set for p = 2, b the bytes of a key (1 up to GF(2^8), 2 up to
-GF(2^16)), or 33 * m + 9 for odd p.  The keys come from
-``SubpacketizationSpec.node_keys``, (n-k) * s * k * (q-1) keys per spec: 10
+Memory: a random chunk of N candidates holds its exponent columns (8 * slots
+* N bytes, slots <= m, again for the feasible ones), its k * N gammas (one
+byte each) and, while one block set is ranked, about (3b + 1) * m + 9 bytes
+per candidate and node of the set for p = 2, b the bytes of a key (1 up to
+GF(2^8), 2 up to GF(2^16)), or 33 * m + 9 for odd p.  The keys come from
+``SubpacketizationSpec.node_keys``, (n-k) * s * (q-1) * k keys per spec: 10
 KiB for fb1410 at s = 1, 3 MiB for an RS(14,12) code over GF(2^16).  For m
 <= 16 and p = 2 a full chunk of 4,096 stays under about 0.75 MiB plus 0.5
-MiB per systematic node; measured peaks are 0.8 MiB for fb1410 (k = 10)
-and 2.3 MiB for that RS(14,12) code.  An exhaustive chunk peaks at 0.3 MiB
-for fb1410 at s = 2 (about 4 * s bytes per completion and node) and 1.5
-MiB for RS(6,4) over GF(3^4) at s = 2 (48 * s).  When q-1 > ``CHUNK``,
-each head's last exponents are split in ranges of ``CHUNK``, so a chunk
-stays bounded: 3.1 MiB for that RS(14,12) code at s = 8, tracemalloc's
-peak over a search whose node keys (24 MiB at s = 8) were built before.
+MiB per systematic node; measured peaks are 0.7 MiB for fb1410 (k = 10) and
+2.2 MiB for that RS(14,12) code.  An exhaustive chunk peaks at 0.3 MiB for
+fb1410 at s = 2 (about 4 * s bytes per completion and node) and 1.5 MiB for
+RS(6,4) over GF(3^4) at s = 2 (48 * s).  When q-1 > ``CHUNK``, each head's
+last exponents are split in ranges of ``CHUNK``, so a chunk stays bounded:
+3.1 MiB for that RS(14,12) code at s = 8, tracemalloc's peak over a search
+whose node keys (24 MiB at s = 8) were built before.
 
 Random draws use the stdlib Mersenne Twister (``random.Random(seed)``),
 one ``randrange(q-1)`` exponent per free slot in slot order, so a run is
@@ -94,13 +94,13 @@ class SearchResult(Value):
 
 def _pin_first(free: np.ndarray) -> np.ndarray:
     """The (n, slots) int64 candidates of the (n, free_slots) ``free``
-    slots, behind a first slot pinned to 0 (the element 1).  Allocated after
-    the draw, so that the draw's temporaries leave a hole below them for
-    the evaluator's arrays rather than a heap top that free() trims and
-    the next chunk faults back in."""
-    flats = np.zeros((len(free), free.shape[1] + 1), dtype=np.int64)
-    flats[:, 1:] = free
-    return flats
+    slots behind a first slot pinned to 0 (the element 1), a view of (slots,
+    n) evaluator columns.  Allocated after the draw, so that its temporaries
+    leave a hole below them for the evaluator's arrays rather than a heap
+    top that free() trims and the next chunk faults back in."""
+    cols = np.zeros((free.shape[1] + 1, len(free)), dtype=np.int64)
+    cols[1:] = free.T
+    return cols.T
 
 
 def _run(cfg: SearchConfig, count: int, chunks, proven: bool) -> SearchResult:
@@ -157,12 +157,12 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
     def chunks(ev):
         for start in range(0, head_count, step):
             index = np.arange(start, min(start + step, head_count), dtype=np.int64)
-            heads = np.zeros((len(index), cfg.slots - 1), dtype=np.int64)
-            heads[:, 1:] = index[:, None] // places % q1
+            heads = np.zeros((cfg.slots - 1, len(index)), dtype=np.int64)
+            heads[1:] = index // places[:, None] % q1
             for low in range(0, values, width):
                 lasts = range(low, min(low + width, values))
-                gammas = ev.evaluate_completions(heads, lasts).reshape(k, -1)
-                yield gammas, lambda i: [*heads[i // len(lasts)].tolist(),
+                gammas = ev.evaluate_completions(heads.T, lasts).reshape(k, -1)
+                yield gammas, lambda i: [*heads[:, i // len(lasts)].tolist(),
                                          lasts[i % len(lasts)]]
 
     return _run(cfg, cfg.space_size, chunks, proven=True)

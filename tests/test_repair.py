@@ -102,9 +102,10 @@ class TestSubpacketization:
 
     @pytest.mark.parametrize("name", ["rs64", "fb1410", "rs64_gf81"])
     def test_node_keys(self, request, name, monkeypatch):
-        # GF(2^4), GF(2^8), GF(3^4) at every valid s: entry [l, t, u, e] is
+        # GF(2^4), GF(2^8), GF(3^4) at every valid s: entry [l, t, e, u] is
         # the rank key of z^(e + log P_u^l + offset t), the log reduced mod
-        # q-1, from the field's rank_keys and the spec's slot_shifts
+        # q-1, from the field's rank_keys and the spec's slot_shifts; row
+        # [l, t, e] holds every node's key, the candidate-major layout
         code = request.getfixturevalue(name)
         field = code.field
         q1 = field.q - 1
@@ -118,13 +119,14 @@ class TestSubpacketization:
             valid.append(s)
             attrs = set(vars(sub))
             keys = sub.node_keys
-            assert keys.shape == (code.r, s, code.k, q1)
+            assert keys.shape == (code.r, s, q1, code.k)
+            assert keys.flags.c_contiguous
             assert keys.dtype == field.rank_keys.dtype
             assert not keys.flags.writeable
             for l, t, u in itertools.product(range(code.r), range(s), range(code.k)):
                 shift = sub.slot_shifts[u][l * sub.beta] + sub.subfield.offsets[t]
-                assert keys[l, t, u].tolist() == [rank_keys[e + shift % q1]
-                                                  for e in range(q1)]
+                assert keys[l, t, :, u].tolist() == [rank_keys[e + shift % q1]
+                                                     for e in range(q1)]
             # built once: a second read is the same array and reads no table
             with monkeypatch.context() as patch:
                 patch.setattr(FieldSpec, "rank_keys", property(

@@ -1,6 +1,10 @@
 import contextlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,8 @@ import pytest
 from mdsrepair import linalg, search
 from mdsrepair.clique import clique_bound, generate_clique
 from mdsrepair.codes import encode, rs_systematic
-from mdsrepair.errors import InvalidMatrix, NoFeasibleFound, ParseError, SearchSpaceTooLarge
+from mdsrepair.errors import (DimensionMismatch, InvalidMatrix, NoFeasibleFound, ParseError,
+                              SearchSpaceTooLarge)
 from mdsrepair.gf import rank_over_subfield
 from mdsrepair.repair import (INFEASIBLE, RepairScheme, SchemeEvaluator,
                               SubpacketizationSpec, baselines, gamma_ranks, recover_node)
@@ -308,7 +313,9 @@ class TestBatch:
             want = [total if feasible else INFEASIBLE
                     for feasible, total in map(ev.evaluate, flats)]
             gammas = ev.evaluate_batch(np.array(flats))
+            # one C-ordered uint8 row per node, which totals sums quickly
             assert gammas.shape == (code.k, len(flats))
+            assert gammas.dtype == np.uint8 and gammas.flags.c_contiguous
             assert ev.totals(gammas).tolist() == want
             assert INFEASIBLE in want and min(want) < INFEASIBLE
             # the gammas of a feasible tuple are its report's; an infeasible
@@ -420,6 +427,66 @@ class TestBatch:
             assert len(ranked) == (2 if cfg.mode == "random" else 0)
             assert sum(name == "zech_echelon_batch" for name, _ in calls) == 2
 
+    def test_gf2_search_ranks_in_batches(self, rs64, fb1410, monkeypatch, rng):
+        # the p = 2 twin: a report ranks its sets on python ints, with no
+        # batch kernel, and a search ranks only in batches, one elimination
+        # per block set and chunk, and takes its winner's report from them
+        calls = []
+        for name in ("bit_rank_batch", "bit_echelon_batch"):
+            def counting(cols, *args, name=name, kernel=getattr(linalg, name)):
+                calls.append((name, cols.shape[1]))
+                return kernel(cols, *args)
+
+            monkeypatch.setattr(linalg, name, counting)
+        for code in (rs64, fb1410):
+            sub = SubpacketizationSpec(code, 1)
+            flat = [rng.randrange(code.field.q - 1) for _ in range(code.r * sub.beta)]
+            calls.clear()
+            gamma_ranks(RepairScheme.from_flat(sub, 1, flat))
+            assert calls == []
+        for cfg in (SearchConfig(SubpacketizationSpec(rs64, 2), 1),
+                    SearchConfig(SubpacketizationSpec(rs64, 1), 2, mode="random",
+                                 samples=1500, seed=3),
+                    SearchConfig(SubpacketizationSpec(fb1410, 1), 3, mode="random",
+                                 samples=2000, seed=3)):
+            # one chunk of two eliminations: a random chunk's two
+            # bit_rank_batch calls, the failed node's N sets and the
+            # feasible tuples' k sets each; exhaustive search's head
+            # echelon and the one inside bit_extend_batch
+            calls.clear()
+            _outcome(cfg)
+            ranked = [n for name, n in calls if name == "bit_rank_batch"]
+            k = cfg.sub.code.k
+            assert sum(name == "bit_echelon_batch" for name, _ in calls) == 2
+            if cfg.mode == "random":
+                assert ranked[0] == cfg.samples and ranked[1] % k == 0
+                assert k not in ranked
+            else:
+                assert ranked == []
+
+    def test_batch_rejects_malformed_tuples(self, fb1410):
+        # as evaluate does: a tuple of the wrong length, or a batch that is
+        # not an (N, slots) integer array, raises before anything is ranked
+        sub = SubpacketizationSpec(fb1410, 1)
+        ev = SchemeEvaluator(sub, 1)
+        with pytest.raises(DimensionMismatch):
+            ev.evaluate([0] * 7)
+        with pytest.raises(DimensionMismatch):
+            ev.evaluate_batch(np.zeros((5, 7), dtype=np.int64))
+        with pytest.raises(DimensionMismatch):
+            ev.evaluate_batch(np.zeros(8, dtype=np.int64))
+        with pytest.raises(DimensionMismatch):
+            ev.evaluate_batch(np.zeros((2, 3, 8), dtype=np.int64))
+        with pytest.raises(ParseError):
+            ev.evaluate_batch([[0.5] * 8])
+        with pytest.raises(ParseError):
+            ev.evaluate_batch(np.ones((3, 8), dtype=bool))
+        # integer input of any width is read as int64
+        flats = np.array([[0, 1, 2, 3, 4, 5, 6, 7]])
+        want = ev.evaluate_batch(flats).tolist()
+        assert ev.evaluate_batch(flats.astype(np.uint8)).tolist() == want
+        assert ev.evaluate_batch(flats.tolist()).tolist() == want
+
     def test_small_chunks_same_winners(self, rs53, rs64, fb1410, monkeypatch):
         cfgs = [SearchConfig(SubpacketizationSpec(code, s), node)
                 for code, s in ((rs53, 1), (rs64, 1), (rs64, 2))
@@ -499,6 +566,26 @@ class TestCompletions:
                 part = ev.evaluate_completions(heads, lasts)
                 assert part.tolist() == got[..., lasts.start:lasts.stop].tolist()
 
+    def test_completions_reject_malformed_input(self, fb1410):
+        sub = SubpacketizationSpec(fb1410, 1)
+        ev = SchemeEvaluator(sub, 2)
+        heads = np.zeros((3, 7), dtype=np.int64)
+        assert ev.evaluate_completions(heads, range(250, 255)).shape == (10, 3, 5)
+        # a head is slots-1 = 7 exponents
+        for bad in (np.zeros((3, 6), dtype=np.int64), np.zeros((3, 8), dtype=np.int64),
+                    np.zeros(7, dtype=np.int64)):
+            with pytest.raises(DimensionMismatch):
+                ev.evaluate_completions(bad, range(5))
+        with pytest.raises(ParseError):
+            ev.evaluate_completions(heads.astype(float), range(5))
+        # the last exponents: a range of step 1 in [0, q-1)
+        for lasts in (range(-1, 5), range(250, 256), range(300, 301), range(5, 3)):
+            with pytest.raises(DimensionMismatch):
+                ev.evaluate_completions(heads, lasts)
+        for lasts in (range(0, 10, 2), range(5, 0, -1), [0, 1, 2]):
+            with pytest.raises(ParseError):
+                ev.evaluate_completions(heads, lasts)
+
     @pytest.mark.parametrize("name, kernel", [("rs64", "bit_extend_batch"),
                                               ("rs64_gf81", "zech_extend_batch")])
     def test_rank_not_multiple_of_s_rejected(self, request, monkeypatch, name, kernel):
@@ -540,3 +627,23 @@ class TestConfig:
     def test_space_size(self, rs53, fb1410):
         assert SearchConfig(SubpacketizationSpec(rs53, 1), 1).space_size == 15 ** 3
         assert SearchConfig(SubpacketizationSpec(fb1410, 1), 1).space_size == 255 ** 7
+
+
+def test_searches_never_import_numpy_random():
+    # numpy.random costs about 6 MiB of resident memory, more than a search
+    # holds at its peak; the draws come from the stdlib Mersenne Twister
+    probe = """\
+import sys
+from mdsrepair import bundled
+from mdsrepair.repair import SubpacketizationSpec
+from mdsrepair.search import SearchConfig, exhaustive_search, random_search
+random_search(SearchConfig(SubpacketizationSpec(bundled.load_code("fb1410"), 1), 1,
+                           mode="random", samples=5000, seed=0))
+exhaustive_search(SearchConfig(SubpacketizationSpec(bundled.load_code("rs64"), 1), 1))
+print(sorted(m for m in sys.modules if m.startswith("numpy.random")))
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.split() == ["[]"]
