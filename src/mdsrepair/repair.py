@@ -268,10 +268,11 @@ class SchemeEvaluator:
 
     def _columns(self, tuples, width: int) -> np.ndarray:
         """The C-ordered int64 (width, N) transpose of the (N, width) integer
-        exponent tuples, reduced mod q-1: no copy for a search's tuples,
-        views of such arrays already reduced, as the division is the dearest
-        pass over a batch (a negative entry reads above q-1 as uint64).
-        DimensionMismatch for another shape, ParseError for non-integers."""
+        exponent tuples, reduced mod q-1 only where an entry needs it (a
+        negative one reads above q-1 as uint64): the division is the dearest
+        pass over a batch, and a search's tuples, reduced views of such
+        arrays, are not even copied.  DimensionMismatch for another shape,
+        ParseError for entries that are not integers."""
         tuples = np.asarray(tuples)
         if tuples.ndim != 2 or tuples.shape[1] != width:
             raise DimensionMismatch(f"exponent tuples of shape {tuples.shape}, not (N, {width})")
@@ -287,7 +288,7 @@ class SchemeEvaluator:
         j, offset t) row gathers node_keys[l, t] at cols[j], l the parity of
         slot j: its rows, or its column ``node``, copied first (q-1 keys)."""
         sub, tables = self.sub, self.sub.node_keys[..., node]
-        keys = np.empty((len(cols), sub.s, *cols.shape[1:], *tables.shape[3:]), tables.dtype)
+        keys = np.empty((len(cols), sub.s, cols.shape[1], *tables.shape[3:]), tables.dtype)
         for j, exps in enumerate(cols):
             for t in range(sub.s):
                 # exponents < q-1: "wrap" moves none, writes to out directly
@@ -325,7 +326,6 @@ class SchemeEvaluator:
         gammas = np.zeros((k, cols.shape[1]), dtype=np.uint8)
         gammas[failed] = own = rank(self._keys(cols, failed))
         ok = (own == sub.alpha).nonzero()[0]
-        # the feasible tuples' (N_f, k) ranks, written to their columns
         gammas[:, ok] = rank(self._keys(cols.take(ok, axis=1))).reshape(-1, k).T
         return gammas
 

@@ -631,16 +631,22 @@ class TestConfig:
 
 def test_searches_never_import_numpy_random():
     # numpy.random costs about 6 MiB of resident memory, more than a search
-    # holds at its peak; the draws come from the stdlib Mersenne Twister
+    # holds at its peak; the draws come from the stdlib Mersenne Twister.
+    # NumPy before 2.0 loads it on its own import, so only what the
+    # searches add counts
     probe = """\
 import sys
+import numpy
+def loaded():
+    return {m for m in sys.modules if m.startswith("numpy.random")}
+before = loaded()
 from mdsrepair import bundled
 from mdsrepair.repair import SubpacketizationSpec
 from mdsrepair.search import SearchConfig, exhaustive_search, random_search
 random_search(SearchConfig(SubpacketizationSpec(bundled.load_code("fb1410"), 1), 1,
                            mode="random", samples=5000, seed=0))
 exhaustive_search(SearchConfig(SubpacketizationSpec(bundled.load_code("rs64"), 1), 1))
-print(sorted(m for m in sys.modules if m.startswith("numpy.random")))
+print(sorted(loaded() - before))
 """
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
