@@ -234,10 +234,10 @@ class SchemeEvaluator:
     straight into the kernels' column layout, one ``np.take`` per (slot,
     offset) row, first of the failed node's block for the whole batch, then
     of all k blocks of the feasible tuples (leaving the failed one out
-    would cost more than ranking it again).  It and ``evaluate_completions``
-    return the gammas, one column per tuple, so a search takes its winner's
-    report from the batch that scored it; ``totals`` turns gammas into the
-    totals the search minimizes.
+    measured no cheaper than ranking it again).  It and
+    ``evaluate_completions`` return the gammas, one column per tuple, so a
+    search takes its winner's report from the batch that scored it;
+    ``totals`` turns gammas into the totals the search minimizes.
     ``evaluate`` scores one tuple on ``gamma_ranks``'s scalar route
     (``SubfieldSpec.rank_exps``).  For p = 2 that ranks on python ints and
     is an independent oracle of ``evaluate_batch`` in the tests; for odd p
