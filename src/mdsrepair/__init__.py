@@ -9,7 +9,8 @@ __version__ = "0.1.0"
 
 from .bundled import bundled_code, bundled_scheme, bundled_schemes
 from .clique import CliquePartition, CliqueRepair, clique_bound, find_repair, generate_clique
-from .codes import CodeSpec, Codeword, encode, normalize_parity, rs_systematic, verify_mds
+from .codes import (CodeSpec, Codeword, encode, normalize_parity, rs_systematic,
+                    systematic_on, verify_mds)
 from .gf import (
     FieldElement,
     FieldSpec,
@@ -38,7 +39,8 @@ __all__ = [
     "__version__",
     "FieldSpec", "FieldElement", "SubfieldSpec",
     "find_left_operator", "rank_over_subfield", "subfield_coords",
-    "CodeSpec", "Codeword", "rs_systematic", "normalize_parity", "verify_mds", "encode",
+    "CodeSpec", "Codeword", "rs_systematic", "normalize_parity", "systematic_on",
+    "verify_mds", "encode",
     "SubpacketizationSpec", "baselines",
     "RepairScheme", "RepairReport", "MatrixScheme", "RecoveryResult",
     "gamma_ranks", "lift_scheme", "realize_matrices", "gamma_ranks_matrix",

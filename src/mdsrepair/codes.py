@@ -21,6 +21,7 @@ from .errors import (
     ParseError,
     TooManySubsets,
     as_int,
+    as_node,
     clip,
     short_repr,
 )
@@ -160,23 +161,60 @@ def normalize_parity(code: CodeSpec) -> CodeSpec:
     return CodeSpec(code.n, code.k, code.field, parity, code.name)
 
 
-def _singular(rows) -> bool:
-    """Whether a small square matrix of field elements is singular: forward
-    elimination on a copy, stopped at the first column with no pivot."""
-    a = [list(r) for r in rows]
-    t = len(a)
+def _echelon(a, t: int) -> bool:
+    """Forward elimination, in place, of ``a``, t equal-length lists of
+    field elements, on its first t columns: the entries below each pivot
+    cleared.  False, stopped at the first column with no pivot, when those
+    columns are singular."""
     for c in range(t):
         piv = next((i for i in range(c, t) if not a[i][c].is_zero), None)
         if piv is None:
-            return True
+            return False
         a[c], a[piv] = a[piv], a[c]
         inv = a[c][c].inverse()
         for i in range(c + 1, t):
             f = a[i][c] * inv
             if not f.is_zero:
-                for j in range(c, t):
+                for j in range(c, len(a[c])):
                     a[i][j] = a[i][j] - f * a[c][j]
-    return False
+    return True
+
+
+def _singular(rows) -> bool:
+    """Whether a small square matrix of field elements is singular
+    (``_echelon`` on a copy)."""
+    return not _echelon([list(r) for r in rows], len(rows))
+
+
+def systematic_on(code: CodeSpec, info) -> tuple:
+    """(CodeSpec, order): ``code`` made systematic on the k nodes ``info``
+    (1-based), and the original nodes in the new code's node order, info as
+    given, then the rest in increasing order.  With G = [I | P] and G_S its
+    columns at info, the new parity is P' = G_S^-1 G_rest, so an original
+    codeword with its symbols in that order is a codeword of the new code.
+    P' is not normalized (``normalize_parity``): scaling its rows keeps
+    every gamma but changes the codewords.  ValueError unless info is k
+    distinct nodes with G_S nonsingular and P' has no zero entry, as for
+    every k nodes of an MDS code; the new code has no name."""
+    n, k, field = code.n, code.k, code.field
+    info = [as_node(u, n, "information node") for u in info]
+    if len(info) != k or len(set(info)) != k:
+        raise ValueError(f"an information set is {k} distinct nodes, got {info}")
+    order = (*info, *(u for u in range(1, n + 1) if u not in info))
+    one, zero = field.one(), field.zero()
+    # [G_S | G_rest]: node u's column of G = [I | P] is e_u, or P's column u-k
+    a = [[row[u - k - 1] if u > k else (one if u == i + 1 else zero) for u in order]
+         for i, row in enumerate(code.parity)]
+    if not _echelon(a, k):
+        raise ValueError(f"the generator columns of nodes {info} are singular")
+    # back substitution on the parity columns, last pivot first
+    for c in range(k - 1, -1, -1):
+        inv = a[c][c].inverse()
+        a[c][k:] = [x * inv for x in a[c][k:]]
+        for i in range(c):
+            f = a[i][c]
+            a[i][k:] = [x - f * y for x, y in zip(a[i][k:], a[c][k:])]
+    return CodeSpec(n, k, field, tuple(tuple(row[k:]) for row in a)), order
 
 
 def verify_mds(code: CodeSpec) -> bool:

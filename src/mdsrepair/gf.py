@@ -510,15 +510,21 @@ class SubfieldSpec:
 
     def rank_extend_batch(self, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """(N, V) GF(p^s)-ranks of set n of ``cols``, laid out as for
-        ``rank_batch``, with the s keys rows[:, n, v] of the (s, N, V) array
-        ``rows``, one element's expansion: each set is eliminated once, and
-        its V extensions reduced against its pivots.  Both are overwritten."""
+        ``rank_batch``, with the element whose key is rows[n, v], of the (N,
+        V) array ``rows``: each set is eliminated once, and each key reduced
+        against its pivots.  A set's expanded span is a GF(p^s)-subspace,
+        and the element adds its GF(p^s)-line, so the rank grows by one
+        exactly when the key itself, its t = 0 row, leaves that span; the
+        other s-1 rows of its expansion need no reduction.  Both arrays are
+        overwritten."""
         field, m = self.field, self.field.m
         if field.p == 2:
-            pivots = linalg.bit_echelon_batch(cols, m)
-            return self._symbols(linalg.bit_extend_batch(rows, pivots, m))
-        pivots = linalg.zech_echelon_batch(cols, m, *field.zech_arrays)
-        return self._symbols(linalg.zech_extend_batch(rows, pivots, m, *field.zech_arrays))
+            ranks, grows = linalg.bit_extend_batch(rows, linalg.bit_echelon_batch(cols, m))
+        else:
+            tables = field.zech_arrays
+            ranks, grows = linalg.zech_extend_batch(
+                rows, linalg.zech_echelon_batch(cols, m, *tables), *tables)
+        return self._symbols(ranks)[:, None] + grows
 
     def _symbols(self, r: np.ndarray) -> np.ndarray:
         """GF(p)-ranks as GF(p^s)-ranks; InvalidMatrix unless multiples of s."""

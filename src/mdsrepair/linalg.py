@@ -24,7 +24,9 @@ C-ordered array, so that every elimination step runs over contiguous
 length-N vectors, and eliminate in that array: it is overwritten.  Each
 step records its pivot row in a (steps, N) array, which the kernel
 returns, a set's rank being its number of nonzero pivots; the extend step
-(`bit_extend_batch`, `zech_extend_batch`) reduces more rows against them.
+(`bit_extend_batch`, `zech_extend_batch`) reduces V more keys per set
+against them, one at a time, and tells which leave the set's span, with
+no further elimination.
 
 ``repair.gamma_ranks_matrix`` ranks the ten 8x8 blocks of an fb1410
 scheme by ``echelon_bits`` in about 0.03 ms (0.065 ms when each was
@@ -106,16 +108,19 @@ def bit_rank_batch(cols: np.ndarray, m: int) -> np.ndarray:
     return _count(bit_echelon_batch(cols, m) != 0).astype(np.int64)
 
 
-def bit_extend_batch(rows: np.ndarray, pivots: np.ndarray, m: int) -> np.ndarray:
-    """(N, V) uint8 GF(2) ranks of set n's ``bit_echelon_batch`` pivots with
-    the rows rows[:, n, v] of the (r, N, V) C-ordered array ``rows``, which
-    each pivot in turn reduces by ``_bit_step``: that clears every pivot's
-    leading bit, so the reduced rows' rank adds to the pivots'."""
+def bit_extend_batch(rows: np.ndarray, pivots: np.ndarray) -> tuple:
+    """(ranks, grows) for set n's ``bit_echelon_batch`` pivots and the keys
+    rows[n, v] of the (N, V) C-ordered array ``rows``, one key each: the
+    (N,) uint8 GF(2) ranks of the pivots, and an (N, V) bool array that is
+    True where the key leaves their span, so that the pivots with key v
+    have rank ranks[n] + grows[n, v].  Each pivot in turn reduces the keys
+    by ``_bit_step``, which clears its leading bit; the pivots lead at
+    falling bits, so a key ends at zero iff it lay in their span.  ``rows``
+    is overwritten."""
     scratch = np.empty_like(rows)
     for pivot in pivots:
         _bit_step(rows, pivot[:, None], scratch)
-    extra = _count(bit_echelon_batch(rows.reshape(len(rows), -1), m) != 0)
-    return extra.reshape(rows.shape[1:]) + _count(pivots != 0)[:, None]
+    return _count(pivots != 0), rows != 0
 
 
 def _zech_step(cols, index, factor, zech, product) -> None:
@@ -167,14 +172,13 @@ def zech_rank_batch(cols: np.ndarray, m: int, lead, zech, product) -> np.ndarray
     return _count(zech_echelon_batch(cols, m, lead, zech, product) >= 0).astype(np.int64)
 
 
-def zech_extend_batch(rows: np.ndarray, pivots: np.ndarray, m: int,
-                      lead, zech, product) -> np.ndarray:
-    """``bit_extend_batch`` for p odd, on ``zech_echelon_batch`` pivots.  A
-    row may lead above a pivot, or the pivot be zero (``lead`` -2q), so the
-    key difference d may be negative: zech is read at 3(q-1)/2 + d, moved
-    past the end where |d| >= q-1 and the positions differ.  A reduced row
-    is zero iff it lay in the pivots' span, so the ranks add when each
-    (n, v) holds one element's expansion over a subfield, as here."""
+def zech_extend_batch(rows: np.ndarray, pivots: np.ndarray, lead, zech, product) -> tuple:
+    """``bit_extend_batch`` for p odd, on ``zech_echelon_batch`` pivots and
+    int64 logs.  A key may lead above a pivot, or the pivot be zero
+    (``lead`` -2q), so the key difference d may be negative: zech is read
+    at 3(q-1)/2 + d, moved past the end where |d| >= q-1 and the positions
+    differ.  A key that leads where no pivot does keeps that lead, so it
+    ends at zero (the log 2(q-1)) iff it lay in the pivots' span."""
     q1 = len(product) // 4
     keys = np.empty_like(rows)
     factor = np.empty_like(rows)
@@ -183,8 +187,7 @@ def zech_extend_batch(rows: np.ndarray, pivots: np.ndarray, m: int,
         np.subtract((pivot + (q1 + q1 // 2))[:, None], keys, out=keys)
         np.putmask(keys, keys <= q1 // 2, len(zech))
         _zech_step(rows, keys, factor, zech, product)
-    extra = _count(zech_echelon_batch(rows.reshape(len(rows), -1), m, lead, zech, product) >= 0)
-    return extra.reshape(rows.shape[1:]) + _count(pivots >= 0)[:, None]
+    return _count(pivots >= 0), rows != 2 * q1
 
 
 def rref_rows(rows: list, p: int) -> list[int]:

@@ -234,10 +234,12 @@ class SchemeEvaluator:
     straight into the kernels' column layout, one ``np.take`` per (slot,
     offset) row, first of the failed node's block for the whole batch, then
     of all k blocks of the feasible tuples (leaving the failed one out
-    measured no cheaper than ranking it again).  It and
-    ``evaluate_completions`` return the gammas, one column per tuple, so a
-    search takes its winner's report from the batch that scored it;
-    ``totals`` turns gammas into the totals the search minimizes.
+    measured no cheaper than ranking it again); it returns only what it
+    ranked, the feasible tuples' gammas a row each.
+    ``evaluate_completions`` returns every node's gammas of every
+    completion, a column each, which ``totals`` turns into the totals the
+    search minimizes.  So a search takes its winner's report from the
+    batch that scored it.
     ``evaluate`` scores one tuple on ``gamma_ranks``'s scalar route
     (``SubfieldSpec.rank_exps``).  For p = 2 that ranks on python ints and
     is an independent oracle of ``evaluate_batch`` in the tests; for odd p
@@ -296,38 +298,36 @@ class SchemeEvaluator:
         return keys.reshape(len(cols) * sub.s, math.prod(keys.shape[2:]))
 
     def evaluate_completions(self, heads, lasts: range) -> np.ndarray:
-        """(k, H, V) ``evaluate_batch`` gammas of the completions of the (H,
-        slots-1) exponent heads ``heads`` by each of the V last exponents of
-        ``lasts``, a range in [0, q-1) of step 1, in row-major order.  Each
-        head's k blocks are eliminated once, and the last slot's keys, which
-        no head changes, are reduced against their pivots
-        (``SubfieldSpec.rank_extend_batch``)."""
+        """(k, H, V) gammas of the completions of the (H, slots-1) exponent
+        heads ``heads`` by each of the V last exponents of ``lasts``, a range
+        in [0, q-1) of step 1, in row-major order: every node's, infeasible
+        completions included.  Each head's k blocks are eliminated once, and
+        the last slot's t = 0 key, which no head changes, is reduced against
+        their pivots (``SubfieldSpec.rank_extend_batch``)."""
         sub, k = self.sub, self.sub.code.k
         if not isinstance(lasts, range) or lasts.step != 1:
             raise ParseError(f"last exponents must be a range of step 1, got {lasts!r}")
         if not 0 <= lasts.start <= lasts.stop < sub.code.field.q:
             raise DimensionMismatch(f"last exponents {lasts} not in [0, q-1)")
         cols = self._columns(heads, len(sub.slot_shifts[0]) - 1)
-        h, v = cols.shape[1], len(lasts)
-        # rows[t, h * k + u]: the last slot's keys of node u at offset t
-        rows = np.repeat(sub.node_keys[-1, :, None, lasts.start:lasts.stop].swapaxes(2, 3),
-                         h, axis=1).reshape(sub.s, h * k, v)
+        h = cols.shape[1]
+        # rows[h * k + u]: the last slot's t = 0 keys of node u
+        rows = np.tile(sub.node_keys[-1, 0, lasts.start:lasts.stop].T, (h, 1))
         gammas = sub.subfield.rank_extend_batch(self._keys(cols), rows)
-        return np.ascontiguousarray(gammas.reshape(h, k, v).swapaxes(0, 1))
+        return np.ascontiguousarray(gammas.reshape(h, k, -1).swapaxes(0, 1))
 
-    def evaluate_batch(self, flats) -> np.ndarray:
-        """(k, N) gammas of the (N, slots) exponent tuples in ``flats``, one
-        column per tuple, as a C-ordered ``uint8`` array (a gamma is at most
-        alpha <= m, and q <= 2^16 keeps m <= 16).  The other nodes of an
-        infeasible tuple are not ranked and read 0."""
-        sub, failed, k = self.sub, self.failed - 1, self.sub.code.k
+    def evaluate_batch(self, flats) -> tuple:
+        """(own, ok, gammas) of the (N, slots) exponent tuples in ``flats``:
+        the (N,) gammas of the failed node, the ascending indices of the F
+        feasible tuples, and their (F, k) gammas, row f the k nodes' of tuple
+        ok[f].  Only what was ranked is returned: the other nodes of an
+        infeasible tuple are not ranked."""
+        sub, k = self.sub, self.sub.code.k
         cols = self._columns(flats, len(sub.slot_shifts[0]))
         rank = sub.subfield.rank_batch
-        gammas = np.zeros((k, cols.shape[1]), dtype=np.uint8)
-        gammas[failed] = own = rank(self._keys(cols, failed))
+        own = rank(self._keys(cols, self.failed - 1))
         ok = (own == sub.alpha).nonzero()[0]
-        gammas[:, ok] = rank(self._keys(cols.take(ok, axis=1))).reshape(-1, k).T
-        return gammas
+        return own, ok, rank(self._keys(cols.take(ok, axis=1))).reshape(-1, k)
 
 
 def gamma_ranks(scheme: RepairScheme) -> RepairReport:

@@ -13,24 +13,31 @@ exhaustive ones as heads, the first slots-1 exponents, read in mixed radix
 q-1, each with a range of last exponents (``evaluate_completions``):
 row-major, that is lexicographic order.  A chunk's cost is mostly a fixed
 number of NumPy calls, so one chunk covers the usual search.  Each chunk
-returns the gammas of its candidates, and the search keeps the winner's
-column as its report: every candidate is ranked once, the winner included.
+hands the search its feasible count and its first minimum, exponents and
+gammas: a random chunk from the gammas of its feasible tuples alone, the
+only ones whose k blocks were ranked, an exhaustive chunk from the totals
+of all its completions (``SchemeEvaluator.totals``).  The search keeps the
+winner's gammas as its report: every candidate is ranked once, the winner
+included.
 
 Memory: a random chunk of N candidates holds its exponent columns (8 * slots
-* N bytes, slots <= m, again for the feasible ones), its k * N gammas (one
-byte each) and, while one block set is ranked, about (3b + 1) * m + 9 bytes
-per candidate and node of the set for p = 2, b the bytes of a key (1 up to
+* N bytes, slots <= m, again for the feasible ones), the failed node's
+gamma of each and the k gammas of each feasible one (8 bytes a gamma)
+and, while one block set is ranked, about (3b + 1) * m + 9 bytes per
+candidate and node of the set for p = 2, b the bytes of a key (1 up to
 GF(2^8), 2 up to GF(2^16)), or 33 * m + 9 for odd p.  The keys come from
 ``SubpacketizationSpec.node_keys``, (n-k) * s * (q-1) * k keys per spec: 10
-KiB for fb1410 at s = 1, 3 MiB for an RS(14,12) code over GF(2^16).  For m
-<= 16 and p = 2 a full chunk of 4,096 stays under about 0.75 MiB plus 0.5
-MiB per systematic node; measured peaks are 0.7 MiB for fb1410 (k = 10) and
-2.2 MiB for that RS(14,12) code.  An exhaustive chunk peaks at 0.3 MiB for
-fb1410 at s = 2 (about 4 * s bytes per completion and node) and 1.5 MiB for
-RS(6,4) over GF(3^4) at s = 2 (48 * s).  When q-1 > ``CHUNK``, each head's
-last exponents are split in ranges of ``CHUNK``, so a chunk stays bounded:
-3.1 MiB for that RS(14,12) code at s = 8, tracemalloc's peak over a search
-whose node keys (24 MiB at s = 8) were built before.
+KiB for fb1410 at s = 1, 3 MiB for an RS(14,12) code over GF(2^16).  For m <= 16 and p = 2 a full chunk of
+4,096 stays under about 0.75 MiB plus 0.5 MiB per systematic node; measured
+peaks are 0.7 MiB for fb1410 (k = 10) and 2.1 MiB for that RS(14,12) code.
+An exhaustive chunk ranks its heads' blocks and then one key per completion
+and node, the last element's: it peaks at 0.2 MiB for fb1410 at s = 2
+(about 4 bytes per completion and node, 4 * s before the one-key step) and
+0.5 MiB for RS(6,4) over GF(3^4) at s = 1 (about 32 bytes).  When q-1 >
+``CHUNK``, each head's last exponents are split in ranges of ``CHUNK``, so
+a chunk stays bounded: 0.3 MiB for that RS(14,12) code at s = 8,
+tracemalloc's peak over a search whose node keys (24 MiB at s = 8) were
+built before.
 
 Random draws use the stdlib Mersenne Twister (``random.Random(seed)``),
 one ``randrange(q-1)`` exponent per free slot in slot order, so a run is
@@ -105,25 +112,21 @@ def _pin_first(free: np.ndarray) -> np.ndarray:
 
 def _run(cfg: SearchConfig, count: int, chunks, proven: bool) -> SearchResult:
     """Keep the feasible minimum of ``count`` candidates scored in stream
-    order: ``chunks(ev)`` yields, chunk by chunk, the (k, N) gammas of the
-    chunk's N candidates, scored by the evaluator ``ev``, and a function of
-    i that gives the exponents of its i-th candidate.
+    order: ``chunks(ev)`` yields, chunk by chunk, the chunk's feasible
+    count, its first minimal total (``INFEASIBLE`` with none feasible) and
+    that candidate's exponents and gammas, scored by the evaluator ``ev``.
 
-    Each chunk contributes its first minimum, and only strictly better
-    totals replace the incumbent, so the winner is the first optimum in
-    stream order: with lexicographic enumeration, the lexicographically
-    smallest optimum.  The winner's report is its column of gammas, so no
-    candidate is ranked twice.
+    Only strictly better totals replace the incumbent, so the winner is the
+    first optimum in stream order: with lexicographic enumeration, the
+    lexicographically smallest optimum.  The winner's report is its
+    gammas, so no candidate is ranked twice.
     """
     ev = SchemeEvaluator(cfg.sub, cfg.failed)
     best_total, best, feasible = INFEASIBLE, None, 0
-    for gammas, flat in chunks(ev):
-        totals = ev.totals(gammas)
-        feasible += int(np.count_nonzero(totals != INFEASIBLE))
-        i = int(totals.argmin())
-        if totals[i] < best_total:
-            best_total = totals[i]
-            best = flat(i), gammas[:, i].tolist()
+    for chunk_feasible, total, flat, gammas in chunks(ev):
+        feasible += chunk_feasible
+        if total < best_total:
+            best_total, best = total, (flat, gammas)
     if best is None:
         raise NoFeasibleFound(
             f"no feasible scheme among {count} candidates "
@@ -162,8 +165,11 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
             for low in range(0, values, width):
                 lasts = range(low, min(low + width, values))
                 gammas = ev.evaluate_completions(heads.T, lasts).reshape(k, -1)
-                yield gammas, lambda i: [*heads[:, i // len(lasts)].tolist(),
-                                         lasts[i % len(lasts)]]
+                totals = ev.totals(gammas)
+                i = int(totals.argmin())
+                yield (int(np.count_nonzero(totals != INFEASIBLE)), int(totals[i]),
+                       [*heads[:, i // len(lasts)].tolist(), lasts[i % len(lasts)]],
+                       gammas[:, i].tolist())
 
     return _run(cfg, cfg.space_size, chunks, proven=True)
 
@@ -212,6 +218,13 @@ def random_search(cfg: SearchConfig) -> SearchResult:
         for start in range(0, cfg.samples, CHUNK):
             n = min(CHUNK, cfg.samples - start)
             flats = _pin_first(take(n * free).reshape(n, free))
-            yield ev.evaluate_batch(flats), lambda i: flats[i].tolist()
+            _, ok, gammas = ev.evaluate_batch(flats)
+            if not len(ok):
+                yield 0, INFEASIBLE, None, None
+                continue
+            # the row sums: a product is faster than sum(axis=1) on k-wide rows
+            totals = gammas @ np.ones(cfg.sub.code.k, dtype=gammas.dtype)
+            i = int(totals.argmin())
+            yield len(ok), int(totals[i]), flats[ok[i]].tolist(), gammas[i].tolist()
 
     return _run(cfg, cfg.samples, chunks, proven=False)

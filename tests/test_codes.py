@@ -11,6 +11,7 @@ from mdsrepair.codes import (
     encode,
     normalize_parity,
     rs_systematic,
+    systematic_on,
     verify_mds,
 )
 from mdsrepair.errors import (
@@ -155,6 +156,58 @@ class TestVerifyMds:
     def test_zero_parity_entry_rejected_at_construction(self, f16):
         with pytest.raises(ValueError):
             CodeSpec(4, 2, f16, [[f16.one(), f16.zero()], [f16.one(), f16.one()]])
+
+
+def _reordered(codeword, order):
+    """The symbols of ``codeword`` in ``order``, 1-based original nodes."""
+    return [codeword[u - 1] for u in order]
+
+
+class TestSystematicOn:
+    @pytest.mark.parametrize("name", ["rs53", "rs64", "rs64_gf81", "fb1410"])
+    def test_reordered_codewords_are_codewords(self, request, name, rng):
+        # an original codeword, its symbols in the returned order, is the
+        # new code's codeword of its first k symbols: messages with zero
+        # symbols, on information sets in and out of increasing order
+        code = request.getfixturevalue(name)
+        field, n, k = code.field, code.n, code.k
+        for _ in range(6):
+            info = rng.sample(range(1, n + 1), k)
+            new, order = systematic_on(code, info)
+            assert order[:k] == tuple(info) and sorted(order) == list(range(1, n + 1))
+            assert order[k:] == tuple(sorted(order[k:]))
+            assert (new.n, new.k, new.field, new.name) == (n, k, field, None)
+            assert verify_mds(new)
+            for _ in range(3):
+                message = [field.element(None if rng.random() < 0.3 else rng.randrange(field.q - 1))
+                           for _ in range(k)]
+                symbols = _reordered(encode(code, message), order)
+                assert list(encode(new, symbols[:k]).symbols) == symbols
+        # the deployed information set gives the code back, unnormalized
+        assert systematic_on(code, range(1, k + 1)) == (
+            CodeSpec(n, k, field, code.parity), tuple(range(1, n + 1)))
+
+    def test_parity_is_not_normalized(self, rs64):
+        # rs64 is normalized; a role choice is not, or an original
+        # codeword would no longer be a codeword of the new code
+        new, _ = systematic_on(rs64, [3, 4, 5, 6])
+        assert normalize_parity(new).parity != new.parity
+
+    def test_rejects_bad_information_sets(self, rs53, f16):
+        for info in ([1, 2], [1, 2, 3, 4], [1, 1, 2], [0, 1, 2], [1, 2, 6]):
+            with pytest.raises(ValueError):
+                systematic_on(rs53, info)
+        for info in ([1, 2, 3.0], [True, 2, 3], "123"):
+            with pytest.raises(ParseError):
+                systematic_on(rs53, info)
+        # two equal parity columns: nodes {3, 4} are no information set
+        one, z = f16.one(), f16.element(1)
+        bad = CodeSpec(4, 2, f16, [[one, one], [z, z]])
+        with pytest.raises(ValueError, match="singular"):
+            systematic_on(bad, [3, 4])
+        # {1, 3} is one, but the new parity holds a zero, as no MDS code's does
+        with pytest.raises(ValueError, match="nonzero"):
+            systematic_on(bad, [1, 3])
 
 
 class TestEncode:

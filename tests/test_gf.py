@@ -633,11 +633,14 @@ class TestBatchKernels:
     @pytest.mark.parametrize("p, poly", [(2, [1, 1, 0, 0, 1]),
                                          (2, [1, 0, 1, 1, 1, 0, 0, 0, 1]), *ODD_FIELDS])
     def test_extend_matches_coordinate_rank(self, p, poly, rng):
-        # a set's echelon pivots, extended by the expansion of one more
-        # element over a subfield, against rref_rows on coords_table rows of
-        # the union: heads of every size with zero and repeated elements
-        # (rank-deficient, so zero pivots), and last elements that lead
-        # above some pivot
+        # a set's echelon pivots, extended by one more element's key alone,
+        # against rref_rows on coords_table rows of the union with that
+        # element's full expansion over the subfield, at every s: the
+        # expanded head spans a GF(p^s)-subspace, so the s rows add s to
+        # its rank iff the key leaves it, and none otherwise.  Heads of
+        # every size with zero and repeated elements (rank-deficient, so
+        # zero pivots), heads in the prime field (every pivot at position
+        # 0), and last elements that lead above some pivot
         field = FieldSpec(p, poly)
         m, q1 = field.m, field.q - 1
         if p == 2:
@@ -676,16 +679,19 @@ class TestBatchKernels:
                 cols = np.array([[zero if x is None else keys[x] for x in expand(head)]
                                  for head in heads], dtype=field.rank_keys.dtype)
                 cols = cols.reshape(len(heads), h * s).T.copy()
-                rows = np.array([[[keys[x] for x in expand([e])] for e in last]
-                                 for last in lasts], dtype=cols.dtype).transpose(2, 0, 1).copy()
-                pivots = echelon(cols, m, *tables)
-                got = extend(rows, pivots, m, *tables)
-                want = [[len(linalg.rref_rows([coords(x) for x in expand(head + [e])], p))
-                         for e in last] for head, last in zip(heads, lasts)]
-                assert got.tolist() == want
-                # the nonzero pivots come first and lead at falling positions
+                rows = np.array([[keys[e] for e in last] for last in lasts], dtype=cols.dtype)
                 head_ranks = [len(linalg.rref_rows([coords(x) for x in expand(head)], p))
                               for head in heads]
+                want = [[len(linalg.rref_rows([coords(x) for x in expand(head + [e])], p))
+                         for e in last] for head, last in zip(heads, lasts)]
+                # through the subfield, in GF(p^s) symbols, on copies
+                got = sub.rank_extend_batch(cols.copy(), rows.copy())
+                assert got.tolist() == [[r // s for r in ranks] for ranks in want]
+                pivots = echelon(cols, m, *tables)
+                ranks, grows = extend(rows, pivots, *tables)
+                assert ranks.tolist() == head_ranks
+                assert (ranks[:, None] + s * grows).tolist() == want
+                # the nonzero pivots come first and lead at falling positions
                 nonzero = pivots != 0 if p == 2 else pivots >= 0
                 assert nonzero.sum(axis=0).tolist() == head_ranks
                 for n, rank in enumerate(head_ranks):
@@ -694,18 +700,19 @@ class TestBatchKernels:
 
     @pytest.mark.parametrize("m", [4, 8])
     def test_bit_extend_takes_any_rows(self, m, rng):
-        # over GF(2) the reduced rows' rank adds to the pivots' for any
-        # extra rows, not only an element's expansion
+        # over GF(2) a key adds one to the pivots' rank iff it leaves their
+        # span, for any set of rows and any key, not only an element's
+        # expansion and key
         for r in range(m + 2):
-            for extra in (1, 2, 3):
-                sets = [[rng.randrange(1 << m) for _ in range(r)] for _ in range(40)]
-                more = [[[rng.randrange(1 << m) for _ in range(extra)] for _ in range(3)]
-                        for _ in sets]
-                cols = np.array(sets, dtype=np.uint8).reshape(len(sets), r).T.copy()
-                rows = np.array(more, dtype=np.uint8).transpose(2, 0, 1).copy()
-                got = linalg.bit_extend_batch(rows, linalg.bit_echelon_batch(cols, m), m)
-                assert got.tolist() == [[linalg.bit_rank(rows_ + tail) for tail in tails]
-                                        for rows_, tails in zip(sets, more)]
+            sets = [[rng.randrange(1 << m) for _ in range(r)] for _ in range(40)]
+            more = [[rng.randrange(1 << m) for _ in range(3)] for _ in sets]
+            cols = np.array(sets, dtype=np.uint8).reshape(len(sets), r).T.copy()
+            rows = np.array(more, dtype=np.uint8)
+            ranks, grows = linalg.bit_extend_batch(rows, linalg.bit_echelon_batch(cols, m))
+            assert ranks.tolist() == [linalg.bit_rank(rows_) for rows_ in sets]
+            assert (ranks[:, None] + grows).tolist() == [
+                [linalg.bit_rank([*rows_, key]) for key in keys]
+                for rows_, keys in zip(sets, more)]
 
 
 class TestSubfieldCoords:

@@ -93,7 +93,7 @@ def schemes(draw, min_s=1, sub=None):
     f"RS{sub.code.n}{sub.code.k}-GF{sub.code.field.p}^{sub.code.field.m}-s{sub.s}"))
 @settings(PROPERTY, max_examples=15)
 @given(st.data())
-def test_routes_agree(sub, data):
+def test_routes_agree(sub, dense_batch, data):
     scheme = data.draw(schemes(sub=sub))
     failed = scheme.failed
     field = sub.code.field
@@ -106,7 +106,7 @@ def test_routes_agree(sub, data):
     report = gamma_ranks(scheme)
     assert gamma_ranks_matrix(sub, failed, realize_matrices(scheme, reference)) == report
     ev = SchemeEvaluator(sub, failed)
-    batch = ev.evaluate_batch([scheme.flat_exps()])
+    batch = dense_batch(ev, [scheme.flat_exps()])
     assert ev.totals(batch).tolist() == [report.total_bw if report.feasible else INFEASIBLE]
     assert batch[failed - 1].tolist() == [report.gammas[failed - 1]]
     if not report.feasible:

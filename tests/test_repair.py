@@ -16,7 +16,8 @@ from mdsrepair.bundled import (
     load_scheme,
 )
 from mdsrepair.clique import find_repair, generate_clique
-from mdsrepair.codes import CodeSpec, encode, normalize_parity, rs_systematic
+from mdsrepair.codes import (CodeSpec, Codeword, encode, normalize_parity, rs_systematic,
+                             systematic_on, verify_mds)
 from mdsrepair.errors import (
     DimensionMismatch,
     IncompatibleLift,
@@ -41,6 +42,7 @@ from mdsrepair.repair import (
     recover_node,
     scheme_from_json,
 )
+from mdsrepair.search import SearchConfig, exhaustive_search
 
 
 def random_scheme(code, s, failed, rng):
@@ -759,6 +761,62 @@ class TestRecoverNode:
                    for _ in range(5)]
         assert all(r.element == cw[2] for r in results)
         assert len({r.total_bits for r in results}) == 1
+
+
+def _roles(code, parities):
+    """``code`` made systematic on the nodes outside ``parities``, in
+    increasing order: (new code, order)."""
+    return systematic_on(code, [u for u in range(1, code.n + 1) if u not in parities])
+
+
+class TestRoleChoice:
+    """Which n-k of the other nodes act as parities is free: every k nodes
+    of an MDS code are an information set (``codes.systematic_on``)."""
+
+    def _optimum(self, code, s, failed, parities):
+        new, order = _roles(code, parities)
+        assert verify_mds(new)
+        cfg = SearchConfig(SubpacketizationSpec(new, s), order.index(failed) + 1)
+        return exhaustive_search(cfg).best_report.total_bits
+
+    def test_rs64_node_4_at_s2(self, rs64):
+        # the deployed parities {5, 6} need 14 bits, the parities {1, 2} 12
+        assert self._optimum(rs64, 2, 4, {5, 6}) == 14
+        assert self._optimum(rs64, 2, 4, {1, 2}) == 12
+
+    def test_rs53_reaches_9_bits(self, f16):
+        # RS(5,3) over GF(2^4) at z^7, z^5, z^9, z^3, z^8: node 1 needs 10
+        # bits in the deployed form and 9 under three of its six choices
+        code = rs_systematic(f16, [f16.element(e) for e in (7, 5, 9, 3, 8)], 3)
+        optima = {parities: self._optimum(code, 1, 1, parities)
+                  for parities in itertools.combinations(range(2, 6), 2)}
+        assert optima == {(2, 3): 9, (2, 4): 10, (2, 5): 9,
+                          (3, 4): 10, (3, 5): 9, (4, 5): 10}
+
+    @pytest.mark.parametrize("parities, flat, gammas", [
+        ((2, 3, 5, 8), [0, 84, 38, 9], (4, 3, 3, 2, 3, 2, 2, 3, 4, 2)),
+        ((3, 7, 8, 10), [0, 6, 10, 12], None)])
+    def test_fb1410_56_bit_schemes(self, fb1410, rng, parities, flat, gammas):
+        # 56 bits for fb1410 node 1 at s=2, against 60 in the deployed form,
+        # on the element route and the matrix oracle, and node 1 rebuilt
+        # from original codewords, reordered, some with zero symbols
+        new, order = _roles(fb1410, parities)
+        assert order[0] == 1 and order[10:] == parities
+        assert verify_mds(new)
+        scheme = RepairScheme.from_flat(SubpacketizationSpec(new, 2), 1, flat)
+        report = gamma_ranks(scheme)
+        assert report.feasible and report.total_bits == 56
+        assert gamma_ranks_matrix(scheme.sub, 1, realize_matrices(scheme)) == report
+        if gammas is not None:
+            assert report.gammas == gammas
+        field = fb1410.field
+        for zeros in (0, 0.2, 0.5):
+            message = [field.element(None if rng.random() < zeros else rng.randrange(255))
+                       for _ in range(10)]
+            original = encode(fb1410, message)
+            codeword = Codeword(new, [original[u - 1] for u in order])
+            result = recover_node(codeword, scheme)
+            assert result.element == original[0] and result.total_bits == 56
 
 
 class TestSchemeJson:

@@ -300,7 +300,7 @@ class TestBatch:
     @pytest.mark.parametrize("name, s", [
         ("fb1410", 1), ("fb1410", 2), ("rs53", 1), ("rs64", 1), ("rs64", 2),
         ("rs64_gf81", 1), ("rs64_gf81", 2), ("rs64_gf15625", 1), ("rs64_gf15625", 3)])
-    def test_batch_matches_scalar(self, request, name, s):
+    def test_batch_matches_scalar(self, request, dense_batch, name, s):
         code = request.getfixturevalue(name)
         sub = SubpacketizationSpec(code, s)
         q1 = code.field.q - 1
@@ -312,10 +312,14 @@ class TestBatch:
                      for _ in range(2000)]
             want = [total if feasible else INFEASIBLE
                     for feasible, total in map(ev.evaluate, flats)]
-            gammas = ev.evaluate_batch(np.array(flats))
-            # one C-ordered uint8 row per node, which totals sums quickly
-            assert gammas.shape == (code.k, len(flats))
-            assert gammas.dtype == np.uint8 and gammas.flags.c_contiguous
+            # only what was ranked: the failed node's gamma of every tuple,
+            # the ascending indices of the feasible ones and their k gammas,
+            # a C-ordered row per tuple
+            own, ok, feasible = ev.evaluate_batch(np.array(flats))
+            assert own.shape == (len(flats),) and feasible.shape == (len(ok), code.k)
+            assert feasible.flags.c_contiguous
+            assert ok.tolist() == [i for i, total in enumerate(want) if total != INFEASIBLE]
+            gammas = dense_batch(ev, np.array(flats))
             assert ev.totals(gammas).tolist() == want
             assert INFEASIBLE in want and min(want) < INFEASIBLE
             # the gammas of a feasible tuple are its report's; an infeasible
@@ -329,7 +333,7 @@ class TestBatch:
                 assert column == want
 
     @pytest.mark.parametrize("name", ["fb1410", "rs64_gf81"])
-    def test_batch_reduces_its_input(self, request, name):
+    def test_batch_reduces_its_input(self, request, dense_batch, name):
         # exponents outside [0, q-1), negative ones included, score as their
         # residues; in-range input is used as it is, and left unchanged
         code = request.getfixturevalue(name)
@@ -342,11 +346,12 @@ class TestBatch:
                                        for row in flats])
         kept = flats.copy()
         ev = SchemeEvaluator(sub, 2)
-        assert ev.evaluate_batch(moved).tolist() == ev.evaluate_batch(flats).tolist()
+        assert dense_batch(ev, moved).tolist() == dense_batch(ev, flats).tolist()
         assert np.array_equal(flats, kept)
 
     @pytest.mark.parametrize("name", ["rs64", "fb1410", "rs64_gf81"])
-    def test_evaluators_read_the_field_rank_keys(self, request, name, monkeypatch, rng):
+    def test_evaluators_read_the_field_rank_keys(self, request, dense_batch, name,
+                                                 monkeypatch, rng):
         # GF(2^4), GF(2^8), GF(3^4): the field builds the key table once and
         # each spec its node keys once, from it; no evaluator, for any failed
         # node or s, keeps a table of its own
@@ -374,7 +379,7 @@ class TestBatch:
                 ev = SchemeEvaluator(sub, failed)
                 assert not [k for k, v in vars(ev).items()
                             if isinstance(v, np.ndarray)]
-                ev.evaluate_batch(np.array(
+                dense_batch(ev, np.array(
                     [[rng.randrange(field.q - 1) for _ in range(code.r * sub.beta)]
                      for _ in range(50)]))
                 assert ev.sub.node_keys is node_keys
@@ -419,13 +424,15 @@ class TestBatch:
             elems = [field.element(rng.randrange(field.q - 1)) for _ in range(3)]
             assert rank_calls(rank_over_subfield, elems, sub.subfield) == [1]
         for cfg in _odd_p_searches(rs64_gf81):
-            # each search is one chunk of two eliminations (a random chunk's
-            # two zech_rank_batch calls; exhaustive search's head echelon and
-            # the one inside zech_extend_batch), and no report is ranked after
+            # each search is one chunk: a random chunk's two eliminations,
+            # its two zech_rank_batch calls, or exhaustive search's one head
+            # echelon, whose pivots each completion's one key is reduced
+            # against; no report is ranked after
             ranked = rank_calls(_outcome, cfg)
             assert k not in ranked
             assert len(ranked) == (2 if cfg.mode == "random" else 0)
-            assert sum(name == "zech_echelon_batch" for name, _ in calls) == 2
+            assert sum(name == "zech_echelon_batch" for name, _ in calls) == (
+                2 if cfg.mode == "random" else 1)
 
     def test_gf2_search_ranks_in_batches(self, rs64, fb1410, monkeypatch, rng):
         # the p = 2 twin: a report ranks its sets on python ints, with no
@@ -449,22 +456,24 @@ class TestBatch:
                                  samples=1500, seed=3),
                     SearchConfig(SubpacketizationSpec(fb1410, 1), 3, mode="random",
                                  samples=2000, seed=3)):
-            # one chunk of two eliminations: a random chunk's two
+            # one chunk: a random chunk's two eliminations, its two
             # bit_rank_batch calls, the failed node's N sets and the
-            # feasible tuples' k sets each; exhaustive search's head
-            # echelon and the one inside bit_extend_batch
+            # feasible tuples' k sets each; exhaustive search's one head
+            # echelon, whose pivots each completion's one key is reduced
+            # against
             calls.clear()
             _outcome(cfg)
             ranked = [n for name, n in calls if name == "bit_rank_batch"]
             k = cfg.sub.code.k
-            assert sum(name == "bit_echelon_batch" for name, _ in calls) == 2
+            assert sum(name == "bit_echelon_batch" for name, _ in calls) == (
+                2 if cfg.mode == "random" else 1)
             if cfg.mode == "random":
                 assert ranked[0] == cfg.samples and ranked[1] % k == 0
                 assert k not in ranked
             else:
                 assert ranked == []
 
-    def test_batch_rejects_malformed_tuples(self, fb1410):
+    def test_batch_rejects_malformed_tuples(self, fb1410, dense_batch):
         # as evaluate does: a tuple of the wrong length, or a batch that is
         # not an (N, slots) integer array, raises before anything is ranked
         sub = SubpacketizationSpec(fb1410, 1)
@@ -483,9 +492,9 @@ class TestBatch:
             ev.evaluate_batch(np.ones((3, 8), dtype=bool))
         # integer input of any width is read as int64
         flats = np.array([[0, 1, 2, 3, 4, 5, 6, 7]])
-        want = ev.evaluate_batch(flats).tolist()
-        assert ev.evaluate_batch(flats.astype(np.uint8)).tolist() == want
-        assert ev.evaluate_batch(flats.tolist()).tolist() == want
+        want = dense_batch(ev, flats).tolist()
+        assert dense_batch(ev, flats.astype(np.uint8)).tolist() == want
+        assert dense_batch(ev, flats.tolist()).tolist() == want
 
     def test_small_chunks_same_winners(self, rs53, rs64, fb1410, monkeypatch):
         cfgs = [SearchConfig(SubpacketizationSpec(code, s), node)
@@ -531,7 +540,7 @@ class TestBatch:
 class TestCompletions:
     @pytest.mark.parametrize("name", ["rs53", "rs64", "fb1410", "rs64_gf81"])
     @pytest.mark.parametrize("s", [1, 2])
-    def test_completions_are_evaluate_batch(self, request, name, s):
+    def test_completions_are_evaluate_batch(self, request, dense_batch, name, s):
         # every completion of random heads scores as evaluate_batch scores
         # the full tuple; heads with a repeated exponent in one parity are
         # rank-deficient (zero pivots), and heads whose elements at one
@@ -553,7 +562,7 @@ class TestCompletions:
         flats = np.array([[*head, last] for head in heads.tolist() for last in range(q1)])
         for failed in (1, 2, code.k):
             ev = SchemeEvaluator(sub, failed)
-            want = ev.evaluate_batch(flats).reshape(code.k, len(heads), q1)
+            want = dense_batch(ev, flats).reshape(code.k, len(heads), q1)
             got = ev.evaluate_completions(heads, range(q1))
             # every node's gammas where feasible, the failed node's everywhere
             feasible = want[failed - 1] == sub.alpha
@@ -589,9 +598,10 @@ class TestCompletions:
     @pytest.mark.parametrize("name, kernel", [("rs64", "bit_extend_batch"),
                                               ("rs64_gf81", "zech_extend_batch")])
     def test_rank_not_multiple_of_s_rejected(self, request, monkeypatch, name, kernel):
-        # exhaustive search checks every rank of the extended sets
-        monkeypatch.setattr(linalg, kernel,
-                            lambda rows, pivots, *args: np.full(rows.shape[1:], 3))
+        # exhaustive search checks every head rank, from which the ranks of
+        # the extended sets follow
+        monkeypatch.setattr(linalg, kernel, lambda rows, pivots, *tables: (
+            np.full(len(rows), 3, dtype=np.uint8), np.zeros(rows.shape, dtype=bool)))
         sub = SubpacketizationSpec(request.getfixturevalue(name), 2)
         with pytest.raises(InvalidMatrix):
             exhaustive_search(SearchConfig(sub, 1))
