@@ -27,16 +27,16 @@ and, while one block set is ranked, about (3b + 1) * m + 9 bytes per
 candidate and node of the set for p = 2, b the bytes of a key (1 up to
 GF(2^8), 2 up to GF(2^16)), or 33 * m + 9 for odd p.  The keys come from
 ``SubpacketizationSpec.node_keys``, (n-k) * s * (q-1) * k keys per spec: 10
-KiB for fb1410 at s = 1, 3 MiB for an RS(14,12) code over GF(2^16).  For m <= 16 and p = 2 a full chunk of
-4,096 stays under about 0.75 MiB plus 0.5 MiB per systematic node; measured
-peaks are 0.7 MiB for fb1410 (k = 10) and 2.1 MiB for that RS(14,12) code.
-An exhaustive chunk ranks its heads' blocks and then one key per completion
-and node, the last element's: it peaks at 0.2 MiB for fb1410 at s = 2
-(about 4 bytes per completion and node, 4 * s before the one-key step) and
-0.5 MiB for RS(6,4) over GF(3^4) at s = 1 (about 32 bytes).  When q-1 >
-``CHUNK``, each head's last exponents are split in ranges of ``CHUNK``, so
-a chunk stays bounded: 0.3 MiB for that RS(14,12) code at s = 8,
-tracemalloc's peak over a search whose node keys (24 MiB at s = 8) were
+KiB for fb1410 at s = 1, 3 MiB for an RS(14,12) code over GF(2^16).  For m
+<= 16 and p = 2 a full chunk of 4,096 stays under about 0.75 MiB plus 0.5
+MiB per systematic node; measured peaks are 0.7 MiB for fb1410 (k = 10) and
+2.1 MiB for that RS(14,12) code.  An exhaustive chunk ranks its heads'
+blocks and then one key per completion and node, the last element's: it
+peaks at 0.2 MiB for fb1410 at s = 2 (about 4 bytes per completion and
+node) and 0.5 MiB for RS(6,4) over GF(3^4) at s = 1 (about 32 bytes).  When
+q-1 > ``CHUNK``, each head's last exponents are split in ranges of
+``CHUNK``, so a chunk stays bounded: 0.3 MiB for that RS(14,12) code at s =
+8, tracemalloc's peak over a search whose node keys (24 MiB at s = 8) were
 built before.
 
 Random draws use the stdlib Mersenne Twister (``random.Random(seed)``),

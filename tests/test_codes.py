@@ -179,8 +179,8 @@ class TestSystematicOn:
             assert (new.n, new.k, new.field, new.name) == (n, k, field, None)
             assert verify_mds(new)
             for _ in range(3):
-                message = [field.element(None if rng.random() < 0.3 else rng.randrange(field.q - 1))
-                           for _ in range(k)]
+                message = [field.element(None if rng.random() < 0.3
+                                         else rng.randrange(field.q - 1)) for _ in range(k)]
                 symbols = _reordered(encode(code, message), order)
                 assert list(encode(new, symbols[:k]).symbols) == symbols
         # the deployed information set gives the code back, unnormalized
