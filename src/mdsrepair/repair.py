@@ -210,12 +210,6 @@ class RepairReport(Value):
         return self.sub.bits(self.total_bw)
 
 
-# total of an infeasible row in ``SchemeEvaluator.evaluate_batch``: the
-# largest int64, above every feasible total, so a minimum over a batch never
-# picks it
-INFEASIBLE = 2 ** 63 - 1
-
-
 def _gammas(sub: SubpacketizationSpec, flat_exps) -> tuple:
     """Gammas of one exponent tuple, one ``rank_exps`` call for the k
     nodes' sets; DimensionMismatch for a tuple that is not one per slot."""
@@ -234,12 +228,11 @@ class SchemeEvaluator:
     straight into the kernels' column layout, one ``np.take`` per (slot,
     offset) row, first of the failed node's block for the whole batch, then
     of all k blocks of the feasible tuples (leaving the failed one out
-    measured no cheaper than ranking it again); it returns only what it
-    ranked, the feasible tuples' gammas a row each.
-    ``evaluate_completions`` returns every node's gammas of every
-    completion, a column each, which ``totals`` turns into the totals the
-    search minimizes.  So a search takes its winner's report from the
-    batch that scored it.
+    measured no cheaper than ranking it again).  It and
+    ``evaluate_completions`` return one triple (ok, totals, gammas): the
+    ascending indices of the feasible candidates, their totals, and gammas
+    in the scorer's own layout, from which a search reads its winner's
+    report.
     ``evaluate`` scores one tuple on ``gamma_ranks``'s scalar route
     (``SubfieldSpec.rank_exps``).  For p = 2 that ranks on python ints and
     is an independent oracle of ``evaluate_batch`` in the tests; for odd p
@@ -258,29 +251,23 @@ class SchemeEvaluator:
         report = RepairReport(self.sub, self.failed, _gammas(self.sub, flat_exps))
         return (True, report.total_bw) if report.feasible else (False, None)
 
-    def totals(self, gammas: np.ndarray) -> np.ndarray:
-        """The totals of the gamma columns of ``evaluate_batch`` or
-        ``evaluate_completions``, shaped as one node's gammas: the sum over
-        the nodes, or ``INFEASIBLE`` where the failed node's gamma is below
-        alpha."""
-        # a total is at most k * alpha < 2^21: summed faster in uint32
-        totals = np.add.reduce(gammas, axis=0, dtype=np.uint32).astype(np.int64)
-        totals[gammas[self.failed - 1] < self.sub.alpha] = INFEASIBLE
-        return totals
-
     def _columns(self, tuples, width: int) -> np.ndarray:
         """The C-ordered int64 (width, N) transpose of the (N, width) integer
         exponent tuples, reduced mod q-1 only where an entry needs it (a
         negative one reads above q-1 as uint64): the division is the dearest
         pass over a batch, and a search's tuples, reduced views of such
-        arrays, are not even copied.  DimensionMismatch for another shape,
-        ParseError for entries that are not integers."""
-        tuples = np.asarray(tuples)
+        arrays, are not even copied.  Unsigned tuples are reduced in their
+        own dtype first, as an int64 cast wraps entries from 2^63.
+        DimensionMismatch for another shape, ParseError for entries that are
+        not integers."""
+        tuples, q1 = np.asarray(tuples), self.sub.code.field.q - 1
         if tuples.ndim != 2 or tuples.shape[1] != width:
             raise DimensionMismatch(f"exponent tuples of shape {tuples.shape}, not (N, {width})")
         if tuples.dtype.kind not in "iu":
             raise ParseError(f"exponents must be integers, got {tuples.dtype}")
-        cols, q1 = np.ascontiguousarray(tuples.T, dtype=np.int64), self.sub.code.field.q - 1
+        if tuples.dtype.kind == "u":
+            tuples = tuples % np.uint64(q1)
+        cols = np.ascontiguousarray(tuples.T, dtype=np.int64)
         return cols % q1 if cols.size and cols.view(np.uint64).max() >= q1 else cols
 
     def _keys(self, cols: np.ndarray, node=slice(None)) -> np.ndarray:
@@ -297,37 +284,45 @@ class SchemeEvaluator:
                 np.take(tables[j // sub.beta, t], exps, axis=0, out=keys[j, t], mode="wrap")
         return keys.reshape(len(cols) * sub.s, math.prod(keys.shape[2:]))
 
-    def evaluate_completions(self, heads, lasts: range) -> np.ndarray:
-        """(k, H, V) gammas of the completions of the (H, slots-1) exponent
-        heads ``heads`` by each of the V last exponents of ``lasts``, a range
-        in [0, q-1) of step 1, in row-major order: every node's, infeasible
-        completions included.  Each head's k blocks are eliminated once, and
-        the last slot's t = 0 key, which no head changes, is reduced against
-        their pivots (``SubfieldSpec.rank_extend_batch``)."""
+    def evaluate_completions(self, heads, lasts: range) -> tuple:
+        """(ok, totals, gammas) of the completions of the (H, slots-1)
+        exponent heads ``heads`` by each of the V last exponents of
+        ``lasts``, a range in [0, q-1) of step 1: the ascending indices h * V
+        + v of the feasible completions, in row-major order, their totals,
+        and the (H, k, V) gammas of every completion, infeasible ones
+        included.  Each head's k blocks are eliminated once, and the last
+        slot's t = 0 key, which no head changes, is reduced against their
+        pivots (``SubfieldSpec.rank_extend_batch``)."""
         sub, k = self.sub, self.sub.code.k
         if not isinstance(lasts, range) or lasts.step != 1:
             raise ParseError(f"last exponents must be a range of step 1, got {lasts!r}")
         if not 0 <= lasts.start <= lasts.stop < sub.code.field.q:
             raise DimensionMismatch(f"last exponents {lasts} not in [0, q-1)")
         cols = self._columns(heads, len(sub.slot_shifts[0]) - 1)
-        h = cols.shape[1]
+        h, v = cols.shape[1], len(lasts)
+        if not h * v:
+            return np.zeros(0, np.int64), np.zeros(0, np.uint32), np.zeros((h, k, v), np.uint8)
         # rows[h * k + u]: the last slot's t = 0 keys of node u
         rows = np.tile(sub.node_keys[-1, 0, lasts.start:lasts.stop].T, (h, 1))
-        gammas = sub.subfield.rank_extend_batch(self._keys(cols), rows)
-        return np.ascontiguousarray(gammas.reshape(h, k, -1).swapaxes(0, 1))
+        gammas = sub.subfield.rank_extend_batch(self._keys(cols), rows).reshape(h, k, v)
+        # summed over a node-major copy: reducing the middle axis took twice
+        # as long for q-1 = 15; a total is at most k * alpha < 2^21, so uint32
+        nodes = np.ascontiguousarray(gammas.swapaxes(0, 1)).reshape(k, -1)
+        ok = (nodes[self.failed - 1] == sub.alpha).nonzero()[0]
+        return ok, np.add.reduce(nodes, axis=0, dtype=np.uint32).take(ok), gammas
 
     def evaluate_batch(self, flats) -> tuple:
-        """(own, ok, gammas) of the (N, slots) exponent tuples in ``flats``:
-        the (N,) gammas of the failed node, the ascending indices of the F
-        feasible tuples, and their (F, k) gammas, row f the k nodes' of tuple
-        ok[f].  Only what was ranked is returned: the other nodes of an
-        infeasible tuple are not ranked."""
+        """(ok, totals, gammas) of the (N, slots) exponent tuples in
+        ``flats``: the ascending indices of the F feasible tuples, their
+        totals, and their (F, k) gammas, row f the k nodes' of tuple ok[f].
+        The other nodes of an infeasible tuple are not ranked."""
         sub, k = self.sub, self.sub.code.k
         cols = self._columns(flats, len(sub.slot_shifts[0]))
         rank = sub.subfield.rank_batch
-        own = rank(self._keys(cols, self.failed - 1))
-        ok = (own == sub.alpha).nonzero()[0]
-        return own, ok, rank(self._keys(cols.take(ok, axis=1))).reshape(-1, k)
+        ok = (rank(self._keys(cols, self.failed - 1)) == sub.alpha).nonzero()[0]
+        gammas = rank(self._keys(cols.take(ok, axis=1))).reshape(-1, k)
+        # the row sums: a product is faster than sum(axis=1) on k-wide rows
+        return ok, gammas @ np.ones(k, dtype=gammas.dtype), gammas
 
 
 def gamma_ranks(scheme: RepairScheme) -> RepairReport:
@@ -461,7 +456,7 @@ def gamma_ranks_matrix(sub: SubpacketizationSpec, failed: int,
     fb1410 scheme with ``realize_matrices``.  This route never touches
     element-level rank computations.  ``sub`` and ``failed`` must be the
     ones ``mat`` was realized for; NumPy integer arrays only (ParseError
-    otherwise, nothing is coerced)."""
+    otherwise, nothing is coerced), their entries read mod p."""
     if (sub, failed) != (mat.sub, mat.failed):
         raise ValueError(
             f"matrices realize node {mat.failed} of {mat.sub}, "
@@ -481,13 +476,17 @@ def gamma_ranks_matrix(sub: SubpacketizationSpec, failed: int,
                 f"repair matrix shape {R.shape} != ({m},{cols})")
         if R.dtype.kind not in "iu":
             raise ParseError(f"repair matrix entries must be integers, got {R.dtype}")
-        if not R.any(axis=0).all():
-            raise InvalidMatrix("repair matrix has a zero column")
+    # entries are judged mod p: unsigned ones reduced in their own dtype, as
+    # an int64 cast wraps them from 2^63, and all before the product overflows
+    equations = np.array([R % np.uint64(field.p) if R.dtype.kind == "u"
+                          else R.astype(np.int64) % field.p for R in mat.matrices],
+                         dtype=np.int64)
+    if not equations.any(axis=1).all():
+        raise InvalidMatrix("repair matrix has a zero column")
     # node u's blocks (R^l)^T . operator(P_u^l), parities l stacked: k
     # blocks of m rows
-    equations = np.array(mat.matrices).swapaxes(1, 2)
     blocks = linalg.matmul_mod_p(
-        equations, field.operators(sub.code.parity_exps()), field.p
+        equations.swapaxes(1, 2), field.operators(sub.code.parity_exps()), field.p
     ).reshape(sub.code.k, m, m)
     if field.p == 2:
         ranks = [len(linalg.echelon_bits(rows)[0])

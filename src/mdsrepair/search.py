@@ -12,18 +12,17 @@ ones as (N, slots) exponent arrays (``SchemeEvaluator.evaluate_batch``),
 exhaustive ones as heads, the first slots-1 exponents, read in mixed radix
 q-1, each with a range of last exponents (``evaluate_completions``):
 row-major, that is lexicographic order.  A chunk's cost is mostly a fixed
-number of NumPy calls, so one chunk covers the usual search.  Each chunk
-hands the search its feasible count and its first minimum, exponents and
-gammas: a random chunk from the gammas of its feasible tuples alone, the
-only ones whose k blocks were ranked, an exhaustive chunk from the totals
-of all its completions (``SchemeEvaluator.totals``).  The search keeps the
-winner's gammas as its report: every candidate is ranked once, the winner
-included.
+number of NumPy calls, so one chunk covers the usual search.  Both scorers
+return the ascending indices of a chunk's feasible candidates and their
+totals; the search counts them, takes the first minimum, and reads that
+candidate's exponents and gammas from the chunk's own layout.  It keeps
+the winner's gammas as its report: every candidate is ranked once, the
+winner included.
 
 Memory: a random chunk of N candidates holds its exponent columns (8 * slots
 * N bytes, slots <= m, again for the feasible ones), the failed node's
-gamma of each and the k gammas of each feasible one (8 bytes a gamma)
-and, while one block set is ranked, about (3b + 1) * m + 9 bytes per
+gamma of each and the k gammas and total of each feasible one (8 bytes
+each) and, while one block set is ranked, about (3b + 1) * m + 9 bytes per
 candidate and node of the set for p = 2, b the bytes of a key (1 up to
 GF(2^8), 2 up to GF(2^16)), or 33 * m + 9 for odd p.  The keys come from
 ``SubpacketizationSpec.node_keys``, (n-k) * s * (q-1) * k keys per spec: 10
@@ -32,7 +31,7 @@ KiB for fb1410 at s = 1, 3 MiB for an RS(14,12) code over GF(2^16).  For m
 MiB per systematic node; measured peaks are 0.7 MiB for fb1410 (k = 10) and
 2.1 MiB for that RS(14,12) code.  An exhaustive chunk ranks its heads'
 blocks and then one key per completion and node, the last element's: it
-peaks at 0.2 MiB for fb1410 at s = 2 (about 4 bytes per completion and
+peaks at 0.2 MiB for fb1410 at s = 2 (about 5 bytes per completion and
 node) and 0.5 MiB for RS(6,4) over GF(3^4) at s = 1 (about 32 bytes).  When
 q-1 > ``CHUNK``, each head's last exponents are split in ranges of
 ``CHUNK``, so a chunk stays bounded: 0.3 MiB for that RS(14,12) code at s =
@@ -53,13 +52,7 @@ import random
 from ._numpy import np
 from ._value import Value
 from .errors import NoFeasibleFound, SearchSpaceTooLarge, as_int, as_node, short_repr
-from .repair import (
-    INFEASIBLE,
-    RepairReport,
-    RepairScheme,
-    SchemeEvaluator,
-    SubpacketizationSpec,
-)
+from .repair import RepairReport, RepairScheme, SchemeEvaluator, SubpacketizationSpec
 
 EXHAUSTIVE_CAP = 10 ** 8
 # candidates scored per batch: one batch for the 2,000-sample and the
@@ -112,21 +105,25 @@ def _pin_first(free: np.ndarray) -> np.ndarray:
 
 def _run(cfg: SearchConfig, count: int, chunks, proven: bool) -> SearchResult:
     """Keep the feasible minimum of ``count`` candidates scored in stream
-    order: ``chunks(ev)`` yields, chunk by chunk, the chunk's feasible
-    count, its first minimal total (``INFEASIBLE`` with none feasible) and
-    that candidate's exponents and gammas, scored by the evaluator ``ev``.
+    order: ``chunks(ev)`` yields, chunk by chunk, the totals of the chunk's
+    feasible candidates, in stream order, as the evaluator ``ev`` scored
+    them, and ``winner``, which gives the exponents and gammas of the
+    candidate of totals[i] before the next chunk is scored.
 
-    Only strictly better totals replace the incumbent, so the winner is the
-    first optimum in stream order: with lexicographic enumeration, the
-    lexicographically smallest optimum.  The winner's report is its
-    gammas, so no candidate is ranked twice.
+    The first minimum of a chunk replaces the incumbent only with a
+    strictly better total, so the winner is the first optimum in stream
+    order: with lexicographic enumeration, the lexicographically smallest
+    optimum.  The winner's report is its gammas, so no candidate is ranked
+    twice.
     """
     ev = SchemeEvaluator(cfg.sub, cfg.failed)
-    best_total, best, feasible = INFEASIBLE, None, 0
-    for chunk_feasible, total, flat, gammas in chunks(ev):
-        feasible += chunk_feasible
-        if total < best_total:
-            best_total, best = total, (flat, gammas)
+    best_total, best, feasible = float("inf"), None, 0
+    for totals, winner in chunks(ev):
+        feasible += len(totals)
+        if len(totals):
+            i = int(totals.argmin())
+            if totals[i] < best_total:
+                best_total, best = int(totals[i]), winner(i)
     if best is None:
         raise NoFeasibleFound(
             f"no feasible scheme among {count} candidates "
@@ -149,7 +146,7 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
     if cfg.space_size > EXHAUSTIVE_CAP:
         raise SearchSpaceTooLarge(
             f"{cfg.space_size} candidates exceed the cap {EXHAUSTIVE_CAP}")
-    q1, k = cfg.sub.code.field.q - 1, cfg.sub.code.k
+    q1 = cfg.sub.code.field.q - 1
     values = q1 if cfg.free_slots else 1  # last exponents per head
     head_count = cfg.space_size // values
     step = max(1, CHUNK // values)
@@ -164,12 +161,13 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
             heads[1:] = index // places[:, None] % q1
             for low in range(0, values, width):
                 lasts = range(low, min(low + width, values))
-                gammas = ev.evaluate_completions(heads.T, lasts).reshape(k, -1)
-                totals = ev.totals(gammas)
-                i = int(totals.argmin())
-                yield (int(np.count_nonzero(totals != INFEASIBLE)), int(totals[i]),
-                       [*heads[:, i // len(lasts)].tolist(), lasts[i % len(lasts)]],
-                       gammas[:, i].tolist())
+                ok, totals, gammas = ev.evaluate_completions(heads.T, lasts)
+
+                def winner(i):
+                    h, v = divmod(int(ok[i]), len(lasts))
+                    return [*heads[:, h].tolist(), lasts[v]], gammas[h, :, v].tolist()
+
+                yield totals, winner
 
     return _run(cfg, cfg.space_size, chunks, proven=True)
 
@@ -218,13 +216,7 @@ def random_search(cfg: SearchConfig) -> SearchResult:
         for start in range(0, cfg.samples, CHUNK):
             n = min(CHUNK, cfg.samples - start)
             flats = _pin_first(take(n * free).reshape(n, free))
-            _, ok, gammas = ev.evaluate_batch(flats)
-            if not len(ok):
-                yield 0, INFEASIBLE, None, None
-                continue
-            # the row sums: a product is faster than sum(axis=1) on k-wide rows
-            totals = gammas @ np.ones(cfg.sub.code.k, dtype=gammas.dtype)
-            i = int(totals.argmin())
-            yield len(ok), int(totals[i]), flats[ok[i]].tolist(), gammas[i].tolist()
+            ok, totals, gammas = ev.evaluate_batch(flats)
+            yield totals, lambda i: (flats[ok[i]].tolist(), gammas[i].tolist())
 
     return _run(cfg, cfg.samples, chunks, proven=False)

@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from mdsrepair.bundled import bundled_code
@@ -58,18 +57,3 @@ def rs64_gf15625():
 def rng():
     return random.Random(0xC0DE)
 
-
-def _dense_batch(ev, flats):
-    """``ev.evaluate_batch(flats)`` as one C-ordered (k, N) uint8 array of
-    gammas, a column per tuple: a feasible tuple's k gammas, an infeasible
-    one's failed-node gamma and zeros."""
-    own, ok, gammas = ev.evaluate_batch(flats)
-    dense = np.zeros((ev.sub.code.k, len(own)), dtype=np.uint8)
-    dense[ev.failed - 1] = own
-    dense[:, ok] = gammas.T
-    return dense
-
-
-@pytest.fixture(scope="session")
-def dense_batch():
-    return _dense_batch

@@ -43,7 +43,6 @@ from mdsrepair.codes import encode, normalize_parity, rs_systematic
 from mdsrepair.errors import NoFeasibleFound
 from mdsrepair.gf import FieldSpec
 from mdsrepair.repair import (
-    INFEASIBLE,
     RepairScheme,
     SchemeEvaluator,
     SubpacketizationSpec,
@@ -93,7 +92,7 @@ def schemes(draw, min_s=1, sub=None):
     f"RS{sub.code.n}{sub.code.k}-GF{sub.code.field.p}^{sub.code.field.m}-s{sub.s}"))
 @settings(PROPERTY, max_examples=15)
 @given(st.data())
-def test_routes_agree(sub, dense_batch, data):
+def test_routes_agree(sub, data):
     scheme = data.draw(schemes(sub=sub))
     failed = scheme.failed
     field = sub.code.field
@@ -105,13 +104,12 @@ def test_routes_agree(sub, dense_batch, data):
                for _ in range(sub.code.k)]
     report = gamma_ranks(scheme)
     assert gamma_ranks_matrix(sub, failed, realize_matrices(scheme, reference)) == report
-    ev = SchemeEvaluator(sub, failed)
-    batch = dense_batch(ev, [scheme.flat_exps()])
-    assert ev.totals(batch).tolist() == [report.total_bw if report.feasible else INFEASIBLE]
-    assert batch[failed - 1].tolist() == [report.gammas[failed - 1]]
+    ok, totals, gammas = SchemeEvaluator(sub, failed).evaluate_batch([scheme.flat_exps()])
+    assert ok.tolist() == [0] * report.feasible
+    assert totals.tolist() == [report.total_bw] * report.feasible
     if not report.feasible:
         return
-    assert tuple(batch[:, 0].tolist()) == report.gammas
+    assert tuple(gammas[0].tolist()) == report.gammas
     codeword = encode(sub.code, message)
     result = recover_node(codeword, scheme, reference)
     assert result.element == codeword[failed - 1]

@@ -563,6 +563,31 @@ class TestMatrixOracle:
                               tuple(R.astype(np.uint8) for R in mat.matrices))
         assert gamma_ranks_matrix(scheme.sub, 1, narrow) == gamma_ranks(scheme)
 
+    def test_entries_read_mod_p(self, rs53, rs64_gf81):
+        # a column of 2s over GF(2) is a zero column (it ranked as gammas
+        # (3, 3, 2) when judged as integers)
+        scheme = bundled_scheme("rs53", 1)
+        mat = realize_matrices(scheme)
+        twos = np.array(mat.matrices[0])
+        twos[:, 0] = 2
+        with pytest.raises(InvalidMatrix, match="zero column"):
+            gamma_ranks_matrix(scheme.sub, 1, MatrixScheme(scheme.sub, 1, mat.reference,
+                                                           (twos, mat.matrices[1])))
+        # entries moved by multiples of p rank as their residues: int64 ones
+        # near 2^63, whose product overflowed, uint64 ones from 2^63, which an
+        # int64 cast wrapped, negative int8 ones, and a mix of dtypes
+        odd = RepairScheme.from_flat(SubpacketizationSpec(rs64_gf81, 2), 2, [0, 4])
+        for scheme, want in ((scheme, gamma_ranks(scheme).gammas), (odd, (2, 2, 2, 1))):
+            p, mat = scheme.sub.code.field.p, realize_matrices(scheme)
+            assert gamma_ranks(scheme).gammas == want
+            signed = tuple(R + p * 2 ** 61 for R in mat.matrices)
+            unsigned = tuple(R.astype(np.uint64) + np.uint64(p * 2 ** 62) for R in mat.matrices)
+            assert unsigned[0].min() >= 2 ** 63
+            negative = tuple(R.astype(np.int8) - np.int8(p) for R in mat.matrices)
+            for moved in (signed, unsigned, negative, (signed[0], unsigned[1])):
+                hostile = MatrixScheme(scheme.sub, scheme.failed, mat.reference, moved)
+                assert gamma_ranks_matrix(scheme.sub, scheme.failed, hostile).gammas == want
+
 
 class TestRecoverNode:
     def test_zero_codeword(self, rs53, f16):

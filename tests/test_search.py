@@ -15,8 +15,8 @@ from mdsrepair.codes import encode, rs_systematic
 from mdsrepair.errors import (DimensionMismatch, InvalidMatrix, NoFeasibleFound, ParseError,
                               SearchSpaceTooLarge)
 from mdsrepair.gf import rank_over_subfield
-from mdsrepair.repair import (INFEASIBLE, RepairScheme, SchemeEvaluator,
-                              SubpacketizationSpec, baselines, gamma_ranks, recover_node)
+from mdsrepair.repair import (RepairScheme, SchemeEvaluator, SubpacketizationSpec, baselines,
+                              gamma_ranks, recover_node)
 from mdsrepair.search import (
     SearchConfig,
     exhaustive_search,
@@ -35,6 +35,11 @@ def _record_chunks(monkeypatch):
 
     monkeypatch.setattr(SchemeEvaluator, "evaluate_batch", recording)
     return seen
+
+
+def _lists(scored):
+    """A scorer's (ok, totals, gammas) as lists."""
+    return tuple(a.tolist() for a in scored)
 
 
 def _outcome(cfg):
@@ -300,7 +305,7 @@ class TestBatch:
     @pytest.mark.parametrize("name, s", [
         ("fb1410", 1), ("fb1410", 2), ("rs53", 1), ("rs64", 1), ("rs64", 2),
         ("rs64_gf81", 1), ("rs64_gf81", 2), ("rs64_gf15625", 1), ("rs64_gf15625", 3)])
-    def test_batch_matches_scalar(self, request, dense_batch, name, s):
+    def test_batch_matches_scalar(self, request, name, s):
         code = request.getfixturevalue(name)
         sub = SubpacketizationSpec(code, s)
         q1 = code.field.q - 1
@@ -310,30 +315,23 @@ class TestBatch:
             ev = SchemeEvaluator(sub, failed)
             flats = [[draw.randrange(q1) for _ in range(code.r * sub.beta)]
                      for _ in range(2000)]
-            want = [total if feasible else INFEASIBLE
-                    for feasible, total in map(ev.evaluate, flats)]
-            # only what was ranked: the failed node's gamma of every tuple,
-            # the ascending indices of the feasible ones and their k gammas,
-            # a C-ordered row per tuple
-            own, ok, feasible = ev.evaluate_batch(np.array(flats))
-            assert own.shape == (len(flats),) and feasible.shape == (len(ok), code.k)
-            assert feasible.flags.c_contiguous
-            assert ok.tolist() == [i for i, total in enumerate(want) if total != INFEASIBLE]
-            gammas = dense_batch(ev, np.array(flats))
-            assert ev.totals(gammas).tolist() == want
-            assert INFEASIBLE in want and min(want) < INFEASIBLE
-            # the gammas of a feasible tuple are its report's; an infeasible
-            # one has its failed node's gamma and zeros
-            for flat, column in zip(flats[:200], gammas.T.tolist()):
-                report = gamma_ranks(RepairScheme.from_flat(sub, failed, flat))
-                want = list(report.gammas)
-                if not report.feasible:
-                    want = [0] * code.k
-                    want[failed - 1] = report.gammas[failed - 1]
-                assert column == want
+            want = [total for feasible, total in map(ev.evaluate, flats)]
+            # only what was ranked: the ascending indices of the feasible
+            # tuples, their totals and their k gammas, a C-ordered row each
+            ok, totals, gammas = ev.evaluate_batch(np.array(flats))
+            assert ok.tolist() == [i for i, total in enumerate(want) if total is not None]
+            assert totals.tolist() == [want[i] for i in ok]
+            assert 0 < len(ok) < len(flats)
+            assert gammas.shape == (len(ok), code.k) and gammas.flags.c_contiguous
+            # the gammas of a feasible tuple are its report's
+            for i, row in zip(ok.tolist(), gammas.tolist()):
+                if i >= 200:
+                    break
+                report = gamma_ranks(RepairScheme.from_flat(sub, failed, flats[i]))
+                assert tuple(row) == report.gammas
 
     @pytest.mark.parametrize("name", ["fb1410", "rs64_gf81"])
-    def test_batch_reduces_its_input(self, request, dense_batch, name):
+    def test_batch_reduces_its_input(self, request, name):
         # exponents outside [0, q-1), negative ones included, score as their
         # residues; in-range input is used as it is, and left unchanged
         code = request.getfixturevalue(name)
@@ -346,12 +344,46 @@ class TestBatch:
                                        for row in flats])
         kept = flats.copy()
         ev = SchemeEvaluator(sub, 2)
-        assert dense_batch(ev, moved).tolist() == dense_batch(ev, flats).tolist()
+        assert _lists(ev.evaluate_batch(moved)) == _lists(ev.evaluate_batch(flats))
         assert np.array_equal(flats, kept)
 
+    def test_unsigned_exponents_from_2_63(self, fb1410):
+        # uint64 exponents from 2^63 score as their residues on both routes:
+        # the criterion-9 winner with 255 * 2^56 added to slot 1 is the
+        # winner, at 65 bits, for evaluate and both scorers
+        ev = SchemeEvaluator(SubpacketizationSpec(fb1410, 1), 1)
+        flats = np.array([[0, 101, 162, 222, 104, 87, 11, 80]], dtype=np.uint64)
+        flats[0, 1] += np.uint64(255 << 56)
+        assert flats[0, 1] >= 2 ** 63
+        assert ev.evaluate(flats[0].tolist()) == (True, 65)
+        assert _lists(ev.evaluate_batch(flats))[:2] == ([0], [65])
+        assert _lists(ev.evaluate_completions(flats[:, :7], range(80, 81)))[:2] == ([0], [65])
+
+    @pytest.mark.parametrize("name", ["fb1410", "rs64_gf81"])
+    def test_chunks_of_no_and_all_feasible(self, request, name):
+        # a chunk with no feasible candidate and one with nothing else, on
+        # both scorers: the completions are heads with the last exponent 0
+        code = request.getfixturevalue(name)
+        sub = SubpacketizationSpec(code, 1)
+        q1, k = code.field.q - 1, code.k
+        draw = random.Random(name)
+        ev = SchemeEvaluator(sub, 2)
+        flats = [[*(draw.randrange(q1) for _ in range(code.r * sub.beta - 1)), 0]
+                 for _ in range(300)]
+        scored = list(map(ev.evaluate, flats))
+        for feasible in (False, True):
+            chunk = np.array([flat for flat, (ok, _) in zip(flats, scored) if ok == feasible])
+            totals = [total for ok, total in scored if ok] if feasible else []
+            assert len(chunk)
+            ok, got, gammas = ev.evaluate_batch(chunk)
+            assert ok.tolist() == list(range(len(totals))) and got.tolist() == totals
+            assert gammas.shape == (len(totals), k)
+            ok, got, gammas = ev.evaluate_completions(chunk[:, :-1], range(1))
+            assert ok.tolist() == list(range(len(totals))) and got.tolist() == totals
+            assert gammas.shape == (len(chunk), k, 1)
+
     @pytest.mark.parametrize("name", ["rs64", "fb1410", "rs64_gf81"])
-    def test_evaluators_read_the_field_rank_keys(self, request, dense_batch, name,
-                                                 monkeypatch, rng):
+    def test_evaluators_read_the_field_rank_keys(self, request, name, monkeypatch, rng):
         # GF(2^4), GF(2^8), GF(3^4): the field builds the key table once and
         # each spec its node keys once, from it; no evaluator, for any failed
         # node or s, keeps a table of its own
@@ -379,7 +411,7 @@ class TestBatch:
                 ev = SchemeEvaluator(sub, failed)
                 assert not [k for k, v in vars(ev).items()
                             if isinstance(v, np.ndarray)]
-                dense_batch(ev, np.array(
+                ev.evaluate_batch(np.array(
                     [[rng.randrange(field.q - 1) for _ in range(code.r * sub.beta)]
                      for _ in range(50)]))
                 assert ev.sub.node_keys is node_keys
@@ -473,7 +505,7 @@ class TestBatch:
             else:
                 assert ranked == []
 
-    def test_batch_rejects_malformed_tuples(self, fb1410, dense_batch):
+    def test_batch_rejects_malformed_tuples(self, fb1410):
         # as evaluate does: a tuple of the wrong length, or a batch that is
         # not an (N, slots) integer array, raises before anything is ranked
         sub = SubpacketizationSpec(fb1410, 1)
@@ -492,9 +524,9 @@ class TestBatch:
             ev.evaluate_batch(np.ones((3, 8), dtype=bool))
         # integer input of any width is read as int64
         flats = np.array([[0, 1, 2, 3, 4, 5, 6, 7]])
-        want = dense_batch(ev, flats).tolist()
-        assert dense_batch(ev, flats.astype(np.uint8)).tolist() == want
-        assert dense_batch(ev, flats.tolist()).tolist() == want
+        want = _lists(ev.evaluate_batch(flats))
+        assert _lists(ev.evaluate_batch(flats.astype(np.uint8))) == want
+        assert _lists(ev.evaluate_batch(flats.tolist())) == want
 
     def test_small_chunks_same_winners(self, rs53, rs64, fb1410, monkeypatch):
         cfgs = [SearchConfig(SubpacketizationSpec(code, s), node)
@@ -540,7 +572,7 @@ class TestBatch:
 class TestCompletions:
     @pytest.mark.parametrize("name", ["rs53", "rs64", "fb1410", "rs64_gf81"])
     @pytest.mark.parametrize("s", [1, 2])
-    def test_completions_are_evaluate_batch(self, request, dense_batch, name, s):
+    def test_completions_are_evaluate_batch(self, request, name, s):
         # every completion of random heads scores as evaluate_batch scores
         # the full tuple; heads with a repeated exponent in one parity are
         # rank-deficient (zero pivots), and heads whose elements at one
@@ -562,24 +594,27 @@ class TestCompletions:
         flats = np.array([[*head, last] for head in heads.tolist() for last in range(q1)])
         for failed in (1, 2, code.k):
             ev = SchemeEvaluator(sub, failed)
-            want = dense_batch(ev, flats).reshape(code.k, len(heads), q1)
-            got = ev.evaluate_completions(heads, range(q1))
-            # every node's gammas where feasible, the failed node's everywhere
-            feasible = want[failed - 1] == sub.alpha
-            assert np.array_equal(got[failed - 1], want[failed - 1])
-            assert np.array_equal(got[:, feasible], want[:, feasible])
-            totals = ev.totals(want)
-            assert ev.totals(got).tolist() == totals.tolist()
-            assert INFEASIBLE in totals and totals.min() < INFEASIBLE
+            want = ev.evaluate_batch(flats)
+            ok, totals, gammas = ev.evaluate_completions(heads, range(q1))
+            # the same feasible indices h * (q-1) + v and totals, and every
+            # node's gammas of each feasible completion at [h, :, v]
+            assert _lists((ok, totals)) == _lists(want[:2])
+            assert 0 < len(ok) < len(flats)
+            assert gammas.shape == (len(heads), code.k, q1)
+            assert gammas.swapaxes(1, 2).reshape(-1, code.k)[ok].tolist() == want[2].tolist()
             for lasts in (range(3), range(5, 9), range(q1 - 1, q1)):
                 part = ev.evaluate_completions(heads, lasts)
-                assert part.tolist() == got[..., lasts.start:lasts.stop].tolist()
+                assert part[2].tolist() == gammas[..., lasts.start:lasts.stop].tolist()
+                inside = [(i // q1, i % q1 - lasts.start, total)
+                          for i, total in zip(ok.tolist(), totals.tolist()) if i % q1 in lasts]
+                assert _lists(part[:2]) == ([h * len(lasts) + v for h, v, _ in inside],
+                                            [total for _, _, total in inside])
 
     def test_completions_reject_malformed_input(self, fb1410):
         sub = SubpacketizationSpec(fb1410, 1)
         ev = SchemeEvaluator(sub, 2)
         heads = np.zeros((3, 7), dtype=np.int64)
-        assert ev.evaluate_completions(heads, range(250, 255)).shape == (10, 3, 5)
+        assert ev.evaluate_completions(heads, range(250, 255))[2].shape == (3, 10, 5)
         # a head is slots-1 = 7 exponents
         for bad in (np.zeros((3, 6), dtype=np.int64), np.zeros((3, 8), dtype=np.int64),
                     np.zeros(7, dtype=np.int64)):
@@ -594,6 +629,20 @@ class TestCompletions:
         for lasts in (range(0, 10, 2), range(5, 0, -1), [0, 1, 2]):
             with pytest.raises(ParseError):
                 ev.evaluate_completions(heads, lasts)
+
+    @pytest.mark.parametrize("name", ["fb1410", "rs64_gf81"])
+    def test_completions_of_nothing(self, request, name):
+        # no head, or an empty range of last exponents, scores no completion,
+        # as evaluate_batch scores no tuple
+        sub = SubpacketizationSpec(request.getfixturevalue(name), 1)
+        q1, k, width = sub.code.field.q - 1, sub.code.k, sub.code.r * sub.beta
+        ev = SchemeEvaluator(sub, 1)
+        assert _lists(ev.evaluate_batch(np.zeros((0, width), dtype=np.int64)))[:2] == ([], [])
+        for h, lasts in ((0, range(q1)), (3, range(5, 5)), (0, range(0))):
+            ok, totals, gammas = ev.evaluate_completions(
+                np.zeros((h, width - 1), dtype=np.int64), lasts)
+            assert (ok.tolist(), totals.tolist()) == ([], [])
+            assert gammas.shape == (h, k, len(lasts))
 
     @pytest.mark.parametrize("name, kernel", [("rs64", "bit_extend_batch"),
                                               ("rs64_gf81", "zech_extend_batch")])
