@@ -30,7 +30,8 @@ The matrix route realizes every equation from one table per field,
 is the equation of z^L, row L + log P_u what that sees of node u, and a
 reference r = e_0 . operator(nu) shifts every row by log nu.  It
 eliminates mod p (``linalg``) only and reads none of the element
-route's tables (``rank_keys``, ``node_keys``, ``slot_shifts``) or kernels.
+route's tables (``rank_keys``, ``node_keys``, ``split_keys``,
+``slot_shifts``) or kernels.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class SubpacketizationSpec(Value):
         object.__setattr__(self, "slot_shifts", tuple(
             tuple(e for e in row for _ in range(beta))
             for row in self.code.parity_exps()))
-        # ``node_keys``, filled by ``table`` on first read
+        # ``node_keys`` and each node's ``split_keys``, filled on first read
         object.__setattr__(self, "_tables", {})
 
     @property
@@ -103,6 +104,19 @@ class SubpacketizationSpec(Value):
         shifts = ((np.array(self.code.parity_exps(), dtype=np.int64).T[:, None, None]
                    + np.array(self.subfield.offsets)[:, None, None]) % (field.q - 1))
         return np.ascontiguousarray(field.rank_keys[shifts + np.arange(field.q - 1)[:, None]])
+
+    def split_keys(self, failed: int) -> tuple:
+        """(failed, survivors): ``node_keys`` cut for the failed node
+        ``failed``, its (n-k, s, q-1) keys and the (n-k, s, q-1, k-1) keys
+        of the other nodes in node order, both read-only and C-ordered, so
+        that a gather of either reads contiguous rows.  Built on first read
+        for each node, and kept with ``node_keys``."""
+        failed = as_node(failed, self.code.k, "failed node")
+        if ("split_keys", failed) not in self._tables:
+            keys, u = self.node_keys, failed - 1
+            self._tables["split_keys", failed] = freeze(
+                (np.ascontiguousarray(keys[..., u]), np.delete(keys, u, axis=-1)))
+        return self._tables["split_keys", failed]
 
     def bits(self, symbols: int):
         """Bits in ``symbols`` GF(p^s) sub-symbols: the GF(p) digit count
@@ -224,11 +238,11 @@ class SchemeEvaluator:
     subfield, failed node) context.
 
     ``evaluate_batch`` is the search module's inner loop: two
-    ``SubfieldSpec.rank_batch`` calls on keys gathered from ``sub.node_keys``
-    straight into the kernels' column layout, one ``np.take`` per (slot,
-    offset) row, first of the failed node's block for the whole batch, then
-    of all k blocks of the feasible tuples (leaving the failed one out
-    measured no cheaper than ranking it again).  It and
+    ``SubfieldSpec.rank_batch`` calls on keys gathered from the spec's
+    ``split_keys`` for the failed node straight into the kernels' column
+    layout, one ``np.take`` per (slot, offset) row, first of the failed
+    node's block for the whole batch, then of the other k-1 blocks of the
+    feasible tuples only, as their failed node's gamma is alpha.  It and
     ``evaluate_completions`` return one triple (ok, totals, gammas): the
     ascending indices of the feasible candidates, their totals, and gammas
     in the scorer's own layout, from which a search reads its winner's
@@ -237,8 +251,8 @@ class SchemeEvaluator:
     (``SubfieldSpec.rank_exps``).  For p = 2 that ranks on python ints and
     is an independent oracle of ``evaluate_batch`` in the tests; for odd p
     it runs the same kernel, and the matrix route (``gamma_ranks_matrix``)
-    is the independent oracle.  The evaluator holds no table: ``sub`` owns
-    the slot layout (``slot_shifts``, and ``node_keys`` for the batch
+    is the independent oracle.  ``sub`` owns the slot layout
+    (``slot_shifts``, and ``node_keys`` and ``split_keys`` for the batch
     rows), and the field and its subfield own every rank table and kernel.
     """
 
@@ -270,13 +284,13 @@ class SchemeEvaluator:
         cols = np.ascontiguousarray(tuples.T, dtype=np.int64)
         return cols % q1 if cols.size and cols.view(np.uint64).max() >= q1 else cols
 
-    def _keys(self, cols: np.ndarray, node=slice(None)) -> np.ndarray:
+    def _keys(self, cols: np.ndarray, tables: np.ndarray) -> np.ndarray:
         """The keys of the (slots, N) reduced exponent columns ``cols`` in the
-        kernels' (slots * s, N * K) layout, sets tuple-major: of the 0-based
-        node ``node`` (K = 1), or of all k nodes.  One ``np.take`` per (slot
-        j, offset t) row gathers node_keys[l, t] at cols[j], l the parity of
-        slot j: its rows, or its column ``node``, copied first (q-1 keys)."""
-        sub, tables = self.sub, self.sub.node_keys[..., node]
+        kernels' (slots * s, N * K) layout, sets tuple-major, from ``tables``,
+        (n-k, s, q-1) keys of one node (K = 1) or (n-k, s, q-1, K) of K
+        nodes.  One ``np.take`` per (slot j, offset t) row gathers tables[l,
+        t] at cols[j], l the parity of slot j."""
+        sub = self.sub
         keys = np.empty((len(cols), sub.s, cols.shape[1], *tables.shape[3:]), tables.dtype)
         for j, exps in enumerate(cols):
             for t in range(sub.s):
@@ -304,7 +318,8 @@ class SchemeEvaluator:
             return np.zeros(0, np.int64), np.zeros(0, np.uint32), np.zeros((h, k, v), np.uint8)
         # rows[h * k + u]: the last slot's t = 0 keys of node u
         rows = np.tile(sub.node_keys[-1, 0, lasts.start:lasts.stop].T, (h, 1))
-        gammas = sub.subfield.rank_extend_batch(self._keys(cols), rows).reshape(h, k, v)
+        gammas = sub.subfield.rank_extend_batch(self._keys(cols, sub.node_keys),
+                                                rows).reshape(h, k, v)
         # summed over a node-major copy: reducing the middle axis took twice
         # as long for q-1 = 15; a total is at most k * alpha < 2^21, so uint32
         nodes = np.ascontiguousarray(gammas.swapaxes(0, 1)).reshape(k, -1)
@@ -314,15 +329,18 @@ class SchemeEvaluator:
     def evaluate_batch(self, flats) -> tuple:
         """(ok, totals, gammas) of the (N, slots) exponent tuples in
         ``flats``: the ascending indices of the F feasible tuples, their
-        totals, and their (F, k) gammas, row f the k nodes' of tuple ok[f].
-        The other nodes of an infeasible tuple are not ranked."""
+        totals, and their (F, k-1) gammas, row f those of tuple ok[f]'s
+        nodes other than the failed one, whose gamma is alpha.  The other
+        nodes of an infeasible tuple are not ranked."""
         sub, k = self.sub, self.sub.code.k
         cols = self._columns(flats, len(sub.slot_shifts[0]))
+        failed, survivors = sub.split_keys(self.failed)
         rank = sub.subfield.rank_batch
-        ok = (rank(self._keys(cols, self.failed - 1)) == sub.alpha).nonzero()[0]
-        gammas = rank(self._keys(cols.take(ok, axis=1))).reshape(-1, k)
-        # the row sums: a product is faster than sum(axis=1) on k-wide rows
-        return ok, gammas @ np.ones(k, dtype=gammas.dtype), gammas
+        ok = (rank(self._keys(cols, failed)) == sub.alpha).nonzero()[0]
+        # (F, k-1) by name: for k = 1 the rows are empty, and -1 is ambiguous
+        gammas = rank(self._keys(cols.take(ok, axis=1), survivors)).reshape(len(ok), k - 1)
+        # the row sums: a product is faster than sum(axis=1) on short rows
+        return ok, gammas @ np.ones(k - 1, dtype=gammas.dtype) + sub.alpha, gammas
 
 
 def gamma_ranks(scheme: RepairScheme) -> RepairReport:

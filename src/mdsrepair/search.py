@@ -21,22 +21,26 @@ winner included.
 
 Memory: a random chunk of N candidates holds its exponent columns (8 * slots
 * N bytes, slots <= m, again for the feasible ones), the failed node's
-gamma of each and the k gammas and total of each feasible one (8 bytes
-each) and, while one block set is ranked, about (3b + 1) * m + 9 bytes per
-candidate and node of the set for p = 2, b the bytes of a key (1 up to
-GF(2^8), 2 up to GF(2^16)), or 33 * m + 9 for odd p.  The keys come from
-``SubpacketizationSpec.node_keys``, (n-k) * s * (q-1) * k keys per spec: 10
-KiB for fb1410 at s = 1, 3 MiB for an RS(14,12) code over GF(2^16).  For m
-<= 16 and p = 2 a full chunk of 4,096 stays under about 0.75 MiB plus 0.5
-MiB per systematic node; measured peaks are 0.7 MiB for fb1410 (k = 10) and
-2.1 MiB for that RS(14,12) code.  An exhaustive chunk ranks its heads'
-blocks and then one key per completion and node, the last element's: it
-peaks at 0.2 MiB for fb1410 at s = 2 (about 5 bytes per completion and
-node) and 0.5 MiB for RS(6,4) over GF(3^4) at s = 1 (about 32 bytes).  When
-q-1 > ``CHUNK``, each head's last exponents are split in ranges of
-``CHUNK``, so a chunk stays bounded: 0.3 MiB for that RS(14,12) code at s =
-8, tracemalloc's peak over a search whose node keys (24 MiB at s = 8) were
-built before.
+gamma of each and the k-1 other gammas and total of each feasible one (8
+bytes each) and, while one block set is ranked, about (3b + 1) * m + 9
+bytes per candidate and node of the set for p = 2, b the bytes of a key (1
+up to GF(2^8), 2 up to GF(2^16)), or 33 * m + 9 for odd p.  The keys come
+from ``SubpacketizationSpec.node_keys``, (n-k) * s * (q-1) * k keys per
+spec: 10 KiB for fb1410 at s = 1, 3 MiB for an RS(14,12) code over
+GF(2^16).  A random search reads them split (``split_keys``), as many keys
+again once per failed node searched: 5,120 bytes for RS(6,4) over GF(3^4)
+and 10,200 for fb1410 at s = 1, 3 MiB and 24 MiB for that RS(14,12) code
+at s = 1 and 8.  For m <= 16 and p = 2 a full chunk of 4,096 stays under
+about 0.75 MiB plus 0.5 MiB per systematic node; measured peaks, tables
+built before, are 0.6 MiB for fb1410 (k = 10), 1.1 MiB for that GF(3^4)
+code and 2.0 MiB for that RS(14,12) code (4.2 MiB at s = 8).  An
+exhaustive chunk ranks its heads' blocks and then one key per completion
+and node, the last element's: it peaks at 0.2 MiB for fb1410 at s = 2
+(about 5 bytes per completion and node) and 0.5 MiB for RS(6,4) over
+GF(3^4) at s = 1 (about 32 bytes).  When q-1 > ``CHUNK``, each head's last
+exponents are split in ranges of ``CHUNK``, so a chunk stays bounded: 0.3
+MiB for that RS(14,12) code at s = 8, tracemalloc's peak over a search
+whose node keys (24 MiB at s = 8) were built before.
 
 Random draws use the stdlib Mersenne Twister (``random.Random(seed)``),
 one ``randrange(q-1)`` exponent per free slot in slot order, so a run is
@@ -217,6 +221,13 @@ def random_search(cfg: SearchConfig) -> SearchResult:
             n = min(CHUNK, cfg.samples - start)
             flats = _pin_first(take(n * free).reshape(n, free))
             ok, totals, gammas = ev.evaluate_batch(flats)
-            yield totals, lambda i: (flats[ok[i]].tolist(), gammas[i].tolist())
+
+            def winner(i):
+                # the rows leave out the failed node, whose gamma is alpha
+                row = gammas[i].tolist()
+                row.insert(ev.failed - 1, cfg.sub.alpha)
+                return flats[ok[i]].tolist(), row
+
+            yield totals, winner
 
     return _run(cfg, cfg.samples, chunks, proven=False)

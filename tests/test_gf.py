@@ -443,7 +443,7 @@ class TestSubfield:
         assert f16.subfield(4).exp_step == 1      # whole field
         assert f16.subfield(1).generator == f16.one()  # GF(2) = {0,1}
 
-    @pytest.mark.parametrize("s", [2.0, True])
+    @pytest.mark.parametrize("s", [2.0, True, "2"])
     def test_non_integer_degree_rejected(self, rs64, s):
         with pytest.raises(ParseError, match="^s must be an integer"):
             rs64.field.subfield(s)

@@ -82,10 +82,10 @@ class TestSubpacketization:
 
     @pytest.mark.parametrize("name, s", [("fb1410", 1), ("rs64", 2), ("rs64_gf81", 2)])
     def test_derived_tables_keep_the_instance_layout(self, request, name, s, monkeypatch):
-        # subfield, slot_shifts and node_keys are built on first read into
-        # attributes that construction made: no read adds a key to the
-        # instance __dict__, each returns the same object every time, and
-        # only node_keys reads NumPy
+        # subfield, slot_shifts, node_keys and each node's split_keys are
+        # built on first read into attributes that construction made: no
+        # read adds a key to the instance __dict__, each returns the same
+        # object every time, and only the key tables read NumPy
         sub = SubpacketizationSpec(request.getfixturevalue(name), s)
         keys = set(vars(sub))
 
@@ -96,11 +96,18 @@ class TestSubpacketization:
         monkeypatch.setattr(repair, "np", NoNumpy())
         scalar = [sub.subfield, sub.slot_shifts]
         monkeypatch.undo()
-        first = [*scalar, sub.node_keys]
+        first = [*scalar, sub.node_keys, sub.split_keys(1), sub.split_keys(sub.code.k)]
         assert set(vars(sub)) == keys
-        again = [sub.subfield, sub.slot_shifts, sub.node_keys]
+        again = [sub.subfield, sub.slot_shifts, sub.node_keys, sub.split_keys(1),
+                 sub.split_keys(sub.code.k)]
         assert all(a is b for a, b in zip(first, again))
         assert sub == SubpacketizationSpec(sub.code, s)
+        # split_keys takes a failed node, as the evaluator does
+        with pytest.raises(ValueError):
+            sub.split_keys(sub.code.k + 1)
+        for bad in (True, 1.0):
+            with pytest.raises(ParseError):
+                sub.split_keys(bad)
 
     @pytest.mark.parametrize("name", ["rs64", "fb1410", "rs64_gf81"])
     def test_node_keys(self, request, name, monkeypatch):

@@ -15,8 +15,8 @@ from mdsrepair.codes import encode, rs_systematic
 from mdsrepair.errors import (DimensionMismatch, InvalidMatrix, NoFeasibleFound, ParseError,
                               SearchSpaceTooLarge)
 from mdsrepair.gf import rank_over_subfield
-from mdsrepair.repair import (RepairScheme, SchemeEvaluator, SubpacketizationSpec, baselines,
-                              gamma_ranks, recover_node)
+from mdsrepair.repair import (RepairReport, RepairScheme, SchemeEvaluator, SubpacketizationSpec,
+                              baselines, gamma_ranks, recover_node)
 from mdsrepair.search import (
     SearchConfig,
     exhaustive_search,
@@ -317,18 +317,21 @@ class TestBatch:
                      for _ in range(2000)]
             want = [total for feasible, total in map(ev.evaluate, flats)]
             # only what was ranked: the ascending indices of the feasible
-            # tuples, their totals and their k gammas, a C-ordered row each
+            # tuples, their totals and the gammas of their other k-1 nodes,
+            # a C-ordered row each
             ok, totals, gammas = ev.evaluate_batch(np.array(flats))
             assert ok.tolist() == [i for i, total in enumerate(want) if total is not None]
             assert totals.tolist() == [want[i] for i in ok]
             assert 0 < len(ok) < len(flats)
-            assert gammas.shape == (len(ok), code.k) and gammas.flags.c_contiguous
-            # the gammas of a feasible tuple are its report's
+            assert gammas.shape == (len(ok), code.k - 1) and gammas.flags.c_contiguous
+            # the gammas of a feasible tuple are its report's, less the
+            # failed node's, which is alpha
             for i, row in zip(ok.tolist(), gammas.tolist()):
                 if i >= 200:
                     break
                 report = gamma_ranks(RepairScheme.from_flat(sub, failed, flats[i]))
-                assert tuple(row) == report.gammas
+                assert report.gammas[failed - 1] == sub.alpha
+                assert tuple(row) == report.gammas[:failed - 1] + report.gammas[failed:]
 
     @pytest.mark.parametrize("name", ["fb1410", "rs64_gf81"])
     def test_batch_reduces_its_input(self, request, name):
@@ -377,16 +380,17 @@ class TestBatch:
             assert len(chunk)
             ok, got, gammas = ev.evaluate_batch(chunk)
             assert ok.tolist() == list(range(len(totals))) and got.tolist() == totals
-            assert gammas.shape == (len(totals), k)
+            assert gammas.shape == (len(totals), k - 1)
             ok, got, gammas = ev.evaluate_completions(chunk[:, :-1], range(1))
             assert ok.tolist() == list(range(len(totals))) and got.tolist() == totals
             assert gammas.shape == (len(chunk), k, 1)
 
     @pytest.mark.parametrize("name", ["rs64", "fb1410", "rs64_gf81"])
     def test_evaluators_read_the_field_rank_keys(self, request, name, monkeypatch, rng):
-        # GF(2^4), GF(2^8), GF(3^4): the field builds the key table once and
-        # each spec its node keys once, from it; no evaluator, for any failed
-        # node or s, keeps a table of its own
+        # GF(2^4), GF(2^8), GF(3^4): the field builds the key table once,
+        # each spec its node keys once, from it, and its split keys once per
+        # failed node, from those; no evaluator, for any failed node or s,
+        # keeps a table of its own
         code = request.getfixturevalue(name)
         field = code.field
         rank_keys = field.rank_keys
@@ -407,6 +411,7 @@ class TestBatch:
                 return take(table, *args, **kwargs)
 
             monkeypatch.setattr(np, "take", recording)
+            split = []
             for failed in range(1, code.k + 1):
                 ev = SchemeEvaluator(sub, failed)
                 assert not [k for k, v in vars(ev).items()
@@ -415,9 +420,20 @@ class TestBatch:
                     [[rng.randrange(field.q - 1) for _ in range(code.r * sub.beta)]
                      for _ in range(50)]))
                 assert ev.sub.node_keys is node_keys
+                split.append(sub.split_keys(failed))
+                assert sub.split_keys(failed) is split[-1]
             monkeypatch.undo()
-            # every gather reads a view of this spec's node keys
-            assert read and all(np.shares_memory(table, node_keys) for table in read)
+            # the split keys are node keys, so rank_keys entries: the failed
+            # node's column and the other nodes' in node order, C-ordered
+            for u, (own, others) in enumerate(split):
+                assert own.flags.c_contiguous and others.flags.c_contiguous
+                assert not own.flags.writeable and not others.flags.writeable
+                assert own.dtype == others.dtype == rank_keys.dtype
+                assert own.tolist() == node_keys[..., u].tolist()
+                assert others.tolist() == np.delete(node_keys, u, axis=-1).tolist()
+            # every gather reads a view of this spec's split keys
+            assert read and all(any(np.shares_memory(table, keys)
+                                    for pair in split for keys in pair) for table in read)
 
     def test_odd_p_search_never_calls_evaluate(self, rs64_gf81, monkeypatch):
         cfgs = _odd_p_searches(rs64_gf81)
@@ -455,16 +471,25 @@ class TestBatch:
             assert rank_calls(gamma_ranks, scheme) == [k]
             elems = [field.element(rng.randrange(field.q - 1)) for _ in range(3)]
             assert rank_calls(rank_over_subfield, elems, sub.subfield) == [1]
-        for cfg in _odd_p_searches(rs64_gf81):
+        for cfg in (*_odd_p_searches(rs64_gf81),
+                    SearchConfig(SubpacketizationSpec(rs64_gf81, 1), 1, mode="random",
+                                 samples=1000, seed=0)):
             # each search is one chunk: a random chunk's two eliminations,
-            # its two zech_rank_batch calls, or exhaustive search's one head
-            # echelon, whose pivots each completion's one key is reduced
-            # against; no report is ranked after
-            ranked = rank_calls(_outcome, cfg)
+            # its two zech_rank_batch calls, the failed node's N sets and
+            # the other k-1 nodes' sets of the F feasible tuples, or
+            # exhaustive search's one head echelon, whose pivots each
+            # completion's one key is reduced against; no report is ranked
+            # after
+            calls.clear()
+            feasible = _outcome(cfg)[3]
+            ranked = [n for name, n in calls if name == "zech_rank_batch"]
             assert k not in ranked
-            assert len(ranked) == (2 if cfg.mode == "random" else 0)
+            assert ranked == ([cfg.samples, (k - 1) * feasible] if cfg.mode == "random" else [])
             assert sum(name == "zech_echelon_batch" for name, _ in calls) == (
                 2 if cfg.mode == "random" else 1)
+        # node 1, seed 0: 1,000 + 3 * 598 sets, 3,392 when the failed node's
+        # blocks were ranked again
+        assert sum(ranked) == 2794
 
     def test_gf2_search_ranks_in_batches(self, rs64, fb1410, monkeypatch, rng):
         # the p = 2 twin: a report ranks its sets on python ints, with no
@@ -487,23 +512,28 @@ class TestBatch:
                     SearchConfig(SubpacketizationSpec(rs64, 1), 2, mode="random",
                                  samples=1500, seed=3),
                     SearchConfig(SubpacketizationSpec(fb1410, 1), 3, mode="random",
-                                 samples=2000, seed=3)):
+                                 samples=2000, seed=3),
+                    SearchConfig(SubpacketizationSpec(fb1410, 1), 1, mode="random",
+                                 samples=2000, seed=0)):
             # one chunk: a random chunk's two eliminations, its two
-            # bit_rank_batch calls, the failed node's N sets and the
-            # feasible tuples' k sets each; exhaustive search's one head
-            # echelon, whose pivots each completion's one key is reduced
-            # against
+            # bit_rank_batch calls, the failed node's N sets and the other
+            # k-1 nodes' sets of the F feasible tuples; exhaustive search's
+            # one head echelon, whose pivots each completion's one key is
+            # reduced against
             calls.clear()
-            _outcome(cfg)
+            feasible = _outcome(cfg)[3]
             ranked = [n for name, n in calls if name == "bit_rank_batch"]
             k = cfg.sub.code.k
             assert sum(name == "bit_echelon_batch" for name, _ in calls) == (
                 2 if cfg.mode == "random" else 1)
             if cfg.mode == "random":
-                assert ranked[0] == cfg.samples and ranked[1] % k == 0
+                assert ranked == [cfg.samples, (k - 1) * feasible]
                 assert k not in ranked
             else:
                 assert ranked == []
+        # node 1, seed 0: 2,000 + 9 * 620 sets, 8,200 when the failed node's
+        # blocks were ranked again
+        assert sum(ranked) == 7580
 
     def test_batch_rejects_malformed_tuples(self, fb1410):
         # as evaluate does: a tuple of the wrong length, or a batch that is
@@ -554,6 +584,30 @@ class TestBatch:
         monkeypatch.setattr(search, "CHUNK", 7)
         assert list(map(_outcome, cfgs)) == before
 
+    @pytest.mark.parametrize("n, s, exhaustive, drawn", [
+        (3, 1, ([0, 1, 2, 3], 3375, 1344), ([0, 4, 8, 7], 377)),
+        (3, 2, ([0, 1], 15, 12), ([0, 13], 793)),
+        (2, 1, ([0, 1, 2, 3], 3375, 1344), ([0, 4, 8, 7], 377)),
+        (2, 2, ([0, 1], 15, 12), ([0, 13], 793)),
+        (2, 4, ([0], 1, 1), ([0], 1000))])
+    def test_one_systematic_node(self, f16, monkeypatch, n, s, exhaustive, drawn):
+        # k = 1, RS(3,1) and RS(2,1) over GF(2^4) at every valid s: the
+        # failed node is the only one, so the random scorer ranks no other
+        # node, its rows are empty, and each winner's report is (alpha,);
+        # both searches, in one chunk and in chunks of 7
+        code = rs_systematic(f16, [f16.element(i) for i in range(n)], 1)
+        sub = SubpacketizationSpec(code, s)
+        report = RepairReport(sub, 1, (sub.alpha,))
+        want = [(exhaustive[0], report, *exhaustive[1:]),
+                (drawn[0], report, 1000, drawn[1])]
+        cfgs = [SearchConfig(sub, 1), SearchConfig(sub, 1, mode="random", samples=1000, seed=0)]
+        assert list(map(_outcome, cfgs)) == want
+        monkeypatch.setattr(search, "CHUNK", 7)
+        assert list(map(_outcome, cfgs)) == want
+        ok, totals, gammas = SchemeEvaluator(sub, 1).evaluate_batch(
+            np.arange(40 * code.r * sub.beta).reshape(40, -1))
+        assert gammas.shape == (len(ok), 0) and totals.tolist() == [sub.alpha] * len(ok)
+
     def test_rank_not_multiple_of_s_rejected(self, rs64, monkeypatch):
         monkeypatch.setattr(linalg, "bit_rank_batch",
                             lambda cols, m: np.full(cols.shape[1], 3))
@@ -601,7 +655,9 @@ class TestCompletions:
             assert _lists((ok, totals)) == _lists(want[:2])
             assert 0 < len(ok) < len(flats)
             assert gammas.shape == (len(heads), code.k, q1)
-            assert gammas.swapaxes(1, 2).reshape(-1, code.k)[ok].tolist() == want[2].tolist()
+            rows = gammas.swapaxes(1, 2).reshape(-1, code.k)[ok]
+            assert (rows[:, failed - 1] == sub.alpha).all()
+            assert np.delete(rows, failed - 1, axis=1).tolist() == want[2].tolist()
             for lasts in (range(3), range(5, 9), range(q1 - 1, q1)):
                 part = ev.evaluate_completions(heads, lasts)
                 assert part[2].tolist() == gammas[..., lasts.start:lasts.stop].tolist()
