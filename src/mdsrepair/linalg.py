@@ -4,8 +4,9 @@ Five representations are used:
 
 * python rows (lists or tuples) of ints in [0, p) for the one general
   elimination mod p (`rref_rows`), which beats numpy row operations at
-  these sizes: ``repair.recover_node`` and ``repair.gamma_ranks_matrix``
-  for odd p and ``SubfieldSpec.tower_inverse`` run it directly, and
+  these sizes: ``repair.gamma_ranks_matrix`` and a scheme's recovery plan
+  (``repair._plan``, once per scheme) for odd p and
+  ``SubfieldSpec.tower_inverse`` run it directly, and
   `rref_mod_p`, `rank_mod_p` and `solve_mod_p` wrap it for int64 arrays;
 * python ints as bit-rows, bit c for column c, for the forward-only GF(2)
   elimination of the same two callers (`echelon_bits`), by XOR;

@@ -24,7 +24,7 @@ equation blocks realized from a reference row r.  ``SchemeEvaluator``
 ranks exponent tuples in batches and returns their gammas, so a search
 ranks each candidate once and takes its winner's report from that batch.
 ``recover_node`` runs the download / interference-cancellation / solve
-pipeline on a codeword.
+pipeline on a codeword, from a plan eliminated once per scheme.
 The matrix route realizes every equation from one table per field,
 ``FieldSpec.unit_functional`` of e_0 . coords(x) at the powers of z: row L
 is the equation of z^L, row L + log P_u what that sees of node u, and a
@@ -110,12 +110,15 @@ class SubpacketizationSpec(Value):
         ``failed``, its (n-k, s, q-1) keys and the (n-k, s, q-1, k-1) keys
         of the other nodes in node order, both read-only and C-ordered, so
         that a gather of either reads contiguous rows.  Built on first read
-        for each node, and kept with ``node_keys``."""
+        for each node and kept, from a ``node_keys`` that is dropped again
+        unless it was held before."""
         failed = as_node(failed, self.code.k, "failed node")
         if ("split_keys", failed) not in self._tables:
-            keys, u = self.node_keys, failed - 1
+            held, keys, u = "node_keys" in self._tables, self.node_keys, failed - 1
             self._tables["split_keys", failed] = freeze(
                 (np.ascontiguousarray(keys[..., u]), np.delete(keys, u, axis=-1)))
+            if not held:
+                del self._tables["node_keys"]
         return self._tables["split_keys", failed]
 
     def bits(self, symbols: int):
@@ -159,6 +162,14 @@ class RepairScheme(Value):
                     raise ValueError("elements must belong to the code's field")
                 if e.is_zero:
                     raise ValueError("repair field elements must be nonzero")
+        object.__setattr__(self, "_tables", {})  # ``plan``, filled on first read
+
+    @table
+    def plan(self) -> "RecoveryPlan":
+        """``recover_node``'s plan (``_plan``) for the default reference,
+        built on the first recovery and kept; an infeasible scheme keeps
+        none, and raises ``InfeasibleScheme`` on every recovery."""
+        return _plan(self, None)
 
     def flat_exps(self) -> list:
         """Element discrete logs in parity-major order."""
@@ -534,6 +545,20 @@ class RecoveryResult(Value):
     total_bits: float                # sub.bits(total_symbols)
 
 
+class RecoveryPlan(Value):
+    """What a recovery reads but the codeword (``_plan``): ``sent`` holds
+    a (node, rows) pair, node 0-based and parities first, for each node
+    that sends the products of its rows with its stored vector, a parity
+    its realized equations and a surviving systematic node its block's
+    echelon basis; row c of ``solve`` gives coordinate c of the lost symbol
+    as its dot product with all the values sent, in that order;
+    ``downloads`` holds the (node, sub-symbols) pairs."""
+
+    sent: tuple
+    solve: tuple
+    downloads: tuple
+
+
 def recover_node(codeword: Codeword, scheme: RepairScheme,
                  reference=None) -> RecoveryResult:
     """Simulate the repair of the failed node from the other n-1 nodes.
@@ -542,109 +567,109 @@ def recover_node(codeword: Codeword, scheme: RepairScheme,
     vector; each surviving systematic node sends the echelon basis of its
     interference block applied to its own vector, from which the repairer
     rebuilds the interference and subtracts it; the useful block is solved
-    for the lost coordinates.  That block is eliminated once, together with
-    the signal: the pivots left of the signal column give its rank, and
-    ``InfeasibleScheme`` is raised unless it is full.
-
-    Every equation is a row of ``FieldSpec.unit_functional`` read on python
-    ints: row L (``_equations``) for the equation, and row L + log P_u^l,
-    mod q-1, for what it sees of node u at parity l.  For p = 2 the rows
-    are bit-rows and the stored vectors ``x.index``, eliminated forward
-    only by ``linalg.echelon_bits`` (``_solve_bits``); for odd p tuples and
-    ``x.coords()``, by ``linalg.rref_rows`` (``_solve_mod_p``).  No
-    operator is built and no element rank kernel runs.
+    for the lost coordinates.  What reads only the scheme and the reference
+    is planned once (``_plan``), and kept on the scheme for the default
+    reference (``RepairScheme.plan``).  Per codeword this computes the sent
+    values from the stored vectors, ``x.index`` bit-rows for p = 2 and
+    ``x.coords()`` otherwise, and applies the plan's solve rows, in which
+    the interference cancels: m parities of ANDs or m dot products.  No
+    operator is built, and no element rank kernel and no elimination runs.
     """
-    sub, failed = scheme.sub, scheme.failed
-    code = sub.code
-    field = code.field
-    p, m, k, q1 = field.p, field.m, code.k, field.q - 1
-    if codeword.code != code:
+    sub = scheme.sub
+    field = sub.code.field
+    if codeword.code != sub.code:
         raise ValueError("codeword and scheme use different codes")
-    _, logs = _equations(scheme, reference)
-    rows = field.unit_functional[1]
-    width = m // code.r  # equation i comes from parity i // width
-    blocks = [[rows[(L + shifts[i // width]) % q1] for i, L in enumerate(logs)]
-              for shifts in code.parity_exps()]
-    vectors = [x.index if p == 2 else x.coords() for x in codeword.symbols]
-    # each parity sends its equations applied to its stored vector
-    sent = [(rows[L], vectors[k + i // width]) for i, L in enumerate(logs)]
-    if p == 2:
-        ranks, useful, solution = _solve_bits(blocks, vectors, sent, failed - 1)
+    plan = scheme.plan if reference is None else _plan(scheme, reference)
+    symbols = codeword.symbols
+    if field.p == 2:
+        values = j = 0  # bit j for value j
+        for u, rows in plan.sent:
+            x = symbols[u].index
+            for row in rows:
+                values |= ((row & x).bit_count() & 1) << j
+                j += 1
+        element = field.from_index(sum(((row & values).bit_count() & 1) << c
+                                       for c, row in enumerate(plan.solve)))
     else:
-        ranks, useful, solution = _solve_mod_p(blocks, vectors, sent, failed - 1, p)
-    if useful != m:
-        raise InfeasibleScheme(
-            f"gamma_{failed} = {useful // sub.s} < alpha = {sub.alpha}")
-    downloads = {k + 1 + l: sub.beta for l in range(code.r)}
-    downloads.update((u, rank // sub.s) for u, rank in ranks.items())
-    element = field.from_coords(solution)
+        values = []
+        for u, rows in plan.sent:
+            x = symbols[u].coords()
+            values += [sum(map(mul, row, x)) for row in rows]
+        element = field.from_coords(sum(map(mul, row, values)) % field.p
+                                    for row in plan.solve)
+    downloads = dict(plan.downloads)
     total = sum(downloads.values())
     return RecoveryResult(element, tuple(subfield_coords(element, sub.subfield)),
                           downloads, total, sub.bits(total))
 
 
-def _solve_bits(blocks: list, vectors: list, sent: list, failed: int) -> tuple:
-    """``recover_node``'s eliminations over GF(2) by ``linalg.echelon_bits``
-    on bit-rows, bit c for column c, of the k interference ``blocks`` of m
-    rows, the n stored ``vectors`` and the m (equation, parity vector) pairs
-    ``sent``, whose products are the signal, bit j for equation j.  Returns
-    (ranks, rank, solution): each surviving node's block rank, 1-based, the
-    failed block's rank, and the coordinates solved for, read only when
-    that rank is m."""
-    m = len(sent)
-    signal = sum(((row & vector).bit_count() & 1) << j
-                 for j, (row, vector) in enumerate(sent))
-    ranks = {}
-    for u, (block, vector) in enumerate(zip(blocks, vectors)):
+def _plan(scheme: RepairScheme, reference) -> RecoveryPlan:
+    """``recover_node``'s plan of ``scheme`` under ``reference`` (None for
+    e_0, checked by ``_equations``).  Every row is one of
+    ``FieldSpec.unit_functional`` on python ints, bit-rows (bit c for
+    column c) for p = 2 and tuples otherwise: row L (``_equations``) for an
+    equation, row L + log P_u^l, mod q-1, for what it sees of node u at
+    parity l.  Each surviving node's block is eliminated once, by
+    ``linalg.echelon_bits`` for p = 2 and ``linalg.rref_rows`` otherwise,
+    and its rows are written in its basis; the failed block is solved
+    (``_solve``) for each equation's value minus that interference, over
+    the values sent.  ``InfeasibleScheme`` unless it has full rank."""
+    sub, failed = scheme.sub, scheme.failed - 1
+    code, field = sub.code, sub.code.field
+    p, m, q1 = field.p, field.m, field.q - 1
+    _, logs = _equations(scheme, reference)
+    rows = field.unit_functional[1]
+    width = m // code.r  # equation i comes from parity i // width
+    blocks = [[rows[(L + shifts[i // width]) % q1] for i, L in enumerate(logs)]
+              for shifts in code.parity_exps()]
+    equations = tuple(rows[L] for L in logs)
+    sent = [(code.k + l, equations[i:i + width]) for l, i in enumerate(range(0, m, width))]
+    # rhs[j] over the values sent so far: a bit-row for p = 2, a list otherwise
+    rhs = [1 << j if p == 2 else [0] * j + [1] + [0] * (m - 1 - j) for j in range(m)]
+    count = m
+    for u, block in enumerate(blocks):
         if u == failed:
             continue
-        basis, combos = linalg.echelon_bits(block)
-        # node u sends basis . vector, one bit per basis row; block[j] is the
-        # XOR of the basis rows in combos[j], so that is its interference
-        fetched = 0
-        for i, row in enumerate(basis):
-            fetched |= ((row & vector).bit_count() & 1) << i
-        for j, combo in enumerate(combos):
-            signal ^= ((combo & fetched).bit_count() & 1) << j
-        ranks[u + 1] = len(basis)
-    # the basis rows of [A | signal] with a lowest bit below m count A's rank
-    # and at full rank hold the pivots 0..m-1: from the last pivot c down, x_c
-    # is the row's signal bit plus its bits of x above c
-    system = [row | (signal >> j & 1) << m for j, row in enumerate(blocks[failed])]
-    mask = (1 << m) - 1
-    pivots = sorted((row for row in linalg.echelon_bits(system)[0] if row & mask),
-                    key=lambda row: row & -row, reverse=True)
-    x = 0
-    for row in pivots:
-        if (row >> m ^ (row & mask & x).bit_count()) & 1:
-            x |= row & -row
-    return ranks, len(pivots), [x >> c & 1 for c in range(m)]
+        if p == 2:
+            # block[j] is the XOR of the basis rows in combos[j]
+            basis, combos = linalg.echelon_bits(block)
+            rhs = [r | combo << count for r, combo in zip(rhs, combos)]
+        else:
+            # unit pivots: block[j] is block[j][pivots] . basis
+            basis = list(block)
+            pivots = linalg.rref_rows(basis, p)
+            basis = basis[:len(pivots)]
+            rhs = [r + [-row[c] % p for c in pivots] for r, row in zip(rhs, block)]
+        sent.append((u, tuple(basis)))
+        count += len(basis)
+    rank, solve = _solve(blocks[failed], rhs, p)
+    if rank != m:
+        raise InfeasibleScheme(f"gamma_{failed + 1} = {rank // sub.s} < alpha = {sub.alpha}")
+    return RecoveryPlan(tuple(sent), solve,
+                        tuple((u + 1, len(rows) // sub.s) for u, rows in sent))
 
 
-def _solve_mod_p(blocks: list, vectors: list, sent: list, failed: int,
-                 p: int) -> tuple:
-    """``_solve_bits`` for odd p, on rows of ints in [0, p) by
-    ``linalg.rref_rows``."""
-    m = len(sent)
-    signal = [sum(map(mul, row, vector)) % p for row, vector in sent]
-    ranks = {}
-    for u, (block, vector) in enumerate(zip(blocks, vectors)):
-        if u == failed:
-            continue
-        basis = list(block)
-        pivots = linalg.rref_rows(basis, p)
-        # node u sends basis . vector, one GF(p) value per pivot column c.
-        # The basis rows have unit pivots, so block = block[:, pivots] . basis
-        # and the interference is block[:, pivots] . fetched: block . fetched
-        # with the fetched values scattered to their pivot columns
-        fetched = [0] * m
-        for c, row in zip(pivots, basis):
-            fetched[c] = sum(map(mul, row, vector)) % p
-        signal = [(x - sum(map(mul, row, fetched))) % p
-                  for x, row in zip(signal, block)]
-        ranks[u + 1] = len(pivots)
-    # one elimination of [A | signal] gives the rank of the failed block A
-    # (its pivots left of column m) and, when that is full, the solution
-    system = [[*row, x] for row, x in zip(blocks[failed], signal)]
-    pivots = linalg.rref_rows(system, p)
-    return ranks, sum(c < m for c in pivots), [row[m] for row in system]
+def _solve(block: list, rhs: list, p: int) -> tuple:
+    """(rank, solution) of block . X = rhs over GF(p), block m x m, by one
+    elimination of [block | rhs]: the block's rank, and when that is m the
+    rows of X; bit-rows (bit c for column c) for p = 2, tuples otherwise."""
+    m = len(block)
+    if p != 2:
+        system = [[*row, *r] for row, r in zip(block, rhs)]
+        pivots = linalg.rref_rows(system, p)
+        return sum(c < m for c in pivots), tuple(tuple(row[m:]) for row in system)
+    # the basis rows with a lowest bit below m count the block's rank and at
+    # full rank hold the pivots 0..m-1: from the last pivot c down, row c of
+    # X is the row's rhs part plus the rows of X of the pivots above c that
+    # it holds
+    system = [row | r << m for row, r in zip(block, rhs)]
+    pivots = {(row & -row).bit_length() - 1: row
+              for row in linalg.echelon_bits(system)[0] if row & (1 << m) - 1}
+    solution = [0] * m
+    for c in reversed(range(m) if len(pivots) == m else ()):
+        x, above = pivots[c] >> m, pivots[c] & (1 << m) - (2 << c)
+        while above:
+            x ^= solution[(above & -above).bit_length() - 1]
+            above &= above - 1
+        solution[c] = x
+    return len(pivots), tuple(solution)

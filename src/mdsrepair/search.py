@@ -28,10 +28,11 @@ up to GF(2^8), 2 up to GF(2^16)), or 33 * m + 9 for odd p.  The keys come
 from ``SubpacketizationSpec.node_keys``, (n-k) * s * (q-1) * k keys per
 spec: 10 KiB for fb1410 at s = 1, 3 MiB for an RS(14,12) code over
 GF(2^16).  A random search reads them split (``split_keys``), as many keys
-again once per failed node searched: 5,120 bytes for RS(6,4) over GF(3^4)
-and 10,200 for fb1410 at s = 1, 3 MiB and 24 MiB for that RS(14,12) code
-at s = 1 and 8.  For m <= 16 and p = 2 a full chunk of 4,096 stays under
-about 0.75 MiB plus 0.5 MiB per systematic node; measured peaks, tables
+once per failed node searched: 5,120 bytes for RS(6,4) over GF(3^4) and
+10,200 for fb1410 at s = 1, 3 MiB and 24 MiB for that RS(14,12) code at
+s = 1 and 8, and keeps ``node_keys`` only if something else holds it.
+For m <= 16 and p = 2 a full chunk of 4,096 stays under about 0.75 MiB
+plus 0.5 MiB per systematic node; measured peaks, tables
 built before, are 0.6 MiB for fb1410 (k = 10), 1.1 MiB for that GF(3^4)
 code and 2.0 MiB for that RS(14,12) code (4.2 MiB at s = 8).  An
 exhaustive chunk ranks its heads' blocks and then one key per completion

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mdsrepair.clique import clique_bound, find_repair, generate_clique
@@ -146,3 +148,25 @@ class TestFindRepair:
             sub = SubpacketizationSpec(code, s)
             assert [exhaustive_search(SearchConfig(sub, i)).best_report.total_bits
                     for i in (1, 2, 3)] == expect
+
+    def test_exhaustive_meets_bound_on_random_codes(self):
+        # the clique theorem re-derived: on six seeded random normalized
+        # RS(n, n-2) codes per field, in deployed form at nonzero points,
+        # the optimum over the half-degree subfield is the clique bound on
+        # every node
+        fields = [FieldSpec(2, [1, 1, 0, 0, 1]), FieldSpec(2, [1, 1, 0, 0, 0, 0, 1]),
+                  FieldSpec(3, [2, 0, 0, 1, 1]), FieldSpec(5, [2, 1, 1])]
+        rng = random.Random(9)
+        nodes = 0
+        for field in fields:
+            for _ in range(6):
+                n = rng.randrange(4, 10)
+                points = rng.sample(range(field.q - 1), n)
+                code = normalize_parity(
+                    rs_systematic(field, [field.element(e) for e in points], n - 2))
+                part = generate_clique(code)
+                for i in range(1, code.k + 1):
+                    best = exhaustive_search(SearchConfig(part.sub, i)).best_report
+                    assert best.total_bw == clique_bound(part, i), (field, points, i)
+                    nodes += 1
+        assert nodes == 104

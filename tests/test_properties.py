@@ -18,11 +18,12 @@ runs the same number of examples on every (code, s) of ``SUBS``, so each
 reaches ``recover_node`` on feasible schemes.  The batched scorer
 ``SchemeEvaluator.evaluate_batch`` is checked against the matrix route too,
 and the sub-symbols that ``recover_node`` returns (``subfield_coords``)
-against element arithmetic, at s = 1, 2, 3 and 4.  One ``recover_node``
-takes about 0.03 ms on RS(5,3) over GF(2^4) and 0.08 ms on RS(6,4) over
-GF(3^4) (0.07 and 0.10 ms with the operator products it replaced), and
-one matrix report about 0.09 ms on fb1410 (0.35 ms when each block went
-through ``linalg.rank_mod_p``) and 0.07 ms on RS(6,4) over GF(3^4).
+against element arithmetic, at s = 1, 2, 3 and 4.  A scheme's first
+``recover_node``, which plans it, takes about 0.04 ms on RS(5,3) over
+GF(2^4) and 0.12 ms on RS(6,4) over GF(3^4), and later ones about 0.01
+and 0.03 ms; one matrix report about 0.09 ms on fb1410 (0.35 ms when
+each block went through ``linalg.rank_mod_p``) and 0.07 ms on RS(6,4)
+over GF(3^4).
 
 A search takes its winner's report from the gammas of the batch that
 scored it, so ``test_exhaustive_report_is_both_routes`` and

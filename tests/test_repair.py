@@ -662,34 +662,161 @@ class TestRecoverNode:
             recover_node(cw, scheme)
 
     def test_eliminations_by_characteristic(self, rs64_gf81, monkeypatch, rng):
-        # p = 2 eliminates on bit-rows (linalg.echelon_bits), odd p on lists by
-        # linalg.rref_rows: one call per surviving node and one for the
-        # failed block
+        # a scheme's first recovery plans it: one elimination per systematic
+        # node, on bit-rows by linalg.echelon_bits for p = 2 and on lists by
+        # linalg.rref_rows for odd p; later recoveries of other codewords
+        # run none
         schemes = [bundled_scheme("rs53", 1), bundled_scheme("fb1410", 3),
                    find_repair(generate_clique(rs64_gf81), 1).scheme]
-        codewords = []
+        cases = []
         for scheme in schemes:
             code = scheme.sub.code
-            codewords.append(encode(code, [
-                code.field.element(rng.randrange(code.field.q - 1))
-                for _ in range(code.k)]))
+            codewords = [encode(code, [code.field.element(rng.randrange(code.field.q - 1))
+                                       for _ in range(code.k)]) for _ in range(4)]
             # builds the lazy subfield tables: tower_inverse comes from one
             # linalg.rref_rows over GF(p), p = 2 included, before the patch
-            recover_node(codewords[-1], scheme)
+            recover_node(codewords[0], scheme)
+            cases.append((RepairScheme(scheme.sub, scheme.failed, scheme.elements), codewords))
         calls = []
-        rref_rows = linalg.rref_rows
+        rref_rows, echelon_bits = linalg.rref_rows, linalg.echelon_bits
 
         def odd_only(rows, p):
             if p == 2:
                 raise AssertionError("rref_rows called over GF(2)")
             calls.append(p)
             return rref_rows(rows, p)
+
+        def counted(rows):
+            calls.append(2)
+            return echelon_bits(rows)
         monkeypatch.setattr(linalg, "rref_rows", odd_only)
-        for scheme, cw in zip(schemes, codewords):
-            calls.clear()
-            assert recover_node(cw, scheme).element == cw[scheme.failed - 1]
+        monkeypatch.setattr(linalg, "echelon_bits", counted)
+        for scheme, codewords in cases:
             code = scheme.sub.code
-            assert calls == ([] if code.field.p == 2 else [code.field.p] * code.k)
+            for i, cw in enumerate(codewords):
+                calls.clear()
+                assert recover_node(cw, scheme).element == cw[scheme.failed - 1]
+                assert calls == ([code.field.p] * code.k if i == 0 else [])
+
+    def test_plan_kept_for_the_default_reference_only(self, rs64_gf81, monkeypatch, rng):
+        # the default reference's plan is kept on the scheme, built once; a
+        # custom reference plans for its one call, recovers the same
+        # element and keeps nothing, and its plan's equations are that
+        # reference's realized matrices
+        part = generate_clique(rs64_gf81)
+        schemes = [bundled_scheme("rs53", 2), bundled_scheme("fb1410", 1),
+                   find_repair(part, 2).scheme, lift_scheme(find_repair(part, 3).scheme, 2)]
+        eliminations = []
+        rref_rows, echelon_bits = linalg.rref_rows, linalg.echelon_bits
+        monkeypatch.setattr(linalg, "rref_rows",
+                            lambda rows, p: eliminations.append(p) or rref_rows(rows, p))
+        monkeypatch.setattr(linalg, "echelon_bits",
+                            lambda rows: eliminations.append(2) or echelon_bits(rows))
+        for scheme in schemes:
+            sub, field, k = scheme.sub, scheme.sub.code.field, scheme.sub.code.k
+            cw = encode(sub.code, [field.element(rng.randrange(field.q - 1)) for _ in range(k)])
+            references = [field.coords_table[rng.randrange(2, field.q)] for _ in range(2)]
+            fresh = RepairScheme(sub, scheme.failed, scheme.elements)
+            recover_node(cw, fresh, references[0])
+            assert fresh._tables == {}
+            expect = recover_node(cw, fresh)
+            plan = fresh._tables["plan"]
+            assert fresh.plan is plan and set(fresh._tables) == {"plan"}
+            for reference in references:
+                eliminations.clear()
+                assert recover_node(cw, fresh, reference) == expect
+                assert eliminations == [field.p] * k
+                assert fresh._tables == {"plan": plan}
+                # a parity's rows are its realized equations, bit c or entry c
+                # for row c of the repair matrix
+                matrices = realize_matrices(scheme, reference).matrices
+                sent = dict(repair._plan(scheme, reference).sent)
+                for l, matrix in enumerate(matrices):
+                    columns = matrix.T.tolist()
+                    assert list(sent[k + l]) == (
+                        [sum(v << c for c, v in enumerate(col)) for col in columns]
+                        if field.p == 2 else list(map(tuple, columns)))
+            assert dict(plan.sent)[k] != dict(repair._plan(scheme, references[0]).sent)[k]
+
+    def test_plan_leaves_equality_and_hash(self, rs64_gf81, rng):
+        part = generate_clique(rs64_gf81)
+        for scheme in (bundled_scheme("rs64", 1), find_repair(part, 4).scheme):
+            a, b = (RepairScheme(scheme.sub, scheme.failed, scheme.elements) for _ in range(2))
+            before = hash(a)
+            field = scheme.sub.code.field
+            recover_node(encode(scheme.sub.code, [field.one()] * scheme.sub.code.k), a)
+            assert "plan" in a._tables and b._tables == {}
+            assert a == b == scheme and hash(a) == hash(b) == before == hash(scheme)
+            assert repr(a) == repr(b) and len({a, b, scheme}) == 1
+
+    def test_infeasible_keeps_no_plan(self, rs53, fb1410, rs64_gf81):
+        # every recovery raises the same text, with the default reference or
+        # a custom one, and none keeps a plan
+        cases = [(rs53, 1, r"^gamma_1 = 2 < alpha = 4$"), (fb1410, 1, r"^gamma_1 = 4 < alpha = 8$"),
+                 (rs64_gf81, 1, r"^gamma_1 = 2 < alpha = 4$")]
+        for code, s, message in cases:
+            sub = SubpacketizationSpec(code, s)
+            scheme = RepairScheme.from_flat(sub, 1, [0] * (code.r * sub.beta))
+            cw = encode(code, [code.field.one()] * code.k)
+            for reference in (None, code.field.coords_table[3], None):
+                with pytest.raises(InfeasibleScheme, match=message):
+                    recover_node(cw, scheme, reference)
+                assert scheme._tables == {}
+
+    def test_helpers_send_only_their_basis(self, rs64_gf81):
+        # each parity sends its s * beta realized equations, and each
+        # surviving node the s * gamma_u independent rows of a basis of its
+        # interference block, as the operator products of the matrix
+        # oracle give that block
+        part = generate_clique(rs64_gf81)
+        schemes = [*bundled_schemes("rs53").values(), *bundled_schemes("fb1410").values(),
+                   find_repair(part, 2).scheme, lift_scheme(find_repair(part, 2).scheme, 2)]
+        for scheme in schemes:
+            sub, failed = scheme.sub, scheme.failed
+            code, field = sub.code, sub.code.field
+            p, m = field.p, field.m
+            report = gamma_ranks(scheme)
+            plan = repair._plan(scheme, None)
+            sent = dict(plan.sent)
+            helpers = [u for u in range(code.k) if u != failed - 1]
+            assert list(sent) == [*range(code.k, code.n), *helpers]
+            counts = {u: (sub.beta if u >= code.k else report.gammas[u]) for u in sent}
+            assert {u: len(rows) for u, rows in sent.items()} == {
+                u: count * sub.s for u, count in counts.items()}
+            assert dict(plan.downloads) == {u + 1: count for u, count in counts.items()}
+            equations = np.array(realize_matrices(scheme).matrices).swapaxes(1, 2)
+            blocks = linalg.matmul_mod_p(equations, field.operators(code.parity_exps()),
+                                         p).reshape(code.k, m, m)
+            for u in helpers:
+                basis = [[row >> c & 1 for c in range(m)] if p == 2 else list(row)
+                         for row in sent[u]]
+                assert linalg.rank_mod_p(basis, p) == len(basis)
+                assert linalg.rank_mod_p(basis + blocks[u].tolist(), p) == len(basis)
+
+    def test_plans_follow_the_code(self, f16, rng):
+        # one element tuple on two codes over the same field: each scheme's
+        # plan is its own code's, so recoveries of either, interleaved and
+        # from equal fresh schemes, rebuild their own node
+        codes = [normalize_parity(rs_systematic(f16, [f16.element(e) for e in points], 4))
+                 for points in ((0, 1, 2, 3, 4, 5), (7, 5, 9, 3, 8, 12))]
+        subs = [SubpacketizationSpec(code, 2) for code in codes]
+        pairs = []
+        while len(pairs) < 3:
+            failed, flat = rng.randrange(1, 5), [rng.randrange(15) for _ in range(2)]
+            schemes = [RepairScheme.from_flat(sub, failed, flat) for sub in subs]
+            reports = [gamma_ranks(scheme) for scheme in schemes]
+            if all(report.feasible for report in reports):
+                pairs.append(list(zip(schemes, reports)))
+        for pair in pairs:
+            fresh = [(RepairScheme(s.sub, s.failed, s.elements), r) for s, r in pair]
+            for _ in range(3):
+                for scheme, report in (*pair, *fresh):
+                    code = scheme.sub.code
+                    cw = encode(code, [f16.element(None if rng.random() < 0.2 else
+                                                   rng.randrange(15)) for _ in range(code.k)])
+                    result = recover_node(cw, scheme)
+                    assert result.element == cw[scheme.failed - 1]
+                    assert result.total_symbols == report.total_bw
 
     def test_no_operators_per_call(self, rs64_gf81, monkeypatch, rng):
         # every equation and interference row is a lookup in the lazily
@@ -759,7 +886,7 @@ class TestRecoverNode:
         element = re.compile(r"(bit|zech)_(rank|echelon|extend)\w*|rank_exps|rank_\w*batch"
                              r"|rank_keys|node_keys|slot_shifts")
         route = {"_equations", "realize_matrices", "gamma_ranks_matrix", "recover_node",
-                 "_solve_bits", "_solve_mod_p"}
+                 "_plan", "_solve"}
         tree = ast.parse(Path(repair.__file__).read_text())
         functions = {node.name: node for node in tree.body
                      if isinstance(node, ast.FunctionDef) and node.name in route}
@@ -769,20 +896,26 @@ class TestRecoverNode:
         assert "echelon_bits" not in names(ast.parse(Path(gf.__file__).read_text()))
 
     def test_back_substitution_is_solve_mod_p(self, rng):
-        # the failed block alone, with no interference and signal bit j the
-        # right-hand side b_j: the rank _solve_bits counts off its forward
-        # echelon is A's, and on invertible systems of every size up to
-        # 16 its back-substituted solution is solve_mod_p's
+        # the plan's failed-block solve: the rank _solve counts is the
+        # block's, and on invertible systems of every size up to 16 its
+        # solution (back-substituted for p = 2, reduced for odd p) is
+        # solve_mod_p's, for one right-hand side and for several
         solved = 0
-        while solved < 120:
-            m = rng.randrange(1, 17)
-            A = np.array([[rng.randrange(2) for _ in range(m)] for _ in range(m)])
-            b = np.array([rng.randrange(2) for _ in range(m)])
-            rows = [sum(v << c for c, v in enumerate(row)) for row in A.tolist()]
-            ranks, rank, x = repair._solve_bits([rows], [0], [(v, 1) for v in b.tolist()], 0)
-            assert ranks == {} and rank == linalg.rank_mod_p(A, 2)
+        while solved < 180:
+            p, m, w = (2, 3, 5)[solved % 3], rng.randrange(1, 17), rng.choice([1, 3])
+            A = np.array([[rng.randrange(p) for _ in range(m)] for _ in range(m)])
+            B = np.array([[rng.randrange(p) for _ in range(w)] for _ in range(m)])
+            if p == 2:
+                block = [sum(v << c for c, v in enumerate(row)) for row in A.tolist()]
+                rhs = [sum(v << c for c, v in enumerate(row)) for row in B.tolist()]
+            else:
+                block, rhs = A.tolist(), B.tolist()
+            rank, X = repair._solve(block, rhs, p)
+            assert rank == linalg.rank_mod_p(A, p)
             if rank == m:
-                assert x == linalg.solve_mod_p(A, b, 2).tolist()
+                if p == 2:
+                    X = [[row >> c & 1 for c in range(w)] for row in X]
+                assert [list(row) for row in X] == linalg.solve_mod_p(A, B, p).tolist()
                 solved += 1
 
     def test_reference_immaterial(self, rs53, f16, rng):

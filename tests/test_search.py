@@ -259,6 +259,24 @@ class TestRandom:
         assert got.element == cw[6]
         assert got.total_bits == result.best_report.total_bits
 
+    def test_search_keeps_only_the_split_keys(self, fb1410, rs64, rs64_gf81):
+        # a random search reads node_keys only to cut the failed node's
+        # split tables, and drops it; an exhaustive search keeps it
+        for code, s in ((fb1410, 1), (rs64_gf81, 1)):
+            sub = SubpacketizationSpec(code, s)
+            for failed in (2, 1):
+                random_search(SearchConfig(sub, failed, mode="random", samples=200, seed=1))
+            assert set(sub._tables) == {("split_keys", 1), ("split_keys", 2)}
+            keys = sub.node_keys
+            for u, (own, others) in enumerate(map(sub.split_keys, (1, 2))):
+                assert own.tolist() == keys[..., u].tolist()
+                assert others.tolist() == np.delete(keys, u, axis=-1).tolist()
+        for code in (rs64, rs64_gf81):
+            sub = SubpacketizationSpec(code, 2)
+            exhaustive_search(SearchConfig(sub, 1))
+            random_search(SearchConfig(sub, 1, mode="random", samples=200, seed=1))
+            assert set(sub._tables) == {"node_keys", ("split_keys", 1)}
+
 
 class TestStream:
     @pytest.mark.parametrize("q1", [2, 4, 8, 15, 80, 129, 255])

@@ -1,4 +1,4 @@
-"""The package's eleven immutable value classes, through one table: call
+"""The package's twelve immutable value classes, through one table: call
 forms, validation, immutability, equality and hashing, and the repr that
 error messages quote."""
 
@@ -11,6 +11,7 @@ from mdsrepair.errors import IncompatibleSubfield, LengthMismatch
 from mdsrepair.gf import FieldSpec
 from mdsrepair.repair import (
     MatrixScheme,
+    RecoveryPlan,
     RecoveryResult,
     RepairReport,
     RepairScheme,
@@ -20,8 +21,8 @@ from mdsrepair.repair import (
 from mdsrepair.search import SearchConfig, SearchResult
 
 NAMES = ["CodeSpec", "Codeword", "SubpacketizationSpec", "RepairScheme",
-         "RepairReport", "MatrixScheme", "RecoveryResult", "CliquePartition",
-         "CliqueRepair", "SearchConfig", "SearchResult"]
+         "RepairReport", "MatrixScheme", "RecoveryResult", "RecoveryPlan",
+         "CliquePartition", "CliqueRepair", "SearchConfig", "SearchResult"]
 
 # a field change each class accepts, where the last field set to None is not
 GF16 = FieldSpec(2, [1, 1, 0, 0, 1])  # the field of rs53
@@ -57,6 +58,8 @@ def table(rs53):
         RecoveryResult: ([("element", z), ("symbols", (z,)),
                           ("downloads", ((2, 3), (4, 2))), ("total_symbols", 5),
                           ("total_bits", 5)], {}, None),
+        RecoveryPlan: ([("sent", ((3, (5, 6)), (1, (3,)))), ("solve", (5, 9)),
+                        ("downloads", ((4, 2), (2, 1)))], {}, None),
         CliquePartition: ([("sub", sub), ("cliques", ((1, 2), (3,)))], {}, None),
         CliqueRepair: ([("scheme", scheme), ("mu", z), ("bound", 10),
                         ("degenerate", False), ("chosen_clique", (1, 2))], {}, None),
